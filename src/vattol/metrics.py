@@ -1,7 +1,8 @@
 """Exact vertex attack tolerance and conductance by subset enumeration.
 
 Everything on the unweighted path is exact: values are
-:class:`fractions.Fraction` and comparisons cross-multiply integers, so
+:class:`fractions.Fraction` and comparisons cross-multiply integers (or,
+in :func:`exact_batch`, compare float keys that are provably exact), so
 downstream inequality checks can never flip on rounding.  Floating point
 appears only when real-valued vertex weights or non-integer (alpha, beta)
 parameters force it.
@@ -11,6 +12,22 @@ the reported witness is the one with the lowest integer encoding of its
 bit mask (bit i = vertex i).  Every engine here enforces that tie-break
 explicitly, so results do not depend on enumeration order or on how the
 subset space is partitioned across workers.
+
+Engines, chosen by vertex count:
+
+- ``n <= 16`` (:data:`MINIMIZER_LIMIT`): :func:`exact_batch`, one numpy
+  pass over (graphs x subsets) tables that yields tau, phi and every
+  phi-minimizer together; :func:`vat_exact`, :func:`conductance_exact`
+  and :func:`conductance_minimizers` call it with a batch of one.  Its
+  memory is bounded: temporaries cover at most :data:`BLOCK_CELLS`
+  (2^13) graph x subset cells, and the tables it keeps per call are three
+  uint8 entries per subset (64 KiB each at n = 16) plus neighbour-union
+  tables over the low eight vertices and over the rest; nothing is
+  cached across calls.
+- ``n > 16``: scalar loops, the size-pruned Gosper enumeration for tau
+  and a Gray-code scan for phi.
+
+The weighted and (alpha, beta) forms always use the scalar loops.
 """
 
 from __future__ import annotations
@@ -18,10 +35,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import (
     BadParameter,
+    DisconnectedInput,
     EmptySet,
     FullSet,
     TooLarge,
@@ -45,6 +65,14 @@ LIMIT_ENV_VAR = "VATTOL_ENUM_LIMIT"
 
 DEFAULT_LIMIT = 20
 
+#: Largest n handled by :func:`exact_batch`, and the default cap of the
+#: suite's all-minimizers check.
+MINIMIZER_LIMIT = 16
+
+#: Graph x subset cells per kernel chunk, which bounds the kernel's
+#: temporaries (a few arrays of this many int32/float64 cells).
+BLOCK_CELLS = 1 << 13
+
 
 def enumeration_limit(limit: int | None = None) -> int:
     """Resolve the effective enumeration limit.
@@ -54,7 +82,12 @@ def enumeration_limit(limit: int | None = None) -> int:
     """
     if limit is None:
         env = os.environ.get(LIMIT_ENV_VAR)
-        limit = int(env) if env else DEFAULT_LIMIT
+        try:
+            limit = int(env) if env else DEFAULT_LIMIT
+        except ValueError:
+            raise BadParameter(
+                f"{LIMIT_ENV_VAR} must be an integer, got {env!r}"
+            ) from None
     if not 1 <= limit <= HARD_CAP:
         raise BadParameter(f"enumeration limit must be in [1, {HARD_CAP}], got {limit}")
     return limit
@@ -90,6 +123,19 @@ class WeightedValue:
     @property
     def witness_vertices(self) -> list[int]:
         return vertices_from_mask(self.witness)
+
+
+@dataclass(frozen=True)
+class ExactMetrics:
+    """tau, phi and every conductance minimizer of one graph, from one pass.
+
+    ``minimizers`` is a sorted integer array of masks, the compact form of
+    what :func:`conductance_minimizers` returns as a list.
+    """
+
+    tau: MetricResult
+    phi: MetricResult
+    minimizers: np.ndarray
 
 
 def _require_metric_graph(g: Graph, limit: int | None = None) -> None:
@@ -196,6 +242,167 @@ def set_conductance(g: Graph, s: VertexMask) -> Fraction:
     return Fraction(cut, vol)
 
 
+def exact_batch(graphs: Sequence[Graph]) -> list[ExactMetrics]:
+    """tau, phi and all phi-minimizers of graphs that share one n <= 16.
+
+    Lays the graphs out as (graphs x subsets) tables and fills them in one
+    pass (see :func:`_exact_block`).  Values, lowest-encoding witnesses
+    and minimizer lists are those of the scalar engines that
+    :func:`vat_exact` and :func:`conductance_exact` run above n = 16.
+    Weights are ignored, as those functions ignore them.  Every graph
+    must be connected.
+    """
+    if not graphs:
+        return []
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise BadParameter("exact_batch needs graphs that share one vertex count")
+    if n < 2:
+        raise TrivialGraph("metrics need at least two vertices")
+    if n > MINIMIZER_LIMIT:
+        raise TooLarge(f"exact_batch handles n <= {MINIMIZER_LIMIT}, got n={n}")
+    per_block = max(1, BLOCK_CELLS >> n)
+    out: list[ExactMetrics] = []
+    for i in range(0, len(graphs), per_block):
+        out.extend(_exact_block(graphs[i : i + per_block], n))
+    return out
+
+
+def _union_table(adj: np.ndarray) -> np.ndarray:
+    """Per row, the neighbour union of every subset of the given vertices."""
+    rows, b = adj.shape
+    table = np.zeros((rows, 1 << b), np.int32)
+    for v in range(b):
+        t = 1 << v
+        table[:, t : 2 * t] = table[:, :t] | adj[:, v : v + 1]
+    return table
+
+
+def _exact_block(block: Sequence[Graph], n: int) -> list[ExactMetrics]:
+    """The kernel behind :func:`exact_batch`, for ``len(block) << n`` cells.
+
+    Three uint8 tables indexed by vertex mask are filled one top-bit layer
+    at a time: a mask ``x`` in ``[2^k, 2^(k+1))`` has top vertex ``k``,
+    and ``y = x - 2^k`` is already known, so
+
+    - ``vol[x] = vol[y] + deg(k)`` and
+      ``cut[x] = cut[y] + deg(k) - 2 |N(k) & y|``;
+    - ``cmax[x]``, the largest component inside ``x``, is
+      ``max(|C|, cmax[x - C])`` with ``C`` the component of ``k``, found
+      by a flood fill over all masks of the chunk at once.  ``x - C`` lacks
+      vertex ``k``, so it lies in an earlier layer.
+
+    A flood step looks up neighbour unions in two tables, over the low
+    eight vertices and over the rest, so no ``2^n x n`` table exists.
+
+    tau minimizes ``|S| / (n - |S| - cmax[V - S] + 1)`` and phi minimizes
+    ``cut[S] / vol[S]`` over ``vol[S] <= m``.  Both are argmins over float
+    keys, which is exact here.  Every numerator and denominator is an
+    integer of at most 240 (vol <= 2m <= 240 at n <= 16) and every key
+    is at most 15, so two distinct fractions differ by at least 1/240^2
+    while each key, a correctly rounded quotient, is off by less than
+    15 * 2^-53; equal fractions get equal keys.  ``argmin`` and the
+    ascending mask order keep the lowest-encoding witness.
+    """
+    rows = len(block)
+    size = 1 << n
+    full = size - 1
+    chunk = BLOCK_CELLS // rows
+    adj = np.array([g.adj_masks for g in block], dtype=np.int32)
+    deg = np.bitwise_count(adj)
+    m = deg.sum(axis=1) // 2
+    low = min(n, 8)
+    low_mask = (1 << low) - 1
+    row = np.arange(rows, dtype=np.int32)[:, None]
+    nu_low = _union_table(adj[:, :low]).ravel()
+    nu_high = _union_table(adj[:, low:]).ravel()
+    low_off, high_off, table_off = row << low, row << (n - low), row << n
+    vol = np.zeros((rows, size), np.uint8)
+    cut = np.zeros((rows, size), np.uint8)
+    cmax = np.zeros((rows, size), np.uint8)
+    cmax_flat = cmax.ravel()
+    for k in range(n):
+        top = 1 << k
+        adj_k = adj[:, k : k + 1]
+        deg_k = deg[:, k : k + 1]
+        for j0 in range(0, top, chunk):
+            j1 = min(top, j0 + chunk)
+            y = np.arange(j0, j1, dtype=np.int32)
+            dst = slice(top + j0, top + j1)
+            # uint8 arithmetic wraps mod 256, and every true value fits.
+            vol[:, dst] = vol[:, j0:j1] + deg_k
+            cut[:, dst] = cut[:, j0:j1] + deg_k - 2 * np.bitwise_count(adj_k & y)
+            x = y | top
+            comp = (adj_k & x) | top
+            front = comp
+            while True:
+                reach = nu_low.take((front & low_mask) + low_off)
+                if n > low:
+                    reach |= nu_high.take((front >> low) + high_off)
+                front = reach & x & ~comp
+                if not np.count_nonzero(front):
+                    break
+                comp |= front
+            cmax[:, dst] = np.maximum(
+                np.bitwise_count(comp), cmax_flat.take((x ^ comp) + table_off)
+            )
+    if (cmax[:, full] != n).any():
+        raise DisconnectedInput(
+            "graph is disconnected; restrict_to_largest_component() first"
+        )
+
+    # Column s of this view is cmax of the survivors V - s.
+    cmax_of_rest = cmax[:, ::-1]
+    tau_best = np.full(rows, np.inf)
+    tau_arg = np.zeros(rows, np.int64)
+    phi_best = np.full(rows, np.inf)
+    hits: list[list[np.ndarray]] = [[] for _ in range(rows)]
+    for c0 in range(0, size, chunk):
+        c1 = min(size, c0 + chunk)
+        card = np.bitwise_count(np.arange(c0, c1, dtype=np.int32))
+        # S = V is no attack set either, but its key n > 1 never wins.
+        tau_key = card / ((n + 1 - card) - cmax_of_rest[:, c0:c1])
+        vol_s = vol[:, c0:c1]
+        admissible = vol_s <= m[:, None]
+        if c0 == 0:  # the empty set is neither an attack set nor admissible
+            tau_key[:, 0] = np.inf
+            admissible[:, 0] = False
+        phi_key = np.full(tau_key.shape, np.inf)
+        np.divide(cut[:, c0:c1], vol_s, out=phi_key, where=admissible)
+
+        tau_min = tau_key.min(axis=1)
+        better = tau_min < tau_best
+        tau_arg[better] = tau_key.argmin(axis=1)[better] + c0
+        tau_best[better] = tau_min[better]
+        # The first chunk holds the admissible singleton {0} (deg <= m),
+        # so phi_best is finite from then on and an all-inf chunk adds no hit.
+        phi_min = phi_key.min(axis=1)
+        for r in np.flatnonzero(phi_min <= phi_best):
+            found = np.flatnonzero(phi_key[r] == phi_min[r]) + c0
+            if phi_min[r] < phi_best[r]:
+                hits[r] = [found]
+            else:
+                hits[r].append(found)
+        phi_best = np.minimum(phi_best, phi_min)
+
+    out = []
+    for r in range(rows):
+        s = int(tau_arg[r])
+        k = s.bit_count()
+        tau = Fraction(k, n + 1 - k - int(cmax[r, full ^ s]))
+        minimizers = np.concatenate(hits[r])
+        w = int(minimizers[0])
+        phi = Fraction(int(cut[r, w]), int(vol[r, w]))
+        out.append(
+            ExactMetrics(
+                tau=MetricResult(value=tau, witness=s, metric="vat"),
+                phi=MetricResult(value=phi, witness=w, metric="conductance"),
+                minimizers=minimizers,
+            )
+        )
+    return out
+
+
 def _min_ratio_exact(g: Graph, alpha: int, beta: int) -> tuple[Fraction, int]:
     """Minimize (alpha*|S| + beta) / (n - |S| - cmax + 1) over proper subsets.
 
@@ -244,6 +451,8 @@ def vat_exact(g: Graph, limit: int | None = None) -> MetricResult:
     a singleton.
     """
     _require_metric_graph(g, enumeration_limit(limit))
+    if g.n <= MINIMIZER_LIMIT:
+        return exact_batch([g])[0].tau
     value, witness = _min_ratio_exact(g, 1, 0)
     return MetricResult(value=value, witness=witness, metric="vat")
 
@@ -444,12 +653,17 @@ def conductance_exact(g: Graph, limit: int | None = None) -> MetricResult:
     The value always lies in (0, 1].
     """
     _require_metric_graph(g, enumeration_limit(limit))
+    if g.n <= MINIMIZER_LIMIT:
+        return exact_batch([g])[0].phi
     cut, vol, mask = _conductance_scan(g)
     return MetricResult(value=Fraction(cut, vol), witness=mask, metric="conductance")
 
 
 def conductance_minimizers(g: Graph, limit: int | None = None) -> list[VertexMask]:
     """Every admissible set achieving the exact conductance, sorted by encoding."""
+    if g.n <= MINIMIZER_LIMIT:
+        _require_metric_graph(g, enumeration_limit(limit))
+        return exact_batch([g])[0].minimizers.tolist()
     result = conductance_exact(g, limit)
     return _conductance_scan(
         g, (result.value.numerator, result.value.denominator)

@@ -42,18 +42,30 @@ and the ratio-series lower bound) live here too, as tested utilities.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadParameter, NotRegular, TooLarge, VattolError
-from .graph import Graph, cut_size, full_mask, regularity, vertices_from_mask
+from .graph import (
+    Graph,
+    cut_size,
+    full_mask,
+    is_connected,
+    regularity,
+    vertices_from_mask,
+)
 from .metrics import (
+    MINIMIZER_LIMIT,
+    ExactMetrics,
     MetricResult,
     conductance_exact,
     conductance_minimizers,
     enumeration_limit,
+    exact_batch,
     vat_exact,
     vat_witness_components,
 )
@@ -61,8 +73,9 @@ from .spectral import SpectralResult, lambda2
 
 SPECTRAL_TOL = 1e-9
 
-#: Largest n for which every conductance minimizer is enumerated.
-MINIMIZER_LIMIT = 16
+#: Graphs per unit of suite work: one :func:`exact_batch` prefill, and
+#: one pool task when ``jobs > 1``.
+SUITE_BATCH = 32
 
 CHECK_GROUPS = (
     "cheeger",
@@ -156,7 +169,9 @@ class MetricCache:
     """Lazily computed per-graph quantities shared across checks.
 
     Computing tau, phi and lambda2 once per graph instead of once per
-    check keeps large suite runs within their time budget.
+    check keeps large suite runs within their time budget.  ``exact``,
+    when given, is the graph's :func:`exact_batch` result and supplies
+    tau, phi and the conductance minimizers.
     """
 
     def __init__(
@@ -165,11 +180,13 @@ class MetricCache:
         graph_id: str = "graph",
         limit: int | None = None,
         tol: float = SPECTRAL_TOL,
+        exact: ExactMetrics | None = None,
     ) -> None:
         self.g = g
         self.graph_id = graph_id
         self.limit = limit
         self.tol = tol
+        self.exact = exact
 
     @cached_property
     def d(self) -> int | None:
@@ -177,11 +194,22 @@ class MetricCache:
 
     @cached_property
     def tau(self) -> MetricResult:
+        if self.exact is not None:
+            return self.exact.tau
         return vat_exact(self.g, self.limit)
 
     @cached_property
     def phi(self) -> MetricResult:
+        if self.exact is not None:
+            return self.exact.phi
         return conductance_exact(self.g, self.limit)
+
+    @cached_property
+    def minimizers(self) -> Sequence[int]:
+        """Every conductance minimizer, sorted by encoding."""
+        if self.exact is not None:
+            return self.exact.minimizers
+        return conductance_minimizers(self.g, self.limit)
 
     @cached_property
     def spectral(self) -> SpectralResult:
@@ -367,10 +395,9 @@ def check_connected_minimizer(
         raise TooLarge(
             f"{graph_id}: all-minimizers enumeration capped at n={minimizer_limit}"
         )
-    minimizers = conductance_minimizers(g, ctx.limit)
     connected_witness = None
     adj_masks = g.adj_masks
-    for s in minimizers:
+    for s in map(int, ctx.minimizers):
         # connectivity of the induced subgraph, by mask flood fill
         bit = s & -s
         comp = bit
@@ -540,12 +567,16 @@ def evaluate_graph(
     limit: int | None = None,
     tol: float = SPECTRAL_TOL,
     minimizer_limit: int = MINIMIZER_LIMIT,
+    exact: ExactMetrics | None = None,
 ) -> list[TheoremReport]:
     """Run the selected checks on one graph, mapping precondition
-    violations to skipped reports instead of raising."""
+    violations to skipped reports instead of raising.
+
+    ``exact`` is the graph's :func:`exact_batch` result, if already known.
+    """
     graph_id, g = item
     groups = normalize_checks(checks)
-    cache = MetricCache(g, graph_id=graph_id, limit=limit, tol=tol)
+    cache = MetricCache(g, graph_id=graph_id, limit=limit, tol=tol, exact=exact)
     reports: list[TheoremReport] = []
     for group in groups:
         fn = _CHECK_FUNCTIONS[group]
@@ -563,6 +594,49 @@ def evaluate_graph(
     return reports
 
 
+def _exact_metrics(
+    items: Sequence[tuple[str, Graph]], limit: int
+) -> list[ExactMetrics | None]:
+    """:func:`exact_batch` results for the items it can take, else None.
+
+    It takes the connected graphs with ``2 <= n <= min(limit, 16)``; for
+    them it returns what the lazy metric calls would, and every other
+    graph keeps the lazy path and the error it raises there.
+    """
+    cap = min(limit, MINIMIZER_LIMIT)
+    by_n: dict[int, list[int]] = {}
+    for i, (_, g) in enumerate(items):
+        if 2 <= g.n <= cap and is_connected(g):
+            by_n.setdefault(g.n, []).append(i)
+    out: list[ExactMetrics | None] = [None] * len(items)
+    for idx in by_n.values():
+        for i, result in zip(idx, exact_batch([items[i][1] for i in idx])):
+            out[i] = result
+    return out
+
+
+def _iter_batch(
+    items: Sequence[tuple[str, Graph]],
+    checks: tuple[str, ...],
+    limit: int,
+    tol: float,
+    minimizer_limit: int,
+) -> Iterator[TheoremReport]:
+    exact = _exact_metrics(items, limit)
+    for item, result in zip(items, exact):
+        yield from evaluate_graph(item, checks, limit, tol, minimizer_limit, result)
+
+
+def _evaluate_batch(settings: tuple, items: Sequence[tuple[str, Graph]]) -> list[TheoremReport]:
+    """A pool task: the reports of one batch, in one list."""
+    return list(_iter_batch(items, *settings))
+
+
+def clamp_jobs(jobs: int) -> int:
+    """The worker count ``jobs`` limited to ``[1, os.cpu_count()]``."""
+    return max(1, min(jobs, os.cpu_count() or 1))
+
+
 def iter_suite(
     graphs: Iterable[tuple[str, Graph]],
     checks: str | Sequence[str] = "all",
@@ -573,25 +647,23 @@ def iter_suite(
 ) -> Iterator[TheoremReport]:
     """Stream reports for every graph, in input order.
 
-    With ``jobs > 1`` graphs are checked by a process pool; the order of
-    the emitted reports is still exactly the input order, so the output
-    is byte-for-byte independent of the worker count.
+    Graphs are taken in batches of :data:`SUITE_BATCH`, whose tau, phi
+    and conductance minimizers come from :func:`exact_batch`.  With
+    ``jobs > 1`` (at most the CPU count) a process pool checks the
+    batches; the order of the emitted reports is still exactly the input
+    order, so the output is byte-for-byte independent of the worker count.
     """
     limit = enumeration_limit(limit)
-    groups = normalize_checks(checks)
-    worker = partial(
-        evaluate_graph,
-        checks=groups,
-        limit=limit,
-        tol=tol,
-        minimizer_limit=minimizer_limit,
-    )
-    if jobs <= 1:
-        for item in graphs:
-            yield from worker(item)
+    settings = (normalize_checks(checks), limit, tol, minimizer_limit)
+    it = iter(graphs)
+    batches = iter(lambda: list(islice(it, SUITE_BATCH)), [])
+    jobs = clamp_jobs(jobs)
+    if jobs == 1:
+        for batch in batches:
+            yield from _iter_batch(batch, *settings)
         return
     with multiprocessing.Pool(processes=jobs) as pool:
-        for reports in pool.imap(worker, graphs, chunksize=32):
+        for reports in pool.imap(partial(_evaluate_batch, settings), batches):
             yield from reports
 
 

@@ -71,6 +71,26 @@ def naive_conductance(g) -> tuple[Fraction, int]:
     return best, best_mask
 
 
+def naive_conductance_minimizers(g) -> tuple[Fraction, list[int]]:
+    """Minimum conductance and every half-volume set achieving it, sorted."""
+    n = g.n
+    edges = list(g.edges())
+    deg = g.deg
+    best = None
+    hits = []
+    for code in range(1, 2**n):
+        s = {v for v in range(n) if (code >> v) & 1}
+        vol = sum(deg[v] for v in s)
+        if vol > g.m:
+            continue
+        value = Fraction(sum(1 for u, v in edges if (u in s) != (v in s)), vol)
+        if best is None or value < best:
+            best, hits = value, [code]
+        elif value == best:
+            hits.append(code)
+    return best, hits
+
+
 def naive_weighted_vat(g, alpha=1.0, beta=0.0) -> tuple[float, int]:
     """Weighted attack tolerance by full enumeration (float arithmetic)."""
     n = g.n

@@ -43,6 +43,12 @@ class TestGen:
 
 
 class TestMetrics:
+    def test_bad_limit_env_exit_2(self, monkeypatch):
+        monkeypatch.setenv("VATTOL_ENUM_LIMIT", "abc")
+        proc = run_cli("metrics", "cycle:6")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: VATTOL_ENUM_LIMIT must be an integer, got 'abc'\n"
+
     def test_star_json(self):
         proc = run_cli("metrics", "star:5", "--vat", "--conductance")
         assert proc.returncode == 0

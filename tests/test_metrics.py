@@ -12,7 +12,9 @@ from vattol import (
     TrivialGraph,
     VolumeTooLarge,
 )
-from naive_oracle import naive_vat, naive_weighted_vat
+from vattol.corpus import random_regular_samples, theorem_families
+from vattol.metrics import _conductance_scan, _min_ratio_exact
+from naive_oracle import naive_conductance_minimizers, naive_vat, naive_weighted_vat
 
 F = Fraction
 
@@ -246,6 +248,51 @@ class TestConductanceExact:
         assert r.witness == mins[0]
         assert all(vt.set_conductance(g, s) == r.value for s in mins)
         assert len(mins) == 6  # the six arcs of three consecutive vertices
+
+
+def _by_n(graphs):
+    groups = {}
+    for g in graphs:
+        groups.setdefault(g.n, []).append(g)
+    return groups.values()
+
+
+def _kernel_tuple(e):
+    return (e.tau.value, e.tau.witness), (e.phi.value, e.phi.witness), e.minimizers.tolist()
+
+
+class TestExactBatch:
+    def test_matches_naive_oracle(self):
+        graphs = [g for _, g in vt.standard_corpus() if g.n <= 10]
+        assert len(graphs) >= 200
+        for group in _by_n(graphs):
+            for g, e in zip(group, vt.exact_batch(group)):
+                phi, minimizers = naive_conductance_minimizers(g)
+                expected = naive_vat(g), (phi, minimizers[0]), minimizers
+                assert _kernel_tuple(e) == expected
+
+    def test_matches_scalar_engines_at_11_to_16(self):
+        items = list(theorem_families()) + list(random_regular_samples())
+        graphs = [g for _, g in items if 11 <= g.n <= 16]
+        assert {g.n for g in graphs} == set(range(11, 17))
+        for group in _by_n(graphs):
+            for g, e in zip(group, vt.exact_batch(group)):
+                cut, vol, witness = _conductance_scan(g)
+                phi = F(cut, vol)
+                minimizers = _conductance_scan(g, (phi.numerator, phi.denominator))
+                expected = _min_ratio_exact(g, 1, 0), (phi, witness), minimizers
+                assert _kernel_tuple(e) == expected
+
+    def test_errors(self):
+        assert vt.exact_batch([]) == []
+        with pytest.raises(BadParameter):
+            vt.exact_batch([vt.cycle(5), vt.cycle(6)])
+        with pytest.raises(TrivialGraph):
+            vt.exact_batch([vt.build_graph(1, [])])
+        with pytest.raises(TooLarge):
+            vt.exact_batch([vt.cycle(17)])
+        with pytest.raises(DisconnectedInput):
+            vt.exact_batch([vt.cycle(6), two_triangles()])
 
 
 class TestWitnessComponents:

@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import vattol as vt
+from naive_oracle import naive_conductance_minimizers, naive_vat
 
 F = Fraction
 
@@ -104,6 +105,16 @@ def test_metric_ranges(g):
     assert 0 < phi.value <= 1
     assert vt.set_conductance(g, phi.witness) == phi.value
     assert vt.largest_component(g, tau.witness) != 0
+
+
+@given(graphs(min_n=2, max_n=9, connected=True))
+@settings(deadline=None)
+def test_exact_batch_matches_naive_oracle(g):
+    (e,) = vt.exact_batch([g])
+    phi, minimizers = naive_conductance_minimizers(g)
+    assert (e.tau.value, e.tau.witness) == naive_vat(g)
+    assert (e.phi.value, e.phi.witness) == (phi, minimizers[0])
+    assert e.minimizers.tolist() == minimizers
 
 
 @given(graphs(min_n=2, max_n=7, connected=True))

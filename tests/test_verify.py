@@ -1,10 +1,15 @@
+import os
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import vattol as vt
 from vattol import BadParameter
+from vattol.corpus import exhaustive_regular
 from vattol.verify import (
+    SUITE_BATCH,
     MetricCache,
     check_cheeger,
     check_connected_minimizer,
@@ -13,6 +18,7 @@ from vattol.verify import (
     check_value_ranges,
     check_vat_lower,
     check_vat_upper,
+    clamp_jobs,
     evaluate_graph,
     mediant_between,
     normalize_checks,
@@ -149,6 +155,12 @@ class TestConnectedMinimizer:
         (r,) = check_connected_minimizer(vt.complete(4))
         assert r.holds and r.witnesses["S"] == [0, 1]
 
+    def test_reads_minimizers_from_cache(self):
+        g = vt.cycle(6)
+        exact = replace(vt.exact_batch([g])[0], minimizers=np.array([0b111000]))
+        (r,) = check_connected_minimizer(g, cache=MetricCache(g, exact=exact))
+        assert r.witnesses["S"] == [3, 4, 5]
+
     def test_hypercube3_face(self):
         (r,) = check_connected_minimizer(vt.hypercube(3))
         assert r.holds
@@ -224,8 +236,33 @@ class TestEvaluateAndSuite:
     def test_jobs_do_not_change_reports(self):
         graphs = [(f"cycle:{n}", vt.cycle(n)) for n in range(3, 11)]
         serial = run_suite(graphs, jobs=1)
-        parallel = run_suite(graphs, jobs=4)
-        assert serial.reports == parallel.reports
+        for jobs in (0, 2):
+            assert run_suite(graphs, jobs=jobs).reports == serial.reports
+
+    def test_batch_boundaries_change_nothing(self):
+        small = list(exhaustive_regular(6))  # n = 2..6
+        mixed = [
+            ("complete:2", vt.complete(2)),
+            ("star:5", vt.star(5)),
+            ("two-triangles", vt.build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
+            ("cycle:12", vt.cycle(12)),  # above the limit used below
+            ("petersen", vt.petersen()),
+            ("hypercube:3", vt.hypercube(3)),
+        ]
+        cycles = [(f"cycle:{n}", vt.cycle(n)) for n in range(3, 12)]
+        items = small[:45] + mixed + small[45:] + cycles
+        assert len(items) > 3 * SUITE_BATCH
+        alone = [r for item in items for r in evaluate_graph(item, limit=11)]
+        reasons = {r.skip_reason.split(":")[0] for r in alone if r.skipped}
+        assert {"NotRegular", "DisconnectedInput", "TooLarge"} <= reasons
+        for jobs in (1, 2):
+            assert run_suite(items, limit=11, jobs=jobs).reports == alone
+
+    def test_clamp_jobs(self):
+        cpus = os.cpu_count() or 1
+        assert clamp_jobs(-1) == clamp_jobs(0) == clamp_jobs(1) == 1
+        assert clamp_jobs(cpus) == cpus
+        assert clamp_jobs(10**9) == cpus
 
     def test_report_order_is_input_order(self):
         graphs = [("complete:3", vt.complete(3)), ("cycle:4", vt.cycle(4))]
