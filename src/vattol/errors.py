@@ -26,7 +26,7 @@ class BadVertexId(VattolError):
 
 
 class NonPositiveWeight(VattolError):
-    """A vertex cost or value is not strictly positive."""
+    """A vertex cost or value is not a positive finite number."""
 
 
 class TrivialGraph(VattolError):

@@ -12,6 +12,7 @@ is safe and every operation here is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Iterator, Sequence
@@ -125,9 +126,9 @@ def build_graph(
     """Validate and build a canonical :class:`Graph`.
 
     Rejects self-loops, duplicate edges (in either orientation), out of
-    range endpoints and non-positive weights.  If only one of ``costs`` /
-    ``values`` is given the other defaults to it; if neither is given the
-    graph is unweighted.
+    range endpoints and weights that are not positive finite numbers.  If
+    only one of ``costs`` / ``values`` is given the other defaults to it;
+    if neither is given the graph is unweighted.
     """
     if n < 1:
         raise BadParameter(f"vertex count must be at least 1, got {n}")
@@ -158,8 +159,8 @@ def build_graph(
         cost_t = tuple(float(c) for c in costs)
         value_t = tuple(float(v) for v in values)
         for x in cost_t + value_t:
-            if not x > 0.0:
-                raise NonPositiveWeight(f"weights must be positive, got {x}")
+            if not 0.0 < x < math.inf:
+                raise NonPositiveWeight(f"weights must be positive and finite, got {x}")
 
     return Graph(
         n=n,
@@ -174,6 +175,39 @@ def _check_mask(g: Graph, mask: VertexMask) -> None:
         raise BadVertexId(f"mask {mask:#x} has bits outside [0, {g.n})")
 
 
+def _component(adj_masks: Sequence[int], seed: VertexMask, within: VertexMask) -> VertexMask:
+    """The component of the one-bit mask ``seed`` in the subgraph induced on ``within``."""
+    comp = frontier = seed
+    while frontier:
+        nbrs = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            nbrs |= adj_masks[b.bit_length() - 1]
+        frontier = nbrs & within & ~comp
+        comp |= frontier
+    return comp
+
+
+def _largest_component_mask(adj_masks: Sequence[int], remaining: VertexMask) -> VertexMask:
+    """The largest component of the subgraph induced on ``remaining``; 0 if empty.
+
+    Components are found in order of their smallest vertex id and the
+    first of the largest wins, so ties break toward the smallest id; the
+    search stops once the unvisited vertices cannot form a larger one.
+    """
+    best = best_size = 0
+    left = remaining.bit_count()
+    while left > best_size:
+        comp = _component(adj_masks, remaining & -remaining, remaining)
+        remaining ^= comp
+        size = comp.bit_count()
+        left -= size
+        if size > best_size:
+            best, best_size = comp, size
+    return best
+
+
 def components(g: Graph, removed: VertexMask = 0) -> list[VertexMask]:
     """Connected components of the subgraph induced on ``V - removed``.
 
@@ -184,21 +218,9 @@ def components(g: Graph, removed: VertexMask = 0) -> list[VertexMask]:
     """
     _check_mask(g, removed)
     remaining = full_mask(g.n) & ~removed
-    adj_masks = g.adj_masks
     comps = []
     while remaining:
-        bit = remaining & -remaining
-        comp = bit
-        frontier = bit
-        while frontier:
-            nbrs = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nbrs |= adj_masks[b.bit_length() - 1]
-            frontier = nbrs & remaining & ~comp
-            comp |= frontier
+        comp = _component(g.adj_masks, remaining & -remaining, remaining)
         comps.append(comp)
         remaining ^= comp
     comps.sort(key=lambda c: (-c.bit_count(), c & -c))
@@ -210,30 +232,17 @@ def largest_component(g: Graph, removed: VertexMask = 0) -> VertexMask:
 
     Ties break toward the component containing the smallest vertex id.
     """
-    comps = components(g, removed)
-    if not comps:
+    _check_mask(g, removed)
+    comp = _largest_component_mask(g.adj_masks, full_mask(g.n) & ~removed)
+    if not comp:
         raise EmptyRemainder("removed every vertex; no component remains")
-    return comps[0]
+    return comp
 
 
 def is_connected(g: Graph) -> bool:
     """True iff a traversal from vertex 0 reaches all vertices (true for n=1)."""
-    if g.n == 1:
-        return True
-    adj_masks = g.adj_masks
-    remaining = full_mask(g.n)
-    comp = 1
-    frontier = 1
-    while frontier:
-        nbrs = 0
-        f = frontier
-        while f:
-            b = f & -f
-            f ^= b
-            nbrs |= adj_masks[b.bit_length() - 1]
-        frontier = nbrs & remaining & ~comp
-        comp |= frontier
-    return comp == remaining
+    full = full_mask(g.n)
+    return _component(g.adj_masks, 1, full) == full
 
 
 def volume(g: Graph, s: VertexMask) -> int:
@@ -307,10 +316,12 @@ def require_connected(g: Graph) -> None:
 #   w <u> <cost> <value>           optional vertex weight lines, before edges
 #   <u> <v>                        one edge per line, 0-based ids
 #
-# n is inferred as 1 + the largest vertex id mentioned on any edge or
-# weight line.  The writer emits edges with u < v, sorted; weight lines
-# are emitted for every vertex whenever the graph is weighted or has
-# isolated vertices (so round-trips are lossless).
+# n is the number of distinct vertex ids mentioned on edge and weight
+# lines, which must be exactly 0..n-1: a gap is rejected before anything
+# is allocated, so n is at most twice the number of lines.  The writer
+# emits edges with u < v, sorted; weight lines are emitted for every
+# vertex whenever the graph is weighted or has isolated vertices (so
+# round-trips are lossless).
 
 
 def write_edge_list(g: Graph, out: IO[str]) -> None:
@@ -337,7 +348,7 @@ def read_edge_list(src: IO[str]) -> Graph:
     """Parse the edge-list text format into a :class:`Graph`."""
     edges: list[tuple[int, int]] = []
     weights: dict[int, tuple[float, float]] = {}
-    max_id = -1
+    mentioned: set[int] = set()
     saw_edge = False
     for lineno, raw in enumerate(src, start=1):
         line = raw.strip()
@@ -362,7 +373,7 @@ def read_edge_list(src: IO[str]) -> Graph:
             if u in weights:
                 raise BadParameter(f"line {lineno}: duplicate weight for vertex {u}")
             weights[u] = (cost, value)
-            max_id = max(max_id, u)
+            mentioned.add(u)
             continue
         if len(parts) != 2:
             raise BadParameter(f"line {lineno}: expected 'u v'")
@@ -374,10 +385,16 @@ def read_edge_list(src: IO[str]) -> Graph:
             raise BadVertexId(f"line {lineno}: negative vertex id")
         saw_edge = True
         edges.append((u, v))
-        max_id = max(max_id, u, v)
-    if max_id < 0:
+        mentioned.update((u, v))
+    if not mentioned:
         raise BadParameter("empty edge list: no vertices mentioned")
-    n = max_id + 1
+    n = len(mentioned)
+    if max(mentioned) != n - 1:
+        missing = next(u for u in range(n) if u not in mentioned)
+        raise BadParameter(
+            f"vertex {missing} is on no edge or weight line, "
+            f"but the largest id is {max(mentioned)}"
+        )
     costs = values = None
     if weights:
         costs = [weights.get(u, (1.0, 1.0))[0] for u in range(n)]

@@ -32,6 +32,7 @@ The weighted and (alpha, beta) forms always use the scalar loops.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +53,7 @@ from .graph import (
     Graph,
     VertexMask,
     _check_mask,
+    _largest_component_mask,
     full_mask,
     require_connected,
     vertices_from_mask,
@@ -65,8 +67,8 @@ LIMIT_ENV_VAR = "VATTOL_ENUM_LIMIT"
 
 DEFAULT_LIMIT = 20
 
-#: Largest n handled by :func:`exact_batch`, and the default cap of the
-#: suite's all-minimizers check.
+#: Largest n handled by :func:`exact_batch`, and the cap of the suite's
+#: all-minimizers check.
 MINIMIZER_LIMIT = 16
 
 #: Graph x subset cells per kernel chunk, which bounds the kernel's
@@ -149,55 +151,6 @@ def _require_metric_graph(g: Graph, limit: int | None = None) -> None:
         )
 
 
-def _largest_component_size(adj_masks: tuple[int, ...], remaining: int) -> int:
-    """Size of the largest component of the subgraph induced on ``remaining``."""
-    best = 0
-    left = remaining.bit_count()
-    while remaining and left > best:
-        bit = remaining & -remaining
-        comp = bit
-        frontier = bit
-        while frontier:
-            nbrs = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nbrs |= adj_masks[b.bit_length() - 1]
-            frontier = nbrs & remaining & ~comp
-            comp |= frontier
-        remaining ^= comp
-        size = comp.bit_count()
-        left -= size
-        if size > best:
-            best = size
-    return best
-
-
-def _largest_component_mask(adj_masks: tuple[int, ...], remaining: int) -> int:
-    """Mask of the largest component (ties toward the smallest vertex id)."""
-    best = 0
-    best_size = 0
-    while remaining:
-        bit = remaining & -remaining
-        comp = bit
-        frontier = bit
-        while frontier:
-            nbrs = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nbrs |= adj_masks[b.bit_length() - 1]
-            frontier = nbrs & remaining & ~comp
-            comp |= frontier
-        remaining ^= comp
-        size = comp.bit_count()
-        if size > best_size:  # first max wins: components come in min-id order
-            best, best_size = comp, size
-    return best
-
-
 def set_vat(g: Graph, s: VertexMask) -> Fraction:
     """Attack-tolerance ratio of one attack set ``s``.
 
@@ -212,7 +165,7 @@ def set_vat(g: Graph, s: VertexMask) -> Fraction:
     if s == full:
         raise FullSet("the attack set must be a proper subset")
     k = s.bit_count()
-    cmax = _largest_component_size(g.adj_masks, full & ~s)
+    cmax = _largest_component_mask(g.adj_masks, full & ~s).bit_count()
     return Fraction(k, g.n - k - cmax + 1)
 
 
@@ -426,7 +379,7 @@ def _min_ratio_exact(g: Graph, alpha: int, beta: int) -> tuple[Fraction, int]:
             break  # every remaining size is strictly worse
         c = (1 << k) - 1
         while c <= full:
-            cmax = _largest_component_size(adj_masks, full & ~c)
+            cmax = _largest_component_mask(adj_masks, full & ~c).bit_count()
             den = n - k - cmax + 1
             num = bound_num
             if (
@@ -457,6 +410,13 @@ def vat_exact(g: Graph, limit: int | None = None) -> MetricResult:
     return MetricResult(value=value, witness=witness, metric="vat")
 
 
+def _check_alpha_beta(alpha: float, beta: float) -> None:
+    if not 0 < alpha < math.inf:
+        raise BadParameter(f"alpha must be positive and finite, got {alpha}")
+    if not 0 <= beta < math.inf:
+        raise BadParameter(f"beta must be nonnegative and finite, got {beta}")
+
+
 def alpha_beta_vat_exact(
     g: Graph, alpha: float, beta: float, limit: int | None = None
 ) -> WeightedValue:
@@ -465,10 +425,7 @@ def alpha_beta_vat_exact(
     Exact rational arithmetic when both parameters are integers; floats
     otherwise.  ``(1, 0)`` reproduces :func:`vat_exact` exactly.
     """
-    if not alpha > 0:
-        raise BadParameter(f"alpha must be positive, got {alpha}")
-    if beta < 0:
-        raise BadParameter(f"beta must be nonnegative, got {beta}")
+    _check_alpha_beta(alpha, beta)
     _require_metric_graph(g, enumeration_limit(limit))
     if float(alpha).is_integer() and float(beta).is_integer():
         value, witness = _min_ratio_exact(g, int(alpha), int(beta))
@@ -508,7 +465,7 @@ def _min_ratio_general(
         k = c.bit_count()
         num = numerator(c, k)
         if value_vector is None:
-            cmax = _largest_component_size(adj_masks, full & ~c)
+            cmax = _largest_component_mask(adj_masks, full & ~c).bit_count()
             den = n - k - cmax + 1
         else:
             cmask = _largest_component_mask(adj_masks, full & ~c)
@@ -563,10 +520,7 @@ def alpha_beta_weighted_vat_exact(
     Reduces to each special case when parameters or weights are trivial;
     with unit weights and integer parameters it runs on the exact path.
     """
-    if not alpha > 0:
-        raise BadParameter(f"alpha must be positive, got {alpha}")
-    if beta < 0:
-        raise BadParameter(f"beta must be nonnegative, got {beta}")
+    _check_alpha_beta(alpha, beta)
     _require_metric_graph(g, enumeration_limit(limit))
     exact_params = float(alpha).is_integer() and float(beta).is_integer()
     if g.unit_weighted and exact_params:

@@ -21,6 +21,9 @@ from .graph import Graph, VertexMask, is_connected, vertices_from_mask
 
 _SIGN_EPS = 1e-12
 
+#: Largest accepted max-norm residual of the computed lambda2 eigenpair.
+_RESIDUAL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SpectralResult:
@@ -71,7 +74,7 @@ def normalized_adjacency(g: Graph) -> np.ndarray:
     return mat
 
 
-def _lambda2_pair(g: Graph, tol: float) -> tuple[float, np.ndarray, float]:
+def _lambda2_pair(g: Graph) -> tuple[float, np.ndarray, float]:
     mat = normalized_adjacency(g)
     try:
         evals, evecs = np.linalg.eigh(mat)
@@ -81,7 +84,7 @@ def _lambda2_pair(g: Graph, tol: float) -> tuple[float, np.ndarray, float]:
     lam = float(evals[-2])
     vec = evecs[:, -2].copy()
     residual = float(np.max(np.abs(mat @ vec - lam * vec)))
-    if residual > max(tol, 1e-10):
+    if residual > _RESIDUAL_TOL:
         raise NoConvergence(f"eigenpair residual {residual:.3e} above tolerance")
     # fix the sign: first entry of non-negligible magnitude is made positive
     for x in vec:
@@ -92,13 +95,13 @@ def _lambda2_pair(g: Graph, tol: float) -> tuple[float, np.ndarray, float]:
     return lam, vec, residual
 
 
-def lambda2(g: Graph, tol: float = 1e-10) -> SpectralResult:
+def lambda2(g: Graph) -> SpectralResult:
     """Second largest eigenvalue of the normalized adjacency matrix.
 
     Eigenvalues are sorted descending; the top one is 1 (simple, because
     the graph is connected), so ``1 - lambda2`` is the spectral gap.
     """
-    lam, _, residual = _lambda2_pair(g, tol)
+    lam, _, residual = _lambda2_pair(g)
     return SpectralResult(lambda2=lam, gap=1.0 - lam, residual=residual, n=g.n)
 
 
@@ -117,7 +120,7 @@ def sweep_conductance(g: Graph) -> SweepResult:
     is returned.  Since each prefix is an admissible set, the result can
     never be below the true conductance.
     """
-    _, vec, _ = _lambda2_pair(g, 1e-10)
+    _, vec, _ = _lambda2_pair(g)
     scores = vec / np.sqrt(np.array(g.deg, dtype=float))
     order = np.lexsort((np.arange(g.n), -scores))
     deg = g.deg

@@ -7,6 +7,13 @@ tightly-toleranced) sides of one inequality and emits a structured
 are achieved with equality on boundary graphs (the single edge K2 most
 prominently) and an equality must be auditable rather than a failure.
 
+A check is a function of one :class:`MetricCache`, e.g.
+``check_vat_lower(MetricCache(g))``.  The cache carries the graph, its
+id, the enumeration limit and the spectral tolerance, and computes tau,
+phi, the conductance minimizers and lambda2 at most once per graph.  A
+check raises on an unmet precondition; :func:`evaluate_graph` turns that
+into skipped reports, built like every skipped report by ``_skipped``.
+
 Check groups and the inequalities they cover, for a connected d-regular
 graph with attack tolerance tau, conductance phi and spectral gap
 ``gap = 1 - lambda2``:
@@ -18,6 +25,14 @@ graph with attack tolerance tau, conductance phi and spectral gap
 - ``vat_lower``: phi <= d tau (so tau and phi agree up to the factor d)
 - ``spectral_vat``: tau^2 / (2 d^4) <= gap <= 2 d tau, and the sharper
   conditional lower bound tau^2 / (2 d^2) <= gap when phi < 1/d^2
+- ``connected_minimizer``: some conductance minimizer induces a
+  connected subgraph (all minimizers are enumerated, so n <= 16,
+  ``MINIMIZER_LIMIT``)
+- ``fragment_bounds``: with S a minimizing attack set and C_1..C_q+1 the
+  surviving components, d|S| bounds the total component boundary, and
+  the attack ratio denominator is bounded by the survivor count
+- ``value_ranges``: 0 < tau <= 1 (with a nonempty surviving component at
+  the witness) and 0 < phi <= 1, on any connected graph
 
 The conditional hypothesis is strict on purpose.  On the boundary
 phi == 1/d^2 the sharp bound tau <= d phi can genuinely fail: there is
@@ -27,13 +42,6 @@ enumeration.  Strictly inside the region no violation is known (the full
 test corpus of ~46k graphs has none), so the strict form is what gets
 checked; boundary graphs are reported as skipped for the conditional
 checks and remain covered by the unconditional bound.
-- ``connected_minimizer``: some conductance minimizer induces a
-  connected subgraph
-- ``fragment_bounds``: with S a minimizing attack set and C_1..C_q+1 the
-  surviving components, d|S| bounds the total component boundary, and
-  the attack ratio denominator is bounded by the survivor count
-- ``value_ranges``: 0 < tau <= 1 (with a nonempty surviving component at
-  the witness) and 0 < phi <= 1, on any connected graph
 
 The pure fraction facts used by the bound proofs (the mediant sandwich
 and the ratio-series lower bound) live here too, as tested utilities.
@@ -52,6 +60,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BadParameter, NotRegular, TooLarge, VattolError
 from .graph import (
     Graph,
+    _component,
     cut_size,
     full_mask,
     is_connected,
@@ -168,6 +177,8 @@ def _report(
 class MetricCache:
     """Lazily computed per-graph quantities shared across checks.
 
+    Every ``check_*`` function takes one cache and reads the graph, its
+    id, the enumeration limit and the spectral tolerance from it.
     Computing tau, phi and lambda2 once per graph instead of once per
     check keeps large suite runs within their time budget.  ``exact``,
     when given, is the graph's :func:`exact_batch` result and supplies
@@ -230,21 +241,29 @@ class MetricCache:
         return self.phi.value < Fraction(1, d * d)
 
 
-def _cache(g, graph_id, cache, limit, tol) -> MetricCache:
-    if cache is not None:
-        return cache
-    return MetricCache(g, graph_id=graph_id, limit=limit, tol=tol)
+def _skipped(theorem: str, ctx: MetricCache, reason: str) -> TheoremReport:
+    """A report recording that ``theorem`` was not checked, and why."""
+    return TheoremReport(
+        theorem=theorem,
+        graph_id=ctx.graph_id,
+        n=ctx.g.n,
+        m=ctx.g.m,
+        d=ctx.d,
+        lhs=None,
+        rhs=None,
+        holds=None,
+        strict_holds=None,
+        slack=None,
+        skipped=True,
+        skip_reason=reason,
+    )
 
 
-def check_cheeger(
-    g: Graph,
-    graph_id: str = "graph",
-    cache: MetricCache | None = None,
-    limit: int | None = None,
-    tol: float = SPECTRAL_TOL,
-) -> list[TheoremReport]:
+_HYPOTHESIS_NOT_MET = "hypothesis not met: conductance not strictly below 1/d^2"
+
+
+def check_cheeger(ctx: MetricCache) -> list[TheoremReport]:
     """Cheeger sandwich: phi^2/2 <= gap <= 2 phi on a regular graph."""
-    ctx = _cache(g, graph_id, cache, limit, tol)
     ctx.require_regular()
     phi = ctx.phi.value
     gap = ctx.spectral.gap
@@ -255,59 +274,29 @@ def check_cheeger(
     ]
 
 
-def check_vat_upper(
-    g: Graph,
-    graph_id: str = "graph",
-    cache: MetricCache | None = None,
-    limit: int | None = None,
-    tol: float = SPECTRAL_TOL,
-) -> list[TheoremReport]:
+def check_vat_upper(ctx: MetricCache) -> list[TheoremReport]:
     """Attack tolerance bounded above by conductance on a regular graph.
 
     The sharp form tau <= d phi applies when phi < 1/d^2 (otherwise the
     conditional report is emitted as skipped); the weaker tau <= d^2 phi
     is checked unconditionally.
     """
-    ctx = _cache(g, graph_id, cache, limit, tol)
     d = ctx.require_regular()
     tau = ctx.tau.value
     phi = ctx.phi.value
     wit = {"S": ctx.tau.witness_vertices}
-    reports = []
     if ctx.hypothesis_small_conductance():
-        reports.append(_report("vat_upper_conditional", ctx, tau, d * phi, False, wit))
+        conditional = _report("vat_upper_conditional", ctx, tau, d * phi, False, wit)
     else:
-        reports.append(
-            TheoremReport(
-                theorem="vat_upper_conditional",
-                graph_id=ctx.graph_id,
-                n=g.n,
-                m=g.m,
-                d=d,
-                lhs=None,
-                rhs=None,
-                holds=None,
-                strict_holds=None,
-                slack=None,
-                skipped=True,
-                skip_reason="hypothesis not met: conductance not strictly below 1/d^2",
-            )
-        )
-    reports.append(
-        _report("vat_upper_unconditional", ctx, tau, d * d * phi, False, wit)
-    )
-    return reports
+        conditional = _skipped("vat_upper_conditional", ctx, _HYPOTHESIS_NOT_MET)
+    return [
+        conditional,
+        _report("vat_upper_unconditional", ctx, tau, d * d * phi, False, wit),
+    ]
 
 
-def check_vat_lower(
-    g: Graph,
-    graph_id: str = "graph",
-    cache: MetricCache | None = None,
-    limit: int | None = None,
-    tol: float = SPECTRAL_TOL,
-) -> list[TheoremReport]:
+def check_vat_lower(ctx: MetricCache) -> list[TheoremReport]:
     """Conductance bounded by d times the attack tolerance; exact."""
-    ctx = _cache(g, graph_id, cache, limit, tol)
     d = ctx.require_regular()
     return [
         _report(
@@ -321,20 +310,13 @@ def check_vat_lower(
     ]
 
 
-def check_spectral_vat(
-    g: Graph,
-    graph_id: str = "graph",
-    cache: MetricCache | None = None,
-    limit: int | None = None,
-    tol: float = SPECTRAL_TOL,
-) -> list[TheoremReport]:
+def check_spectral_vat(ctx: MetricCache) -> list[TheoremReport]:
     """Spectral gap sandwiched by attack tolerance on a regular graph.
 
     General form: tau^2/(2 d^4) <= gap <= 2 d tau.  When phi < 1/d^2
     the sharper lower bound tau^2/(2 d^2) <= gap is checked as well,
     otherwise that report is emitted as skipped.
     """
-    ctx = _cache(g, graph_id, cache, limit, tol)
     d = ctx.require_regular()
     tau = ctx.tau.value
     gap = ctx.spectral.gap
@@ -358,62 +340,31 @@ def check_spectral_vat(
         )
     else:
         reports.append(
-            TheoremReport(
-                theorem="spectral_vat_lower_conditional",
-                graph_id=ctx.graph_id,
-                n=g.n,
-                m=g.m,
-                d=d,
-                lhs=None,
-                rhs=None,
-                holds=None,
-                strict_holds=None,
-                slack=None,
-                skipped=True,
-                skip_reason="hypothesis not met: conductance not strictly below 1/d^2",
-            )
+            _skipped("spectral_vat_lower_conditional", ctx, _HYPOTHESIS_NOT_MET)
         )
     return reports
 
 
-def check_connected_minimizer(
-    g: Graph,
-    graph_id: str = "graph",
-    cache: MetricCache | None = None,
-    limit: int | None = None,
-    tol: float = SPECTRAL_TOL,
-    minimizer_limit: int = MINIMIZER_LIMIT,
-) -> list[TheoremReport]:
+def check_connected_minimizer(ctx: MetricCache) -> list[TheoremReport]:
     """Some conductance minimizer induces a connected subgraph.
 
     Enumerates every minimizing set (so the graph must be small enough,
-    ``n <= minimizer_limit``) and records the first connected one.
+    ``n <= MINIMIZER_LIMIT``) and records the first connected one.
     """
-    ctx = _cache(g, graph_id, cache, limit, tol)
     ctx.require_regular()
-    if g.n > minimizer_limit:
+    g = ctx.g
+    if g.n > MINIMIZER_LIMIT:
         raise TooLarge(
-            f"{graph_id}: all-minimizers enumeration capped at n={minimizer_limit}"
+            f"{ctx.graph_id}: all-minimizers enumeration capped at n={MINIMIZER_LIMIT}"
         )
-    connected_witness = None
-    adj_masks = g.adj_masks
-    for s in map(int, ctx.minimizers):
-        # connectivity of the induced subgraph, by mask flood fill
-        bit = s & -s
-        comp = bit
-        frontier = bit
-        while frontier:
-            nbrs = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nbrs |= adj_masks[b.bit_length() - 1]
-            frontier = nbrs & s & ~comp
-            comp |= frontier
-        if comp == s:
-            connected_witness = s
-            break
+    connected_witness = next(
+        (
+            s
+            for s in map(int, ctx.minimizers)
+            if _component(g.adj_masks, s & -s, s) == s
+        ),
+        None,
+    )
     holds = connected_witness is not None
     return [
         TheoremReport(
@@ -434,13 +385,7 @@ def check_connected_minimizer(
     ]
 
 
-def check_fragment_bounds(
-    g: Graph,
-    graph_id: str = "graph",
-    cache: MetricCache | None = None,
-    limit: int | None = None,
-    tol: float = SPECTRAL_TOL,
-) -> list[TheoremReport]:
+def check_fragment_bounds(ctx: MetricCache) -> list[TheoremReport]:
     """Structural facts about a minimizing attack set, exact.
 
     With S the attack witness, T the largest surviving component and
@@ -449,8 +394,8 @@ def check_fragment_bounds(
     boundaries; and the attack denominator |V-S-T| + 1 is bounded by the
     survivor count, the components being a partition of V-S.
     """
-    ctx = _cache(g, graph_id, cache, limit, tol)
     d = ctx.require_regular()
+    g = ctx.g
     s_mask = ctx.tau.witness
     t_mask, others = vat_witness_components(g, ctx.tau)
     pieces = [t_mask] + others
@@ -479,23 +424,16 @@ def check_fragment_bounds(
     ]
 
 
-def check_value_ranges(
-    g: Graph,
-    graph_id: str = "graph",
-    cache: MetricCache | None = None,
-    limit: int | None = None,
-    tol: float = SPECTRAL_TOL,
-) -> list[TheoremReport]:
+def check_value_ranges(ctx: MetricCache) -> list[TheoremReport]:
     """Both metrics land in (0, 1] on any connected non-trivial graph.
 
     The attack-tolerance report additionally requires that the witness
     leaves a nonempty largest component (removing everything can never
     be optimal).
     """
-    ctx = _cache(g, graph_id, cache, limit, tol)
     tau = ctx.tau.value
     phi = ctx.phi.value
-    survivor = full_mask(g.n) & ~ctx.tau.witness
+    survivor = full_mask(ctx.g.n) & ~ctx.tau.witness
     tau_report = _report(
         "vat_range", ctx, tau, Fraction(1), False, {"S": ctx.tau.witness_vertices}
     )
@@ -525,28 +463,6 @@ _CHECK_FUNCTIONS = {
 }
 
 
-def _skip_group(
-    group: str, graph_id: str, g: Graph, d: int | None, reason: str
-) -> list[TheoremReport]:
-    return [
-        TheoremReport(
-            theorem=theorem,
-            graph_id=graph_id,
-            n=g.n,
-            m=g.m,
-            d=d,
-            lhs=None,
-            rhs=None,
-            holds=None,
-            strict_holds=None,
-            slack=None,
-            skipped=True,
-            skip_reason=reason,
-        )
-        for theorem in GROUP_THEOREMS[group]
-    ]
-
-
 def normalize_checks(checks: str | Sequence[str]) -> tuple[str, ...]:
     """Resolve a check selection ('all', a name, or a list) to group names."""
     if isinstance(checks, str):
@@ -566,7 +482,6 @@ def evaluate_graph(
     checks: str | Sequence[str] = "all",
     limit: int | None = None,
     tol: float = SPECTRAL_TOL,
-    minimizer_limit: int = MINIMIZER_LIMIT,
     exact: ExactMetrics | None = None,
 ) -> list[TheoremReport]:
     """Run the selected checks on one graph, mapping precondition
@@ -579,18 +494,11 @@ def evaluate_graph(
     cache = MetricCache(g, graph_id=graph_id, limit=limit, tol=tol, exact=exact)
     reports: list[TheoremReport] = []
     for group in groups:
-        fn = _CHECK_FUNCTIONS[group]
-        kwargs = {}
-        if group == "connected_minimizer":
-            kwargs["minimizer_limit"] = minimizer_limit
         try:
-            reports.extend(
-                fn(g, graph_id=graph_id, cache=cache, limit=limit, tol=tol, **kwargs)
-            )
+            reports.extend(_CHECK_FUNCTIONS[group](cache))
         except VattolError as exc:
-            reports.extend(
-                _skip_group(group, graph_id, g, regularity(g), f"{type(exc).__name__}: {exc}")
-            )
+            reason = f"{type(exc).__name__}: {exc}"
+            reports.extend(_skipped(t, cache, reason) for t in GROUP_THEOREMS[group])
     return reports
 
 
@@ -620,11 +528,10 @@ def _iter_batch(
     checks: tuple[str, ...],
     limit: int,
     tol: float,
-    minimizer_limit: int,
 ) -> Iterator[TheoremReport]:
     exact = _exact_metrics(items, limit)
     for item, result in zip(items, exact):
-        yield from evaluate_graph(item, checks, limit, tol, minimizer_limit, result)
+        yield from evaluate_graph(item, checks, limit, tol, result)
 
 
 def _evaluate_batch(settings: tuple, items: Sequence[tuple[str, Graph]]) -> list[TheoremReport]:
@@ -642,7 +549,6 @@ def iter_suite(
     checks: str | Sequence[str] = "all",
     limit: int | None = None,
     tol: float = SPECTRAL_TOL,
-    minimizer_limit: int = MINIMIZER_LIMIT,
     jobs: int = 1,
 ) -> Iterator[TheoremReport]:
     """Stream reports for every graph, in input order.
@@ -654,7 +560,7 @@ def iter_suite(
     order, so the output is byte-for-byte independent of the worker count.
     """
     limit = enumeration_limit(limit)
-    settings = (normalize_checks(checks), limit, tol, minimizer_limit)
+    settings = (normalize_checks(checks), limit, tol)
     it = iter(graphs)
     batches = iter(lambda: list(islice(it, SUITE_BATCH)), [])
     jobs = clamp_jobs(jobs)
@@ -704,21 +610,11 @@ def run_suite(
     checks: str | Sequence[str] = "all",
     limit: int | None = None,
     tol: float = SPECTRAL_TOL,
-    minimizer_limit: int = MINIMIZER_LIMIT,
     jobs: int = 1,
 ) -> SuiteResult:
     """Run the checks over a corpus and collect every report."""
     return SuiteResult(
-        reports=list(
-            iter_suite(
-                graphs,
-                checks=checks,
-                limit=limit,
-                tol=tol,
-                minimizer_limit=minimizer_limit,
-                jobs=jobs,
-            )
-        )
+        reports=list(iter_suite(graphs, checks=checks, limit=limit, tol=tol, jobs=jobs))
     )
 
 

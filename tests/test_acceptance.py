@@ -3,6 +3,7 @@ printed pass/fail line per criterion (run with ``pytest -s`` to see them
 for passing runs)."""
 
 import csv
+import hashlib
 import json
 import os
 import random
@@ -18,6 +19,13 @@ from naive_oracle import naive_conductance, naive_vat
 
 F = Fraction
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+# The theorem sweep at seed 42: any change that must not alter a report
+# has to keep these bytes and this summary.
+THEOREM_CSV_SHA256 = "08e5d543c3069a4f9c19b3ccb094482329ca684f387a7b84bf4ac20190c13ac1"
+THEOREM_SUMMARY = (
+    "graphs=45951 reports=597363 holds=505460 strict=365829 failed=0 skipped=91903"
+)
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -136,6 +144,13 @@ def test_criterion_4_theorem_suite(theorem_verify_run):
     assert len(per_kind["random_regular"]) == 100
     assert family_count == 52
     assert run.elapsed < 600
+
+
+def test_theorem_csv_bytes_pinned(theorem_verify_run):
+    with open(theorem_verify_run.csv_path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert THEOREM_SUMMARY in theorem_verify_run.stderr.splitlines()
+    assert digest == THEOREM_CSV_SHA256
 
 
 def test_criterion_5_strictness_audit(theorem_verify_run):

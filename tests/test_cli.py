@@ -1,12 +1,18 @@
 import csv
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import vattol as vt
+from vattol import cli
 
 F = Fraction
 
@@ -48,6 +54,23 @@ class TestMetrics:
         proc = run_cli("metrics", "cycle:6")
         assert proc.returncode == 2
         assert proc.stderr == "error: VATTOL_ENUM_LIMIT must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            ("w 0 inf 1\n0 1\n", ["--weighted"]),
+            ("0 1\n", ["--alpha-beta", "inf,0"]),
+            ("0 1\n", ["--alpha-beta", "1,nan"]),
+            ("1 300000000\n", ["--vat"]),
+        ],
+    )
+    def test_invalid_input_exit_2_one_line(self, tmp_path, text, flags):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        proc = run_cli("metrics", str(path), *flags)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_star_json(self):
         proc = run_cli("metrics", "star:5", "--vat", "--conductance")
@@ -207,3 +230,38 @@ class TestCorpus:
     def test_unwritable_dir_exit_2(self):
         proc = run_cli("corpus", "-o", "/proc/nope/corpus")
         assert proc.returncode == 2
+
+
+FUZZ_TOKENS = [str(i) for i in range(12)] + ["-1", "w", "x", "0.5", "inf", "nan", "#"]
+fuzz_texts = st.lists(
+    st.lists(st.sampled_from(FUZZ_TOKENS), max_size=4).map(" ".join), max_size=12
+).map(lambda lines: "".join(line + "\n" for line in lines))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=100, deadline=None)
+@example("1 300000000\n")
+@example("w 0 1 inf\n0 1\n")
+@example("0 1\n1 2\n2 0\n")
+@example("w 0 0.5 2\n0 1\n1 2\n")
+@given(fuzz_texts)
+def test_fuzzed_edge_lists_end_in_a_graph_or_a_clean_error(text):
+    try:
+        vt.read_edge_list(io.StringIO(text))
+    except vt.VattolError:
+        pass
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "g.edges")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["metrics", path, "--vat", "--conductance", "--weighted"])
+    assert code in (0, 1, 2)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

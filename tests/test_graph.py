@@ -50,6 +50,13 @@ class TestBuild:
         with pytest.raises(NonPositiveWeight):
             vt.build_graph(2, [(0, 1)], values=[-1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), float("-inf")])
+    def test_non_finite_weight(self, bad):
+        with pytest.raises(NonPositiveWeight, match="positive and finite"):
+            vt.build_graph(2, [(0, 1)], costs=[1.0, bad])
+        with pytest.raises(NonPositiveWeight, match="positive and finite"):
+            vt.build_graph(2, [(0, 1)], costs=[1.0, 1.0], values=[bad, 1.0])
+
     def test_weight_fill_rules(self):
         g = vt.build_graph(2, [(0, 1)], costs=[2.0, 3.0])
         assert g.values == (2.0, 3.0)
@@ -219,6 +226,20 @@ class TestEdgeListFormat:
             vt.read_edge_list(io.StringIO("a b\n"))
         with pytest.raises(BadParameter):
             vt.read_edge_list(io.StringIO("# nothing else\n"))
+
+    def test_id_gap_rejected(self):
+        # n must not outgrow the input: a lone large id is refused before
+        # any per-vertex allocation
+        with pytest.raises(BadParameter, match="vertex 0 is on no edge"):
+            vt.read_edge_list(io.StringIO("1 300000000\n"))
+        with pytest.raises(BadParameter, match="vertex 1 is on no edge"):
+            vt.read_edge_list(io.StringIO("0 2\n"))
+        g = vt.read_edge_list(io.StringIO("w 1 1.0 1.0\n0 2\n"))
+        assert g.n == 3 and g.m == 1
+
+    def test_infinite_weight_line_rejected(self):
+        with pytest.raises(NonPositiveWeight):
+            vt.read_edge_list(io.StringIO("w 0 inf 1\n0 1\n"))
 
     def test_writer_sorted_edges(self):
         g = vt.cycle(5)

@@ -124,6 +124,16 @@ class TestAlphaBetaVat:
         with pytest.raises(BadParameter):
             vt.alpha_beta_vat_exact(g, 1, -0.5)
 
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(float("inf"), 0), (float("nan"), 0), (1, float("inf")), (1, float("nan"))],
+    )
+    def test_non_finite_parameters(self, alpha, beta):
+        g = vt.cycle(4)
+        for fn in (vt.alpha_beta_vat_exact, vt.alpha_beta_weighted_vat_exact):
+            with pytest.raises(BadParameter, match="finite"):
+                fn(g, alpha, beta)
+
 
 class TestWeightedVat:
     def test_unweighted_equals_vat(self):

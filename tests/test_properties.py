@@ -59,6 +59,8 @@ def test_components_partition_and_connectivity(g, data):
         assert c & union == 0
         union |= c
     assert union == vt.full_mask(g.n) & ~removed
+    if comps:  # the early-exit search picks the head of the sorted list
+        assert vt.largest_component(g, removed) == comps[0]
     # each component is internally connected and closed off from the rest
     for c in comps:
         members = vt.vertices_from_mask(c)

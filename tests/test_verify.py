@@ -35,33 +35,33 @@ def by_theorem(reports):
 
 class TestCheeger:
     def test_k2(self):
-        lower, upper = check_cheeger(vt.complete(2))
+        lower, upper = check_cheeger(MetricCache(vt.complete(2)))
         assert lower.lhs == F(1, 2) and lower.rhs == pytest.approx(2.0)
         assert lower.holds and lower.strict_holds
         assert upper.lhs == pytest.approx(2.0) and upper.rhs == F(2)
         assert upper.holds and not upper.strict_holds  # equality
 
     def test_c6(self):
-        lower, upper = check_cheeger(vt.cycle(6))
+        lower, upper = check_cheeger(MetricCache(vt.cycle(6)))
         assert lower.lhs == F(1, 18)
         assert lower.rhs == pytest.approx(0.5)
         assert upper.rhs == F(2, 3)
         assert lower.holds and upper.holds and upper.strict_holds
 
     def test_k4_upper_equality(self):
-        _, upper = check_cheeger(vt.complete(4))
+        _, upper = check_cheeger(MetricCache(vt.complete(4)))
         assert upper.lhs == pytest.approx(4 / 3)
         assert upper.rhs == F(4, 3)
         assert upper.holds and not upper.strict_holds
 
     def test_star_not_regular(self):
         with pytest.raises(vt.NotRegular):
-            check_cheeger(vt.star(5))
+            check_cheeger(MetricCache(vt.star(5)))
 
 
 class TestVatUpper:
     def test_c6_conditional_skipped(self):
-        reports = by_theorem(check_vat_upper(vt.cycle(6)))
+        reports = by_theorem(check_vat_upper(MetricCache(vt.cycle(6))))
         cond = reports["vat_upper_conditional"]
         assert cond.skipped and "hypothesis" in cond.skip_reason
         uncond = reports["vat_upper_unconditional"]
@@ -69,7 +69,7 @@ class TestVatUpper:
         assert uncond.holds and uncond.strict_holds
 
     def test_k2_boundary_skips_conditional(self):
-        reports = by_theorem(check_vat_upper(vt.complete(2)))
+        reports = by_theorem(check_vat_upper(MetricCache(vt.complete(2))))
         assert reports["vat_upper_conditional"].skipped
         uncond = reports["vat_upper_unconditional"]
         assert uncond.lhs == F(1) and uncond.rhs == F(1)
@@ -77,7 +77,7 @@ class TestVatUpper:
 
     def test_c12_conditional_equality(self):
         # phi(C12) = 1/6 < 1/4, tau(C12) = 1/3 = d*phi: holds, non-strict
-        reports = by_theorem(check_vat_upper(vt.cycle(12)))
+        reports = by_theorem(check_vat_upper(MetricCache(vt.cycle(12))))
         cond = reports["vat_upper_conditional"]
         assert not cond.skipped
         assert cond.lhs == F(1, 3) and cond.rhs == F(1, 3)
@@ -90,31 +90,31 @@ class TestVatUpper:
         cache = MetricCache(g, graph_id="boundary")
         assert cache.phi.value == F(1, 9)
         assert cache.tau.value == F(3, 8)
-        reports = by_theorem(check_vat_upper(g, cache=cache))
+        reports = by_theorem(check_vat_upper(cache))
         assert reports["vat_upper_conditional"].skipped
         assert reports["vat_upper_unconditional"].holds
 
 
 class TestVatLower:
     def test_c6_strict(self):
-        (r,) = check_vat_lower(vt.cycle(6))
+        (r,) = check_vat_lower(MetricCache(vt.cycle(6)))
         assert r.lhs == F(1, 3) and r.rhs == F(4, 3)
         assert r.holds and r.strict_holds
 
     def test_k4_strict(self):
-        (r,) = check_vat_lower(vt.complete(4))
+        (r,) = check_vat_lower(MetricCache(vt.complete(4)))
         assert r.lhs == F(2, 3) and r.rhs == F(3)
         assert r.holds and r.strict_holds
 
     def test_k2_equality(self):
-        (r,) = check_vat_lower(vt.complete(2))
+        (r,) = check_vat_lower(MetricCache(vt.complete(2)))
         assert r.lhs == F(1) and r.rhs == F(1)
         assert r.holds and not r.strict_holds and r.equality
 
 
 class TestSpectralVat:
     def test_c6_values(self):
-        reports = by_theorem(check_spectral_vat(vt.cycle(6)))
+        reports = by_theorem(check_spectral_vat(MetricCache(vt.cycle(6))))
         lower = reports["spectral_vat_lower"]
         assert lower.lhs == F(1, 72)
         assert lower.rhs == pytest.approx(0.5)
@@ -124,7 +124,7 @@ class TestSpectralVat:
         assert reports["spectral_vat_lower_conditional"].skipped
 
     def test_k4_values(self):
-        reports = by_theorem(check_spectral_vat(vt.complete(4)))
+        reports = by_theorem(check_spectral_vat(MetricCache(vt.complete(4))))
         assert reports["spectral_vat_lower"].lhs == F(1, 162)
         assert reports["spectral_vat_lower"].rhs == pytest.approx(4 / 3)
         assert reports["spectral_vat_upper"].rhs == F(6)
@@ -133,12 +133,12 @@ class TestSpectralVat:
         )
 
     def test_hypercube3(self):
-        reports = by_theorem(check_spectral_vat(vt.hypercube(3)))
+        reports = by_theorem(check_spectral_vat(MetricCache(vt.hypercube(3))))
         for r in reports.values():
             assert r.skipped or r.holds
 
     def test_c12_conditional_emitted(self):
-        reports = by_theorem(check_spectral_vat(vt.cycle(12)))
+        reports = by_theorem(check_spectral_vat(MetricCache(vt.cycle(12))))
         cond = reports["spectral_vat_lower_conditional"]
         assert not cond.skipped
         assert cond.lhs == F(1, 72)  # (1/3)^2 / (2*4)
@@ -147,22 +147,22 @@ class TestSpectralVat:
 
 class TestConnectedMinimizer:
     def test_c6(self):
-        (r,) = check_connected_minimizer(vt.cycle(6))
+        (r,) = check_connected_minimizer(MetricCache(vt.cycle(6)))
         assert r.holds
         assert r.witnesses["S"] == [0, 1, 2]  # an arc: connected path
 
     def test_k4(self):
-        (r,) = check_connected_minimizer(vt.complete(4))
+        (r,) = check_connected_minimizer(MetricCache(vt.complete(4)))
         assert r.holds and r.witnesses["S"] == [0, 1]
 
     def test_reads_minimizers_from_cache(self):
         g = vt.cycle(6)
         exact = replace(vt.exact_batch([g])[0], minimizers=np.array([0b111000]))
-        (r,) = check_connected_minimizer(g, cache=MetricCache(g, exact=exact))
+        (r,) = check_connected_minimizer(MetricCache(g, exact=exact))
         assert r.witnesses["S"] == [3, 4, 5]
 
     def test_hypercube3_face(self):
-        (r,) = check_connected_minimizer(vt.hypercube(3))
+        (r,) = check_connected_minimizer(MetricCache(vt.hypercube(3)))
         assert r.holds
         s = vt.mask_from_vertices(r.witnesses["S"])
         assert vt.set_conductance(vt.hypercube(3), s) == F(1, 3)
@@ -170,41 +170,41 @@ class TestConnectedMinimizer:
     def test_too_large(self):
         g, _ = vt.connected_random_regular(18, 3, 0)
         with pytest.raises(vt.TooLarge):
-            check_connected_minimizer(g)
+            check_connected_minimizer(MetricCache(g))
 
 
 class TestFragmentBounds:
     def test_c6(self):
-        cut_r, size_r = check_fragment_bounds(vt.cycle(6))
+        cut_r, size_r = check_fragment_bounds(MetricCache(vt.cycle(6)))
         assert cut_r.lhs == F(4) and cut_r.rhs == F(4)
         assert cut_r.holds and not cut_r.strict_holds
         assert size_r.lhs == F(3) and size_r.rhs == F(4)
         assert size_r.holds and size_r.strict_holds
 
     def test_k4(self):
-        cut_r, size_r = check_fragment_bounds(vt.complete(4))
+        cut_r, size_r = check_fragment_bounds(MetricCache(vt.complete(4)))
         assert cut_r.lhs == F(3) and cut_r.rhs == F(3)
         assert size_r.lhs == F(1) and size_r.rhs == F(3)
         assert cut_r.holds and size_r.holds
 
     def test_star_not_regular(self):
         with pytest.raises(vt.NotRegular):
-            check_fragment_bounds(vt.star(4))
+            check_fragment_bounds(MetricCache(vt.star(4)))
 
 
 class TestValueRanges:
     def test_star(self):
-        tau_r, phi_r = check_value_ranges(vt.star(5))
+        tau_r, phi_r = check_value_ranges(MetricCache(vt.star(5)))
         assert tau_r.lhs == F(1, 5) and tau_r.holds and tau_r.strict_holds
         assert phi_r.lhs == F(1) and phi_r.holds and not phi_r.strict_holds
 
     def test_k2_boundary(self):
-        tau_r, phi_r = check_value_ranges(vt.complete(2))
+        tau_r, phi_r = check_value_ranges(MetricCache(vt.complete(2)))
         assert tau_r.holds and not tau_r.strict_holds
         assert phi_r.holds and not phi_r.strict_holds
 
     def test_c6(self):
-        tau_r, phi_r = check_value_ranges(vt.cycle(6))
+        tau_r, phi_r = check_value_ranges(MetricCache(vt.cycle(6)))
         assert tau_r.holds and phi_r.holds
 
 
