@@ -326,11 +326,7 @@ def require_connected(g: Graph) -> None:
 
 def write_edge_list(g: Graph, out: IO[str]) -> None:
     """Write ``g`` in the edge-list text format."""
-    mentioned = 0
-    for u, v in g.edges():
-        mentioned = max(mentioned, v + 1)
-    need_weights = not g.unit_weighted or mentioned < g.n
-    if need_weights:
+    if not g.unit_weighted or 0 in g.deg:
         cost = g.cost_vector
         value = g.value_vector
         for u in range(g.n):

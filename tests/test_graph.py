@@ -206,9 +206,11 @@ class TestEdgeListFormat:
         assert self.roundtrip(g) == g
 
     def test_isolated_vertex_round_trip(self):
-        g = vt.build_graph(3, [(0, 1)])
-        back = self.roundtrip(g)
-        assert back.n == 3 and back.m == 1
+        # the isolated vertex is the largest id, then an inner id: the
+        # reader rejects id gaps, so both need weight lines
+        for edges in ([(0, 1)], [(0, 2)]):
+            back = self.roundtrip(vt.build_graph(3, edges))
+            assert back.n == 3 and list(back.edges()) == edges
 
     def test_comments_and_blanks(self):
         text = "# a comment\n\n0 1\n# another\n1 2\n"
@@ -236,10 +238,6 @@ class TestEdgeListFormat:
             vt.read_edge_list(io.StringIO("0 2\n"))
         g = vt.read_edge_list(io.StringIO("w 1 1.0 1.0\n0 2\n"))
         assert g.n == 3 and g.m == 1
-
-    def test_infinite_weight_line_rejected(self):
-        with pytest.raises(NonPositiveWeight):
-            vt.read_edge_list(io.StringIO("w 0 inf 1\n0 1\n"))
 
     def test_writer_sorted_edges(self):
         g = vt.cycle(5)
