@@ -1,8 +1,8 @@
 """Exact metric values, witnesses, and the weighted generalizations.
 
-Everything on the unweighted path is computed in exact rational
-arithmetic, and the reported witness is reproducible: among all
-minimizing sets, the one whose bit-mask encoding is smallest.
+Every form, weighted or not, is computed in exact rational arithmetic,
+and the reported witness is reproducible: among all minimizing sets, the
+one whose bit-mask encoding is smallest.
 """
 
 from fractions import Fraction
@@ -56,6 +56,6 @@ chain = [
     vt.alpha_beta_weighted_vat_exact(g, 1, 0),
 ]
 assert all(r.value == base.value and r.witness == base.witness for r in chain)
-print(f"  petersen: all four engines return {base.value} "
+print(f"  petersen: all four forms return {base.value} "
       f"at {base.witness_vertices}")
 assert isinstance(base.value, Fraction)

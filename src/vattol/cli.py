@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -50,6 +51,7 @@ from .verify import (
     CHECK_GROUPS,
     SPECTRAL_TOL,
     TheoremReport,
+    check_tolerance,
     iter_suite,
     normalize_checks,
 )
@@ -95,6 +97,14 @@ def _real_str(x: float | None) -> str:
     return "" if x is None else f"{x:.12g}"
 
 
+def _float(value: Fraction) -> float:
+    """``float(value)``; a value beyond the float range is a clean error."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise VattolError("a value is beyond the float range of the decimal field") from None
+
+
 def _side_json(value: Fraction | float | None):
     if value is None:
         return None
@@ -102,7 +112,7 @@ def _side_json(value: Fraction | float | None):
         return {
             "num": value.numerator,
             "den": value.denominator,
-            "real": _real(float(value)),
+            "real": _real(_float(value)),
         }
     return {"real": _real(value)}
 
@@ -111,7 +121,7 @@ def _side_csv(value: Fraction | float | None) -> tuple[str, str, str]:
     if value is None:
         return "", "", ""
     if isinstance(value, Fraction):
-        return str(value.numerator), str(value.denominator), _real_str(float(value))
+        return str(value.numerator), str(value.denominator), _real_str(_float(value))
     return "", "", _real_str(value)
 
 
@@ -298,55 +308,44 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         args.vat = args.conductance = True
     rows = list(_metric_rows(args, g))
     d = regularity(g)
+    # Render everything before opening the output, so an error leaves it empty.
+    if args.format == "json":
+        record: dict = {
+            "graph_id": graph_id,
+            "n": g.n,
+            "m": g.m,
+            "d": d,
+            "restricted_to_largest_component": restricted,
+        }
+        for metric, params, value, witness in rows:
+            entry = _side_json(value)
+            if witness is not None:
+                entry["witness"] = witness
+            if params:
+                entry["parameters"] = params
+            record[metric] = entry
+        text = json.dumps(record, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(METRICS_CSV_COLUMNS)
+        for metric, params, value, witness in rows:
+            writer.writerow(
+                [
+                    graph_id,
+                    str(g.n),
+                    str(g.m),
+                    "" if d is None else str(d),
+                    metric,
+                    params,
+                    *_side_csv(value),
+                    "" if witness is None else " ".join(map(str, witness)),
+                ]
+            )
+        text = buf.getvalue()
     out = _open_out(args.output)
     try:
-        if args.format == "json":
-            record: dict = {
-                "graph_id": graph_id,
-                "n": g.n,
-                "m": g.m,
-                "d": d,
-                "restricted_to_largest_component": restricted,
-            }
-            for metric, params, value, witness in rows:
-                entry: dict = {}
-                if isinstance(value, Fraction):
-                    entry.update(
-                        num=value.numerator,
-                        den=value.denominator,
-                        real=_real(float(value)),
-                    )
-                else:
-                    entry["real"] = _real(float(value))
-                if witness is not None:
-                    entry["witness"] = witness
-                if params:
-                    entry["parameters"] = params
-                record[metric] = entry
-            json.dump(record, out, indent=2)
-            out.write("\n")
-        else:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(METRICS_CSV_COLUMNS)
-            for metric, params, value, witness in rows:
-                if isinstance(value, Fraction):
-                    num, den, real = _side_csv(value)
-                else:
-                    num, den, real = "", "", _real_str(float(value))
-                writer.writerow(
-                    [
-                        graph_id,
-                        str(g.n),
-                        str(g.m),
-                        "" if d is None else str(d),
-                        metric,
-                        params,
-                        num,
-                        den,
-                        real,
-                        "" if witness is None else " ".join(map(str, witness)),
-                    ]
-                )
+        out.write(text)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -406,7 +405,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         graphs,
         checks=normalize_checks(args.checks),
         limit=args.limit,
-        tol=args.tolerance,
+        tol=check_tolerance(args.tolerance),
         jobs=args.jobs,
     )
     out = _open_out(args.output)

@@ -1,11 +1,11 @@
 """Exact vertex attack tolerance and conductance by subset enumeration.
 
-Everything on the unweighted path is exact: values are
-:class:`fractions.Fraction` and comparisons cross-multiply integers (or,
-in :func:`exact_batch`, compare float keys that are provably exact), so
-downstream inequality checks can never flip on rounding.  Floating point
-appears only when real-valued vertex weights or non-integer (alpha, beta)
-parameters force it.
+Every value is exact: values are :class:`fractions.Fraction` and
+comparisons cross-multiply integers (or, in :func:`exact_batch`, compare
+float keys that are provably exact), so downstream inequality checks can
+never flip on rounding.  A float vertex weight or (alpha, beta) parameter
+counts as the decimal it prints, ``Fraction(repr(x))``, so ``0.1`` means
+exactly 1/10.
 
 Witness determinism contract: whenever several sets achieve the minimum,
 the reported witness is the one with the lowest integer encoding of its
@@ -27,7 +27,9 @@ Engines, chosen by vertex count:
 - ``n > 16``: scalar loops, the size-pruned Gosper enumeration for tau
   and a Gray-code scan for phi.
 
-The weighted and (alpha, beta) forms always use the scalar loops.
+The weighted and (alpha, beta) forms always use the scalar Gosper
+enumeration, :func:`_min_ratio_exact`, the one engine behind every VAT
+form.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -112,12 +114,11 @@ class MetricResult:
 class WeightedValue:
     """A generalized attack-tolerance value with its witness.
 
-    ``value`` is a :class:`~fractions.Fraction` whenever the inputs allow
-    exact arithmetic (unit weights, integer parameters) and a float
-    otherwise.
+    ``value`` is an exact :class:`~fractions.Fraction`; ``parameters``
+    holds (alpha, beta) as the caller gave them.
     """
 
-    value: Fraction | float
+    value: Fraction
     witness: VertexMask
     metric: str
     parameters: tuple | None = None
@@ -356,32 +357,82 @@ def _exact_block(block: Sequence[Graph], n: int) -> list[ExactMetrics]:
     return out
 
 
-def _min_ratio_exact(g: Graph, alpha: int, beta: int) -> tuple[Fraction, int]:
-    """Minimize (alpha*|S| + beta) / (n - |S| - cmax + 1) over proper subsets.
+def _exact(x: float | Fraction) -> Fraction:
+    """``x`` as a Fraction; a float is read as the decimal it prints."""
+    return Fraction(repr(float(x))) if isinstance(x, float) else Fraction(x)
 
-    Enumerates subsets by size with Gosper's hack.  Since the denominator
-    is at most ``n - |S|``, every size-k set is worth at least
-    ``(alpha*k + beta) / (n - k)``, a bound that strictly increases with
-    k; sizes whose bound exceeds the best value so far are skipped
-    entirely.  The prune is sound: skipped sets can never beat the
+
+def _scaled(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integers ``x * L`` for ``L`` the lcm of the denominators, and ``L``."""
+    scale = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (scale // x.denominator) for x in xs], scale
+
+
+def _subset_sums(weights: Sequence[int]) -> list[int]:
+    """The weight sum of every subset, indexed by its bit mask."""
+    table = [0]
+    for w in weights:
+        table += [t + w for t in table]
+    return table
+
+
+def _min_ratio_exact(
+    g: Graph, alpha: float | Fraction, beta: float | Fraction, weighted: bool = False
+) -> tuple[Fraction, int]:
+    """Minimize (alpha*cost(S) + beta) / (1 + W - value(S | C_max)) over proper S.
+
+    cost and value are sums of the vertex weights when ``weighted``, and
+    of ones otherwise (the denominator is then ``n - |S| - |C_max| + 1``);
+    W is the total value.  C_max is the largest component of ``V - S`` by
+    vertex count, ties to the one with the smallest vertex id, as in the
+    paper's C_max(V - S); the values do not choose it, so a smaller
+    component of higher value never counts.
+
+    Exact: weights, alpha and beta become Fractions (:func:`_exact`), the
+    numerator terms and the values are scaled to integers, and ratios
+    compare by cross-multiplication.  Subset cost and value sums come from
+    two tables over the low and the high half of the vertices.
+
+    Enumerates subsets by size with Gosper's hack.  A size-k set costs at
+    least the k cheapest vertices, and ``S | C_max`` holds at least k + 1
+    vertices, so every size-k set is worth at least (k cheapest costs +
+    beta) / (1 + W - the k + 1 smallest values), a bound that strictly
+    increases with k; sizes whose bound exceeds the best value so far are
+    skipped entirely.  The prune is sound: skipped sets can never beat the
     incumbent, and an equal-valued set at the single boundary size is
     still enumerated so the lowest-encoding witness survives.
     """
     n = g.n
     adj_masks = g.adj_masks
     full = full_mask(n)
+    cost = g.cost_vector if weighted else (1,) * n
+    value = g.value_vector if weighted else (1,) * n
+    alpha = _exact(alpha)
+    nums, num_scale = _scaled([alpha * _exact(c) for c in cost] + [_exact(beta)])
+    q = nums.pop()
+    vals, val_scale = _scaled([_exact(v) for v in value])
+    top = val_scale + sum(vals)  # 1 + W, scaled
+    h = (n + 1) // 2
+    low = (1 << h) - 1
+    # beta is folded into cost_lo and 1 + W into left_lo: two lookups per sum.
+    cost_lo = [t + q for t in _subset_sums(nums[:h])]
+    cost_hi = _subset_sums(nums[h:])
+    left_lo = [top - t for t in _subset_sums(vals[:h])]
+    val_hi = _subset_sums(vals[h:])
+    cheapest, lightest = sorted(nums), sorted(vals)
+    bound_num, bound_den = q, top - lightest[0]
     best_num = best_den = 0  # best value = best_num / best_den, unset while den == 0
     best_mask = -1
     for k in range(1, n):
-        bound_num = alpha * k + beta
-        bound_den = n - k
+        bound_num += cheapest[k - 1]
+        bound_den -= lightest[k]
         if best_den and bound_num * best_den > best_num * bound_den:
             break  # every remaining size is strictly worse
         c = (1 << k) - 1
         while c <= full:
-            cmax = _largest_component_mask(adj_masks, full & ~c).bit_count()
-            den = n - k - cmax + 1
-            num = bound_num
+            u = c | _largest_component_mask(adj_masks, full & ~c)
+            num = cost_lo[c & low] + cost_hi[c >> h]
+            den = left_lo[u & low] - val_hi[u >> h]
             if (
                 best_den == 0
                 or num * best_den < best_num * den
@@ -389,10 +440,10 @@ def _min_ratio_exact(g: Graph, alpha: int, beta: int) -> tuple[Fraction, int]:
             ):
                 best_num, best_den, best_mask = num, den, c
             # Gosper's hack: next k-subset in ascending encoding order
-            u = c & -c
-            v = c + u
-            c = v | (((v ^ c) // u) >> 2)
-    return Fraction(best_num, best_den), best_mask
+            v = c & -c
+            t = c + v
+            c = t | (((t ^ c) // v) >> 2)
+    return Fraction(best_num * val_scale, best_den * num_scale), best_mask
 
 
 def vat_exact(g: Graph, limit: int | None = None) -> MetricResult:
@@ -422,68 +473,17 @@ def alpha_beta_vat_exact(
 ) -> WeightedValue:
     """Attack tolerance with the attack cost reweighted to ``alpha*|S| + beta``.
 
-    Exact rational arithmetic when both parameters are integers; floats
-    otherwise.  ``(1, 0)`` reproduces :func:`vat_exact` exactly.
+    Exact for any finite alpha > 0 and beta >= 0 (a float counts as the
+    decimal it prints); vertex weights are ignored.  ``(1, 0)`` reproduces
+    :func:`vat_exact` exactly.
     """
     _check_alpha_beta(alpha, beta)
     _require_metric_graph(g, enumeration_limit(limit))
-    if float(alpha).is_integer() and float(beta).is_integer():
-        value, witness = _min_ratio_exact(g, int(alpha), int(beta))
-    else:
-        value, witness = _min_ratio_general(
-            g,
-            lambda mask, k: alpha * k + beta,
-            None,
-        )
+    value, witness = _min_ratio_exact(g, alpha, beta)
     return WeightedValue(
         value=value, witness=witness, metric="alpha_beta_vat",
         parameters=(alpha, beta),
     )
-
-
-def _min_ratio_general(
-    g: Graph,
-    numerator: Callable[[int, int], float],
-    value_vector: tuple[float, ...] | None,
-) -> tuple[Fraction | float, int]:
-    """Minimize numerator(S) / weighted-remainder(S) over proper subsets.
-
-    Generic engine for the weighted forms: no pruning, every subset is
-    visited, sums accumulate in ascending vertex order so results are
-    deterministic.  When ``value_vector`` is None the denominator is the
-    unweighted ``n - |S| - cmax + 1``.
-    """
-    n = g.n
-    adj_masks = g.adj_masks
-    full = full_mask(n)
-    if value_vector is not None:
-        value_total = sum(value_vector)
-    best_num = best_den = 0.0
-    best_mask = -1
-    have = False
-    for c in range(1, full):
-        k = c.bit_count()
-        num = numerator(c, k)
-        if value_vector is None:
-            cmax = _largest_component_mask(adj_masks, full & ~c).bit_count()
-            den = n - k - cmax + 1
-        else:
-            cmask = _largest_component_mask(adj_masks, full & ~c)
-            drop = 0.0
-            t = c | cmask
-            while t:
-                bit = t & -t
-                t ^= bit
-                drop += value_vector[bit.bit_length() - 1]
-            den = 1.0 + value_total - drop
-        if (
-            not have
-            or num * best_den < best_num * den
-            or (num * best_den == best_num * den and c < best_mask)
-        ):
-            best_num, best_den, best_mask = num, den, c
-            have = True
-    return best_num / best_den, best_mask
 
 
 def weighted_vat_exact(g: Graph, limit: int | None = None) -> WeightedValue:
@@ -491,24 +491,11 @@ def weighted_vat_exact(g: Graph, limit: int | None = None) -> WeightedValue:
 
     Minimizes (sum of attack costs over S) divided by
     (1 + total value - value of S - value of the largest surviving
-    component).  With all weights equal to one this coincides exactly
-    with :func:`vat_exact` and runs on the integer-exact path.
+    component), exactly.  With all weights equal to one this coincides
+    with :func:`vat_exact`.
     """
     _require_metric_graph(g, enumeration_limit(limit))
-    if g.unit_weighted:
-        value, witness = _min_ratio_exact(g, 1, 0)
-        return WeightedValue(value=value, witness=witness, metric="weighted_vat")
-    cost = g.cost_vector
-
-    def num(mask: int, k: int) -> float:
-        total = 0.0
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            total += cost[bit.bit_length() - 1]
-        return total
-
-    value, witness = _min_ratio_general(g, num, g.value_vector)
+    value, witness = _min_ratio_exact(g, 1, 0, weighted=True)
     return WeightedValue(value=value, witness=witness, metric="weighted_vat")
 
 
@@ -517,29 +504,12 @@ def alpha_beta_weighted_vat_exact(
 ) -> WeightedValue:
     """The fully general form: reweighted attack cost on a weighted graph.
 
-    Reduces to each special case when parameters or weights are trivial;
-    with unit weights and integer parameters it runs on the exact path.
+    Reduces exactly to each special case when parameters or weights are
+    trivial.
     """
     _check_alpha_beta(alpha, beta)
     _require_metric_graph(g, enumeration_limit(limit))
-    exact_params = float(alpha).is_integer() and float(beta).is_integer()
-    if g.unit_weighted and exact_params:
-        value, witness = _min_ratio_exact(g, int(alpha), int(beta))
-        return WeightedValue(
-            value=value, witness=witness, metric="alpha_beta_weighted_vat",
-            parameters=(alpha, beta),
-        )
-    cost = g.cost_vector
-
-    def num(mask: int, k: int) -> float:
-        total = 0.0
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            total += cost[bit.bit_length() - 1]
-        return alpha * total + beta
-
-    value, witness = _min_ratio_general(g, num, g.value_vector)
+    value, witness = _min_ratio_exact(g, alpha, beta, weighted=True)
     return WeightedValue(
         value=value, witness=witness, metric="alpha_beta_weighted_vat",
         parameters=(alpha, beta),

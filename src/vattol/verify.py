@@ -49,6 +49,7 @@ and the ratio-series lower bound) live here too, as tested utilities.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
@@ -477,6 +478,13 @@ def normalize_checks(checks: str | Sequence[str]) -> tuple[str, ...]:
     return tuple(checks)
 
 
+def check_tolerance(tol: float) -> float:
+    """``tol`` if it is finite and nonnegative; raises :class:`BadParameter` otherwise."""
+    if not 0 <= tol < math.inf:
+        raise BadParameter(f"tolerance must be finite and >= 0, got {tol}")
+    return tol
+
+
 def evaluate_graph(
     item: tuple[str, Graph],
     checks: str | Sequence[str] = "all",
@@ -560,7 +568,7 @@ def iter_suite(
     order, so the output is byte-for-byte independent of the worker count.
     """
     limit = enumeration_limit(limit)
-    settings = (normalize_checks(checks), limit, tol)
+    settings = (normalize_checks(checks), limit, check_tolerance(tol))
     it = iter(graphs)
     batches = iter(lambda: list(islice(it, SUITE_BATCH)), [])
     jobs = clamp_jobs(jobs)

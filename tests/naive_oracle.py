@@ -91,12 +91,18 @@ def naive_conductance_minimizers(g) -> tuple[Fraction, list[int]]:
     return best, hits
 
 
-def naive_weighted_vat(g, alpha=1.0, beta=0.0) -> tuple[float, int]:
-    """Weighted attack tolerance by full enumeration (float arithmetic)."""
+def _exact(x) -> Fraction:
+    """A float counts as the decimal it prints; other numbers as they are."""
+    return Fraction(repr(float(x))) if isinstance(x, float) else Fraction(x)
+
+
+def naive_weighted_vat(g, alpha=1, beta=0) -> tuple[Fraction, int]:
+    """Weighted attack tolerance by full enumeration, in exact arithmetic."""
     n = g.n
     adj = _adjacency(g)
-    cost = g.cost_vector
-    value_w = g.value_vector
+    cost = [_exact(c) for c in g.cost_vector]
+    value_w = [_exact(v) for v in g.value_vector]
+    alpha, beta = _exact(alpha), _exact(beta)
     total_value = sum(value_w)
     best = None
     best_mask = None
@@ -122,7 +128,7 @@ def naive_weighted_vat(g, alpha=1.0, beta=0.0) -> tuple[float, int]:
         comps.sort(key=lambda c: (-len(c), c[0]))
         cmax = comps[0]
         num = alpha * sum(cost[v] for v in s) + beta
-        den = 1.0 + total_value - sum(value_w[v] for v in s) - sum(
+        den = 1 + total_value - sum(value_w[v] for v in s) - sum(
             value_w[v] for v in cmax
         )
         value = num / den

@@ -62,6 +62,8 @@ class TestMetrics:
             ("0 1\n", ["--alpha-beta", "inf,0"]),
             ("0 1\n", ["--alpha-beta", "1,nan"]),
             ("1 300000000\n", ["--vat"]),
+            ("0 1\n1 2\n2 3\n0 3\n", ["--alpha-beta", "1.7e308,1.7e308"]),
+            ("0 1\n1 2\n2 3\n0 3\n", ["--alpha-beta", "1.7e308,1.7e308", "--format", "csv"]),
         ],
     )
     def test_invalid_input_exit_2_one_line(self, tmp_path, text, flags):
@@ -71,6 +73,15 @@ class TestMetrics:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_huge_weights_give_strict_json(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("".join(f"w {u} 1e308 1e308\n" for u in range(3)) + "0 1\n1 2\n")
+        proc = run_cli("metrics", str(path), "--weighted")
+        assert proc.returncode == 0
+        entry = json.loads(proc.stdout, parse_constant=_reject_constant)["weighted_vat"]
+        assert F(entry["num"], entry["den"]) == F(10**308, 10**308 + 1)
+        assert entry["witness"] == [1]
 
     def test_star_json(self):
         proc = run_cli("metrics", "star:5", "--vat", "--conductance")
@@ -198,6 +209,15 @@ class TestVerify:
     def test_unknown_check_exit_2(self):
         proc = run_cli("verify", "--family", "cycle", "--n", "3..4", "--checks", "bogus")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_bad_tolerance_exit_2_one_line(self, tolerance):
+        proc = run_cli(
+            "verify", "--family", "cycle", "--n", "3..5", "--tolerance", tolerance
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_malformed_file_exit_2(self, tmp_path):
         bad = tmp_path / "bad.edges"

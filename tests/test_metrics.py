@@ -110,10 +110,8 @@ class TestAlphaBetaVat:
     def test_float_parameters(self):
         g = vt.cycle(5)
         r = vt.alpha_beta_vat_exact(g, 2.5, 0.5)
-        assert isinstance(r.value, float)
-        ref, mask = naive_weighted_vat(g, alpha=2.5, beta=0.5)
-        assert r.value == pytest.approx(ref)
-        assert r.witness == mask
+        assert isinstance(r.value, Fraction)
+        assert (r.value, r.witness) == naive_weighted_vat(g, alpha=2.5, beta=0.5)
 
     def test_bad_parameters(self):
         g = vt.cycle(4)
@@ -169,9 +167,37 @@ class TestWeightedVat:
             values=[1.0, 0.5, 2.0, 1.0, 0.25],
         )
         r = vt.weighted_vat_exact(g)
-        ref, mask = naive_weighted_vat(g)
-        assert r.value == pytest.approx(ref)
-        assert r.witness == mask
+        assert (r.value, r.witness) == naive_weighted_vat(g)
+
+    def test_decimal_weights_lowest_witness(self):
+        # {1} and {2} both reach 1/6 in exact decimal arithmetic; a float
+        # engine rounds {1} above {2} and loses the lowest encoding.
+        g = vt.build_graph(
+            5,
+            list(vt.path(5).edges()),
+            costs=[0.7, 0.2, 0.2, 0.4, 0.4],
+            values=[0.2, 1, 0.2, 0.1, 0.1],
+        )
+        r = vt.weighted_vat_exact(g)
+        assert (r.value, r.witness) == (F(1, 6), 0b10)
+        r = vt.alpha_beta_weighted_vat_exact(g, 1.5, 0.5)
+        assert (r.value, r.witness) == (F(2, 3), 0b10)
+
+    def test_extreme_magnitudes(self):
+        # 1 + 1e-300 rounds to 1 in floats, which ties {1} with {0}.
+        g = vt.build_graph(3, [(0, 1), (1, 2)], costs=[1e308] * 3, values=[1e-300] * 3)
+        r = vt.weighted_vat_exact(g)
+        assert r.witness == 0b10
+        assert r.value == F(10**308) / (1 + F(1, 10**300))
+
+    def test_largest_component_counts_vertices_not_value(self):
+        # Deleting 2 from the path 0-1-2-3 leaves {0, 1} and the smaller but
+        # heavier {3}; C_max is {0, 1}, so the denominator is 1 + 13 - 3.
+        g = vt.build_graph(
+            4, [(0, 1), (1, 2), (2, 3)], costs=[100, 100, 1, 100], values=[1, 1, 1, 10]
+        )
+        r = vt.weighted_vat_exact(g)
+        assert (r.value, r.witness) == (F(1, 11), 0b100)
 
 
 class TestAlphaBetaWeighted:
@@ -193,9 +219,7 @@ class TestAlphaBetaWeighted:
         # direct formula check: the (2,1)-cost of attacking the center
         g = vt.star(4)
         r = vt.alpha_beta_weighted_vat_exact(g, 2, 1)
-        ref, mask = naive_weighted_vat(g, alpha=2, beta=1)
-        assert float(r.value) == pytest.approx(ref)
-        assert r.witness == mask
+        assert (r.value, r.witness) == naive_weighted_vat(g, alpha=2, beta=1)
         # attacking the center costs (2*1+1)/4
         assert F(3, 4) >= r.value  # the oracle minimum can only be at or below
 
@@ -204,9 +228,7 @@ class TestAlphaBetaWeighted:
             4, [(0, 1), (1, 2), (2, 3), (3, 0)], costs=[1.0, 2.0, 1.0, 2.0]
         )
         r = vt.alpha_beta_weighted_vat_exact(g, 1.5, 0.25)
-        ref, mask = naive_weighted_vat(g, alpha=1.5, beta=0.25)
-        assert r.value == pytest.approx(ref)
-        assert r.witness == mask
+        assert (r.value, r.witness) == naive_weighted_vat(g, alpha=1.5, beta=0.25)
 
 
 class TestSetConductance:

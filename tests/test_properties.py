@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import vattol as vt
-from naive_oracle import naive_conductance_minimizers, naive_vat
+from naive_oracle import naive_conductance_minimizers, naive_vat, naive_weighted_vat
 
 F = Fraction
 
@@ -129,6 +129,23 @@ def test_reduction_chain_identity(g):
     ):
         assert r.value == base.value
         assert r.witness == base.witness
+
+
+@given(graphs(min_n=2, max_n=7, connected=True), st.data())
+@settings(deadline=None)
+def test_weighted_forms_match_exact_oracle(g, data):
+    tenths = st.lists(st.integers(1, 10), min_size=g.n, max_size=g.n)
+    costs, values = data.draw(tenths), data.draw(tenths)
+    alpha, beta = data.draw(st.sampled_from([(1, 0), (F(3, 2), F(1, 2)), (2, 1), (0.3, 0.1)]))
+    w = vt.build_graph(
+        g.n, list(g.edges()), [c / 10 for c in costs], [v / 10 for v in values]
+    )
+    for r, ref in (
+        (vt.weighted_vat_exact(w), naive_weighted_vat(w)),
+        (vt.alpha_beta_weighted_vat_exact(w, alpha, beta), naive_weighted_vat(w, alpha, beta)),
+        (vt.alpha_beta_vat_exact(w, alpha, beta), naive_weighted_vat(g, alpha, beta)),
+    ):
+        assert (r.value, r.witness) == ref
 
 
 @given(graphs(min_n=3, max_n=8, connected=True))
