@@ -31,7 +31,7 @@ from typing import IO, Iterable, Iterator
 
 from . import corpus as corpus_mod
 from .errors import VattolError
-from .generators import FamilySpec, enumerate_small_regular, parse_family_spec
+from .generators import _ONE_PARAMETER, FamilySpec, enumerate_small_regular, parse_family_spec
 from .graph import (
     Graph,
     read_edge_list_path,
@@ -276,6 +276,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _decimal(x: float) -> str:
+    """The decimal the exact engines read for ``x``, less a trailing ``.0``."""
+    return repr(x).removesuffix(".0")
+
+
 def _metric_rows(args: argparse.Namespace, g: Graph):
     """Yield (metric, parameters, value, witness_vertices) tuples."""
     if args.vat:
@@ -291,7 +296,8 @@ def _metric_rows(args: argparse.Namespace, g: Graph):
     if args.alpha_beta:
         alpha, beta = args.alpha_beta
         r = alpha_beta_vat_exact(g, alpha, beta, args.limit)
-        yield "alpha_beta_vat", f"alpha={alpha:g} beta={beta:g}", r.value, r.witness_vertices
+        params = f"alpha={_decimal(alpha)} beta={_decimal(beta)}"
+        yield "alpha_beta_vat", params, r.value, r.witness_vertices
     if args.weighted:
         r = weighted_vat_exact(g, args.limit)
         yield "weighted_vat", "", r.value, r.witness_vertices
@@ -374,8 +380,6 @@ def _verify_selection(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
             spec = FamilySpec("petersen")
             yield str(spec), spec.build()
             continue
-        if args.n is None:
-            raise VattolError(f"--family {family} needs --n A..B")
         lo, hi = args.n
         for param in range(lo, hi + 1):
             spec = FamilySpec(family, (param,))
@@ -399,7 +403,19 @@ def _verify_selection(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
         )
 
 
+def _check_families(args: argparse.Namespace) -> None:
+    """Reject a ``--family`` selection that cannot name its graphs."""
+    for family in args.family or ():
+        if family == "petersen":
+            continue
+        if family not in _ONE_PARAMETER:
+            raise VattolError(f"--family {family} takes no single integer; use --spec")
+        if args.n is None or args.n[0] > args.n[1]:
+            raise VattolError(f"--family {family} needs --n A..B with A <= B")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _check_families(args)
     graphs = _verify_selection(args)
     reports = iter_suite(
         graphs,

@@ -233,17 +233,16 @@ def enumerate_small_regular(n: int, d: int) -> Iterator[Graph]:
     yield from walk(len(edge_list) - 1)
 
 
-_FAMILIES = (
-    "cycle",
-    "complete",
-    "star",
-    "path",
-    "hypercube",
-    "complete_bipartite",
-    "circulant",
-    "random_regular",
-    "petersen",
-)
+#: The families whose spec is one integer, with their constructors.
+_ONE_PARAMETER = {
+    "cycle": cycle,
+    "complete": complete,
+    "star": star,
+    "path": path,
+    "hypercube": hypercube,
+    "complete_bipartite": complete_bipartite,
+}
+_FAMILIES = (*_ONE_PARAMETER, "circulant", "random_regular", "petersen")
 
 
 @dataclass(frozen=True)
@@ -275,29 +274,18 @@ class FamilySpec:
         return f"{self.family}:{self.params[0]}"
 
     def build(self) -> Graph:
-        if self.family == "cycle":
-            return cycle(self.params[0])
-        if self.family == "complete":
-            return complete(self.params[0])
-        if self.family == "star":
-            return star(self.params[0])
-        if self.family == "path":
-            return path(self.params[0])
-        if self.family == "hypercube":
-            return hypercube(self.params[0])
-        if self.family == "complete_bipartite":
-            return complete_bipartite(self.params[0])
-        if self.family == "circulant":
-            n, *offsets = self.params
-            return circulant(n, list(offsets))
-        if self.family == "random_regular":
-            n, d = self.params
+        family, params = self.family, self.params
+        if family in _ONE_PARAMETER and len(params) == 1:
+            return _ONE_PARAMETER[family](params[0])
+        if family == "circulant" and len(params) >= 2:
+            return circulant(params[0], list(params[1:]))
+        if family == "random_regular" and len(params) == 2:
             if self.seed is None:
                 raise BadParameter("random_regular spec needs seed=...")
-            return random_regular(n, d, self.seed)
-        if self.family == "petersen":
+            return random_regular(*params, self.seed)
+        if family == "petersen" and not params:
             return petersen()
-        raise BadParameter(f"unknown family {self.family!r}")
+        raise BadParameter(f"no family {family!r} takes {len(params)} parameters")
 
 
 def parse_family_spec(text: str) -> FamilySpec:

@@ -1,11 +1,11 @@
 """Exact vertex attack tolerance and conductance by subset enumeration.
 
 Every value is exact: values are :class:`fractions.Fraction` and
-comparisons cross-multiply integers (or, in :func:`exact_batch`, compare
-float keys that are provably exact), so downstream inequality checks can
-never flip on rounding.  A float vertex weight or (alpha, beta) parameter
-counts as the decimal it prints, ``Fraction(repr(x))``, so ``0.1`` means
-exactly 1/10.
+comparisons cross-multiply integers or compare float keys that are
+provably exact, so downstream inequality checks can never flip on
+rounding.  A float vertex weight or (alpha, beta) parameter counts as
+the decimal it prints, ``Fraction(repr(x))``, so ``0.1`` means exactly
+1/10.
 
 Witness determinism contract: whenever several sets achieve the minimum,
 the reported witness is the one with the lowest integer encoding of its
@@ -13,23 +13,19 @@ bit mask (bit i = vertex i).  Every engine here enforces that tie-break
 explicitly, so results do not depend on enumeration order or on how the
 subset space is partitioned across workers.
 
-Engines, chosen by vertex count:
+Engines, none of which caches across calls:
 
-- ``n <= 16`` (:data:`MINIMIZER_LIMIT`): :func:`exact_batch`, one numpy
-  pass over (graphs x subsets) tables that yields tau, phi and every
-  phi-minimizer together; :func:`vat_exact`, :func:`conductance_exact`
-  and :func:`conductance_minimizers` call it with a batch of one.  Its
-  memory is bounded: temporaries cover at most :data:`BLOCK_CELLS`
-  (2^13) graph x subset cells, and the tables it keeps per call are three
-  uint8 entries per subset (64 KiB each at n = 16) plus neighbour-union
-  tables over the low eight vertices and over the rest; nothing is
-  cached across calls.
-- ``n > 16``: scalar loops, the size-pruned Gosper enumeration for tau
-  and a Gray-code scan for phi.
+- phi, its witness and every minimizer, for every n:
+  :func:`_conductance_batch`, one numpy pass over graphs that share n,
+  with tables of 2^ceil(n/2) entries per graph.
+- tau for ``n <= 16`` (:data:`MINIMIZER_LIMIT`): :func:`_exact_block`,
+  one numpy pass with a uint8 table of 2^n entries per graph (64 KiB at
+  n = 16); :func:`exact_batch` pairs it with the conductance engine.
+- tau for ``n > 16`` and every weighted and (alpha, beta) form:
+  :func:`_min_ratio_exact`, the size-pruned scalar Gosper enumeration.
 
-The weighted and (alpha, beta) forms always use the scalar Gosper
-enumeration, :func:`_min_ratio_exact`, the one engine behind every VAT
-form.
+Temporaries of both numpy kernels span at most ``max(BLOCK_CELLS,
+2^ceil(n/2))`` cells.
 """
 
 from __future__ import annotations
@@ -56,9 +52,11 @@ from .graph import (
     VertexMask,
     _check_mask,
     _largest_component_mask,
+    cut_size,
     full_mask,
     require_connected,
     vertices_from_mask,
+    volume,
 )
 
 #: Hard upper limit on exact enumeration (anything larger is hopeless anyway).
@@ -73,8 +71,8 @@ DEFAULT_LIMIT = 20
 #: all-minimizers check.
 MINIMIZER_LIMIT = 16
 
-#: Graph x subset cells per kernel chunk, which bounds the kernel's
-#: temporaries (a few arrays of this many int32/float64 cells).
+#: Graph x subset cells per kernel chunk, which bounds the temporaries of
+#: both numpy kernels (a few arrays of this many int32/float64 cells).
 BLOCK_CELLS = 1 << 13
 
 
@@ -130,7 +128,7 @@ class WeightedValue:
 
 @dataclass(frozen=True)
 class ExactMetrics:
-    """tau, phi and every conductance minimizer of one graph, from one pass.
+    """tau, phi and every conductance minimizer of one graph, by :func:`exact_batch`.
 
     ``minimizers`` is a sorted integer array of masks, the compact form of
     what :func:`conductance_minimizers` returns as a list.
@@ -179,32 +177,22 @@ def set_conductance(g: Graph, s: VertexMask) -> Fraction:
     _check_mask(g, s)
     if s == 0:
         raise EmptySet("the set must be nonempty")
-    deg = g.deg
-    adj_masks = g.adj_masks
-    outside = full_mask(g.n) & ~s
-    vol = 0
-    cut = 0
-    t = s
-    while t:
-        bit = t & -t
-        t ^= bit
-        v = bit.bit_length() - 1
-        vol += deg[v]
-        cut += (adj_masks[v] & outside).bit_count()
+    vol = volume(g, s)
     if vol > g.m:  # volume(V)/2 == m; the tie is admissible
         raise VolumeTooLarge(f"volume {vol} exceeds half the total {g.m}")
-    return Fraction(cut, vol)
+    return Fraction(cut_size(g, s), vol)
 
 
 def exact_batch(graphs: Sequence[Graph]) -> list[ExactMetrics]:
     """tau, phi and all phi-minimizers of graphs that share one n <= 16.
 
-    Lays the graphs out as (graphs x subsets) tables and fills them in one
-    pass (see :func:`_exact_block`).  Values, lowest-encoding witnesses
-    and minimizer lists are those of the scalar engines that
-    :func:`vat_exact` and :func:`conductance_exact` run above n = 16.
-    Weights are ignored, as those functions ignore them.  Every graph
-    must be connected.
+    tau comes from one numpy pass over a (graphs x subsets) table of
+    largest surviving components (see :func:`_exact_block`), phi and its
+    minimizers from :func:`_conductance_batch`, the conductance engine
+    for every n.  Values and lowest-encoding witnesses are those
+    :func:`vat_exact` and :func:`conductance_exact` return.  Weights are
+    ignored, as those functions ignore them.  Every graph must be
+    connected.
     """
     if not graphs:
         return []
@@ -216,10 +204,13 @@ def exact_batch(graphs: Sequence[Graph]) -> list[ExactMetrics]:
     if n > MINIMIZER_LIMIT:
         raise TooLarge(f"exact_batch handles n <= {MINIMIZER_LIMIT}, got n={n}")
     per_block = max(1, BLOCK_CELLS >> n)
-    out: list[ExactMetrics] = []
+    taus: list[MetricResult] = []
     for i in range(0, len(graphs), per_block):
-        out.extend(_exact_block(graphs[i : i + per_block], n))
-    return out
+        taus.extend(_exact_block(graphs[i : i + per_block], n))
+    return [
+        ExactMetrics(tau=tau, phi=phi, minimizers=minimizers)
+        for tau, (phi, minimizers) in zip(taus, _conductance_batch(graphs))
+    ]
 
 
 def _union_table(adj: np.ndarray) -> np.ndarray:
@@ -232,61 +223,46 @@ def _union_table(adj: np.ndarray) -> np.ndarray:
     return table
 
 
-def _exact_block(block: Sequence[Graph], n: int) -> list[ExactMetrics]:
-    """The kernel behind :func:`exact_batch`, for ``len(block) << n`` cells.
+def _exact_block(block: Sequence[Graph], n: int) -> list[MetricResult]:
+    """The tau kernel behind :func:`exact_batch`, for ``len(block) << n`` cells.
 
-    Three uint8 tables indexed by vertex mask are filled one top-bit layer
-    at a time: a mask ``x`` in ``[2^k, 2^(k+1))`` has top vertex ``k``,
-    and ``y = x - 2^k`` is already known, so
-
-    - ``vol[x] = vol[y] + deg(k)`` and
-      ``cut[x] = cut[y] + deg(k) - 2 |N(k) & y|``;
-    - ``cmax[x]``, the largest component inside ``x``, is
-      ``max(|C|, cmax[x - C])`` with ``C`` the component of ``k``, found
-      by a flood fill over all masks of the chunk at once.  ``x - C`` lacks
-      vertex ``k``, so it lies in an earlier layer.
+    One uint8 table indexed by vertex mask, ``cmax[x]``, the largest
+    component inside ``x``, is filled one top-bit layer at a time: a mask
+    ``x`` in ``[2^k, 2^(k+1))`` has top vertex ``k``, and ``cmax[x]`` is
+    ``max(|C|, cmax[x - C])`` with ``C`` the component of ``k``, found by
+    a flood fill over all masks of the chunk at once.  ``x - C`` lacks
+    vertex ``k``, so it lies in an earlier layer.
 
     A flood step looks up neighbour unions in two tables, over the low
     eight vertices and over the rest, so no ``2^n x n`` table exists.
 
-    tau minimizes ``|S| / (n - |S| - cmax[V - S] + 1)`` and phi minimizes
-    ``cut[S] / vol[S]`` over ``vol[S] <= m``.  Both are argmins over float
-    keys, which is exact here.  Every numerator and denominator is an
-    integer of at most 240 (vol <= 2m <= 240 at n <= 16) and every key
-    is at most 15, so two distinct fractions differ by at least 1/240^2
-    while each key, a correctly rounded quotient, is off by less than
-    15 * 2^-53; equal fractions get equal keys.  ``argmin`` and the
-    ascending mask order keep the lowest-encoding witness.
+    tau minimizes ``|S| / (n - |S| - cmax[V - S] + 1)``, an argmin over
+    float keys, which is exact here: every numerator and denominator is
+    an integer of at most n <= 16 and every key is at most 16, so two
+    distinct fractions differ by at least 1/16^2 while each key, a
+    correctly rounded quotient, is off by at most 16 * 2^-53; equal
+    fractions get equal keys.  ``argmin`` and the ascending mask order
+    keep the lowest-encoding witness.
     """
     rows = len(block)
     size = 1 << n
     full = size - 1
     chunk = BLOCK_CELLS // rows
     adj = np.array([g.adj_masks for g in block], dtype=np.int32)
-    deg = np.bitwise_count(adj)
-    m = deg.sum(axis=1) // 2
     low = min(n, 8)
     low_mask = (1 << low) - 1
     row = np.arange(rows, dtype=np.int32)[:, None]
     nu_low = _union_table(adj[:, :low]).ravel()
     nu_high = _union_table(adj[:, low:]).ravel()
     low_off, high_off, table_off = row << low, row << (n - low), row << n
-    vol = np.zeros((rows, size), np.uint8)
-    cut = np.zeros((rows, size), np.uint8)
     cmax = np.zeros((rows, size), np.uint8)
     cmax_flat = cmax.ravel()
     for k in range(n):
         top = 1 << k
         adj_k = adj[:, k : k + 1]
-        deg_k = deg[:, k : k + 1]
         for j0 in range(0, top, chunk):
             j1 = min(top, j0 + chunk)
-            y = np.arange(j0, j1, dtype=np.int32)
-            dst = slice(top + j0, top + j1)
-            # uint8 arithmetic wraps mod 256, and every true value fits.
-            vol[:, dst] = vol[:, j0:j1] + deg_k
-            cut[:, dst] = cut[:, j0:j1] + deg_k - 2 * np.bitwise_count(adj_k & y)
-            x = y | top
+            x = np.arange(j0, j1, dtype=np.int32) | top
             comp = (adj_k & x) | top
             front = comp
             while True:
@@ -297,7 +273,7 @@ def _exact_block(block: Sequence[Graph], n: int) -> list[ExactMetrics]:
                 if not np.count_nonzero(front):
                     break
                 comp |= front
-            cmax[:, dst] = np.maximum(
+            cmax[:, top + j0 : top + j1] = np.maximum(
                 np.bitwise_count(comp), cmax_flat.take((x ^ comp) + table_off)
             )
     if (cmax[:, full] != n).any():
@@ -309,51 +285,121 @@ def _exact_block(block: Sequence[Graph], n: int) -> list[ExactMetrics]:
     cmax_of_rest = cmax[:, ::-1]
     tau_best = np.full(rows, np.inf)
     tau_arg = np.zeros(rows, np.int64)
-    phi_best = np.full(rows, np.inf)
-    hits: list[list[np.ndarray]] = [[] for _ in range(rows)]
     for c0 in range(0, size, chunk):
         c1 = min(size, c0 + chunk)
         card = np.bitwise_count(np.arange(c0, c1, dtype=np.int32))
         # S = V is no attack set either, but its key n > 1 never wins.
         tau_key = card / ((n + 1 - card) - cmax_of_rest[:, c0:c1])
-        vol_s = vol[:, c0:c1]
-        admissible = vol_s <= m[:, None]
-        if c0 == 0:  # the empty set is neither an attack set nor admissible
+        if c0 == 0:  # nor is the empty set
             tau_key[:, 0] = np.inf
-            admissible[:, 0] = False
-        phi_key = np.full(tau_key.shape, np.inf)
-        np.divide(cut[:, c0:c1], vol_s, out=phi_key, where=admissible)
-
         tau_min = tau_key.min(axis=1)
         better = tau_min < tau_best
         tau_arg[better] = tau_key.argmin(axis=1)[better] + c0
         tau_best[better] = tau_min[better]
-        # The first chunk holds the admissible singleton {0} (deg <= m),
-        # so phi_best is finite from then on and an all-inf chunk adds no hit.
-        phi_min = phi_key.min(axis=1)
-        for r in np.flatnonzero(phi_min <= phi_best):
-            found = np.flatnonzero(phi_key[r] == phi_min[r]) + c0
-            if phi_min[r] < phi_best[r]:
-                hits[r] = [found]
-            else:
-                hits[r].append(found)
-        phi_best = np.minimum(phi_best, phi_min)
 
     out = []
     for r in range(rows):
         s = int(tau_arg[r])
         k = s.bit_count()
         tau = Fraction(k, n + 1 - k - int(cmax[r, full ^ s]))
-        minimizers = np.concatenate(hits[r])
-        w = int(minimizers[0])
-        phi = Fraction(int(cut[r, w]), int(vol[r, w]))
-        out.append(
-            ExactMetrics(
-                tau=MetricResult(value=tau, witness=s, metric="vat"),
-                phi=MetricResult(value=phi, witness=w, metric="conductance"),
-                minimizers=minimizers,
+        out.append(MetricResult(value=tau, witness=s, metric="vat"))
+    return out
+
+
+def _half_tables(
+    adj: np.ndarray, first: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, vol and cut of every subset of vertices first..first+count-1.
+
+    Filled by doubling: adding vertex v to a set x of lower vertices adds
+    deg(v) to the volume and deg(v) - 2 |N(v) & x| to the cut, which
+    counts every edge leaving x, whichever half it ends in.
+    """
+    vol = np.zeros((len(adj), 1 << count), np.int32)
+    cut = np.zeros_like(vol)
+    for j in range(count):
+        t = 1 << j
+        a = adj[:, first + j, None]
+        d = np.bitwise_count(a)
+        vol[:, t : 2 * t] = vol[:, :t] + d
+        inner = np.bitwise_count((a >> first) & np.arange(t))
+        cut[:, t : 2 * t] = cut[:, :t] + d - 2 * inner
+    return vol, cut
+
+
+def _conductance_batch(
+    graphs: Sequence[Graph],
+) -> list[tuple[MetricResult, np.ndarray]]:
+    """phi, its lowest-encoding witness and every minimizer, sorted, per graph.
+
+    The one conductance engine, for any n; the graphs share n and are
+    connected.  A mask splits as ``lo | hi << h``, ``h = ceil(n / 2)``:
+    ``vol(S) = vol_lo[lo] + vol_hi[hi]`` and ``cut(S) = cut_lo[lo] +
+    cut_hi[hi] - 2 cross``, where ``cross``, the sum over u in lo of
+    ``|N(u) & hi|``, is filled by doubling over the low vertices for a
+    block of high halves at a time.  Blocks cover masks in ascending
+    order; temporaries span at most ``max(BLOCK_CELLS, 2^h)`` cells and
+    no table exceeds ``2^h`` entries per graph.
+
+    phi minimizes ``cut / vol`` over ``0 < vol <= m`` by float keys,
+    which is exact: there ``cut <= vol <= m <= n(n - 1)/2 < 2^11`` (n <=
+    64), so two distinct fractions differ by at least 2^-22 while each
+    key, a correctly rounded quotient of at most 1, is off by at most
+    2^-53; equal fractions get equal keys.  The minimizers are the masks
+    whose key equals the minimum, in ascending order.
+    """
+    n = graphs[0].n
+    h = (n + 1) // 2
+    highs = 1 << (n - h)
+    cells = max(BLOCK_CELLS, 1 << h)
+    per_chunk = max(1, cells >> n)
+    out = []
+    for i in range(0, len(graphs), per_chunk):
+        chunk = graphs[i : i + per_chunk]
+        rows = len(chunk)
+        adj = np.array([g.adj_masks for g in chunk], dtype=np.int64)
+        m = np.bitwise_count(adj).sum(axis=1, keepdims=True) // 2
+        vol_lo, cut_lo = _half_tables(adj, 0, h)
+        vol_hi, cut_hi = _half_tables(adj, h, n - h)
+        high_adj = adj[:, :h, None] >> h
+        per_block = min(highs, cells // (rows << h))
+        best = np.full(rows, np.inf)
+        phi_cut, phi_vol = np.zeros((2, rows), np.int64)
+        hit_rows = hit_masks = np.zeros(0, np.int64)
+        for b0 in range(0, highs, per_block):
+            b1 = min(highs, b0 + per_block)
+            edges_to = np.bitwise_count(high_adj & np.arange(b0, b1))
+            cross = np.zeros((rows, b1 - b0, 1 << h), np.int32)
+            for u in range(h):
+                t = 1 << u
+                cross[:, :, t : 2 * t] = cross[:, :, :t] + edges_to[:, u, :, None]
+            vol = vol_lo[:, None, :] + vol_hi[:, b0:b1, None]
+            cut = cut_lo[:, None, :] + cut_hi[:, b0:b1, None] - 2 * cross
+            vol, cut = vol.reshape(rows, -1), cut.reshape(rows, -1)
+            key = np.where(vol <= m, cut / np.maximum(vol, 1), np.inf)
+            if b0 == 0:  # the empty set is not admissible
+                key[:, 0] = np.inf
+            # The first block holds the admissible singleton {0} (deg <= m),
+            # so best is finite from then on and an all-inf block adds no hit.
+            block_min = key.min(axis=1)
+            better = block_min < best
+            first = key.argmin(axis=1)[better]
+            phi_cut[better] = cut[better, first]
+            phi_vol[better] = vol[better, first]
+            best[better] = block_min[better]
+            keep = ~better[hit_rows]  # earlier hits of a row this block beat
+            rows_now, masks_now = np.nonzero(key == best[:, None])
+            hit_rows = np.concatenate([hit_rows[keep], rows_now])
+            hit_masks = np.concatenate([hit_masks[keep], masks_now + (b0 << h)])
+        # Rows share a chunk only when one block covers them all, so the
+        # hits are sorted by row and then by mask.
+        ends = np.cumsum(np.bincount(hit_rows, minlength=rows))
+        for r, minimizers in enumerate(np.split(hit_masks, ends[:-1])):
+            phi = Fraction(int(phi_cut[r]), int(phi_vol[r]))
+            result = MetricResult(
+                value=phi, witness=int(minimizers[0]), metric="conductance"
             )
-        )
+            out.append((result, minimizers))
     return out
 
 
@@ -456,7 +502,7 @@ def vat_exact(g: Graph, limit: int | None = None) -> MetricResult:
     """
     _require_metric_graph(g, enumeration_limit(limit))
     if g.n <= MINIMIZER_LIMIT:
-        return exact_batch([g])[0].tau
+        return _exact_block([g], g.n)[0]
     value, witness = _min_ratio_exact(g, 1, 0)
     return MetricResult(value=value, witness=witness, metric="vat")
 
@@ -516,60 +562,6 @@ def alpha_beta_weighted_vat_exact(
     )
 
 
-def _conductance_scan(
-    g: Graph, collect: tuple[int, int] | None = None
-) -> tuple[int, int, int] | list[int]:
-    """One Gray-code sweep over all subsets maintaining (cut, volume).
-
-    Successive Gray codes differ in one vertex, so the cut updates in
-    O(1) bit operations per step.  With ``collect=None`` returns the
-    minimizing ``(cut, vol, mask)``; otherwise collects every admissible
-    mask whose ratio equals the fraction ``collect = (num, den)``.
-    """
-    n = g.n
-    deg = g.deg
-    adj_masks = g.adj_masks
-    m = g.m
-    cur = 0
-    vol = 0
-    cut = 0
-    best_cut = best_vol = 0
-    best_mask = -1
-    have = False
-    hits: list[int] = []
-    want_num = want_den = 0
-    if collect is not None:
-        want_num, want_den = collect
-    for i in range(1, 1 << n):
-        bit = i & -i
-        v = bit.bit_length() - 1
-        av = adj_masks[v]
-        if cur & bit:
-            cur ^= bit
-            vol -= deg[v]
-            cut -= deg[v] - 2 * (av & cur).bit_count()
-        else:
-            cut += deg[v] - 2 * (av & cur).bit_count()
-            cur ^= bit
-            vol += deg[v]
-        if vol > m:
-            continue
-        if collect is None:
-            if (
-                not have
-                or cut * best_vol < best_cut * vol
-                or (cut * best_vol == best_cut * vol and cur < best_mask)
-            ):
-                best_cut, best_vol, best_mask = cut, vol, cur
-                have = True
-        elif cut * want_den == want_num * vol:
-            hits.append(cur)
-    if collect is None:
-        return best_cut, best_vol, best_mask
-    hits.sort()
-    return hits
-
-
 def conductance_exact(g: Graph, limit: int | None = None) -> MetricResult:
     """Exact conductance: minimum cut/volume over sets of at most half volume.
 
@@ -577,21 +569,13 @@ def conductance_exact(g: Graph, limit: int | None = None) -> MetricResult:
     The value always lies in (0, 1].
     """
     _require_metric_graph(g, enumeration_limit(limit))
-    if g.n <= MINIMIZER_LIMIT:
-        return exact_batch([g])[0].phi
-    cut, vol, mask = _conductance_scan(g)
-    return MetricResult(value=Fraction(cut, vol), witness=mask, metric="conductance")
+    return _conductance_batch([g])[0][0]
 
 
 def conductance_minimizers(g: Graph, limit: int | None = None) -> list[VertexMask]:
     """Every admissible set achieving the exact conductance, sorted by encoding."""
-    if g.n <= MINIMIZER_LIMIT:
-        _require_metric_graph(g, enumeration_limit(limit))
-        return exact_batch([g])[0].minimizers.tolist()
-    result = conductance_exact(g, limit)
-    return _conductance_scan(
-        g, (result.value.numerator, result.value.denominator)
-    )
+    _require_metric_graph(g, enumeration_limit(limit))
+    return _conductance_batch([g])[0][1].tolist()
 
 
 def vat_witness_components(

@@ -140,6 +140,14 @@ class TestMetrics:
             "parameters": "alpha=2 beta=0",
         }
 
+    def test_alpha_beta_label_is_the_decimal_read(self):
+        proc = run_cli(
+            "metrics", "cycle:5", "--alpha-beta", "0.1234567,0", "--format", "csv"
+        )
+        (row,) = csv.DictReader(proc.stdout.splitlines())
+        assert row["parameters"] == "alpha=0.1234567 beta=0"
+        assert (row["num"], row["den"]) == ("1234567", "10000000")
+
 
 class TestVerify:
     def test_cycles_all_hold(self, tmp_path):
@@ -215,6 +223,21 @@ class TestVerify:
         proc = run_cli(
             "verify", "--family", "cycle", "--n", "3..5", "--tolerance", tolerance
         )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "selection",
+        [
+            ["--family", "random_regular", "--n", "5..6"],
+            ["--family", "circulant", "--n", "5..6"],
+            ["--family", "cycle"],
+            ["--family", "cycle", "--n", "6..3"],
+        ],
+    )
+    def test_bad_family_selection_exit_2_one_line(self, selection):
+        proc = run_cli("verify", *selection)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -205,6 +205,20 @@ class TestFamilySpec:
         with pytest.raises(BadParameter):
             parse_family_spec(bad)
 
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("cycle", ()),
+            ("cycle", (3, 4)),
+            ("circulant", ()),
+            ("random_regular", (10,)),
+            ("petersen", (1,)),
+        ],
+    )
+    def test_wrong_parameter_count(self, family, params):
+        with pytest.raises(BadParameter):
+            FamilySpec(family, params).build()
+
     def test_random_spec_needs_seed(self):
         with pytest.raises(BadParameter):
             FamilySpec("random_regular", (10, 3)).build()

@@ -13,7 +13,7 @@ from vattol import (
     VolumeTooLarge,
 )
 from vattol.corpus import random_regular_samples, theorem_families
-from vattol.metrics import _conductance_scan, _min_ratio_exact
+from vattol.metrics import _min_ratio_exact
 from naive_oracle import naive_conductance_minimizers, naive_vat, naive_weighted_vat
 
 F = Fraction
@@ -281,6 +281,14 @@ class TestConductanceExact:
         assert all(vt.set_conductance(g, s) == r.value for s in mins)
         assert len(mins) == 6  # the six arcs of three consecutive vertices
 
+    def test_above_16_matches_naive_oracle(self):
+        g = vt.cycle(17)
+        phi, minimizers = naive_conductance_minimizers(g)
+        assert len(minimizers) == 17  # the arcs of eight consecutive vertices
+        assert vt.conductance_minimizers(g) == minimizers
+        r = vt.conductance_exact(g)
+        assert (r.value, r.witness) == (phi, minimizers[0])
+
 
 def _by_n(graphs):
     groups = {}
@@ -308,12 +316,13 @@ class TestExactBatch:
         graphs = [g for _, g in items if 11 <= g.n <= 16]
         assert {g.n for g in graphs} == set(range(11, 17))
         for group in _by_n(graphs):
-            for g, e in zip(group, vt.exact_batch(group)):
-                cut, vol, witness = _conductance_scan(g)
-                phi = F(cut, vol)
-                minimizers = _conductance_scan(g, (phi.numerator, phi.denominator))
-                expected = _min_ratio_exact(g, 1, 0), (phi, witness), minimizers
-                assert _kernel_tuple(e) == expected
+            results = vt.exact_batch(group)
+            for g, e in zip(group, results):
+                assert (e.tau.value, e.tau.witness) == _min_ratio_exact(g, 1, 0)
+            # phi against the naive oracle on one graph per n.
+            phi, minimizers = naive_conductance_minimizers(group[-1])
+            expected = (phi, minimizers[0]), minimizers
+            assert _kernel_tuple(results[-1])[1:] == expected
 
     def test_errors(self):
         assert vt.exact_batch([]) == []
