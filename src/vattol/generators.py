@@ -262,30 +262,39 @@ class FamilySpec:
     params: tuple[int, ...] = ()
     seed: int | None = None
 
+    def _check_arity(self) -> None:
+        family, count = self.family, len(self.params)
+        if not (
+            (family in _ONE_PARAMETER and count == 1)
+            or (family == "circulant" and count >= 2)
+            or (family == "random_regular" and count == 2)
+            or (family == "petersen" and count == 0)
+        ):
+            raise BadParameter(f"no family {family!r} takes {count} parameters")
+
     def __str__(self) -> str:
-        if self.family == "petersen":
+        self._check_arity()
+        family, params = self.family, self.params
+        if family == "circulant":
+            return f"circulant:{params[0]},{'+'.join(str(o) for o in params[1:])}"
+        if family == "random_regular":
+            return f"random_regular:{params[0]},{params[1]},seed={self.seed}"
+        if family == "petersen":
             return "petersen"
-        if self.family == "circulant":
-            n, *offsets = self.params
-            return f"circulant:{n},{'+'.join(str(o) for o in offsets)}"
-        if self.family == "random_regular":
-            n, d = self.params
-            return f"random_regular:{n},{d},seed={self.seed}"
-        return f"{self.family}:{self.params[0]}"
+        return f"{family}:{params[0]}"
 
     def build(self) -> Graph:
+        self._check_arity()
         family, params = self.family, self.params
-        if family in _ONE_PARAMETER and len(params) == 1:
-            return _ONE_PARAMETER[family](params[0])
-        if family == "circulant" and len(params) >= 2:
+        if family == "circulant":
             return circulant(params[0], list(params[1:]))
-        if family == "random_regular" and len(params) == 2:
+        if family == "random_regular":
             if self.seed is None:
                 raise BadParameter("random_regular spec needs seed=...")
             return random_regular(*params, self.seed)
-        if family == "petersen" and not params:
+        if family == "petersen":
             return petersen()
-        raise BadParameter(f"no family {family!r} takes {len(params)} parameters")
+        return _ONE_PARAMETER[family](params[0])
 
 
 def parse_family_spec(text: str) -> FamilySpec:
@@ -303,26 +312,23 @@ def parse_family_spec(text: str) -> FamilySpec:
     parts = [p for p in rest.split(",") if p]
     if not parts:
         raise BadParameter(f"family spec {text!r} needs parameters")
+    seed = None
+    if family == "circulant":
+        if len(parts) != 2:
+            raise BadParameter(f"circulant spec needs 'n,o1+o2+..': {text!r}")
+        parts = [parts[0], *parts[1].split("+")]
+    elif family == "random_regular":
+        if len(parts) != 3 or not parts[2].startswith("seed="):
+            raise BadParameter(f"random_regular spec needs 'n,d,seed=S': {text!r}")
+        parts, seed = parts[:2], parts[2][len("seed="):]
+    elif len(parts) != 1:
+        raise BadParameter(f"{family} takes a single parameter: {text!r}")
     try:
-        if family == "circulant":
-            if len(parts) != 2:
-                raise BadParameter(f"circulant spec needs 'n,o1+o2+..': {text!r}")
-            n = int(parts[0])
-            offsets = tuple(int(o) for o in parts[1].split("+"))
-            return FamilySpec("circulant", (n,) + offsets)
-        if family == "random_regular":
-            if len(parts) != 3 or not parts[2].startswith("seed="):
-                raise BadParameter(
-                    f"random_regular spec needs 'n,d,seed=S': {text!r}"
-                )
-            n, d = int(parts[0]), int(parts[1])
-            seed = int(parts[2][len("seed="):])
-            return FamilySpec("random_regular", (n, d), seed)
-        if len(parts) != 1:
-            raise BadParameter(f"{family} takes a single parameter: {text!r}")
-        return FamilySpec(family, (int(parts[0]),))
+        params = tuple(int(p) for p in parts)
+        seed = None if seed is None else int(seed)
     except ValueError:
         raise BadParameter(f"non-integer parameter in spec {text!r}") from None
+    return FamilySpec(family, params, seed)
 
 
 def build_family(text: str) -> Graph:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -64,7 +65,9 @@ class Graph:
     adj : per-vertex sorted neighbor tuples; symmetric, no loops, no
         parallel edges
     costs, values : per-vertex positive weights, or ``None`` for the
-        unweighted (all ones) case; either both are set or neither is
+        unweighted (all ones) case; either both are set or neither is.
+        An ``int`` or ``Fraction`` weight is kept as given, so it stays
+        exact; any other number is stored as a ``float``
 
     Instances should be created through :func:`build_graph`, which
     validates all invariants.  Direct construction skips validation.
@@ -72,8 +75,8 @@ class Graph:
 
     n: int
     adj: tuple[tuple[int, ...], ...]
-    costs: tuple[float, ...] | None = None
-    values: tuple[float, ...] | None = None
+    costs: tuple[float | Fraction, ...] | None = None
+    values: tuple[float | Fraction, ...] | None = None
 
     @cached_property
     def deg(self) -> tuple[int, ...]:
@@ -98,11 +101,11 @@ class Graph:
         )
 
     @cached_property
-    def cost_vector(self) -> tuple[float, ...]:
+    def cost_vector(self) -> tuple[float | Fraction, ...]:
         return self.costs if self.costs is not None else (1.0,) * self.n
 
     @cached_property
-    def value_vector(self) -> tuple[float, ...]:
+    def value_vector(self) -> tuple[float | Fraction, ...]:
         return self.values if self.values is not None else (1.0,) * self.n
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -117,11 +120,16 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}{w})"
 
 
+def _weight(x: float | Fraction) -> float | Fraction:
+    """An ``int`` or ``Fraction`` weight as given, any other as a ``float``."""
+    return x if type(x) is int or isinstance(x, Fraction) else float(x)
+
+
 def build_graph(
     n: int,
     edges: Iterable[tuple[int, int]],
-    costs: Sequence[float] | None = None,
-    values: Sequence[float] | None = None,
+    costs: Sequence[float | Fraction] | None = None,
+    values: Sequence[float | Fraction] | None = None,
 ) -> Graph:
     """Validate and build a canonical :class:`Graph`.
 
@@ -156,8 +164,8 @@ def build_graph(
             raise BadParameter(
                 f"weight vectors must have length {n}, got {len(costs)}/{len(values)}"
             )
-        cost_t = tuple(float(c) for c in costs)
-        value_t = tuple(float(v) for v in values)
+        cost_t = tuple(_weight(c) for c in costs)
+        value_t = tuple(_weight(v) for v in values)
         for x in cost_t + value_t:
             if not 0.0 < x < math.inf:
                 raise NonPositiveWeight(f"weights must be positive and finite, got {x}")
@@ -189,25 +197,6 @@ def _component(adj_masks: Sequence[int], seed: VertexMask, within: VertexMask) -
     return comp
 
 
-def _largest_component_mask(adj_masks: Sequence[int], remaining: VertexMask) -> VertexMask:
-    """The largest component of the subgraph induced on ``remaining``; 0 if empty.
-
-    Components are found in order of their smallest vertex id and the
-    first of the largest wins, so ties break toward the smallest id; the
-    search stops once the unvisited vertices cannot form a larger one.
-    """
-    best = best_size = 0
-    left = remaining.bit_count()
-    while left > best_size:
-        comp = _component(adj_masks, remaining & -remaining, remaining)
-        remaining ^= comp
-        size = comp.bit_count()
-        left -= size
-        if size > best_size:
-            best, best_size = comp, size
-    return best
-
-
 def components(g: Graph, removed: VertexMask = 0) -> list[VertexMask]:
     """Connected components of the subgraph induced on ``V - removed``.
 
@@ -232,11 +221,10 @@ def largest_component(g: Graph, removed: VertexMask = 0) -> VertexMask:
 
     Ties break toward the component containing the smallest vertex id.
     """
-    _check_mask(g, removed)
-    comp = _largest_component_mask(g.adj_masks, full_mask(g.n) & ~removed)
-    if not comp:
+    comps = components(g, removed)
+    if not comps:
         raise EmptyRemainder("removed every vertex; no component remains")
-    return comp
+    return comps[0]
 
 
 def is_connected(g: Graph) -> bool:
@@ -313,7 +301,8 @@ def require_connected(g: Graph) -> None:
 # Edge-list file format.
 #
 #   # comment                      '#' starts a comment line
-#   w <u> <cost> <value>           optional vertex weight lines, before edges
+#   w <u> <cost> <value>           optional vertex weight lines, before edges;
+#                                  a weight is a decimal or an exact p/q
 #   <u> <v>                        one edge per line, 0-based ids
 #
 # n is the number of distinct vertex ids mentioned on edge and weight
@@ -330,7 +319,7 @@ def write_edge_list(g: Graph, out: IO[str]) -> None:
         cost = g.cost_vector
         value = g.value_vector
         for u in range(g.n):
-            out.write(f"w {u} {cost[u]!r} {value[u]!r}\n")
+            out.write(f"w {u} {cost[u]} {value[u]}\n")
     for u, v in g.edges():
         out.write(f"{u} {v}\n")
 
@@ -343,7 +332,7 @@ def write_edge_list_path(g: Graph, path: str) -> None:
 def read_edge_list(src: IO[str]) -> Graph:
     """Parse the edge-list text format into a :class:`Graph`."""
     edges: list[tuple[int, int]] = []
-    weights: dict[int, tuple[float, float]] = {}
+    weights: dict[int, tuple[float | Fraction, float | Fraction]] = {}
     mentioned: set[int] = set()
     saw_edge = False
     for lineno, raw in enumerate(src, start=1):
@@ -360,9 +349,8 @@ def read_edge_list(src: IO[str]) -> Graph:
                 raise BadParameter(f"line {lineno}: expected 'w u cost value'")
             try:
                 u = int(parts[1])
-                cost = float(parts[2])
-                value = float(parts[3])
-            except ValueError:
+                cost, value = (Fraction(t) if "/" in t else float(t) for t in parts[2:])
+            except (ValueError, ZeroDivisionError):
                 raise BadParameter(f"line {lineno}: malformed weight line") from None
             if u < 0:
                 raise BadVertexId(f"line {lineno}: negative vertex id {u}")

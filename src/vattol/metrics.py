@@ -18,13 +18,12 @@ Engines, none of which caches across calls:
 - phi, its witness and every minimizer, for every n:
   :func:`_conductance_batch`, one numpy pass over graphs that share n,
   with tables of 2^ceil(n/2) entries per graph.
-- tau for ``n <= 16`` (:data:`MINIMIZER_LIMIT`): :func:`_exact_block`,
-  one numpy pass with a uint8 table of 2^n entries per graph (64 KiB at
-  n = 16); :func:`exact_batch` pairs it with the conductance engine.
-- tau for ``n > 16`` and every weighted and (alpha, beta) form:
-  :func:`_min_ratio_exact`, the size-pruned scalar Gosper enumeration.
+- all four VAT forms, for every n up to :data:`HARD_CAP`: one
+  enumeration, :func:`_component_tables`, a uint8 table of 2^n entries
+  per graph (1 MiB at n = 20).  tau is a float-key argmin over it
+  (:func:`_exact_block`); the other forms share :func:`_min_ratio`.
 
-Temporaries of both numpy kernels span at most ``max(BLOCK_CELLS,
+Temporaries of the numpy kernels span at most ``max(BLOCK_CELLS,
 2^ceil(n/2))`` cells.
 """
 
@@ -34,7 +33,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,28 +50,31 @@ from .graph import (
     Graph,
     VertexMask,
     _check_mask,
-    _largest_component_mask,
+    components,
     cut_size,
     full_mask,
+    largest_component,
+    mask_from_vertices,
     require_connected,
     vertices_from_mask,
     volume,
 )
 
-#: Hard upper limit on exact enumeration (anything larger is hopeless anyway).
-HARD_CAP = 64
+#: Largest n of every exact metric: the VAT engine keeps tables of 2^n
+#: entries per graph (16 MiB each at n = 24).
+HARD_CAP = 24
 
 #: Environment variable overriding the default enumeration limit.
 LIMIT_ENV_VAR = "VATTOL_ENUM_LIMIT"
 
 DEFAULT_LIMIT = 20
 
-#: Largest n handled by :func:`exact_batch`, and the cap of the suite's
-#: all-minimizers check.
+#: Largest n of the suite's all-minimizers check (``connected_minimizer``),
+#: whose skip reason above it is part of the report.
 MINIMIZER_LIMIT = 16
 
 #: Graph x subset cells per kernel chunk, which bounds the temporaries of
-#: both numpy kernels (a few arrays of this many int32/float64 cells).
+#: the numpy kernels (a few arrays of this many int32/int64/float64 cells).
 BLOCK_CELLS = 1 << 13
 
 
@@ -80,7 +82,7 @@ def enumeration_limit(limit: int | None = None) -> int:
     """Resolve the effective enumeration limit.
 
     Explicit argument wins, then the ``VATTOL_ENUM_LIMIT`` environment
-    variable, then the default of 20.  Capped at 64 bits.
+    variable, then the default of 20.  At most :data:`HARD_CAP`.
     """
     if limit is None:
         env = os.environ.get(LIMIT_ENV_VAR)
@@ -160,11 +162,10 @@ def set_vat(g: Graph, s: VertexMask) -> Fraction:
     _check_mask(g, s)
     if s == 0:
         raise EmptySet("the attack set must be nonempty")
-    full = full_mask(g.n)
-    if s == full:
+    if s == full_mask(g.n):
         raise FullSet("the attack set must be a proper subset")
     k = s.bit_count()
-    cmax = _largest_component_mask(g.adj_masks, full & ~s).bit_count()
+    cmax = largest_component(g, s).bit_count()
     return Fraction(k, g.n - k - cmax + 1)
 
 
@@ -184,7 +185,7 @@ def set_conductance(g: Graph, s: VertexMask) -> Fraction:
 
 
 def exact_batch(graphs: Sequence[Graph]) -> list[ExactMetrics]:
-    """tau, phi and all phi-minimizers of graphs that share one n <= 16.
+    """tau, phi and all phi-minimizers of graphs that share one n <= 24.
 
     tau comes from one numpy pass over a (graphs x subsets) table of
     largest surviving components (see :func:`_exact_block`), phi and its
@@ -201,81 +202,108 @@ def exact_batch(graphs: Sequence[Graph]) -> list[ExactMetrics]:
         raise BadParameter("exact_batch needs graphs that share one vertex count")
     if n < 2:
         raise TrivialGraph("metrics need at least two vertices")
-    if n > MINIMIZER_LIMIT:
-        raise TooLarge(f"exact_batch handles n <= {MINIMIZER_LIMIT}, got n={n}")
+    if n > HARD_CAP:
+        raise TooLarge(f"exact_batch handles n <= {HARD_CAP}, got n={n}")
     per_block = max(1, BLOCK_CELLS >> n)
     taus: list[MetricResult] = []
     for i in range(0, len(graphs), per_block):
-        taus.extend(_exact_block(graphs[i : i + per_block], n))
+        taus.extend(_exact_block(graphs[i : i + per_block]))
     return [
         ExactMetrics(tau=tau, phi=phi, minimizers=minimizers)
         for tau, (phi, minimizers) in zip(taus, _conductance_batch(graphs))
     ]
 
 
-def _union_table(adj: np.ndarray) -> np.ndarray:
-    """Per row, the neighbour union of every subset of the given vertices."""
-    rows, b = adj.shape
-    table = np.zeros((rows, 1 << b), np.int32)
-    for v in range(b):
-        t = 1 << v
-        table[:, t : 2 * t] = table[:, :t] | adj[:, v : v + 1]
-    return table
+def _flood_fill(adj: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """A flood fill over many masks at once for the graphs whose rows are ``adj``.
 
-
-def _exact_block(block: Sequence[Graph], n: int) -> list[MetricResult]:
-    """The tau kernel behind :func:`exact_batch`, for ``len(block) << n`` cells.
-
-    One uint8 table indexed by vertex mask, ``cmax[x]``, the largest
-    component inside ``x``, is filled one top-bit layer at a time: a mask
-    ``x`` in ``[2^k, 2^(k+1))`` has top vertex ``k``, and ``cmax[x]`` is
-    ``max(|C|, cmax[x - C])`` with ``C`` the component of ``k``, found by
-    a flood fill over all masks of the chunk at once.  ``x - C`` lacks
-    vertex ``k``, so it lies in an earlier layer.
-
-    A flood step looks up neighbour unions in two tables, over the low
-    eight vertices and over the rest, so no ``2^n x n`` table exists.
-
-    tau minimizes ``|S| / (n - |S| - cmax[V - S] + 1)``, an argmin over
-    float keys, which is exact here: every numerator and denominator is
-    an integer of at most n <= 16 and every key is at most 16, so two
-    distinct fractions differ by at least 1/16^2 while each key, a
-    correctly rounded quotient, is off by at most 16 * 2^-53; equal
-    fractions get equal keys.  ``argmin`` and the ascending mask order
-    keep the lowest-encoding witness.
+    ``flood(comp, within)`` grows each mask of ``comp`` (rows x masks, a
+    fresh array, grown in place) to its component inside ``within``.  A
+    step looks up neighbour unions in two tables, over the low eight
+    vertices and over the rest, so no ``2^n x n`` table exists.
     """
-    rows = len(block)
-    size = 1 << n
-    full = size - 1
-    chunk = BLOCK_CELLS // rows
-    adj = np.array([g.adj_masks for g in block], dtype=np.int32)
+    rows, n = adj.shape
     low = min(n, 8)
     low_mask = (1 << low) - 1
+    unions = []
+    for part in (adj[:, :low], adj[:, low:]):
+        table = np.zeros((rows, 1 << part.shape[1]), np.int32)
+        for v in range(part.shape[1]):
+            table[:, 1 << v : 2 << v] = table[:, : 1 << v] | part[:, v : v + 1]
+        unions.append(table.ravel())
     row = np.arange(rows, dtype=np.int32)[:, None]
-    nu_low = _union_table(adj[:, :low]).ravel()
-    nu_high = _union_table(adj[:, low:]).ravel()
-    low_off, high_off, table_off = row << low, row << (n - low), row << n
-    cmax = np.zeros((rows, size), np.uint8)
-    cmax_flat = cmax.ravel()
+    low_off, high_off = row << low, row << (n - low)
+
+    def flood(comp: np.ndarray, within: np.ndarray) -> np.ndarray:
+        front = comp
+        while True:
+            reach = unions[0].take((front & low_mask) + low_off)
+            if n > low:
+                reach |= unions[1].take((front >> low) + high_off)
+            front = reach & within & ~comp
+            if not np.count_nonzero(front):
+                return comp
+            comp |= front
+
+    return flood
+
+
+def _component_tables(
+    adj: np.ndarray, lowest: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per row and vertex mask ``x``, the size and lowest vertex of C_max in ``x``.
+
+    The one VAT enumeration.  C_max is the component with the most
+    vertices, ties to the smaller lowest vertex; ``cmax[x]`` is its size
+    and, when ``lowest``, ``cmin[x]`` its lowest vertex (uint8 tables).  A
+    mask ``x`` in ``[2^k, 2^(k+1))`` has top vertex ``k``; its components
+    are ``C``, that of ``k``, flooded over all masks of a chunk at once,
+    and those of ``x - C``, which lacks ``k`` and so lies in an earlier
+    layer.  Temporaries span ``BLOCK_CELLS`` cells.
+    """
+    rows, n = adj.shape
+    chunk = BLOCK_CELLS // rows
+    flood = _flood_fill(adj)
+    table_off = np.arange(rows, dtype=np.int32)[:, None] << n
+    cmax = np.zeros((rows, 1 << n), np.uint8)
+    cmin = np.zeros_like(cmax) if lowest else None
     for k in range(n):
         top = 1 << k
         adj_k = adj[:, k : k + 1]
         for j0 in range(0, top, chunk):
             j1 = min(top, j0 + chunk)
             x = np.arange(j0, j1, dtype=np.int32) | top
-            comp = (adj_k & x) | top
-            front = comp
-            while True:
-                reach = nu_low.take((front & low_mask) + low_off)
-                if n > low:
-                    reach |= nu_high.take((front >> low) + high_off)
-                front = reach & x & ~comp
-                if not np.count_nonzero(front):
-                    break
-                comp |= front
-            cmax[:, top + j0 : top + j1] = np.maximum(
-                np.bitwise_count(comp), cmax_flat.take((x ^ comp) + table_off)
-            )
+            comp = flood((adj_k & x) | top, x)
+            rest = (x ^ comp) + table_off
+            size, size_rest = np.bitwise_count(comp), cmax.ravel().take(rest)
+            cmax[:, top + j0 : top + j1] = np.maximum(size, size_rest)
+            if lowest:
+                first = np.bitwise_count((comp & -comp) - 1)
+                first_rest = cmin.ravel().take(rest)
+                wins = (size > size_rest) | ((size == size_rest) & (first < first_rest))
+                cmin[:, top + j0 : top + j1] = np.where(wins, first, first_rest)
+    return cmax, cmin
+
+
+def _exact_block(block: Sequence[Graph]) -> list[MetricResult]:
+    """tau of graphs that share n, for ``len(block) << n`` graph x mask cells.
+
+    tau minimizes ``|S| / (n - |S| - cmax[V - S] + 1)`` over the table of
+    :func:`_component_tables`, an argmin over float keys, which is exact
+    here: every numerator and denominator is an integer of at most
+    n + 1 <= 25 and every key is at most 24, so two distinct fractions
+    differ by at least 1/25^2 while each key, a correctly rounded
+    quotient, is off by at most 24 * 2^-53; equal fractions get equal
+    keys.  ``argmin`` and the ascending mask order keep the lowest-encoding
+    witness.
+    """
+    rows = len(block)
+    n = block[0].n
+    size = 1 << n
+    full = size - 1
+    chunk = BLOCK_CELLS // rows
+    adj = np.array([g.adj_masks for g in block], dtype=np.int32)
+    cmax, _ = _component_tables(adj, lowest=False)
     if (cmax[:, full] != n).any():
         raise DisconnectedInput(
             "graph is disconnected; restrict_to_largest_component() first"
@@ -414,15 +442,33 @@ def _scaled(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (scale // x.denominator) for x in xs], scale
 
 
-def _subset_sums(weights: Sequence[int]) -> list[int]:
-    """The weight sum of every subset, indexed by its bit mask."""
-    table = [0]
-    for w in weights:
-        table += [t + w for t in table]
-    return table
+def _sum_bounds(
+    xs: Sequence[int], const: int
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """int64 bounds on ``(const + the sum of xs over a mask) / 2^s``, per mask.
+
+    ``s`` is the least shift that brings ``const + sum(xs)`` below 2^30.
+    The lower bound sums the shifted terms rounded down, from tables over
+    the low and the high half of the items; the upper bound adds one for
+    each term that the shift does not divide.
+    """
+    shift = max(0, (const + sum(xs)).bit_length() - 30)
+    h = (len(xs) + 1) // 2
+    ragged = mask_from_vertices(v for v, x in enumerate(xs) if x % (1 << shift))
+    up = int(const % (1 << shift) > 0)
+    tables = [np.array([const >> shift], np.int64), np.zeros(1, np.int64)]
+    for v, x in enumerate(xs):
+        tables[v >= h] = np.concatenate([tables[v >= h], tables[v >= h] + (x >> shift)])
+    lo_table, hi_table = tables
+
+    def bounds(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        floor = lo_table[masks & ((1 << h) - 1)] + hi_table[masks >> h]
+        return floor, floor + np.bitwise_count(masks & ragged) + up
+
+    return bounds
 
 
-def _min_ratio_exact(
+def _min_ratio(
     g: Graph, alpha: float | Fraction, beta: float | Fraction, weighted: bool = False
 ) -> tuple[Fraction, int]:
     """Minimize (alpha*cost(S) + beta) / (1 + W - value(S | C_max)) over proper S.
@@ -434,22 +480,26 @@ def _min_ratio_exact(
     paper's C_max(V - S); the values do not choose it, so a smaller
     component of higher value never counts.
 
-    Exact: weights, alpha and beta become Fractions (:func:`_exact`), the
-    numerator terms and the values are scaled to integers, and ratios
-    compare by cross-multiplication.  Subset cost and value sums come from
-    two tables over the low and the high half of the vertices.
+    Exact: weights, alpha and beta become Fractions (:func:`_exact`) and
+    then integers, so the ratio of S is a fixed multiple of ``N / D``, with
+    ``N = alpha cost(S) + beta`` and ``D = 1 + value(V - S - C_max)``.
 
-    Enumerates subsets by size with Gosper's hack.  A size-k set costs at
-    least the k cheapest vertices, and ``S | C_max`` holds at least k + 1
-    vertices, so every size-k set is worth at least (k cheapest costs +
-    beta) / (1 + W - the k + 1 smallest values), a bound that strictly
-    increases with k; sizes whose bound exceeds the best value so far are
-    skipped entirely.  The prune is sound: skipped sets can never beat the
-    incumbent, and an equal-valued set at the single boundary size is
-    still enumerated so the lowest-encoding witness survives.
+    A filter, then an exact check.  For the masks of a chunk at once,
+    C_max is flooded from its lowest vertex (:func:`_component_tables`)
+    and :func:`_sum_bounds` gives ``N_lo <= N / 2^a <= N_hi`` and ``D_lo
+    <= D / 2^b <= D_hi``, each below 2^30 + 25.  ``U`` (+inf at first) is
+    ``N_hi / D_lo`` of one mask, so it bounds the scaled minimum from
+    above; a chunk's mask with the least float key ``N_hi / D_lo`` replaces
+    it when smaller.  A mask is kept while ``N_lo / D_hi <= U``, an int64
+    cross-product below 2^62.  Every minimizer S* is kept: a and b
+    are shared, so for every mask T, ``N_lo(S*) / D_hi(S*) <= 2^(b-a)
+    N(S*) / D(S*) <= 2^(b-a) N(T) / D(T) <= N_hi(T) / D_lo(T)``.  The kept
+    masks are re-checked in exact integers in ascending order, and the
+    first of the least wins, the lowest-encoding witness.  Without a shift
+    only the minimizers are kept; weights with a huge spread only widen
+    the kept set.
     """
     n = g.n
-    adj_masks = g.adj_masks
     full = full_mask(n)
     cost = g.cost_vector if weighted else (1,) * n
     value = g.value_vector if weighted else (1,) * n
@@ -457,38 +507,31 @@ def _min_ratio_exact(
     nums, num_scale = _scaled([alpha * _exact(c) for c in cost] + [_exact(beta)])
     q = nums.pop()
     vals, val_scale = _scaled([_exact(v) for v in value])
-    top = val_scale + sum(vals)  # 1 + W, scaled
-    h = (n + 1) // 2
-    low = (1 << h) - 1
-    # beta is folded into cost_lo and 1 + W into left_lo: two lookups per sum.
-    cost_lo = [t + q for t in _subset_sums(nums[:h])]
-    cost_hi = _subset_sums(nums[h:])
-    left_lo = [top - t for t in _subset_sums(vals[:h])]
-    val_hi = _subset_sums(vals[h:])
-    cheapest, lightest = sorted(nums), sorted(vals)
-    bound_num, bound_den = q, top - lightest[0]
-    best_num = best_den = 0  # best value = best_num / best_den, unset while den == 0
-    best_mask = -1
-    for k in range(1, n):
-        bound_num += cheapest[k - 1]
-        bound_den -= lightest[k]
-        if best_den and bound_num * best_den > best_num * bound_den:
-            break  # every remaining size is strictly worse
-        c = (1 << k) - 1
-        while c <= full:
-            u = c | _largest_component_mask(adj_masks, full & ~c)
-            num = cost_lo[c & low] + cost_hi[c >> h]
-            den = left_lo[u & low] - val_hi[u >> h]
-            if (
-                best_den == 0
-                or num * best_den < best_num * den
-                or (num * best_den == best_num * den and c < best_mask)
-            ):
-                best_num, best_den, best_mask = num, den, c
-            # Gosper's hack: next k-subset in ascending encoding order
-            v = c & -c
-            t = c + v
-            c = t | (((t ^ c) // v) >> 2)
+    adj = np.array([g.adj_masks], dtype=np.int32)
+    flood = _flood_fill(adj)
+    cmin = _component_tables(adj, lowest=True)[1].ravel()
+    num_bounds, den_bounds = _sum_bounds(nums, q), _sum_bounds(vals, val_scale)
+    up_num, up_den = 1, 0  # U = up_num / up_den, +inf until a D_lo is positive
+    kept = np.zeros((4, 0), np.int64)  # rows S, V - S - C_max, N_lo, D_hi
+    for c0 in range(1, full, BLOCK_CELLS):
+        s = np.arange(c0, min(full, c0 + BLOCK_CELLS), dtype=np.int32)
+        rest = full ^ s
+        r = rest ^ flood((np.int32(1) << cmin.take(rest))[None], rest)[0]
+        n_lo, n_hi = num_bounds(s)
+        d_lo, d_hi = den_bounds(r)
+        key = np.divide(n_hi, d_lo, out=np.full(len(s), np.inf), where=d_lo > 0)
+        i = key.argmin()
+        if d_lo[i] and int(n_hi[i]) * up_den < up_num * int(d_lo[i]):
+            up_num, up_den = int(n_hi[i]), int(d_lo[i])
+        new = n_lo * up_den <= up_num * d_hi
+        kept = np.concatenate([kept, [a[new] for a in (s, r, n_lo, d_hi)]], axis=1)
+        kept = kept[:, kept[2] * up_den <= up_num * kept[3]]
+    best_num = best_den = best_mask = 0
+    for s, r in zip(kept[0].tolist(), kept[1].tolist()):
+        num = q + sum(nums[v] for v in vertices_from_mask(s))
+        den = val_scale + sum(vals[v] for v in vertices_from_mask(r))
+        if not best_den or num * best_den < best_num * den:
+            best_num, best_den, best_mask = num, den, s
     return Fraction(best_num * val_scale, best_den * num_scale), best_mask
 
 
@@ -501,10 +544,7 @@ def vat_exact(g: Graph, limit: int | None = None) -> MetricResult:
     a singleton.
     """
     _require_metric_graph(g, enumeration_limit(limit))
-    if g.n <= MINIMIZER_LIMIT:
-        return _exact_block([g], g.n)[0]
-    value, witness = _min_ratio_exact(g, 1, 0)
-    return MetricResult(value=value, witness=witness, metric="vat")
+    return _exact_block([g])[0]
 
 
 def _check_alpha_beta(alpha: float, beta: float) -> None:
@@ -525,7 +565,7 @@ def alpha_beta_vat_exact(
     """
     _check_alpha_beta(alpha, beta)
     _require_metric_graph(g, enumeration_limit(limit))
-    value, witness = _min_ratio_exact(g, alpha, beta)
+    value, witness = _min_ratio(g, alpha, beta)
     return WeightedValue(
         value=value, witness=witness, metric="alpha_beta_vat",
         parameters=(alpha, beta),
@@ -541,7 +581,7 @@ def weighted_vat_exact(g: Graph, limit: int | None = None) -> WeightedValue:
     with :func:`vat_exact`.
     """
     _require_metric_graph(g, enumeration_limit(limit))
-    value, witness = _min_ratio_exact(g, 1, 0, weighted=True)
+    value, witness = _min_ratio(g, 1, 0, weighted=True)
     return WeightedValue(value=value, witness=witness, metric="weighted_vat")
 
 
@@ -555,7 +595,7 @@ def alpha_beta_weighted_vat_exact(
     """
     _check_alpha_beta(alpha, beta)
     _require_metric_graph(g, enumeration_limit(limit))
-    value, witness = _min_ratio_exact(g, alpha, beta, weighted=True)
+    value, witness = _min_ratio(g, alpha, beta, weighted=True)
     return WeightedValue(
         value=value, witness=witness, metric="alpha_beta_weighted_vat",
         parameters=(alpha, beta),
@@ -586,7 +626,5 @@ def vat_witness_components(
     Returns ``(T, others)`` where ``T`` is the largest surviving
     component and ``others`` are the remaining components, largest first.
     """
-    from .graph import components
-
     comps = components(g, result.witness)
     return comps[0], comps[1:]

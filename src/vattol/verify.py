@@ -515,14 +515,13 @@ def _exact_metrics(
 ) -> list[ExactMetrics | None]:
     """:func:`exact_batch` results for the items it can take, else None.
 
-    It takes the connected graphs with ``2 <= n <= min(limit, 16)``; for
-    them it returns what the lazy metric calls would, and every other
-    graph keeps the lazy path and the error it raises there.
+    It takes the connected graphs with ``2 <= n <= limit``; for them it
+    returns what the lazy metric calls would, and every other graph keeps
+    the lazy path and the error it raises there.
     """
-    cap = min(limit, MINIMIZER_LIMIT)
     by_n: dict[int, list[int]] = {}
     for i, (_, g) in enumerate(items):
-        if 2 <= g.n <= cap and is_connected(g):
+        if 2 <= g.n <= limit and is_connected(g):
             by_n.setdefault(g.n, []).append(i)
     out: list[ExactMetrics | None] = [None] * len(items)
     for idx in by_n.values():

@@ -47,6 +47,11 @@ class TestGen:
         assert proc.returncode == 2
         assert "error:" in proc.stderr
 
+    def test_family_usage_exit_2_one_line(self):
+        proc = run_cli("gen", "circulant:8")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: circulant spec needs 'n,o1+o2+..': 'circulant:8'\n"
+
 
 class TestMetrics:
     def test_bad_limit_env_exit_2(self, monkeypatch):
@@ -54,6 +59,16 @@ class TestMetrics:
         proc = run_cli("metrics", "cycle:6")
         assert proc.returncode == 2
         assert proc.stderr == "error: VATTOL_ENUM_LIMIT must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize(
+        "env, flags", [({}, ["--limit", "25"]), ({"VATTOL_ENUM_LIMIT": "25"}, [])]
+    )
+    def test_limit_above_hard_cap_exit_2(self, monkeypatch, env, flags):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        proc = run_cli("metrics", "cycle:5", *flags)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: enumeration limit must be in [1, 24], got 25\n"
 
     @pytest.mark.parametrize(
         "text, flags",

@@ -218,6 +218,12 @@ class TestFamilySpec:
     def test_wrong_parameter_count(self, family, params):
         with pytest.raises(BadParameter):
             FamilySpec(family, params).build()
+        with pytest.raises(BadParameter):
+            str(FamilySpec(family, params))
+
+    def test_usage_message_kept(self):
+        with pytest.raises(BadParameter, match="circulant spec needs 'n,o1"):
+            parse_family_spec("circulant:8")
 
     def test_random_spec_needs_seed(self):
         with pytest.raises(BadParameter):

@@ -1,4 +1,5 @@
 import io
+from fractions import Fraction
 
 import pytest
 
@@ -205,6 +206,14 @@ class TestEdgeListFormat:
         g = vt.build_graph(3, [(0, 1), (1, 2)], costs=[0.5, 2.0, 3.25])
         assert self.roundtrip(g) == g
 
+    def test_fraction_weight_round_trip(self):
+        g = vt.build_graph(
+            3, [(0, 1), (1, 2)], costs=[Fraction(1, 3), 2, 0.5], values=[Fraction(2, 7)] * 3
+        )
+        assert g.costs == (Fraction(1, 3), 2, 0.5)
+        back = self.roundtrip(g)
+        assert back == g and back.costs[0] == Fraction(1, 3)
+
     def test_isolated_vertex_round_trip(self):
         # the isolated vertex is the largest id, then an inner id: the
         # reader rejects id gaps, so both need weight lines
@@ -228,6 +237,8 @@ class TestEdgeListFormat:
             vt.read_edge_list(io.StringIO("a b\n"))
         with pytest.raises(BadParameter):
             vt.read_edge_list(io.StringIO("# nothing else\n"))
+        with pytest.raises(BadParameter):
+            vt.read_edge_list(io.StringIO("w 0 1/0 1\n0 1\n"))
 
     def test_id_gap_rejected(self):
         # n must not outgrow the input: a lone large id is refused before

@@ -13,7 +13,6 @@ from vattol import (
     VolumeTooLarge,
 )
 from vattol.corpus import random_regular_samples, theorem_families
-from vattol.metrics import _min_ratio_exact
 from naive_oracle import naive_conductance_minimizers, naive_vat, naive_weighted_vat
 
 F = Fraction
@@ -76,6 +75,23 @@ class TestVatExact:
             vt.vat_exact(vt.build_graph(1, []))
         with pytest.raises(TooLarge):
             vt.vat_exact(vt.cycle(12), limit=10)
+
+    def test_hard_cap(self):
+        assert vt.enumeration_limit(24) == 24
+        with pytest.raises(BadParameter):
+            vt.enumeration_limit(25)
+
+    def test_n18_matches_naive_oracle(self):
+        g = vt.connected_random_regular(18, 3, 1)[0]
+        r = vt.vat_exact(g)
+        assert (r.value, r.witness) == naive_vat(g)
+
+    @pytest.mark.parametrize(
+        "d, expected", [(3, (F(1, 2), 65689)), (4, (F(5, 8), 315408)), (5, (F(1), 1))]
+    )
+    def test_n20_witnesses(self, d, expected):
+        r = vt.vat_exact(vt.connected_random_regular(20, d, 7)[0])
+        assert (r.value, r.witness) == expected
 
     def test_limit_env_override(self, monkeypatch):
         monkeypatch.setenv(vt.metrics.LIMIT_ENV_VAR, "11")
@@ -189,6 +205,33 @@ class TestWeightedVat:
         r = vt.weighted_vat_exact(g)
         assert r.witness == 0b10
         assert r.value == F(10**308) / (1 + F(1, 10**300))
+
+    def test_fraction_weights_stay_exact(self):
+        g = vt.build_graph(3, [(0, 1), (1, 2)], costs=[F(1, 3)] * 3, values=[1] * 3)
+        assert vt.weighted_vat_exact(g).value == F(1, 6)
+
+    def test_weights_spanning_2_to_the_40(self):
+        # Shifted to 30 bits, the unit weights round to 0 or 1, so the
+        # int64 filter keeps several masks for the exact check.
+        g = vt.build_graph(
+            8,
+            list(vt.circulant(8, [1, 2]).edges()),
+            costs=[2**40, 1, 1, 2**40, 1, 2**40, 1, 1],
+            values=[1, 2**40, 1, 1, 2**40, 1, 1, 3],
+        )
+        for alpha, beta in ((1, 0), (3, 2**41)):
+            r = vt.alpha_beta_weighted_vat_exact(g, alpha, beta)
+            assert (r.value, r.witness) == naive_weighted_vat(g, alpha, beta)
+
+    def test_n17_matches_naive_oracle(self):
+        g = vt.build_graph(
+            17,
+            list(vt.circulant(17, [1, 3]).edges()),
+            costs=[(v % 5 + 1) / 10 for v in range(17)],
+            values=[(v % 3 + 1) / 4 for v in range(17)],
+        )
+        r = vt.alpha_beta_weighted_vat_exact(g, 1.5, 0.5)
+        assert (r.value, r.witness) == naive_weighted_vat(g, 1.5, 0.5)
 
     def test_largest_component_counts_vertices_not_value(self):
         # Deleting 2 from the path 0-1-2-3 leaves {0, 1} and the smaller but
@@ -311,18 +354,19 @@ class TestExactBatch:
                 expected = naive_vat(g), (phi, minimizers[0]), minimizers
                 assert _kernel_tuple(e) == expected
 
-    def test_matches_scalar_engines_at_11_to_16(self):
+    def test_matches_naive_oracle_at_11_to_16(self):
         items = list(theorem_families()) + list(random_regular_samples())
         graphs = [g for _, g in items if 11 <= g.n <= 16]
         assert {g.n for g in graphs} == set(range(11, 17))
         for group in _by_n(graphs):
             results = vt.exact_batch(group)
             for g, e in zip(group, results):
-                assert (e.tau.value, e.tau.witness) == _min_ratio_exact(g, 1, 0)
-            # phi against the naive oracle on one graph per n.
-            phi, minimizers = naive_conductance_minimizers(group[-1])
-            expected = (phi, minimizers[0]), minimizers
-            assert _kernel_tuple(results[-1])[1:] == expected
+                assert vt.set_vat(g, e.tau.witness) == e.tau.value
+            # Everything against the naive oracle on one graph per n.
+            g = group[-1]
+            phi, minimizers = naive_conductance_minimizers(g)
+            expected = naive_vat(g), (phi, minimizers[0]), minimizers
+            assert _kernel_tuple(results[-1]) == expected
 
     def test_errors(self):
         assert vt.exact_batch([]) == []
@@ -330,8 +374,9 @@ class TestExactBatch:
             vt.exact_batch([vt.cycle(5), vt.cycle(6)])
         with pytest.raises(TrivialGraph):
             vt.exact_batch([vt.build_graph(1, [])])
+        assert vt.exact_batch([vt.cycle(17)])[0].tau.value == F(1, 4)
         with pytest.raises(TooLarge):
-            vt.exact_batch([vt.cycle(17)])
+            vt.exact_batch([vt.cycle(25)])
         with pytest.raises(DisconnectedInput):
             vt.exact_batch([vt.cycle(6), two_triangles()])
 
