@@ -27,7 +27,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NoReturn
 
 from . import corpus as corpus_mod
 from .errors import VattolError
@@ -47,14 +47,7 @@ from .metrics import (
     weighted_vat_exact,
 )
 from .spectral import lambda2
-from .verify import (
-    CHECK_GROUPS,
-    SPECTRAL_TOL,
-    TheoremReport,
-    check_tolerance,
-    iter_suite,
-    normalize_checks,
-)
+from .verify import CHECK_GROUPS, TheoremReport, iter_suite, normalize_checks
 
 VERIFY_CSV_COLUMNS = (
     "graph_id",
@@ -284,10 +277,10 @@ def _decimal(x: float) -> str:
 def _metric_rows(args: argparse.Namespace, g: Graph):
     """Yield (metric, parameters, value, witness_vertices) tuples."""
     if args.vat:
-        r = vat_exact(g, args.limit)
+        r = vat_exact(g)
         yield "vat", "", r.value, r.witness_vertices
     if args.conductance:
-        r = conductance_exact(g, args.limit)
+        r = conductance_exact(g)
         yield "conductance", "", r.value, r.witness_vertices
     if args.lambda2:
         s = lambda2(g)
@@ -295,11 +288,11 @@ def _metric_rows(args: argparse.Namespace, g: Graph):
         yield "spectral_gap", "", s.gap, None
     if args.alpha_beta:
         alpha, beta = args.alpha_beta
-        r = alpha_beta_vat_exact(g, alpha, beta, args.limit)
+        r = alpha_beta_vat_exact(g, alpha, beta)
         params = f"alpha={_decimal(alpha)} beta={_decimal(beta)}"
         yield "alpha_beta_vat", params, r.value, r.witness_vertices
     if args.weighted:
-        r = weighted_vat_exact(g, args.limit)
+        r = weighted_vat_exact(g)
         yield "weighted_vat", "", r.value, r.witness_vertices
 
 
@@ -359,11 +352,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    try:
+        if ".." in text:
+            lo, _, hi = text.partition("..")
+            return int(lo), int(hi)
+        value = int(text)
+        return value, value
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'A..B' or 'A', got {text!r}") from None
 
 
 def _verify_selection(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
@@ -417,13 +413,7 @@ def _check_families(args: argparse.Namespace) -> None:
 def _cmd_verify(args: argparse.Namespace) -> int:
     _check_families(args)
     graphs = _verify_selection(args)
-    reports = iter_suite(
-        graphs,
-        checks=normalize_checks(args.checks),
-        limit=args.limit,
-        tol=check_tolerance(args.tolerance),
-        jobs=args.jobs,
-    )
+    reports = iter_suite(graphs, checks=normalize_checks(args.checks), jobs=args.jobs)
     out = _open_out(args.output)
     try:
         if args.format == "json":
@@ -473,8 +463,18 @@ def _alpha_beta(text: str) -> tuple[float, float]:
         ) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one ``error:`` line, exit 2.
+
+    Subparsers are built with the same class.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vattol",
         description="Exact graph resilience metrics and bound verification.",
     )
@@ -498,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict a disconnected input to its largest component",
     )
     p_met.add_argument("--format", choices=("json", "csv"), default="json")
-    p_met.add_argument("--limit", type=int, default=None, help="enumeration limit")
     p_met.add_argument("-o", "--output")
     p_met.set_defaults(func=_cmd_metrics)
 
@@ -522,8 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.add_argument("--format", choices=("json", "csv"), default="csv")
-    p_ver.add_argument("--limit", type=int, default=None)
-    p_ver.add_argument("--tolerance", type=float, default=SPECTRAL_TOL)
     p_ver.add_argument("--seed", type=int, default=42, help="base seed for corpus random members")
     p_ver.add_argument("-o", "--output")
     p_ver.set_defaults(func=_cmd_verify)

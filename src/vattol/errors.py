@@ -50,7 +50,7 @@ class VolumeTooLarge(VattolError):
 
 
 class TooLarge(VattolError):
-    """The graph exceeds the exact-enumeration limit."""
+    """The graph exceeds the hard cap of exact enumeration (n = 24)."""
 
 
 class EmptyRemainder(VattolError):

@@ -13,6 +13,7 @@ is safe and every operation here is a pure function of its inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -120,9 +121,12 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}{w})"
 
 
-def _weight(x: float | Fraction) -> float | Fraction:
-    """An ``int`` or ``Fraction`` weight as given, any other as a ``float``."""
-    return x if type(x) is int or isinstance(x, Fraction) else float(x)
+def _weight(x: float | Fraction) -> int | float | Fraction:
+    """An integer weight (``numpy.int64`` too) as an exact ``int``, a
+    ``Fraction`` as given, any other as a ``float``."""
+    if isinstance(x, numbers.Integral):
+        return int(x)
+    return x if isinstance(x, Fraction) else float(x)
 
 
 def build_graph(

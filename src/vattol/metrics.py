@@ -30,7 +30,6 @@ Temporaries of the numpy kernels span at most ``max(BLOCK_CELLS,
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -39,7 +38,6 @@ import numpy as np
 
 from .errors import (
     BadParameter,
-    DisconnectedInput,
     EmptySet,
     FullSet,
     TooLarge,
@@ -64,11 +62,6 @@ from .graph import (
 #: entries per graph (16 MiB each at n = 24).
 HARD_CAP = 24
 
-#: Environment variable overriding the default enumeration limit.
-LIMIT_ENV_VAR = "VATTOL_ENUM_LIMIT"
-
-DEFAULT_LIMIT = 20
-
 #: Largest n of the suite's all-minimizers check (``connected_minimizer``),
 #: whose skip reason above it is part of the report.
 MINIMIZER_LIMIT = 16
@@ -76,25 +69,6 @@ MINIMIZER_LIMIT = 16
 #: Graph x subset cells per kernel chunk, which bounds the temporaries of
 #: the numpy kernels (a few arrays of this many int32/int64/float64 cells).
 BLOCK_CELLS = 1 << 13
-
-
-def enumeration_limit(limit: int | None = None) -> int:
-    """Resolve the effective enumeration limit.
-
-    Explicit argument wins, then the ``VATTOL_ENUM_LIMIT`` environment
-    variable, then the default of 20.  At most :data:`HARD_CAP`.
-    """
-    if limit is None:
-        env = os.environ.get(LIMIT_ENV_VAR)
-        try:
-            limit = int(env) if env else DEFAULT_LIMIT
-        except ValueError:
-            raise BadParameter(
-                f"{LIMIT_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    if not 1 <= limit <= HARD_CAP:
-        raise BadParameter(f"enumeration limit must be in [1, {HARD_CAP}], got {limit}")
-    return limit
 
 
 @dataclass(frozen=True)
@@ -141,15 +115,18 @@ class ExactMetrics:
     minimizers: np.ndarray
 
 
-def _require_metric_graph(g: Graph, limit: int | None = None) -> None:
+def _require_metric_graph(g: Graph) -> None:
     if g.n < 2:
         raise TrivialGraph("metrics need at least two vertices")
     require_connected(g)
-    if limit is not None and g.n > limit:
-        raise TooLarge(
-            f"n={g.n} exceeds the enumeration limit {limit}; "
-            f"raise it explicitly or via {LIMIT_ENV_VAR}"
-        )
+
+
+def _require_enumerable(g: Graph) -> None:
+    """What every exact metric needs of ``g``, checked in this order: at
+    least two vertices, connected, at most :data:`HARD_CAP` vertices."""
+    _require_metric_graph(g)
+    if g.n > HARD_CAP:
+        raise TooLarge(f"n={g.n} exceeds the hard cap {HARD_CAP}")
 
 
 def set_vat(g: Graph, s: VertexMask) -> Fraction:
@@ -191,19 +168,17 @@ def exact_batch(graphs: Sequence[Graph]) -> list[ExactMetrics]:
     largest surviving components (see :func:`_exact_block`), phi and its
     minimizers from :func:`_conductance_batch`, the conductance engine
     for every n.  Values and lowest-encoding witnesses are those
-    :func:`vat_exact` and :func:`conductance_exact` return.  Weights are
-    ignored, as those functions ignore them.  Every graph must be
-    connected.
+    :func:`vat_exact` and :func:`conductance_exact` return, and so are
+    the errors, raised in the same order.  Weights are ignored, as those
+    functions ignore them.
     """
     if not graphs:
         return []
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise BadParameter("exact_batch needs graphs that share one vertex count")
-    if n < 2:
-        raise TrivialGraph("metrics need at least two vertices")
-    if n > HARD_CAP:
-        raise TooLarge(f"exact_batch handles n <= {HARD_CAP}, got n={n}")
+    for g in graphs:
+        _require_enumerable(g)
     per_block = max(1, BLOCK_CELLS >> n)
     taus: list[MetricResult] = []
     for i in range(0, len(graphs), per_block):
@@ -286,7 +261,7 @@ def _component_tables(
 
 
 def _exact_block(block: Sequence[Graph]) -> list[MetricResult]:
-    """tau of graphs that share n, for ``len(block) << n`` graph x mask cells.
+    """tau of connected graphs that share n, for ``len(block) << n`` graph x mask cells.
 
     tau minimizes ``|S| / (n - |S| - cmax[V - S] + 1)`` over the table of
     :func:`_component_tables`, an argmin over float keys, which is exact
@@ -304,10 +279,6 @@ def _exact_block(block: Sequence[Graph]) -> list[MetricResult]:
     chunk = BLOCK_CELLS // rows
     adj = np.array([g.adj_masks for g in block], dtype=np.int32)
     cmax, _ = _component_tables(adj, lowest=False)
-    if (cmax[:, full] != n).any():
-        raise DisconnectedInput(
-            "graph is disconnected; restrict_to_largest_component() first"
-        )
 
     # Column s of this view is cmax of the survivors V - s.
     cmax_of_rest = cmax[:, ::-1]
@@ -535,7 +506,7 @@ def _min_ratio(
     return Fraction(best_num * val_scale, best_den * num_scale), best_mask
 
 
-def vat_exact(g: Graph, limit: int | None = None) -> MetricResult:
+def vat_exact(g: Graph) -> MetricResult:
     """Exact vertex attack tolerance: the minimum attack ratio and its witness.
 
     The witness is the minimizing set with the lowest bit-mask encoding.
@@ -543,7 +514,7 @@ def vat_exact(g: Graph, limit: int | None = None) -> MetricResult:
     most 1, and removing everything is excluded because it can never beat
     a singleton.
     """
-    _require_metric_graph(g, enumeration_limit(limit))
+    _require_enumerable(g)
     return _exact_block([g])[0]
 
 
@@ -554,9 +525,7 @@ def _check_alpha_beta(alpha: float, beta: float) -> None:
         raise BadParameter(f"beta must be nonnegative and finite, got {beta}")
 
 
-def alpha_beta_vat_exact(
-    g: Graph, alpha: float, beta: float, limit: int | None = None
-) -> WeightedValue:
+def alpha_beta_vat_exact(g: Graph, alpha: float, beta: float) -> WeightedValue:
     """Attack tolerance with the attack cost reweighted to ``alpha*|S| + beta``.
 
     Exact for any finite alpha > 0 and beta >= 0 (a float counts as the
@@ -564,7 +533,7 @@ def alpha_beta_vat_exact(
     :func:`vat_exact` exactly.
     """
     _check_alpha_beta(alpha, beta)
-    _require_metric_graph(g, enumeration_limit(limit))
+    _require_enumerable(g)
     value, witness = _min_ratio(g, alpha, beta)
     return WeightedValue(
         value=value, witness=witness, metric="alpha_beta_vat",
@@ -572,7 +541,7 @@ def alpha_beta_vat_exact(
     )
 
 
-def weighted_vat_exact(g: Graph, limit: int | None = None) -> WeightedValue:
+def weighted_vat_exact(g: Graph) -> WeightedValue:
     """Attack tolerance of a cost-value weighted graph.
 
     Minimizes (sum of attack costs over S) divided by
@@ -580,21 +549,19 @@ def weighted_vat_exact(g: Graph, limit: int | None = None) -> WeightedValue:
     component), exactly.  With all weights equal to one this coincides
     with :func:`vat_exact`.
     """
-    _require_metric_graph(g, enumeration_limit(limit))
+    _require_enumerable(g)
     value, witness = _min_ratio(g, 1, 0, weighted=True)
     return WeightedValue(value=value, witness=witness, metric="weighted_vat")
 
 
-def alpha_beta_weighted_vat_exact(
-    g: Graph, alpha: float, beta: float, limit: int | None = None
-) -> WeightedValue:
+def alpha_beta_weighted_vat_exact(g: Graph, alpha: float, beta: float) -> WeightedValue:
     """The fully general form: reweighted attack cost on a weighted graph.
 
     Reduces exactly to each special case when parameters or weights are
     trivial.
     """
     _check_alpha_beta(alpha, beta)
-    _require_metric_graph(g, enumeration_limit(limit))
+    _require_enumerable(g)
     value, witness = _min_ratio(g, alpha, beta, weighted=True)
     return WeightedValue(
         value=value, witness=witness, metric="alpha_beta_weighted_vat",
@@ -602,19 +569,19 @@ def alpha_beta_weighted_vat_exact(
     )
 
 
-def conductance_exact(g: Graph, limit: int | None = None) -> MetricResult:
+def conductance_exact(g: Graph) -> MetricResult:
     """Exact conductance: minimum cut/volume over sets of at most half volume.
 
     The witness is the minimizing set with the lowest bit-mask encoding.
     The value always lies in (0, 1].
     """
-    _require_metric_graph(g, enumeration_limit(limit))
+    _require_enumerable(g)
     return _conductance_batch([g])[0][0]
 
 
-def conductance_minimizers(g: Graph, limit: int | None = None) -> list[VertexMask]:
+def conductance_minimizers(g: Graph) -> list[VertexMask]:
     """Every admissible set achieving the exact conductance, sorted by encoding."""
-    _require_metric_graph(g, enumeration_limit(limit))
+    _require_enumerable(g)
     return _conductance_batch([g])[0][1].tolist()
 
 

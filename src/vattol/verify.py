@@ -8,11 +8,13 @@ are achieved with equality on boundary graphs (the single edge K2 most
 prominently) and an equality must be auditable rather than a failure.
 
 A check is a function of one :class:`MetricCache`, e.g.
-``check_vat_lower(MetricCache(g))``.  The cache carries the graph, its
-id, the enumeration limit and the spectral tolerance, and computes tau,
-phi, the conductance minimizers and lambda2 at most once per graph.  A
-check raises on an unmet precondition; :func:`evaluate_graph` turns that
-into skipped reports, built like every skipped report by ``_skipped``.
+``check_vat_lower(MetricCache(g))``.  The cache carries the graph and
+its id, and computes tau, phi and the conductance minimizers (one
+:func:`exact_batch` result, so n <= 24) and lambda2 at most once per
+graph.  Spectral sides compare with the fixed absolute tolerance
+:data:`SPECTRAL_TOL`.  A check raises on an unmet precondition;
+:func:`evaluate_graph` turns that into skipped reports, built like every
+skipped report by ``_skipped``.
 
 Check groups and the inequalities they cover, for a connected d-regular
 graph with attack tolerance tau, conductance phi and spectral gap
@@ -49,7 +51,6 @@ and the ratio-series lower bound) live here too, as tested utilities.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
@@ -69,18 +70,16 @@ from .graph import (
     vertices_from_mask,
 )
 from .metrics import (
+    HARD_CAP,
     MINIMIZER_LIMIT,
     ExactMetrics,
     MetricResult,
-    conductance_exact,
-    conductance_minimizers,
-    enumeration_limit,
     exact_batch,
-    vat_exact,
     vat_witness_components,
 )
 from .spectral import SpectralResult, lambda2
 
+#: Absolute tolerance of every comparison with a spectral side.
 SPECTRAL_TOL = 1e-9
 
 #: Graphs per unit of suite work: one :func:`exact_batch` prefill, and
@@ -144,10 +143,10 @@ class TheoremReport:
         return self.holds is True and self.strict_holds is False
 
 
-def _compare(lhs, rhs, spectral: bool, tol: float) -> tuple[bool, bool]:
+def _compare(lhs, rhs, spectral: bool) -> tuple[bool, bool]:
     if spectral:
         l, r = float(lhs), float(rhs)
-        return l <= r + tol, l < r - tol
+        return l <= r + SPECTRAL_TOL, l < r - SPECTRAL_TOL
     return lhs <= rhs, lhs < rhs
 
 
@@ -159,7 +158,7 @@ def _report(
     spectral: bool,
     witnesses: dict[str, list[int]] | None = None,
 ) -> TheoremReport:
-    holds, strict = _compare(lhs, rhs, spectral, ctx.tol)
+    holds, strict = _compare(lhs, rhs, spectral)
     return TheoremReport(
         theorem=theorem,
         graph_id=ctx.graph_id,
@@ -178,27 +177,26 @@ def _report(
 class MetricCache:
     """Lazily computed per-graph quantities shared across checks.
 
-    Every ``check_*`` function takes one cache and reads the graph, its
-    id, the enumeration limit and the spectral tolerance from it.
-    Computing tau, phi and lambda2 once per graph instead of once per
-    check keeps large suite runs within their time budget.  ``exact``,
-    when given, is the graph's :func:`exact_batch` result and supplies
-    tau, phi and the conductance minimizers.
+    Every ``check_*`` function takes one cache and reads the graph and
+    its id from it.  Computing tau, phi and lambda2 once per graph instead
+    of once per check keeps large suite runs within their time budget.
+    tau, phi and the conductance minimizers all come from ``exact``, the
+    graph's :func:`exact_batch` result: given by a caller that computed
+    it for a batch, or else computed on first use.  A graph that
+    :func:`exact_batch` rejects raises what :func:`vat_exact` would.
     """
 
     def __init__(
-        self,
-        g: Graph,
-        graph_id: str = "graph",
-        limit: int | None = None,
-        tol: float = SPECTRAL_TOL,
-        exact: ExactMetrics | None = None,
+        self, g: Graph, graph_id: str = "graph", exact: ExactMetrics | None = None
     ) -> None:
         self.g = g
         self.graph_id = graph_id
-        self.limit = limit
-        self.tol = tol
-        self.exact = exact
+        if exact is not None:
+            self.exact = exact
+
+    @cached_property
+    def exact(self) -> ExactMetrics:
+        return exact_batch([self.g])[0]
 
     @cached_property
     def d(self) -> int | None:
@@ -206,22 +204,16 @@ class MetricCache:
 
     @cached_property
     def tau(self) -> MetricResult:
-        if self.exact is not None:
-            return self.exact.tau
-        return vat_exact(self.g, self.limit)
+        return self.exact.tau
 
     @cached_property
     def phi(self) -> MetricResult:
-        if self.exact is not None:
-            return self.exact.phi
-        return conductance_exact(self.g, self.limit)
+        return self.exact.phi
 
     @cached_property
     def minimizers(self) -> Sequence[int]:
         """Every conductance minimizer, sorted by encoding."""
-        if self.exact is not None:
-            return self.exact.minimizers
-        return conductance_minimizers(self.g, self.limit)
+        return self.exact.minimizers
 
     @cached_property
     def spectral(self) -> SpectralResult:
@@ -478,18 +470,9 @@ def normalize_checks(checks: str | Sequence[str]) -> tuple[str, ...]:
     return tuple(checks)
 
 
-def check_tolerance(tol: float) -> float:
-    """``tol`` if it is finite and nonnegative; raises :class:`BadParameter` otherwise."""
-    if not 0 <= tol < math.inf:
-        raise BadParameter(f"tolerance must be finite and >= 0, got {tol}")
-    return tol
-
-
 def evaluate_graph(
     item: tuple[str, Graph],
     checks: str | Sequence[str] = "all",
-    limit: int | None = None,
-    tol: float = SPECTRAL_TOL,
     exact: ExactMetrics | None = None,
 ) -> list[TheoremReport]:
     """Run the selected checks on one graph, mapping precondition
@@ -499,7 +482,7 @@ def evaluate_graph(
     """
     graph_id, g = item
     groups = normalize_checks(checks)
-    cache = MetricCache(g, graph_id=graph_id, limit=limit, tol=tol, exact=exact)
+    cache = MetricCache(g, graph_id=graph_id, exact=exact)
     reports: list[TheoremReport] = []
     for group in groups:
         try:
@@ -510,18 +493,16 @@ def evaluate_graph(
     return reports
 
 
-def _exact_metrics(
-    items: Sequence[tuple[str, Graph]], limit: int
-) -> list[ExactMetrics | None]:
+def _exact_metrics(items: Sequence[tuple[str, Graph]]) -> list[ExactMetrics | None]:
     """:func:`exact_batch` results for the items it can take, else None.
 
-    It takes the connected graphs with ``2 <= n <= limit``; for them it
-    returns what the lazy metric calls would, and every other graph keeps
-    the lazy path and the error it raises there.
+    It takes the connected graphs with ``2 <= n <= HARD_CAP``, one call
+    per n; every other graph is left to :class:`MetricCache`, whose own
+    :func:`exact_batch` call raises the error that graph gets.
     """
     by_n: dict[int, list[int]] = {}
     for i, (_, g) in enumerate(items):
-        if 2 <= g.n <= limit and is_connected(g):
+        if 2 <= g.n <= HARD_CAP and is_connected(g):
             by_n.setdefault(g.n, []).append(i)
     out: list[ExactMetrics | None] = [None] * len(items)
     for idx in by_n.values():
@@ -531,19 +512,17 @@ def _exact_metrics(
 
 
 def _iter_batch(
-    items: Sequence[tuple[str, Graph]],
-    checks: tuple[str, ...],
-    limit: int,
-    tol: float,
+    items: Sequence[tuple[str, Graph]], checks: tuple[str, ...]
 ) -> Iterator[TheoremReport]:
-    exact = _exact_metrics(items, limit)
-    for item, result in zip(items, exact):
-        yield from evaluate_graph(item, checks, limit, tol, result)
+    for item, exact in zip(items, _exact_metrics(items)):
+        yield from evaluate_graph(item, checks, exact)
 
 
-def _evaluate_batch(settings: tuple, items: Sequence[tuple[str, Graph]]) -> list[TheoremReport]:
+def _evaluate_batch(
+    checks: tuple[str, ...], items: Sequence[tuple[str, Graph]]
+) -> list[TheoremReport]:
     """A pool task: the reports of one batch, in one list."""
-    return list(_iter_batch(items, *settings))
+    return list(_iter_batch(items, checks))
 
 
 def clamp_jobs(jobs: int) -> int:
@@ -554,8 +533,6 @@ def clamp_jobs(jobs: int) -> int:
 def iter_suite(
     graphs: Iterable[tuple[str, Graph]],
     checks: str | Sequence[str] = "all",
-    limit: int | None = None,
-    tol: float = SPECTRAL_TOL,
     jobs: int = 1,
 ) -> Iterator[TheoremReport]:
     """Stream reports for every graph, in input order.
@@ -566,17 +543,16 @@ def iter_suite(
     batches; the order of the emitted reports is still exactly the input
     order, so the output is byte-for-byte independent of the worker count.
     """
-    limit = enumeration_limit(limit)
-    settings = (normalize_checks(checks), limit, check_tolerance(tol))
+    groups = normalize_checks(checks)
     it = iter(graphs)
     batches = iter(lambda: list(islice(it, SUITE_BATCH)), [])
     jobs = clamp_jobs(jobs)
     if jobs == 1:
         for batch in batches:
-            yield from _iter_batch(batch, *settings)
+            yield from _iter_batch(batch, groups)
         return
     with multiprocessing.Pool(processes=jobs) as pool:
-        for reports in pool.imap(partial(_evaluate_batch, settings), batches):
+        for reports in pool.imap(partial(_evaluate_batch, groups), batches):
             yield from reports
 
 
@@ -615,14 +591,10 @@ class SuiteResult:
 def run_suite(
     graphs: Iterable[tuple[str, Graph]],
     checks: str | Sequence[str] = "all",
-    limit: int | None = None,
-    tol: float = SPECTRAL_TOL,
     jobs: int = 1,
 ) -> SuiteResult:
     """Run the checks over a corpus and collect every report."""
-    return SuiteResult(
-        reports=list(iter_suite(graphs, checks=checks, limit=limit, tol=tol, jobs=jobs))
-    )
+    return SuiteResult(reports=list(iter_suite(graphs, checks=checks, jobs=jobs)))
 
 
 # ---------------------------------------------------------------------------

@@ -53,22 +53,38 @@ class TestGen:
         assert proc.stderr == "error: circulant spec needs 'n,o1+o2+..': 'circulant:8'\n"
 
 
-class TestMetrics:
-    def test_bad_limit_env_exit_2(self, monkeypatch):
-        monkeypatch.setenv("VATTOL_ENUM_LIMIT", "abc")
-        proc = run_cli("metrics", "cycle:6")
-        assert proc.returncode == 2
-        assert proc.stderr == "error: VATTOL_ENUM_LIMIT must be an integer, got 'abc'\n"
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--jobs", "abc"],
+        ["verify", "--family", "cycle", "--n", "3.."],
+        ["metrics", "cycle:6", "--limit", "5"],
+        ["verify", "--family", "cycle", "--n", "3..5", "--tolerance", "0"],
+    ],
+    ids=["bad-int", "bad-range", "no-limit-option", "no-tolerance-option"],
+)
+def test_usage_error_exit_2_one_line(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
-    @pytest.mark.parametrize(
-        "env, flags", [({}, ["--limit", "25"]), ({"VATTOL_ENUM_LIMIT": "25"}, [])]
-    )
-    def test_limit_above_hard_cap_exit_2(self, monkeypatch, env, flags):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        proc = run_cli("metrics", "cycle:5", *flags)
+
+class TestMetrics:
+    def test_n22_matches_the_engines(self):
+        proc = run_cli("metrics", "random_regular:22,3,seed=22", "--vat", "--conductance")
+        assert proc.returncode == 0
+        record = json.loads(proc.stdout)
+        assert record["vat"] == {"num": 3, "den": 8, "real": 0.375, "witness": [7, 8, 9]}
+        phi = record["conductance"]
+        assert (phi["num"], phi["den"]) == (2, 15)
+        assert phi["witness"] == [1, 2, 3, 5, 7, 10, 14, 15, 17, 18]
+
+    def test_above_hard_cap_exit_2_one_line(self):
+        proc = run_cli("metrics", "cycle:25")
         assert proc.returncode == 2
-        assert proc.stderr == "error: enumeration limit must be in [1, 24], got 25\n"
+        assert proc.stdout == ""
+        assert proc.stderr == "error: n=25 exceeds the hard cap 24\n"
 
     @pytest.mark.parametrize(
         "text, flags",
@@ -232,15 +248,6 @@ class TestVerify:
     def test_unknown_check_exit_2(self):
         proc = run_cli("verify", "--family", "cycle", "--n", "3..4", "--checks", "bogus")
         assert proc.returncode == 2
-
-    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
-    def test_bad_tolerance_exit_2_one_line(self, tolerance):
-        proc = run_cli(
-            "verify", "--family", "cycle", "--n", "3..5", "--tolerance", tolerance
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
         "selection",

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import vattol as vt
@@ -74,12 +75,7 @@ class TestVatExact:
         with pytest.raises(TrivialGraph):
             vt.vat_exact(vt.build_graph(1, []))
         with pytest.raises(TooLarge):
-            vt.vat_exact(vt.cycle(12), limit=10)
-
-    def test_hard_cap(self):
-        assert vt.enumeration_limit(24) == 24
-        with pytest.raises(BadParameter):
-            vt.enumeration_limit(25)
+            vt.vat_exact(vt.cycle(25))
 
     def test_n18_matches_naive_oracle(self):
         g = vt.connected_random_regular(18, 3, 1)[0]
@@ -92,13 +88,6 @@ class TestVatExact:
     def test_n20_witnesses(self, d, expected):
         r = vt.vat_exact(vt.connected_random_regular(20, d, 7)[0])
         assert (r.value, r.witness) == expected
-
-    def test_limit_env_override(self, monkeypatch):
-        monkeypatch.setenv(vt.metrics.LIMIT_ENV_VAR, "11")
-        with pytest.raises(TooLarge):
-            vt.vat_exact(vt.cycle(12))
-        monkeypatch.setenv(vt.metrics.LIMIT_ENV_VAR, "12")
-        assert vt.vat_exact(vt.cycle(12)).value == F(1, 3)
 
     def test_range_invariant(self):
         for g in (vt.cycle(5), vt.complete(6), vt.star(7), vt.petersen()):
@@ -209,6 +198,11 @@ class TestWeightedVat:
     def test_fraction_weights_stay_exact(self):
         g = vt.build_graph(3, [(0, 1), (1, 2)], costs=[F(1, 3)] * 3, values=[1] * 3)
         assert vt.weighted_vat_exact(g).value == F(1, 6)
+
+    def test_numpy_integer_weights_stay_exact(self):
+        costs = [np.int64(2**60 + 1)] * 3
+        g = vt.build_graph(3, [(0, 1), (1, 2)], costs=costs, values=[1] * 3)
+        assert vt.weighted_vat_exact(g).value == F(2**60 + 1, 2)
 
     def test_weights_spanning_2_to_the_40(self):
         # Shifted to 30 bits, the unit weights round to 0 or 1, so the
@@ -379,6 +373,52 @@ class TestExactBatch:
             vt.exact_batch([vt.cycle(25)])
         with pytest.raises(DisconnectedInput):
             vt.exact_batch([vt.cycle(6), two_triangles()])
+
+
+class TestHardCap:
+    """Every exact metric takes any n up to 24 and raises one message above."""
+
+    def test_n22_values_and_witnesses(self):
+        g = vt.random_regular(22, 3, 22)  # connected
+        r = vt.vat_exact(g)
+        assert (r.value, r.witness) == (F(3, 8), 896)
+        r = vt.conductance_exact(g)
+        assert (r.value, r.witness) == (F(2, 15), 443566)
+        weighted = vt.build_graph(
+            22,
+            list(g.edges()),
+            costs=[1 + v % 3 for v in range(22)],
+            values=[1 + v % 2 for v in range(22)],
+        )
+        r = vt.weighted_vat_exact(weighted)
+        assert (r.value, r.witness) == (F(3, 8), 4672)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            vt.vat_exact,
+            vt.conductance_exact,
+            vt.conductance_minimizers,
+            vt.weighted_vat_exact,
+            lambda g: vt.alpha_beta_vat_exact(g, 1, 0),
+            lambda g: vt.alpha_beta_weighted_vat_exact(g, 1, 0),
+            lambda g: vt.exact_batch([g]),
+            lambda g: vt.MetricCache(g).tau,
+        ],
+        ids=[
+            "vat_exact",
+            "conductance_exact",
+            "conductance_minimizers",
+            "weighted_vat_exact",
+            "alpha_beta_vat_exact",
+            "alpha_beta_weighted_vat_exact",
+            "exact_batch",
+            "MetricCache.tau",
+        ],
+    )
+    def test_n25_raises_one_message(self, call):
+        with pytest.raises(TooLarge, match=r"^n=25 exceeds the hard cap 24$"):
+            call(vt.cycle(25))
 
 
 class TestWitnessComponents:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import vattol as vt
-from vattol import BadParameter
+from vattol import BadParameter, DisconnectedInput, TooLarge, TrivialGraph, verify
 from vattol.corpus import exhaustive_regular
 from vattol.verify import (
     SUITE_BATCH,
@@ -31,6 +31,38 @@ F = Fraction
 
 def by_theorem(reports):
     return {r.theorem: r for r in reports}
+
+
+class TestMetricCache:
+    def test_one_exact_batch_call_serves_tau_phi_and_minimizers(self, monkeypatch):
+        calls = []
+
+        def counting(graphs):
+            calls.append(len(graphs))
+            return vt.exact_batch(graphs)
+
+        monkeypatch.setattr(verify, "exact_batch", counting)
+        g = vt.petersen()
+        cache = MetricCache(g)
+        assert cache.tau == vt.vat_exact(g)
+        assert cache.phi == vt.conductance_exact(g)
+        assert cache.minimizers.tolist() == vt.conductance_minimizers(g)
+        assert calls == [1]
+
+    def test_errors_match_vat_exact_in_order(self):
+        ring = [(v, (v + 1) % 13) for v in range(13)]
+        two_rings = vt.build_graph(26, ring + [(u + 13, v + 13) for u, v in ring])
+        cases = [
+            (vt.build_graph(1, []), TrivialGraph),
+            (two_rings, DisconnectedInput),  # over the cap, but disconnected first
+            (vt.cycle(25), TooLarge),
+        ]
+        for g, error in cases:
+            with pytest.raises(error):
+                vt.vat_exact(g)
+            for name in ("tau", "phi", "minimizers"):
+                with pytest.raises(error):
+                    getattr(MetricCache(g), name)
 
 
 class TestCheeger:
@@ -245,18 +277,18 @@ class TestEvaluateAndSuite:
             ("complete:2", vt.complete(2)),
             ("star:5", vt.star(5)),
             ("two-triangles", vt.build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
-            ("cycle:12", vt.cycle(12)),  # above the limit used below
+            ("cycle:25", vt.cycle(25)),  # above the hard cap
             ("petersen", vt.petersen()),
             ("hypercube:3", vt.hypercube(3)),
         ]
         cycles = [(f"cycle:{n}", vt.cycle(n)) for n in range(3, 12)]
         items = small[:45] + mixed + small[45:] + cycles
         assert len(items) > 3 * SUITE_BATCH
-        alone = [r for item in items for r in evaluate_graph(item, limit=11)]
+        alone = [r for item in items for r in evaluate_graph(item)]
         reasons = {r.skip_reason.split(":")[0] for r in alone if r.skipped}
         assert {"NotRegular", "DisconnectedInput", "TooLarge"} <= reasons
         for jobs in (1, 2):
-            assert run_suite(items, limit=11, jobs=jobs).reports == alone
+            assert run_suite(items, jobs=jobs).reports == alone
 
     def test_clamp_jobs(self):
         cpus = os.cpu_count() or 1
