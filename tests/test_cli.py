@@ -211,6 +211,16 @@ class TestVerify:
         assert proc.returncode == 0
         assert "equality cases for vat_lower: complete:2" in proc.stderr
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_bad_tolerance_exit_2_one_line(self, tolerance):
+        # The tolerance is the fixed SPECTRAL_TOL; any --tolerance is a usage error.
+        proc = run_cli(
+            "verify", "--family", "cycle", "--n", "3..5", "--tolerance", tolerance
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
     def test_json_csv_identical_values(self, tmp_path):
         args = ["verify", "--family", "cycle", "--n", "3..8", "--checks", "all"]
         cpath, jpath = tmp_path / "r.csv", tmp_path / "r.json"
