@@ -149,30 +149,66 @@ def report_to_json(r: TheoremReport) -> dict:
     }
 
 
+class _CsvFormat:
+    """CSV rows of reports; each distinct side, and each witness dict and
+    the ``graph_id, n, m, d`` prefix of the current graph, is formatted
+    once while the instance lives.  A side's key tells ``Fraction(1)``
+    from ``1.0``; zero floats are not memoized, as ``-0.0`` prints apart.
+    """
+
+    def __init__(self) -> None:
+        self._sides: dict = {}
+        self._graph: tuple | None = None
+
+    def side(self, value: Fraction | float | None) -> tuple[str, str, str]:
+        kind = type(value)
+        if kind is Fraction:
+            key = (value.numerator, value.denominator)
+        elif kind is float and value and value == value:  # NaN never matches its key
+            key = value
+        else:
+            return _side_csv(value)
+        text = self._sides.get(key)
+        if text is None:
+            text = self._sides[key] = _side_csv(value)
+        return text
+
+    def row(self, r: TheoremReport) -> list[str]:
+        graph = (r.graph_id, r.n, r.m, r.d)
+        if graph != self._graph:
+            self._graph = graph
+            d = "" if r.d is None else str(r.d)
+            self._prefix = [r.graph_id, str(r.n), str(r.m), d]
+            self._witnesses: dict[int, tuple[dict, str]] = {}
+        # Holding each dict keeps its id from being reused by another.
+        w = r.witnesses
+        if id(w) not in self._witnesses:
+            self._witnesses[id(w)] = (w, _witness_str(w))
+        return [
+            *self._prefix,
+            r.theorem,
+            *self.side(r.lhs),
+            *self.side(r.rhs),
+            _bool_str(r.holds),
+            _bool_str(r.strict_holds),
+            _real_str(r.slack),
+            self._witnesses[id(w)][1],
+        ]
+
+
 def report_to_csv_row(r: TheoremReport) -> list[str]:
-    lhs = _side_csv(r.lhs)
-    rhs = _side_csv(r.rhs)
-    return [
-        r.graph_id,
-        str(r.n),
-        str(r.m),
-        "" if r.d is None else str(r.d),
-        r.theorem,
-        *lhs,
-        *rhs,
-        _bool_str(r.holds),
-        _bool_str(r.strict_holds),
-        _real_str(r.slack),
-        _witness_str(r.witnesses),
-    ]
+    return _CsvFormat().row(r)
 
 
 def _write_reports_csv(reports: Iterable[TheoremReport], out: IO[str]) -> "_Summary":
+    """Write the rows of :func:`report_to_csv_row`, through one
+    :class:`_CsvFormat` for the run; return the summary."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(VERIFY_CSV_COLUMNS)
     summary = _Summary()
+    rows = _CsvFormat()
     for r in reports:
-        writer.writerow(report_to_csv_row(r))
+        writer.writerow(rows.row(r))
         summary.add(r)
     return summary
 

@@ -125,12 +125,6 @@ class _SplitMix64:
                 return r % bound
 
 
-def _fisher_yates(items: list[int], rng: _SplitMix64) -> None:
-    for i in range(len(items) - 1, 0, -1):
-        j = rng.below(i + 1)
-        items[i], items[j] = items[j], items[i]
-
-
 def random_regular(n: int, d: int, seed: int) -> Graph:
     """Seeded d-regular graph from the stub-pairing (configuration) model.
 
@@ -138,29 +132,32 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     splitmix64-driven Fisher-Yates and paired consecutively.  Attempts
     that produce a self-loop or duplicate edge are discarded and retried
     with ``seed + 1`` (wrapping at 2^64), so failures are reproducible.
+    A pair is checked once the shuffle has fixed both its stubs, and a
+    bad pair ends the attempt; each attempt seeds its own generator.
     Connectivity is NOT guaranteed; the caller checks.
     """
     if not 1 <= d < n:
         raise BadParameter(f"degree must satisfy 1 <= d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
         raise BadParameter(f"n*d must be even, got n={n}, d={d}")
+    all_stubs = [v for v in range(n) for _ in range(d)]
     attempt_seed = seed & _MASK64
     for _ in range(_RETRY_LIMIT):
-        stubs = [v for v in range(n) for _ in range(d)]
-        _fisher_yates(stubs, _SplitMix64(attempt_seed))
+        rng = _SplitMix64(attempt_seed)
+        stubs = all_stubs.copy()
         edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
+        for i in range(len(stubs) - 1, 0, -1):
+            j = rng.below(i + 1)
+            stubs[i], stubs[j] = stubs[j], stubs[i]
+            if i % 2 and i > 1:
+                continue  # stub i - 1, its partner, can still move
+            k = i - i % 2  # stubs k and k + 1 are now final
+            u, v = stubs[k], stubs[k + 1]
             key = (min(u, v), max(u, v))
-            if key in edges:
-                ok = False
+            if u == v or key in edges:
                 break
             edges.add(key)
-        if ok:
+        else:
             return build_graph(n, sorted(edges))
         attempt_seed = (attempt_seed + 1) & _MASK64
     raise RetryLimitExceeded(
@@ -242,7 +239,28 @@ _ONE_PARAMETER = {
     "hypercube": hypercube,
     "complete_bipartite": complete_bipartite,
 }
-_FAMILIES = (*_ONE_PARAMETER, "circulant", "random_regular", "petersen")
+
+#: Per family with parameters: its usage, and how the comma-separated
+#: fields after ``family:`` split into (params, seed); None if they do not.
+_SPEC_FIELDS = {
+    **{
+        f: (
+            f"{f} takes a single parameter",
+            lambda p: (p, None) if len(p) == 1 else None,
+        )
+        for f in _ONE_PARAMETER
+    },
+    "circulant": (
+        "circulant spec needs 'n,o1+o2+..'",
+        lambda p: ([p[0], *p[1].split("+")], None) if len(p) == 2 else None,
+    ),
+    "random_regular": (
+        "random_regular spec needs 'n,d,seed=S'",
+        lambda p: (p[:2], p[2][5:])
+        if len(p) == 3 and p[2].startswith("seed=")
+        else None,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -305,27 +323,20 @@ def parse_family_spec(text: str) -> FamilySpec:
     if ":" not in text:
         raise BadParameter(f"malformed family spec {text!r}")
     family, _, rest = text.partition(":")
-    if family not in _FAMILIES:
-        raise BadParameter(f"unknown family {family!r}")
     if family == "petersen":
         raise BadParameter("petersen takes no parameters")
+    if family not in _SPEC_FIELDS:
+        raise BadParameter(f"unknown family {family!r}")
     parts = [p for p in rest.split(",") if p]
     if not parts:
         raise BadParameter(f"family spec {text!r} needs parameters")
-    seed = None
-    if family == "circulant":
-        if len(parts) != 2:
-            raise BadParameter(f"circulant spec needs 'n,o1+o2+..': {text!r}")
-        parts = [parts[0], *parts[1].split("+")]
-    elif family == "random_regular":
-        if len(parts) != 3 or not parts[2].startswith("seed="):
-            raise BadParameter(f"random_regular spec needs 'n,d,seed=S': {text!r}")
-        parts, seed = parts[:2], parts[2][len("seed="):]
-    elif len(parts) != 1:
-        raise BadParameter(f"{family} takes a single parameter: {text!r}")
+    usage, split = _SPEC_FIELDS[family]
+    fields = split(parts)
+    if fields is None:
+        raise BadParameter(f"{usage}: {text!r}")
     try:
-        params = tuple(int(p) for p in parts)
-        seed = None if seed is None else int(seed)
+        params = tuple(int(p) for p in fields[0])
+        seed = None if fields[1] is None else int(fields[1])
     except ValueError:
         raise BadParameter(f"non-integer parameter in spec {text!r}") from None
     return FamilySpec(family, params, seed)

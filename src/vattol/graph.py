@@ -93,6 +93,11 @@ class Graph:
         return tuple(mask_from_vertices(nbrs) for nbrs in self.adj)
 
     @cached_property
+    def _connected(self) -> bool:
+        full = full_mask(self.n)
+        return _component(self.adj_masks, 1, full) == full
+
+    @cached_property
     def unit_weighted(self) -> bool:
         """True when every cost and value equals one."""
         if self.costs is None and self.values is None:
@@ -232,9 +237,9 @@ def largest_component(g: Graph, removed: VertexMask = 0) -> VertexMask:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff a traversal from vertex 0 reaches all vertices (true for n=1)."""
-    full = full_mask(g.n)
-    return _component(g.adj_masks, 1, full) == full
+    """True iff a traversal from vertex 0 reaches all vertices (true for n=1).
+    The traversal runs once per graph; ``g`` caches the flag."""
+    return g._connected
 
 
 def volume(g: Graph, s: VertexMask) -> int:

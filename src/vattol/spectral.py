@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -62,37 +64,62 @@ def _require_spectral_graph(g: Graph) -> None:
         )
 
 
+def _normalized_stack(graphs: Sequence[Graph]) -> np.ndarray:
+    """The normalized adjacency matrices of graphs that share n and have
+    no isolated vertex, as one ``(k, n, n)`` stack."""
+    n = graphs[0].n
+    deg = np.array([g.deg for g in graphs])
+    which, rows = np.divmod(np.repeat(np.arange(deg.size), deg.ravel()), n)
+    adj = chain.from_iterable(g.adj for g in graphs)
+    cols = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=len(rows))
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    mats = np.zeros((len(graphs), n, n))
+    mats[which, rows, cols] = inv_sqrt[which, rows] * inv_sqrt[which, cols]
+    return mats
+
+
 def normalized_adjacency(g: Graph) -> np.ndarray:
     """Dense symmetric normalized adjacency matrix of ``g``."""
     _require_spectral_graph(g)
-    inv_sqrt = np.array([1.0 / np.sqrt(d) for d in g.deg])
-    mat = np.zeros((g.n, g.n))
-    for u, v in g.edges():
-        w = inv_sqrt[u] * inv_sqrt[v]
-        mat[u, v] = w
-        mat[v, u] = w
-    return mat
+    return _normalized_stack([g])[0]
 
 
-def _lambda2_pair(g: Graph) -> tuple[float, np.ndarray, float]:
-    mat = normalized_adjacency(g)
+def _eigenpairs(
+    mats: np.ndarray,
+) -> tuple[list[SpectralResult | None], np.ndarray, list[float]]:
+    """One ``eigh`` over a ``(k, n, n)`` stack.  Per matrix: the result of
+    its second largest eigenpair, None if the pair's max-norm residual is
+    above :data:`_RESIDUAL_TOL`; the eigenvector (row i); the residual."""
     try:
-        evals, evecs = np.linalg.eigh(mat)
+        evals, evecs = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
     # eigh sorts ascending; the second largest sits at index n-2
-    lam = float(evals[-2])
-    vec = evecs[:, -2].copy()
-    residual = float(np.max(np.abs(mat @ vec - lam * vec)))
-    if residual > _RESIDUAL_TOL:
+    lams, vecs = evals[:, -2], evecs[:, :, -2]
+    products = np.matmul(mats, vecs[:, :, None])[:, :, 0]
+    residuals = np.abs(products - lams[:, None] * vecs).max(axis=1).tolist()
+    n = mats.shape[1]
+    results = [
+        SpectralResult(lambda2=lam, gap=1.0 - lam, residual=res, n=n)
+        if res <= _RESIDUAL_TOL
+        else None
+        for lam, res in zip(lams.tolist(), residuals)
+    ]
+    return results, vecs, residuals
+
+
+def _lambda2_pair(g: Graph) -> tuple[SpectralResult, np.ndarray]:
+    (result,), vecs, (residual,) = _eigenpairs(normalized_adjacency(g)[None])
+    if result is None:
         raise NoConvergence(f"eigenpair residual {residual:.3e} above tolerance")
+    vec = vecs[0].copy()
     # fix the sign: first entry of non-negligible magnitude is made positive
     for x in vec:
         if abs(x) > _SIGN_EPS:
             if x < 0:
                 vec = -vec
             break
-    return lam, vec, residual
+    return result, vec
 
 
 def lambda2(g: Graph) -> SpectralResult:
@@ -101,8 +128,16 @@ def lambda2(g: Graph) -> SpectralResult:
     Eigenvalues are sorted descending; the top one is 1 (simple, because
     the graph is connected), so ``1 - lambda2`` is the spectral gap.
     """
-    lam, _, residual = _lambda2_pair(g)
-    return SpectralResult(lambda2=lam, gap=1.0 - lam, residual=residual, n=g.n)
+    return _lambda2_pair(g)[0]
+
+
+def _lambda2_batch(graphs: Sequence[Graph]) -> list[SpectralResult | None]:
+    """:func:`lambda2` of connected graphs that share one n >= 2, by one
+    stacked ``eigh``: bit for bit its result, or None where it raises."""
+    try:
+        return _eigenpairs(_normalized_stack(graphs))[0]
+    except NoConvergence:
+        return [None] * len(graphs)
 
 
 def spectral_gap(g: Graph) -> float:
@@ -120,7 +155,7 @@ def sweep_conductance(g: Graph) -> SweepResult:
     is returned.  Since each prefix is an admissible set, the result can
     never be below the true conductance.
     """
-    _, vec, _ = _lambda2_pair(g)
+    _, vec = _lambda2_pair(g)
     scores = vec / np.sqrt(np.array(g.deg, dtype=float))
     order = np.lexsort((np.arange(g.n), -scores))
     deg = g.deg

@@ -11,7 +11,10 @@ A check is a function of one :class:`MetricCache`, e.g.
 ``check_vat_lower(MetricCache(g))``.  The cache carries the graph and
 its id, and computes tau, phi and the conductance minimizers (one
 :func:`exact_batch` result, so n <= 24) and lambda2 at most once per
-graph.  Spectral sides compare with the fixed absolute tolerance
+graph.  The suite prefills both per batch of graphs that share n: one
+:func:`exact_batch` call and one stacked ``eigh``.  The sides that
+(d, tau, phi) fix and their exact verdicts come from a bounded memo.
+Spectral sides compare with the fixed absolute tolerance
 :data:`SPECTRAL_TOL`.  A check raises on an unmet precondition;
 :func:`evaluate_graph` turns that into skipped reports, built like every
 skipped report by ``_skipped``.
@@ -55,9 +58,10 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadParameter, NotRegular, TooLarge, VattolError
 from .graph import (
@@ -77,7 +81,7 @@ from .metrics import (
     exact_batch,
     vat_witness_components,
 )
-from .spectral import SpectralResult, lambda2
+from .spectral import SpectralResult, _lambda2_batch, lambda2
 
 #: Absolute tolerance of every comparison with a spectral side.
 SPECTRAL_TOL = 1e-9
@@ -143,35 +147,92 @@ class TheoremReport:
         return self.holds is True and self.strict_holds is False
 
 
-def _compare(lhs, rhs, spectral: bool) -> tuple[bool, bool]:
+class _Side(NamedTuple):
+    """One side of a check with its float, computed once."""
+
+    value: Fraction | float
+    real: float
+
+
+def _side(value: Fraction) -> _Side:
+    return _Side(value, float(value))
+
+
+class _Verdict(NamedTuple):
+    """The ``lhs`` to ``slack`` fields of a :class:`TheoremReport`."""
+
+    lhs: Fraction | float | None
+    rhs: Fraction | float | None
+    holds: bool | None
+    strict_holds: bool | None
+    slack: float | None
+
+
+def _compare(lhs: _Side, rhs: _Side, spectral: bool) -> tuple[bool, bool]:
     if spectral:
-        l, r = float(lhs), float(rhs)
+        l, r = lhs.real, rhs.real
         return l <= r + SPECTRAL_TOL, l < r - SPECTRAL_TOL
-    return lhs <= rhs, lhs < rhs
+    return lhs.value <= rhs.value, lhs.value < rhs.value
+
+
+def _verdict(lhs: _Side, rhs: _Side, spectral: bool) -> _Verdict:
+    holds, strict = _compare(lhs, rhs, spectral)
+    return _Verdict(lhs.value, rhs.value, holds, strict, rhs.real - lhs.real)
+
+
+@lru_cache(maxsize=4096)
+def _derived(
+    d: int | None, tau_num: int, tau_den: int, phi_num: int, phi_den: int
+) -> Mapping[str, _Side | _Verdict | bool]:
+    """What (d, tau, phi) fix, by theorem: the verdict of an exact check,
+    the rational side of a check against the gap, and ``"hypothesis"``,
+    phi < 1/d^2.  Only the value ranges when ``d`` is None.  Plain ints
+    are cheap to hash as a key; a theorem sweep repeats few triples."""
+    tau, phi = Fraction(tau_num, tau_den), Fraction(phi_num, phi_den)
+    tau_side, phi_side, one = _side(tau), _side(phi), _side(Fraction(1))
+    out: dict[str, _Side | _Verdict | bool] = {
+        "vat_range": _verdict(tau_side, one, False),
+        "conductance_range": _verdict(phi_side, one, False),
+    }
+    if d is not None:
+        out.update(
+            hypothesis=phi < Fraction(1, d * d),
+            cheeger_lower=_side(phi * phi / 2),
+            cheeger_upper=_side(2 * phi),
+            vat_upper_conditional=_verdict(tau_side, _side(d * phi), False),
+            vat_upper_unconditional=_verdict(tau_side, _side(d * d * phi), False),
+            vat_lower=_verdict(phi_side, _side(d * tau), False),
+            spectral_vat_lower=_side(tau * tau / (2 * d**4)),
+            spectral_vat_upper=_side(2 * d * tau),
+            spectral_vat_lower_conditional=_side(tau * tau / (2 * d**2)),
+        )
+    return MappingProxyType(out)  # shared by every caller, so read-only
+
+
+@lru_cache(maxsize=4096)
+def _int_verdict(lhs: int, rhs: int) -> _Verdict:
+    """The exact verdict of two integer sides, which are few and repeat."""
+    return _verdict(_side(Fraction(lhs)), _side(Fraction(rhs)), False)
+
+
+_NO_VERDICT = _Verdict(None, None, None, None, None)
 
 
 def _report(
     theorem: str,
     ctx: "MetricCache",
-    lhs,
-    rhs,
-    spectral: bool,
+    verdict: _Verdict = _NO_VERDICT,
     witnesses: dict[str, list[int]] | None = None,
+    **skip,
 ) -> TheoremReport:
-    holds, strict = _compare(lhs, rhs, spectral)
     return TheoremReport(
-        theorem=theorem,
-        graph_id=ctx.graph_id,
-        n=ctx.g.n,
-        m=ctx.g.m,
-        d=ctx.d,
-        lhs=lhs,
-        rhs=rhs,
-        holds=holds,
-        strict_holds=strict,
-        slack=float(rhs) - float(lhs),
-        witnesses=witnesses,
+        theorem, ctx.graph_id, ctx.g.n, ctx.g.m, ctx.d, *verdict, witnesses, **skip
     )
+
+
+def _skipped(theorem: str, ctx: "MetricCache", reason: str) -> TheoremReport:
+    """A report recording that ``theorem`` was not checked, and why."""
+    return _report(theorem, ctx, skipped=True, skip_reason=reason)
 
 
 class MetricCache:
@@ -181,36 +242,41 @@ class MetricCache:
     its id from it.  Computing tau, phi and lambda2 once per graph instead
     of once per check keeps large suite runs within their time budget.
     tau, phi and the conductance minimizers all come from ``exact``, the
-    graph's :func:`exact_batch` result: given by a caller that computed
-    it for a batch, or else computed on first use.  A graph that
-    :func:`exact_batch` rejects raises what :func:`vat_exact` would.
+    graph's :func:`exact_batch` result, and lambda2 from ``spectral``:
+    each given by a caller that computed it for a batch, or else computed
+    on first use, which raises what :func:`vat_exact` or :func:`lambda2`
+    would.  ``sides`` come from a bounded memo of (d, tau, phi), and the
+    ``{"S": ...}`` witness dicts of tau and phi are built once.
     """
 
     def __init__(
-        self, g: Graph, graph_id: str = "graph", exact: ExactMetrics | None = None
+        self,
+        g: Graph,
+        graph_id: str = "graph",
+        exact: ExactMetrics | None = None,
+        spectral: SpectralResult | None = None,
     ) -> None:
         self.g = g
         self.graph_id = graph_id
+        self.d = regularity(g)
         if exact is not None:
             self.exact = exact
+        if spectral is not None:
+            self.spectral = spectral
 
     @cached_property
     def exact(self) -> ExactMetrics:
         return exact_batch([self.g])[0]
 
-    @cached_property
-    def d(self) -> int | None:
-        return regularity(self.g)
-
-    @cached_property
+    @property
     def tau(self) -> MetricResult:
         return self.exact.tau
 
-    @cached_property
+    @property
     def phi(self) -> MetricResult:
         return self.exact.phi
 
-    @cached_property
+    @property
     def minimizers(self) -> Sequence[int]:
         """Every conductance minimizer, sorted by encoding."""
         return self.exact.minimizers
@@ -218,6 +284,20 @@ class MetricCache:
     @cached_property
     def spectral(self) -> SpectralResult:
         return lambda2(self.g)
+
+    @cached_property
+    def sides(self) -> Mapping[str, _Side | _Verdict | bool]:
+        tau, phi = self.tau.value, self.phi.value
+        key = (tau.numerator, tau.denominator, phi.numerator, phi.denominator)
+        return _derived(self.d, *key)
+
+    @cached_property
+    def tau_witness(self) -> dict[str, list[int]]:
+        return {"S": self.tau.witness_vertices}
+
+    @cached_property
+    def phi_witness(self) -> dict[str, list[int]]:
+        return {"S": self.phi.witness_vertices}
 
     def require_regular(self) -> int:
         if self.d is None:
@@ -230,40 +310,34 @@ class MetricCache:
         Strict: boundary graphs with phi exactly 1/d^2 can violate the
         sharp conditional bound (see the module docstring).
         """
-        d = self.require_regular()
-        return self.phi.value < Fraction(1, d * d)
-
-
-def _skipped(theorem: str, ctx: MetricCache, reason: str) -> TheoremReport:
-    """A report recording that ``theorem`` was not checked, and why."""
-    return TheoremReport(
-        theorem=theorem,
-        graph_id=ctx.graph_id,
-        n=ctx.g.n,
-        m=ctx.g.m,
-        d=ctx.d,
-        lhs=None,
-        rhs=None,
-        holds=None,
-        strict_holds=None,
-        slack=None,
-        skipped=True,
-        skip_reason=reason,
-    )
+        self.require_regular()
+        return self.sides["hypothesis"]
 
 
 _HYPOTHESIS_NOT_MET = "hypothesis not met: conductance not strictly below 1/d^2"
 
 
+def _exact(theorem: str, ctx: MetricCache, witnesses) -> TheoremReport:
+    """The report of an exact check, whose verdict (d, tau, phi) fix."""
+    return _report(theorem, ctx, ctx.sides[theorem], witnesses)
+
+
+def _against_gap(
+    theorem: str, ctx: MetricCache, witnesses, below: bool
+) -> TheoremReport:
+    """The report of ``side <= gap`` if ``below``, else ``gap <= side``."""
+    side, gap = ctx.sides[theorem], _Side(ctx.spectral.gap, ctx.spectral.gap)
+    verdict = _verdict(side, gap, True) if below else _verdict(gap, side, True)
+    return _report(theorem, ctx, verdict, witnesses)
+
+
 def check_cheeger(ctx: MetricCache) -> list[TheoremReport]:
     """Cheeger sandwich: phi^2/2 <= gap <= 2 phi on a regular graph."""
     ctx.require_regular()
-    phi = ctx.phi.value
-    gap = ctx.spectral.gap
-    wit = {"S": ctx.phi.witness_vertices}
+    wit = ctx.phi_witness
     return [
-        _report("cheeger_lower", ctx, phi * phi / 2, gap, True, wit),
-        _report("cheeger_upper", ctx, gap, 2 * phi, True, wit),
+        _against_gap("cheeger_lower", ctx, wit, below=True),
+        _against_gap("cheeger_upper", ctx, wit, below=False),
     ]
 
 
@@ -274,33 +348,19 @@ def check_vat_upper(ctx: MetricCache) -> list[TheoremReport]:
     conditional report is emitted as skipped); the weaker tau <= d^2 phi
     is checked unconditionally.
     """
-    d = ctx.require_regular()
-    tau = ctx.tau.value
-    phi = ctx.phi.value
-    wit = {"S": ctx.tau.witness_vertices}
+    ctx.require_regular()
+    wit = ctx.tau_witness
     if ctx.hypothesis_small_conductance():
-        conditional = _report("vat_upper_conditional", ctx, tau, d * phi, False, wit)
+        conditional = _exact("vat_upper_conditional", ctx, wit)
     else:
         conditional = _skipped("vat_upper_conditional", ctx, _HYPOTHESIS_NOT_MET)
-    return [
-        conditional,
-        _report("vat_upper_unconditional", ctx, tau, d * d * phi, False, wit),
-    ]
+    return [conditional, _exact("vat_upper_unconditional", ctx, wit)]
 
 
 def check_vat_lower(ctx: MetricCache) -> list[TheoremReport]:
     """Conductance bounded by d times the attack tolerance; exact."""
-    d = ctx.require_regular()
-    return [
-        _report(
-            "vat_lower",
-            ctx,
-            ctx.phi.value,
-            d * ctx.tau.value,
-            False,
-            {"S": ctx.tau.witness_vertices},
-        )
-    ]
+    ctx.require_regular()
+    return [_exact("vat_lower", ctx, ctx.tau_witness)]
 
 
 def check_spectral_vat(ctx: MetricCache) -> list[TheoremReport]:
@@ -310,32 +370,16 @@ def check_spectral_vat(ctx: MetricCache) -> list[TheoremReport]:
     the sharper lower bound tau^2/(2 d^2) <= gap is checked as well,
     otherwise that report is emitted as skipped.
     """
-    d = ctx.require_regular()
-    tau = ctx.tau.value
-    gap = ctx.spectral.gap
-    wit = {"S": ctx.tau.witness_vertices}
-    reports = [
-        _report(
-            "spectral_vat_lower", ctx, tau * tau / (2 * d**4), gap, True, wit
-        ),
-        _report("spectral_vat_upper", ctx, gap, 2 * d * tau, True, wit),
+    ctx.require_regular()
+    wit = ctx.tau_witness
+    conditional = "spectral_vat_lower_conditional"
+    return [
+        _against_gap("spectral_vat_lower", ctx, wit, below=True),
+        _against_gap("spectral_vat_upper", ctx, wit, below=False),
+        _against_gap(conditional, ctx, wit, below=True)
+        if ctx.hypothesis_small_conductance()
+        else _skipped(conditional, ctx, _HYPOTHESIS_NOT_MET),
     ]
-    if ctx.hypothesis_small_conductance():
-        reports.append(
-            _report(
-                "spectral_vat_lower_conditional",
-                ctx,
-                tau * tau / (2 * d**2),
-                gap,
-                True,
-                wit,
-            )
-        )
-    else:
-        reports.append(
-            _skipped("spectral_vat_lower_conditional", ctx, _HYPOTHESIS_NOT_MET)
-        )
-    return reports
 
 
 def check_connected_minimizer(ctx: MetricCache) -> list[TheoremReport]:
@@ -359,23 +403,9 @@ def check_connected_minimizer(ctx: MetricCache) -> list[TheoremReport]:
         None,
     )
     holds = connected_witness is not None
-    return [
-        TheoremReport(
-            theorem="connected_minimizer",
-            graph_id=ctx.graph_id,
-            n=g.n,
-            m=g.m,
-            d=ctx.d,
-            lhs=None,
-            rhs=None,
-            holds=holds,
-            strict_holds=None,
-            slack=None,
-            witnesses=(
-                {"S": vertices_from_mask(connected_witness)} if holds else None
-            ),
-        )
-    ]
+    witnesses = {"S": vertices_from_mask(connected_witness)} if holds else None
+    verdict = _NO_VERDICT._replace(holds=holds)
+    return [_report("connected_minimizer", ctx, verdict, witnesses)]
 
 
 def check_fragment_bounds(ctx: MetricCache) -> list[TheoremReport]:
@@ -393,27 +423,13 @@ def check_fragment_bounds(ctx: MetricCache) -> list[TheoremReport]:
     t_mask, others = vat_witness_components(g, ctx.tau)
     pieces = [t_mask] + others
     cut_total = sum(cut_size(g, c) for c in pieces)
-    survivor_count = sum(c.bit_count() for c in pieces)
+    survivors = sum(c.bit_count() for c in pieces)
     s_size = s_mask.bit_count()
     outside = g.n - s_size - t_mask.bit_count()
-    wit = {"S": vertices_from_mask(s_mask), "T": vertices_from_mask(t_mask)}
+    wit = {"S": ctx.tau_witness["S"], "T": vertices_from_mask(t_mask)}
     return [
-        _report(
-            "fragment_cut_bound",
-            ctx,
-            Fraction(cut_total),
-            Fraction(d * s_size),
-            False,
-            wit,
-        ),
-        _report(
-            "fragment_size_bound",
-            ctx,
-            Fraction(outside + 1),
-            Fraction(survivor_count),
-            False,
-            wit,
-        ),
+        _report("fragment_cut_bound", ctx, _int_verdict(cut_total, d * s_size), wit),
+        _report("fragment_size_bound", ctx, _int_verdict(outside + 1, survivors), wit),
     ]
 
 
@@ -424,23 +440,13 @@ def check_value_ranges(ctx: MetricCache) -> list[TheoremReport]:
     leaves a nonempty largest component (removing everything can never
     be optimal).
     """
-    tau = ctx.tau.value
-    phi = ctx.phi.value
     survivor = full_mask(ctx.g.n) & ~ctx.tau.witness
-    tau_report = _report(
-        "vat_range", ctx, tau, Fraction(1), False, {"S": ctx.tau.witness_vertices}
-    )
-    if not tau > 0 or survivor == 0:
+    tau_report = _exact("vat_range", ctx, ctx.tau_witness)
+    # A Fraction's denominator is positive, so its sign is its numerator's.
+    if ctx.tau.value.numerator <= 0 or survivor == 0:
         tau_report.holds = False
-    phi_report = _report(
-        "conductance_range",
-        ctx,
-        phi,
-        Fraction(1),
-        False,
-        {"S": ctx.phi.witness_vertices},
-    )
-    if not phi > 0:
+    phi_report = _exact("conductance_range", ctx, ctx.phi_witness)
+    if ctx.phi.value.numerator <= 0:
         phi_report.holds = False
     return [tau_report, phi_report]
 
@@ -474,15 +480,17 @@ def evaluate_graph(
     item: tuple[str, Graph],
     checks: str | Sequence[str] = "all",
     exact: ExactMetrics | None = None,
+    spectral: SpectralResult | None = None,
 ) -> list[TheoremReport]:
     """Run the selected checks on one graph, mapping precondition
     violations to skipped reports instead of raising.
 
-    ``exact`` is the graph's :func:`exact_batch` result, if already known.
+    ``exact`` is the graph's :func:`exact_batch` result and ``spectral``
+    its :func:`lambda2` result, if already known.
     """
     graph_id, g = item
     groups = normalize_checks(checks)
-    cache = MetricCache(g, graph_id=graph_id, exact=exact)
+    cache = MetricCache(g, graph_id=graph_id, exact=exact, spectral=spectral)
     reports: list[TheoremReport] = []
     for group in groups:
         try:
@@ -493,29 +501,41 @@ def evaluate_graph(
     return reports
 
 
-def _exact_metrics(items: Sequence[tuple[str, Graph]]) -> list[ExactMetrics | None]:
-    """:func:`exact_batch` results for the items it can take, else None.
+#: The check groups that read lambda2.
+_SPECTRAL_GROUPS = frozenset({"cheeger", "spectral_vat"})
 
-    It takes the connected graphs with ``2 <= n <= HARD_CAP``, one call
-    per n; every other graph is left to :class:`MetricCache`, whose own
-    :func:`exact_batch` call raises the error that graph gets.
+
+def _prefill(
+    items: Sequence[tuple[str, Graph]], spectral: bool = True
+) -> list[tuple[ExactMetrics | None, SpectralResult | None]]:
+    """Per item, its :func:`exact_batch` and stacked-``eigh`` results, or None.
+
+    Both take the connected graphs with ``n >= 2`` (each tested once),
+    one call per n: :func:`exact_batch` those with ``n <= HARD_CAP``, the
+    eigensolve all of them if ``spectral``.  :class:`MetricCache` raises
+    the error of any other graph on first use.
     """
     by_n: dict[int, list[int]] = {}
     for i, (_, g) in enumerate(items):
-        if 2 <= g.n <= HARD_CAP and is_connected(g):
+        if g.n >= 2 and is_connected(g):
             by_n.setdefault(g.n, []).append(i)
-    out: list[ExactMetrics | None] = [None] * len(items)
-    for idx in by_n.values():
-        for i, result in zip(idx, exact_batch([items[i][1] for i in idx])):
-            out[i] = result
+    out: list[tuple[ExactMetrics | None, SpectralResult | None]]
+    out = [(None, None)] * len(items)
+    for n, idx in by_n.items():
+        graphs = [items[i][1] for i in idx]
+        exact = exact_batch(graphs) if n <= HARD_CAP else [None] * len(idx)
+        spectra = _lambda2_batch(graphs) if spectral else [None] * len(idx)
+        for i, pair in zip(idx, zip(exact, spectra)):
+            out[i] = pair
     return out
 
 
 def _iter_batch(
     items: Sequence[tuple[str, Graph]], checks: tuple[str, ...]
 ) -> Iterator[TheoremReport]:
-    for item, exact in zip(items, _exact_metrics(items)):
-        yield from evaluate_graph(item, checks, exact)
+    prefilled = _prefill(items, not _SPECTRAL_GROUPS.isdisjoint(checks))
+    for item, (exact, spectral) in zip(items, prefilled):
+        yield from evaluate_graph(item, checks, exact, spectral)
 
 
 def _evaluate_batch(

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -280,6 +281,86 @@ class TestVerify:
         proc = run_cli("verify", "--files", str(bad))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+
+    @pytest.mark.parametrize(
+        "fmt,digest",
+        [
+            ("csv", "596767de40c5d7117240f52b7bebd86ef395d6cc821e89daf79985f94b8b229c"),
+            ("json", "17fbbbd8717949675a34476e57594229ee0e7f168a67db0b99fe3f7ee586c980"),
+        ],
+    )
+    def test_standard_corpus_bytes_pinned(self, tmp_path, fmt, digest):
+        # Pinned before the writer memoized sides and witnesses.
+        out = tmp_path / f"r.{fmt}"
+        proc = run_cli(
+            "verify", "--corpus", "standard", "--jobs", "1", "--format", fmt,
+            "-o", str(out),
+        )
+        assert proc.returncode == 0
+        assert proc.stderr.startswith(
+            "graphs=243 reports=3159 holds=2544 strict=1781 failed=0 skipped=615\n"
+        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestCsvWriter:
+    """The memoizing writer emits exactly the rows of ``report_to_csv_row``."""
+
+    @staticmethod
+    def report(graph_id, lhs, rhs, witnesses=None, **fields):
+        base = dict(
+            theorem="t", graph_id=graph_id, n=4, m=6, d=3, lhs=lhs, rhs=rhs,
+            holds=True, strict_holds=False, slack=0.0, witnesses=witnesses,
+        )
+        return vt.TheoremReport(**{**base, **fields})
+
+    def written(self, reports):
+        buf = io.StringIO()
+        cli._write_reports_csv(reports, buf)
+        return buf.getvalue()
+
+    def expected(self, reports):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cli.VERIFY_CSV_COLUMNS)
+        for r in reports:
+            writer.writerow(cli.report_to_csv_row(r))
+        return buf.getvalue()
+
+    def test_equal_values_that_print_apart(self):
+        shared = {"S": [0, 2], "T": [1]}
+        reports = [
+            self.report("a", F(1), 1.0, shared),
+            self.report("a", 1.0, F(1), shared, slack=-0.0),
+            self.report("a", 0.0, -0.0, {}),
+            self.report("a", -0.0, 0.0, None, d=None),
+            self.report("b", F(1), 1.0, shared),
+            self.report("b", F(-1, 3), float("nan"), {"S": []}, slack=None),
+            self.report(
+                "b", None, None, None, holds=None, strict_holds=None, slack=None,
+                skipped=True, skip_reason="NotRegular: no",
+            ),
+            self.report("b", None, None, None, holds=None, strict_holds=None, slack=None),
+        ]
+        text = self.written(reports)
+        assert text == self.expected(reports)
+        rows = text.splitlines()[1:]
+        assert rows[0] == "a,4,6,3,t,1,1,1,,,1,true,false,0,S=0 2;T=1"
+        assert rows[1] == "a,4,6,3,t,,,1,1,1,1,true,false,-0,S=0 2;T=1"
+        assert rows[2] == "a,4,6,3,t,,,0,,,-0,true,false,0,"
+        assert rows[3] == "a,4,6,,t,,,-0,,,0,true,false,0,"
+        assert rows[5] == "b,4,6,3,t,-1,3,-0.333333333333,,,nan,true,false,,S="
+        assert rows[6] == rows[7] == "b,4,6,3,t,,,,,,,,,,"
+
+    def test_fresh_witness_dicts_are_not_confused(self):
+        # Each dict is dropped after its row, so without the memo holding
+        # it a later dict could take its id.
+        def reports():
+            for i in range(200):
+                yield self.report("g" if i < 100 else "h", F(i, 7), i / 7, {"S": [i]})
+
+        assert self.written(reports()) == self.expected(list(reports()))
 
 
 class TestCorpus:

@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 import vattol as vt
 from vattol import BadParameter
+from vattol.corpus import _RANDOM_SHAPES
 from vattol.generators import FamilySpec, parse_family_spec
 
 
@@ -228,3 +232,26 @@ class TestFamilySpec:
     def test_random_spec_needs_seed(self):
         with pytest.raises(BadParameter):
             FamilySpec("random_regular", (10, 3)).build()
+
+
+class TestRandomRegularPinned:
+    """Seed -> graph mapping, pinned from before the shuffle's early abort."""
+
+    def test_readme_example(self):
+        assert sorted(vt.random_regular(18, 3, 118827).edges()) == [
+            (0, 2), (0, 11), (0, 17), (1, 3), (1, 5), (1, 7), (2, 7), (2, 8),
+            (3, 12), (3, 13), (4, 10), (4, 14), (4, 16), (5, 14), (5, 15),
+            (6, 8), (6, 9), (6, 17), (7, 11), (8, 16), (9, 15), (9, 16),
+            (10, 12), (10, 14), (11, 17), (12, 13), (13, 15),
+        ]
+
+    def test_corpus_shapes_and_small_seeds(self):
+        # One connected sample per shape of the theorem corpus's random
+        # members, at the seeds it uses, then random_regular(12, 4, 0..4).
+        pinned = []
+        for i, (n, d) in enumerate(_RANDOM_SHAPES):
+            g, seed = vt.connected_random_regular(n, d, 42 + 7919 * i)
+            pinned.append([seed, sorted(g.edges())])
+        pinned += [[s, sorted(vt.random_regular(12, 4, s).edges())] for s in range(5)]
+        digest = hashlib.sha256(json.dumps(pinned).encode()).hexdigest()
+        assert digest == "758f4e1f0fcfe13f5ecc6317cc130d3b0f19a2e0e44edbce1a28d676947c02f5"

@@ -7,7 +7,10 @@ import pytest
 
 import vattol as vt
 from vattol import BadParameter, DisconnectedInput, TooLarge, TrivialGraph, verify
+from vattol import graph as graph_mod
+from vattol import spectral as spectral_mod
 from vattol.corpus import exhaustive_regular
+from vattol.spectral import _RESIDUAL_TOL
 from vattol.verify import (
     SUITE_BATCH,
     MetricCache,
@@ -310,6 +313,88 @@ class TestEvaluateAndSuite:
             normalize_checks("nosuch")
         assert normalize_checks("all") == vt.CHECK_GROUPS
         assert normalize_checks("cheeger, vat_lower") == ("cheeger", "vat_lower")
+
+
+class TestPrefill:
+    """The batch prefill gives each graph what its own calls would."""
+
+    def test_spectral_matches_lambda2_bit_for_bit(self):
+        items = list(vt.standard_corpus())
+        for (graph_id, g), (_, spectral) in zip(items, verify._prefill(items)):
+            expected = vt.lambda2(g)
+            assert spectral is not None, graph_id
+            assert spectral.lambda2.hex() == expected.lambda2.hex(), graph_id
+            assert spectral.gap.hex() == expected.gap.hex(), graph_id
+            assert spectral.n == g.n
+            assert 0 <= spectral.residual <= _RESIDUAL_TOL
+
+    def test_graphs_it_cannot_take_keep_their_errors(self):
+        reasons = {
+            "trivial": {None: "TrivialGraph: metrics need at least two vertices"},
+            "isolated": {
+                None: "NotRegular: isolated: the check needs a regular graph",
+                "value_ranges": "DisconnectedInput: graph is disconnected; "
+                "restrict_to_largest_component() first",
+            },
+            "disconnected": {
+                None: "DisconnectedInput: graph is disconnected; "
+                "restrict_to_largest_component() first"
+            },
+        }
+        triangle = [(0, 1), (1, 2), (0, 2)]
+        items = [
+            ("trivial", vt.build_graph(1, [])),
+            ("isolated", vt.build_graph(3, [(0, 1)])),
+            ("disconnected", vt.build_graph(6, triangle + [(3, 4), (4, 5), (3, 5)])),
+        ]
+        assert verify._prefill(items) == [(None, None)] * 3
+        for item in items:
+            reports = evaluate_graph(item)
+            assert [r.theorem for r in reports] == list(verify.ALL_THEOREMS)
+            expected = reasons[item[0]]
+            for group, theorems in verify.GROUP_THEOREMS.items():
+                for r in reports:
+                    if r.theorem in theorems:
+                        assert r.skipped and r.holds is None
+                        assert r.skip_reason == expected.get(group, expected[None])
+
+    def test_failed_residual_check_gives_none_then_the_error(self, monkeypatch):
+        g = vt.petersen()
+        monkeypatch.setattr(spectral_mod, "_RESIDUAL_TOL", -1.0)
+        ((exact, spectral),) = verify._prefill([("p", g)])
+        assert exact is not None and spectral is None
+        reports = by_theorem(evaluate_graph(("p", g), "cheeger,vat_lower", exact, spectral))
+        assert reports["cheeger_lower"].skipped
+        assert reports["cheeger_lower"].skip_reason.startswith(
+            "NoConvergence: eigenpair residual"
+        )
+        assert reports["vat_lower"].holds
+
+    def test_given_results_change_no_report(self):
+        items = [(f"c{n}", vt.cycle(n)) for n in (5, 6, 6, 7)] + [("k4", vt.complete(4))]
+        for item, (exact, spectral) in zip(items, verify._prefill(items)):
+            assert evaluate_graph(item, "all", exact, spectral) == evaluate_graph(item)
+
+    def test_one_connectivity_traversal_per_graph(self, monkeypatch):
+        calls = []
+        original = graph_mod._component
+
+        def counting(adj_masks, seed, within):
+            calls.append(seed)
+            return original(adj_masks, seed, within)
+
+        monkeypatch.setattr(graph_mod, "_component", counting)
+        items = [(f"c{n}", vt.cycle(n)) for n in (5, 6, 6, 7)]
+        verify._prefill(items)
+        assert len(calls) == len(items)
+        vt.exact_batch([items[1][1], items[2][1]])
+        vt.lambda2(items[0][1])
+        assert len(calls) == len(items)
+
+    def test_checks_without_lambda2_skip_the_eigensolve(self, monkeypatch):
+        monkeypatch.setattr(verify, "_lambda2_batch", None)  # any call fails
+        reports = list(vt.iter_suite([("c6", vt.cycle(6))], checks="vat_lower"))
+        assert [r.theorem for r in reports] == ["vat_lower"]
 
 
 class TestMediant:
