@@ -239,27 +239,11 @@ _ONE_PARAMETER = {
     "hypercube": hypercube,
     "complete_bipartite": complete_bipartite,
 }
-
-#: Per family with parameters: its usage, and how the comma-separated
-#: fields after ``family:`` split into (params, seed); None if they do not.
-_SPEC_FIELDS = {
-    **{
-        f: (
-            f"{f} takes a single parameter",
-            lambda p: (p, None) if len(p) == 1 else None,
-        )
-        for f in _ONE_PARAMETER
-    },
-    "circulant": (
-        "circulant spec needs 'n,o1+o2+..'",
-        lambda p: ([p[0], *p[1].split("+")], None) if len(p) == 2 else None,
-    ),
-    "random_regular": (
-        "random_regular spec needs 'n,d,seed=S'",
-        lambda p: (p[:2], p[2][5:])
-        if len(p) == 3 and p[2].startswith("seed=")
-        else None,
-    ),
+#: Per family with parameters: its usage and its number of fields.
+_SPEC_USAGE = {
+    **{f: (f"{f} takes a single parameter", 1) for f in _ONE_PARAMETER},
+    "circulant": ("circulant spec needs 'n,o1+o2+..'", 2),
+    "random_regular": ("random_regular spec needs 'n,d,seed=S'", 3),
 }
 
 
@@ -325,18 +309,21 @@ def parse_family_spec(text: str) -> FamilySpec:
     family, _, rest = text.partition(":")
     if family == "petersen":
         raise BadParameter("petersen takes no parameters")
-    if family not in _SPEC_FIELDS:
+    if family not in _SPEC_USAGE:
         raise BadParameter(f"unknown family {family!r}")
     parts = [p for p in rest.split(",") if p]
     if not parts:
         raise BadParameter(f"family spec {text!r} needs parameters")
-    usage, split = _SPEC_FIELDS[family]
-    fields = split(parts)
-    if fields is None:
+    usage, count = _SPEC_USAGE[family]
+    seeded = family == "random_regular"
+    if len(parts) != count or (seeded and not parts[2].startswith("seed=")):
         raise BadParameter(f"{usage}: {text!r}")
+    seed = parts.pop()[len("seed="):] if seeded else None
+    if family == "circulant":
+        parts = [parts[0], *parts[1].split("+")]
     try:
-        params = tuple(int(p) for p in fields[0])
-        seed = None if fields[1] is None else int(fields[1])
+        params = tuple(int(p) for p in parts)
+        seed = None if seed is None else int(seed)
     except ValueError:
         raise BadParameter(f"non-integer parameter in spec {text!r}") from None
     return FamilySpec(family, params, seed)

@@ -320,13 +320,38 @@ class TestPrefill:
 
     def test_spectral_matches_lambda2_bit_for_bit(self):
         items = list(vt.standard_corpus())
-        for (graph_id, g), (_, spectral) in zip(items, verify._prefill(items)):
-            expected = vt.lambda2(g)
+        by_n = {}
+        for graph_id, g in items:
+            by_n.setdefault(g.n, []).append((graph_id, g))
+        batch = {}
+        for group in by_n.values():
+            spectra = spectral_mod._lambda2_batch([g for _, g in group])
+            batch.update(zip((graph_id for graph_id, _ in group), spectra))
+        for graph_id, g in items:  # 228 regular and 15 irregular graphs
+            expected, spectral = vt.lambda2(g), batch[graph_id]
             assert spectral is not None, graph_id
             assert spectral.lambda2.hex() == expected.lambda2.hex(), graph_id
             assert spectral.gap.hex() == expected.gap.hex(), graph_id
             assert spectral.n == g.n
             assert 0 <= spectral.residual <= _RESIDUAL_TOL
+        for (graph_id, g), (exact, spectral) in zip(items, verify._prefill(items)):
+            assert exact is not None, graph_id
+            if vt.regularity(g) is None:
+                assert spectral is None, graph_id
+            else:
+                assert spectral == batch[graph_id], graph_id
+
+    def test_no_eigensolve_no_check_can_read(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", None)  # any call fails
+        cap = verify.HARD_CAP
+        star, big = vt.star(5), vt.cycle(cap + 1)
+        ((exact, spectral),) = verify._prefill([("star", star)])
+        assert exact is not None and spectral is None
+        assert verify._prefill([("big", big)]) == [(None, None)]
+        reports = evaluate_graph(("big", big), "cheeger,spectral_vat")
+        assert all(r.skipped for r in reports)
+        reason = f"TooLarge: n={cap + 1} exceeds the hard cap {cap}"
+        assert {r.skip_reason for r in reports} == {reason}
 
     def test_graphs_it_cannot_take_keep_their_errors(self):
         reasons = {
