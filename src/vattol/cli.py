@@ -31,7 +31,7 @@ from typing import IO, Iterable, Iterator, NoReturn
 
 from . import corpus as corpus_mod
 from .errors import VattolError
-from .generators import _ONE_PARAMETER, FamilySpec, enumerate_small_regular, parse_family_spec
+from .generators import _SPEC_USAGE, FamilySpec, enumerate_small_regular, parse_family_spec
 from .graph import (
     Graph,
     read_edge_list_path,
@@ -398,57 +398,54 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected 'A..B' or 'A', got {text!r}") from None
 
 
-def _verify_selection(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
-    produced = False
-    if args.corpus == "standard":
-        produced = True
-        yield from corpus_mod.standard_corpus()
-    elif args.corpus == "theorem":
-        produced = True
-        yield from corpus_mod.theorem_corpus(base_seed=args.seed)
+def _check_selection(args: argparse.Namespace) -> tuple[list[FamilySpec], Iterable[Graph]]:
+    """Reject an empty or unbuildable verify selection before any output
+    is written; return the parsed ``--spec`` values and the ``--exhaustive``
+    graphs, whose bounds :func:`enumerate_small_regular` checks at the call.
+    A ``--family`` takes at most one integer, its field count in ``_SPEC_USAGE``.
+    """
     for family in args.family or ():
-        produced = True
-        if family == "petersen":
-            spec = FamilySpec("petersen")
-            yield str(spec), spec.build()
-            continue
-        lo, hi = args.n
-        for param in range(lo, hi + 1):
-            spec = FamilySpec(family, (param,))
-            yield str(spec), spec.build()
-    for spec_text in args.spec or ():
-        produced = True
-        spec = parse_family_spec(spec_text)
-        yield str(spec), spec.build()
-    if args.exhaustive:
-        produced = True
-        n, d = args.exhaustive
-        for i, g in enumerate(enumerate_small_regular(n, d)):
-            yield f"exhaustive:{n},{d},i={i}", g
-    for path in args.files or ():
-        produced = True
-        yield path, read_edge_list_path(path)
-    if not produced:
+        usage = _SPEC_USAGE.get(family)
+        if usage is None or usage[1] > 1:
+            raise VattolError(f"--family {family} takes no single integer; use --spec")
+        if usage[1] and (args.n is None or args.n[0] > args.n[1]):
+            raise VattolError(f"--family {family} needs --n A..B with A <= B")
+    if not (args.corpus or args.family or args.spec or args.exhaustive or args.files):
         raise VattolError(
             "empty selection: use --corpus, --family/--n, --spec, "
             "--exhaustive or --files"
         )
+    specs = [parse_family_spec(text) for text in args.spec or ()]
+    return specs, enumerate_small_regular(*args.exhaustive) if args.exhaustive else ()
 
 
-def _check_families(args: argparse.Namespace) -> None:
-    """Reject a ``--family`` selection that cannot name its graphs."""
+def _verify_selection(
+    args: argparse.Namespace, specs: list[FamilySpec], exhaustive: Iterable[Graph]
+) -> Iterator[tuple[str, Graph]]:
+    """The graphs of a selection that :func:`_check_selection` passed."""
+    if args.corpus == "standard":
+        yield from corpus_mod.standard_corpus()
+    elif args.corpus == "theorem":
+        yield from corpus_mod.theorem_corpus(base_seed=args.seed)
     for family in args.family or ():
-        if family == "petersen":
-            continue
-        if family not in _ONE_PARAMETER:
-            raise VattolError(f"--family {family} takes no single integer; use --spec")
-        if args.n is None or args.n[0] > args.n[1]:
-            raise VattolError(f"--family {family} needs --n A..B with A <= B")
+        if _SPEC_USAGE[family][1]:
+            params = ((p,) for p in range(args.n[0], args.n[1] + 1))
+        else:
+            params = [()]
+        for spec in (FamilySpec(family, p) for p in params):
+            yield str(spec), spec.build()
+    for spec in specs:
+        yield str(spec), spec.build()
+    if args.exhaustive:
+        n, d = args.exhaustive
+        for i, g in enumerate(exhaustive):
+            yield f"exhaustive:{n},{d},i={i}", g
+    for path in args.files or ():
+        yield path, read_edge_list_path(path)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _check_families(args)
-    graphs = _verify_selection(args)
+    graphs = _verify_selection(args, *_check_selection(args))
     reports = iter_suite(graphs, checks=normalize_checks(args.checks), jobs=args.jobs)
     out = _open_out(args.output)
     try:

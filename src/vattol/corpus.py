@@ -11,22 +11,18 @@ Two corpora are defined:
   degree, the regular families up to n=16, and 100 seeded connected
   random regular graphs with n up to 18.
 
-Both are fully deterministic: the random members record the seed that
-produced them in their id string, so any graph can be rebuilt from its
-id alone.
+Both are fully deterministic.  Every family member, random ones
+included, is named by its :class:`~vattol.generators.FamilySpec` string
+(the random ones record the seed that produced them), so any graph can
+be rebuilt from its id alone; only the exhaustive members'
+``exhaustive:<n>,<d>,i=<k>`` ids are formatted here.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .generators import (
-    FamilySpec,
-    circulant,
-    connected_random_regular,
-    enumerate_small_regular,
-    petersen,
-)
+from .generators import FamilySpec, connected_random_regular, enumerate_small_regular
 from .graph import Graph
 
 GraphItem = tuple[str, Graph]
@@ -56,23 +52,24 @@ _RANDOM_SHAPES = tuple(
 )
 
 
-def _family(family: str, param: int) -> GraphItem:
-    spec = FamilySpec(family, (param,))
+def _family(family: str, *params: int) -> GraphItem:
+    spec = FamilySpec(family, params)
     return str(spec), spec.build()
 
 
-def _circulant_item(n: int, offsets: tuple[int, ...]) -> GraphItem:
-    spec = FamilySpec("circulant", (n,) + offsets)
-    return str(spec), circulant(n, list(offsets))
+def _random(n: int, d: int, seed: int) -> GraphItem:
+    """The first connected random regular graph at or after ``seed``."""
+    g, seed = connected_random_regular(n, d, seed)
+    return str(FamilySpec("random_regular", (n, d), seed)), g
 
 
-def exhaustive_regular(max_n: int = 8, min_n: int = 2) -> Iterator[GraphItem]:
+def exhaustive_regular(max_n: int = 8) -> Iterator[GraphItem]:
     """All labeled connected d-regular graphs for every feasible (n, d).
 
     Ids are ``exhaustive:<n>,<d>,i=<k>`` with k the position in the
     fixed ascending edge-encoding order.
     """
-    for n in range(min_n, max_n + 1):
+    for n in range(2, max_n + 1):
         for d in range(1, n):
             if (n * d) % 2 != 0:
                 continue
@@ -82,50 +79,40 @@ def exhaustive_regular(max_n: int = 8, min_n: int = 2) -> Iterator[GraphItem]:
                 yield f"exhaustive:{n},{d},i={i}", g
 
 
-def random_regular_samples(
-    count: int = 100, base_seed: int = 42
-) -> Iterator[GraphItem]:
-    """Seeded connected random regular graphs, n up to 18.
+def random_regular_samples(base_seed: int = 42) -> Iterator[GraphItem]:
+    """100 seeded connected random regular graphs, n up to 18.
 
     Shapes cycle through n in {8..18} x d in {3, 4, 5}; each sample's id
     records the exact seed that produced the connected graph, so the id
     doubles as a family spec string.
     """
-    for i in range(count):
-        n, d = _RANDOM_SHAPES[i % len(_RANDOM_SHAPES)]
-        g, seed = connected_random_regular(n, d, base_seed + 7919 * i)
-        yield f"random_regular:{n},{d},seed={seed}", g
+    for i in range(100):
+        yield _random(*_RANDOM_SHAPES[i % len(_RANDOM_SHAPES)], base_seed + 7919 * i)
 
 
-def theorem_families(max_n: int = 16) -> Iterator[GraphItem]:
-    """The regular families driven up to ``max_n`` vertices."""
-    for n in range(3, max_n + 1):
+def theorem_families() -> Iterator[GraphItem]:
+    """The regular families driven up to 16 vertices."""
+    for n in range(3, 17):
         yield _family("cycle", n)
-    for n in range(2, max_n + 1):
+    for n in range(2, 17):
         yield _family("complete", n)
     for k in range(1, 5):  # 2^k <= 16
         yield _family("hypercube", k)
-    for d in range(1, max_n // 2 + 1):
+    for d in range(1, 9):
         yield _family("complete_bipartite", d)
     for n, offsets in _THEOREM_CIRCULANTS:
-        if n <= max_n:
-            yield _circulant_item(n, offsets)
-    yield "petersen", petersen()
+        yield _family("circulant", n, *offsets)
+    yield _family("petersen")
 
 
-def theorem_corpus(
-    max_exhaustive_n: int = 8,
-    max_family_n: int = 16,
-    random_count: int = 100,
-    base_seed: int = 42,
-) -> Iterator[GraphItem]:
+def theorem_corpus(base_seed: int = 42) -> Iterator[GraphItem]:
     """The full corpus for the inequality verification sweep."""
-    yield from exhaustive_regular(max_exhaustive_n)
-    yield from theorem_families(max_family_n)
-    yield from random_regular_samples(random_count, base_seed)
+    yield from exhaustive_regular()
+    yield from theorem_families()
+    yield from random_regular_samples(base_seed)
 
 
-def standard_corpus(base_seed: int = 1000) -> list[GraphItem]:
+def standard_corpus() -> list[GraphItem]:
     """The desk-scale corpus: families, exhaustive n <= 6, 30 random samples.
 
     Contains well over 200 graphs with n <= 10, which is the slice the
@@ -145,12 +132,9 @@ def standard_corpus(base_seed: int = 1000) -> list[GraphItem]:
     for d in range(1, 6):
         items.append(_family("complete_bipartite", d))
     for n, offsets in _STANDARD_CIRCULANTS:
-        items.append(_circulant_item(n, offsets))
-    items.append(("petersen", petersen()))
+        items.append(_family("circulant", n, *offsets))
+    items.append(_family("petersen"))
     items.extend(exhaustive_regular(6))
     shapes = tuple((n, d) for n in (6, 8, 10) for d in (3, 4, 5))
-    for i in range(30):
-        n, d = shapes[i % len(shapes)]
-        g, seed = connected_random_regular(n, d, base_seed + 101 * i)
-        items.append((f"random_regular:{n},{d},seed={seed}", g))
+    items.extend(_random(*shapes[i % len(shapes)], 1000 + 101 * i) for i in range(30))
     return items

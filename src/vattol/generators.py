@@ -189,6 +189,7 @@ def enumerate_small_regular(n: int, d: int) -> Iterator[Graph]:
     The search walks edge indices from highest to lowest, excluding
     before including, which visits encodings in ascending order while
     degree-feasibility pruning keeps the tree near the solution count.
+    The arguments are checked at the call, before the first graph.
     """
     if not 2 <= n <= 8:
         raise BadParameter(f"exhaustive enumeration needs 2 <= n <= 8, got {n}")
@@ -227,23 +228,28 @@ def enumerate_small_regular(n: int, d: int) -> Iterator[Graph]:
         avail[u] += 1
         avail[v] += 1
 
-    yield from walk(len(edge_list) - 1)
+    return walk(len(edge_list) - 1)
 
 
-#: The families whose spec is one integer, with their constructors.
-_ONE_PARAMETER = {
+#: Per family: its constructor, called with a spec's parameters (and seed).
+_CONSTRUCTORS = {
     "cycle": cycle,
     "complete": complete,
     "star": star,
     "path": path,
     "hypercube": hypercube,
     "complete_bipartite": complete_bipartite,
+    "circulant": lambda n, *offsets: circulant(n, list(offsets)),
+    "random_regular": random_regular,
+    "petersen": petersen,
 }
-#: Per family with parameters: its usage and its number of fields.
+#: Per family: its usage and its number of spec fields after the colon,
+#: which is one integer except for the three families listed last.
 _SPEC_USAGE = {
-    **{f: (f"{f} takes a single parameter", 1) for f in _ONE_PARAMETER},
+    **{f: (f"{f} takes a single parameter", 1) for f in _CONSTRUCTORS},
     "circulant": ("circulant spec needs 'n,o1+o2+..'", 2),
     "random_regular": ("random_regular spec needs 'n,d,seed=S'", 3),
+    "petersen": ("petersen takes no parameters", 0),
 }
 
 
@@ -251,70 +257,60 @@ _SPEC_USAGE = {
 class FamilySpec:
     """A named graph family instance, e.g. ``cycle:6``.
 
-    Canonical string forms:
-
-    - ``cycle:6``, ``complete:4``, ``star:5``, ``path:7``,
-      ``hypercube:3``, ``complete_bipartite:3``
-    - ``circulant:8,1+4``  (n, then offsets joined by '+')
-    - ``random_regular:20,3,seed=42``
-    - ``petersen``
+    Its string form is the family, then after a colon one field per
+    parameter (``_SPEC_USAGE`` counts the fields), except that
+    circulant's last field joins its offsets with '+' and
+    random_regular's last field is its seed: ``cycle:6``,
+    ``circulant:8,1+4``, ``random_regular:20,3,seed=42``, and
+    ``petersen``, which has no fields.  ``str`` and ``build`` raise
+    :class:`BadParameter` when the family takes no ``len(params)``
+    parameters.
     """
 
     family: str
     params: tuple[int, ...] = ()
     seed: int | None = None
 
-    def _check_arity(self) -> None:
-        family, count = self.family, len(self.params)
-        if not (
-            (family in _ONE_PARAMETER and count == 1)
-            or (family == "circulant" and count >= 2)
-            or (family == "random_regular" and count == 2)
-            or (family == "petersen" and count == 0)
-        ):
-            raise BadParameter(f"no family {family!r} takes {count} parameters")
+    def _fields(self) -> list[str]:
+        """The text after the colon, split at its commas."""
+        family, params = self.family, self.params
+        seeded, joined = family == "random_regular", family == "circulant"
+        arity = _SPEC_USAGE[family][1] - seeded if family in _SPEC_USAGE else -1
+        if len(params) != arity and not (joined and len(params) > arity):
+            raise BadParameter(f"no family {family!r} takes {len(params)} parameters")
+        fields = [str(p) for p in params[:arity]]
+        if joined:
+            fields[-1] = "+".join(str(o) for o in params[arity - 1:])
+        return fields + [f"seed={self.seed}"] * seeded
 
     def __str__(self) -> str:
-        self._check_arity()
-        family, params = self.family, self.params
-        if family == "circulant":
-            return f"circulant:{params[0]},{'+'.join(str(o) for o in params[1:])}"
-        if family == "random_regular":
-            return f"random_regular:{params[0]},{params[1]},seed={self.seed}"
-        if family == "petersen":
-            return "petersen"
-        return f"{family}:{params[0]}"
+        fields = self._fields()
+        return f"{self.family}:{','.join(fields)}" if fields else self.family
 
     def build(self) -> Graph:
-        self._check_arity()
-        family, params = self.family, self.params
-        if family == "circulant":
-            return circulant(params[0], list(params[1:]))
-        if family == "random_regular":
-            if self.seed is None:
-                raise BadParameter("random_regular spec needs seed=...")
-            return random_regular(*params, self.seed)
-        if family == "petersen":
-            return petersen()
-        return _ONE_PARAMETER[family](params[0])
+        self._fields()
+        seed = (self.seed,) if self.family == "random_regular" else ()
+        if seed == (None,):
+            raise BadParameter("random_regular spec needs seed=...")
+        return _CONSTRUCTORS[self.family](*self.params, *seed)
 
 
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse the canonical string form of a :class:`FamilySpec`."""
     text = text.strip()
-    if text == "petersen":
-        return FamilySpec("petersen")
-    if ":" not in text:
+    family, colon, rest = text.partition(":")
+    usage, count = _SPEC_USAGE.get(family, (None, None))
+    if not colon:
+        if count == 0:
+            return FamilySpec(family)
         raise BadParameter(f"malformed family spec {text!r}")
-    family, _, rest = text.partition(":")
-    if family == "petersen":
-        raise BadParameter("petersen takes no parameters")
-    if family not in _SPEC_USAGE:
+    if count == 0:
+        raise BadParameter(usage)
+    if usage is None:
         raise BadParameter(f"unknown family {family!r}")
     parts = [p for p in rest.split(",") if p]
     if not parts:
         raise BadParameter(f"family spec {text!r} needs parameters")
-    usage, count = _SPEC_USAGE[family]
     seeded = family == "random_regular"
     if len(parts) != count or (seeded and not parts[2].startswith("seed=")):
         raise BadParameter(f"{usage}: {text!r}")

@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DisconnectedInput, IsolatedVertex, NoConvergence, TrivialGraph
-from .graph import Graph, VertexMask, is_connected, vertices_from_mask
+from .errors import IsolatedVertex, NoConvergence, TrivialGraph
+from .graph import Graph, VertexMask, require_connected, vertices_from_mask
 
 _SIGN_EPS = 1e-12
 
@@ -58,10 +58,7 @@ def _require_spectral_graph(g: Graph) -> None:
         raise TrivialGraph("spectral quantities need at least two vertices")
     if any(d == 0 for d in g.deg):
         raise IsolatedVertex("normalization needs every degree positive")
-    if not is_connected(g):
-        raise DisconnectedInput(
-            "graph is disconnected; restrict_to_largest_component() first"
-        )
+    require_connected(g)
 
 
 def _normalized_stack(graphs: Sequence[Graph]) -> np.ndarray:

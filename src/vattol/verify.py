@@ -11,17 +11,22 @@ A check is a function of one :class:`MetricCache`, e.g.
 ``check_vat_lower(MetricCache(g))``.  The cache carries the graph and
 its id, and computes tau, phi and the conductance minimizers (one
 :func:`exact_batch` result, so n <= 24) and lambda2 at most once per
-graph.  The suite prefills both per batch of graphs that share n and
-d: one :func:`exact_batch` call and, if regular, one stacked ``eigh``.
-The sides that (d, tau, phi) fix and their exact verdicts come from a
+graph.  The suite takes graphs in batches of :data:`SUITE_BATCH`, each
+evaluated by ``_evaluate_batch`` (in process at ``jobs=1``, in a pool
+task otherwise), which prefills a batch per (n, d): one
+:func:`exact_batch` call and, if regular, one stacked ``eigh``.  The
+sides that (d, tau, phi) fix and their exact verdicts come from a
 bounded memo.  Spectral sides compare with the fixed absolute tolerance
 :data:`SPECTRAL_TOL`.  A check raises on an unmet precondition;
 :func:`evaluate_graph` turns that into skipped reports, built like every
 skipped report by ``_skipped``.
 
-Check groups and the inequalities they cover, for a connected d-regular
-graph with attack tolerance tau, conductance phi and spectral gap
-``gap = 1 - lambda2``:
+One table, ``_CHECKS``, names each check group in report order with
+its function, its theorems and whether it reads lambda2;
+:data:`CHECK_GROUPS`, :data:`GROUP_THEOREMS` and :data:`ALL_THEOREMS`
+derive from it.  The groups and the inequalities they cover, for a
+connected d-regular graph with attack tolerance tau, conductance phi and
+spectral gap ``gap = 1 - lambda2``:
 
 - ``cheeger``: phi^2 / 2 <= gap and gap <= 2 phi (the classical Cheeger
   sandwich for the normalized adjacency spectrum)
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -89,33 +95,6 @@ SPECTRAL_TOL = 1e-9
 #: Graphs per unit of suite work: one :func:`exact_batch` prefill, and
 #: one pool task when ``jobs > 1``.
 SUITE_BATCH = 32
-
-CHECK_GROUPS = (
-    "cheeger",
-    "vat_upper",
-    "vat_lower",
-    "spectral_vat",
-    "connected_minimizer",
-    "fragment_bounds",
-    "value_ranges",
-)
-
-GROUP_THEOREMS: dict[str, tuple[str, ...]] = {
-    "cheeger": ("cheeger_lower", "cheeger_upper"),
-    "vat_upper": ("vat_upper_conditional", "vat_upper_unconditional"),
-    "vat_lower": ("vat_lower",),
-    "spectral_vat": (
-        "spectral_vat_lower",
-        "spectral_vat_upper",
-        "spectral_vat_lower_conditional",
-    ),
-    "connected_minimizer": ("connected_minimizer",),
-    "fragment_bounds": ("fragment_cut_bound", "fragment_size_bound"),
-    "value_ranges": ("vat_range", "conductance_range"),
-}
-
-ALL_THEOREMS = tuple(t for grp in CHECK_GROUPS for t in GROUP_THEOREMS[grp])
-
 
 @dataclass
 class TheoremReport:
@@ -454,15 +433,28 @@ def check_value_ranges(ctx: MetricCache) -> list[TheoremReport]:
     return [tau_report, phi_report]
 
 
-_CHECK_FUNCTIONS = {
-    "cheeger": check_cheeger,
-    "vat_upper": check_vat_upper,
-    "vat_lower": check_vat_lower,
-    "spectral_vat": check_spectral_vat,
-    "connected_minimizer": check_connected_minimizer,
-    "fragment_bounds": check_fragment_bounds,
-    "value_ranges": check_value_ranges,
+#: Per check group, in report order: its function, its theorems in
+#: report order, and whether it reads lambda2.
+_CHECKS = {
+    "cheeger": (check_cheeger, ("cheeger_lower", "cheeger_upper"), True),
+    "vat_upper": (
+        check_vat_upper, ("vat_upper_conditional", "vat_upper_unconditional"), False
+    ),
+    "vat_lower": (check_vat_lower, ("vat_lower",), False),
+    "spectral_vat": (
+        check_spectral_vat,
+        ("spectral_vat_lower", "spectral_vat_upper", "spectral_vat_lower_conditional"),
+        True,
+    ),
+    "connected_minimizer": (check_connected_minimizer, ("connected_minimizer",), False),
+    "fragment_bounds": (
+        check_fragment_bounds, ("fragment_cut_bound", "fragment_size_bound"), False
+    ),
+    "value_ranges": (check_value_ranges, ("vat_range", "conductance_range"), False),
 }
+CHECK_GROUPS = tuple(_CHECKS)
+GROUP_THEOREMS = {group: theorems for group, (_, theorems, _) in _CHECKS.items()}
+ALL_THEOREMS = tuple(t for theorems in GROUP_THEOREMS.values() for t in theorems)
 
 
 def normalize_checks(checks: str | Sequence[str]) -> tuple[str, ...]:
@@ -471,11 +463,12 @@ def normalize_checks(checks: str | Sequence[str]) -> tuple[str, ...]:
         checks = [c.strip() for c in checks.split(",") if c.strip()]
     if list(checks) == ["all"]:
         return CHECK_GROUPS
+    known = f"known: all, {', '.join(CHECK_GROUPS)}"
+    if not checks:
+        raise BadParameter(f"no check selected; {known}")
     for c in checks:
-        if c not in CHECK_GROUPS:
-            raise BadParameter(
-                f"unknown check {c!r}; known: all, {', '.join(CHECK_GROUPS)}"
-            )
+        if c not in _CHECKS:
+            raise BadParameter(f"unknown check {c!r}; {known}")
     return tuple(checks)
 
 
@@ -496,16 +489,13 @@ def evaluate_graph(
     cache = MetricCache(g, graph_id=graph_id, exact=exact, spectral=spectral)
     reports: list[TheoremReport] = []
     for group in groups:
+        run, theorems, _ = _CHECKS[group]
         try:
-            reports.extend(_CHECK_FUNCTIONS[group](cache))
+            reports.extend(run(cache))
         except VattolError as exc:
             reason = f"{type(exc).__name__}: {exc}"
-            reports.extend(_skipped(t, cache, reason) for t in GROUP_THEOREMS[group])
+            reports.extend(_skipped(t, cache, reason) for t in theorems)
     return reports
-
-
-#: The check groups that read lambda2.
-_SPECTRAL_GROUPS = frozenset({"cheeger", "spectral_vat"})
 
 
 def _prefill(
@@ -534,19 +524,17 @@ def _prefill(
     return out
 
 
-def _iter_batch(
-    items: Sequence[tuple[str, Graph]], checks: tuple[str, ...]
-) -> Iterator[TheoremReport]:
-    prefilled = _prefill(items, not _SPECTRAL_GROUPS.isdisjoint(checks))
-    for item, (exact, spectral) in zip(items, prefilled):
-        yield from evaluate_graph(item, checks, exact, spectral)
-
-
 def _evaluate_batch(
     checks: tuple[str, ...], items: Sequence[tuple[str, Graph]]
 ) -> list[TheoremReport]:
-    """A pool task: the reports of one batch, in one list."""
-    return list(_iter_batch(items, checks))
+    """The reports of one batch, in order, after one :func:`_prefill`."""
+    reads_lambda2 = any(_CHECKS[c][2] for c in checks)
+    prefilled = _prefill(items, reads_lambda2)
+    return [
+        report
+        for item, (exact, spectral) in zip(items, prefilled)
+        for report in evaluate_graph(item, checks, exact, spectral)
+    ]
 
 
 def clamp_jobs(jobs: int) -> int:
@@ -567,16 +555,12 @@ def iter_suite(
     batches; the order of the emitted reports is still exactly the input
     order, so the output is byte-for-byte independent of the worker count.
     """
-    groups = normalize_checks(checks)
+    evaluate = partial(_evaluate_batch, normalize_checks(checks))
     it = iter(graphs)
     batches = iter(lambda: list(islice(it, SUITE_BATCH)), [])
     jobs = clamp_jobs(jobs)
-    if jobs == 1:
-        for batch in batches:
-            yield from _iter_batch(batch, groups)
-        return
-    with multiprocessing.Pool(processes=jobs) as pool:
-        for reports in pool.imap(partial(_evaluate_batch, groups), batches):
+    with multiprocessing.Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        for reports in (map if pool is None else pool.imap)(evaluate, batches):
             yield from reports
 
 

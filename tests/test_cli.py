@@ -61,8 +61,9 @@ class TestGen:
         ["verify", "--family", "cycle", "--n", "3.."],
         ["metrics", "cycle:6", "--limit", "5"],
         ["verify", "--family", "cycle", "--n", "3..5", "--tolerance", "0"],
+        ["verify", "--family", "cycle", "--n", "3..4", "--checks", ","],
     ],
-    ids=["bad-int", "bad-range", "no-limit-option", "no-tolerance-option"],
+    ids=["bad-int", "bad-range", "no-limit-option", "no-tolerance-option", "no-check"],
 )
 def test_usage_error_exit_2_one_line(args):
     proc = run_cli(*args)
@@ -267,6 +268,9 @@ class TestVerify:
             ["--family", "circulant", "--n", "5..6"],
             ["--family", "cycle"],
             ["--family", "cycle", "--n", "6..3"],
+            ["--spec", "cycle"],
+            ["--spec", "nosuch:3"],
+            ["--exhaustive", "9", "3"],
         ],
     )
     def test_bad_family_selection_exit_2_one_line(self, selection):

@@ -233,6 +233,51 @@ class TestFamilySpec:
         with pytest.raises(BadParameter):
             FamilySpec("random_regular", (10, 3)).build()
 
+    def test_outcomes_pinned(self):
+        # The str and built (n, m), or the error, of a grid of spec
+        # strings and FamilySpec tuples over the nine families and an
+        # unknown one; pinned before the spec grammar became one rule.
+        def outcome(fn):
+            try:
+                return fn()
+            except Exception as exc:
+                return [type(exc).__name__, str(exc)]
+
+        def shape(g):
+            return [g.n, g.m]
+
+        families = [
+            "cycle", "complete", "star", "path", "hypercube",
+            "complete_bipartite", "circulant", "random_regular", "petersen",
+            "nosuch",
+        ]
+        suffixes = [
+            "", ":", ":3", ":x", ":0", ":3,4", ":8,1+4", ":8,1+1", ":8,1",
+            ":8", ":10,3", ":10,3,seed=42", ":10,3,seed=x", ":10,3,42",
+            ":1+2", ",3", ":3,",
+        ]
+        params = [(), (3,), (0,), (8,), (8, 1), (8, 1, 4), (10, 3), (1, 2, 3)]
+        grid = []
+        for family in families:
+            for suffix in suffixes:
+                text = family + suffix
+                grid.append([
+                    text,
+                    outcome(lambda: str(parse_family_spec(text))),
+                    outcome(lambda: shape(parse_family_spec(text).build())),
+                ])
+            for p in params:
+                for seed in (None, 42):
+                    spec = FamilySpec(family, p, seed)
+                    grid.append([
+                        family, p, seed,
+                        outcome(lambda: str(spec)),
+                        outcome(lambda: shape(spec.build())),
+                    ])
+        assert len(grid) == 330
+        digest = hashlib.sha256(json.dumps(grid).encode()).hexdigest()
+        assert digest == "1dad673660ab7ab7c4867bc2c685cb6f992c6b3f86855f1b91c56e07b7ed0a54"
+
 
 class TestRandomRegularPinned:
     """Seed -> graph mapping, pinned from before the shuffle's early abort."""
