@@ -31,7 +31,7 @@ from typing import IO, Iterable, Iterator, NoReturn
 
 from . import corpus as corpus_mod
 from .errors import VattolError
-from .generators import _SPEC_USAGE, FamilySpec, enumerate_small_regular, parse_family_spec
+from .generators import _SPEC_USAGE, FamilySpec, parse_family_spec
 from .graph import (
     Graph,
     read_edge_list_path,
@@ -398,10 +398,12 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected 'A..B' or 'A', got {text!r}") from None
 
 
-def _check_selection(args: argparse.Namespace) -> tuple[list[FamilySpec], Iterable[Graph]]:
+def _check_selection(
+    args: argparse.Namespace,
+) -> tuple[list[FamilySpec], Iterable[tuple[str, Graph]]]:
     """Reject an empty or unbuildable verify selection before any output
     is written; return the parsed ``--spec`` values and the ``--exhaustive``
-    graphs, whose bounds :func:`enumerate_small_regular` checks at the call.
+    members, whose bounds :func:`corpus.exhaustive_members` checks at the call.
     A ``--family`` takes at most one integer, its field count in ``_SPEC_USAGE``.
     """
     for family in args.family or ():
@@ -416,11 +418,13 @@ def _check_selection(args: argparse.Namespace) -> tuple[list[FamilySpec], Iterab
             "--exhaustive or --files"
         )
     specs = [parse_family_spec(text) for text in args.spec or ()]
-    return specs, enumerate_small_regular(*args.exhaustive) if args.exhaustive else ()
+    return specs, corpus_mod.exhaustive_members(*args.exhaustive) if args.exhaustive else ()
 
 
 def _verify_selection(
-    args: argparse.Namespace, specs: list[FamilySpec], exhaustive: Iterable[Graph]
+    args: argparse.Namespace,
+    specs: list[FamilySpec],
+    exhaustive: Iterable[tuple[str, Graph]],
 ) -> Iterator[tuple[str, Graph]]:
     """The graphs of a selection that :func:`_check_selection` passed."""
     if args.corpus == "standard":
@@ -436,10 +440,7 @@ def _verify_selection(
             yield str(spec), spec.build()
     for spec in specs:
         yield str(spec), spec.build()
-    if args.exhaustive:
-        n, d = args.exhaustive
-        for i, g in enumerate(exhaustive):
-            yield f"exhaustive:{n},{d},i={i}", g
+    yield from exhaustive
     for path in args.files or ():
         yield path, read_edge_list_path(path)
 

@@ -63,20 +63,25 @@ def _random(n: int, d: int, seed: int) -> GraphItem:
     return str(FamilySpec("random_regular", (n, d), seed)), g
 
 
-def exhaustive_regular(max_n: int = 8) -> Iterator[GraphItem]:
-    """All labeled connected d-regular graphs for every feasible (n, d).
-
-    Ids are ``exhaustive:<n>,<d>,i=<k>`` with k the position in the
-    fixed ascending edge-encoding order.
+def exhaustive_members(n: int, d: int) -> Iterator[GraphItem]:
+    """All labeled connected d-regular graphs on n vertices, id'd
+    ``exhaustive:<n>,<d>,i=<k>`` with k the position in the fixed
+    ascending edge-encoding order.  ``n`` and ``d`` are checked at the
+    call, before the first graph.
     """
+    graphs = enumerate_small_regular(n, d)
+    return ((f"exhaustive:{n},{d},i={i}", g) for i, g in enumerate(graphs))
+
+
+def exhaustive_regular(max_n: int = 8) -> Iterator[GraphItem]:
+    """:func:`exhaustive_members` of every feasible (n, d) with n <= max_n."""
     for n in range(2, max_n + 1):
         for d in range(1, n):
             if (n * d) % 2 != 0:
                 continue
             if d == 1 and n > 2:
                 continue  # 1-regular graphs on n > 2 vertices are never connected
-            for i, g in enumerate(enumerate_small_regular(n, d)):
-                yield f"exhaustive:{n},{d},i={i}", g
+            yield from exhaustive_members(n, d)
 
 
 def random_regular_samples(base_seed: int = 42) -> Iterator[GraphItem]:

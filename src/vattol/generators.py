@@ -189,7 +189,9 @@ def enumerate_small_regular(n: int, d: int) -> Iterator[Graph]:
     The search walks edge indices from highest to lowest, excluding
     before including, which visits encodings in ascending order while
     degree-feasibility pruning keeps the tree near the solution count.
-    The arguments are checked at the call, before the first graph.
+    It keeps its path on an explicit stack, so the generator resumes once
+    per graph, not once per edge index.  The arguments are checked at the
+    call, before the first graph.
     """
     if not 2 <= n <= 8:
         raise BadParameter(f"exhaustive enumeration needs 2 <= n <= 8, got {n}")
@@ -199,36 +201,50 @@ def enumerate_small_regular(n: int, d: int) -> Iterator[Graph]:
         raise BadParameter(f"n*d must be even, got n={n}, d={d}")
 
     edge_list = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    deg = [0] * n
-    avail = [n - 1] * n  # undecided edges incident to each vertex
-    chosen: list[tuple[int, int]] = []
 
-    def walk(idx: int) -> Iterator[Graph]:
-        if idx < 0:
-            # avail is 0 everywhere, so pruning forces deg[v] == d exactly
-            g = build_graph(n, list(chosen))
-            if is_connected(g):
-                yield g
-            return
-        u, v = edge_list[idx]
-        # branch 1: leave edge idx out
-        avail[u] -= 1
-        avail[v] -= 1
-        if deg[u] + avail[u] >= d and deg[v] + avail[v] >= d:
-            yield from walk(idx - 1)
-        # branch 2: put edge idx in
-        if deg[u] < d and deg[v] < d:
-            deg[u] += 1
-            deg[v] += 1
-            chosen.append((u, v))
-            yield from walk(idx - 1)
-            chosen.pop()
-            deg[u] -= 1
-            deg[v] -= 1
-        avail[u] += 1
-        avail[v] += 1
+    def leaves() -> Iterator[Graph]:
+        deg = [0] * n
+        avail = [n - 1] * n  # undecided edges incident to each vertex
+        chosen: list[tuple[int, int]] = []
+        # per edge index on the path: 0 not entered, 1 out, 2 in
+        branch = [0] * len(edge_list)
+        idx = top = len(edge_list) - 1
+        while idx <= top:
+            if idx < 0:
+                # avail is 0 everywhere, so pruning forces deg[v] == d exactly
+                g = build_graph(n, list(chosen))
+                if is_connected(g):
+                    yield g
+                idx = 0
+                continue
+            u, v = edge_list[idx]
+            if branch[idx] == 0:
+                # branch 1: leave edge idx out
+                branch[idx] = 1
+                avail[u] -= 1
+                avail[v] -= 1
+                if deg[u] + avail[u] >= d and deg[v] + avail[v] >= d:
+                    idx -= 1
+                    continue
+            if branch[idx] == 1:
+                # branch 2: put edge idx in
+                branch[idx] = 2
+                if deg[u] < d and deg[v] < d:
+                    deg[u] += 1
+                    deg[v] += 1
+                    chosen.append((u, v))
+                    idx -= 1
+                    continue
+            else:  # back from branch 2
+                chosen.pop()
+                deg[u] -= 1
+                deg[v] -= 1
+            branch[idx] = 0
+            avail[u] += 1
+            avail[v] += 1
+            idx += 1
 
-    return walk(len(edge_list) - 1)
+    return leaves()
 
 
 #: Per family: its constructor, called with a spec's parameters (and seed).

@@ -452,13 +452,25 @@ _CHECKS = {
     ),
     "value_ranges": (check_value_ranges, ("vat_range", "conductance_range"), False),
 }
-CHECK_GROUPS = tuple(_CHECKS)
+
+
+class _Selection(tuple):
+    """Check group names as :func:`normalize_checks` resolved them."""
+
+
+CHECK_GROUPS = _Selection(_CHECKS)
 GROUP_THEOREMS = {group: theorems for group, (_, theorems, _) in _CHECKS.items()}
 ALL_THEOREMS = tuple(t for theorems in GROUP_THEOREMS.values() for t in theorems)
 
 
 def normalize_checks(checks: str | Sequence[str]) -> tuple[str, ...]:
-    """Resolve a check selection ('all', a name, or a list) to group names."""
+    """Resolve a check selection ('all', a name, or a list) to group names.
+
+    A selection it resolved before is returned as it is, so the suite
+    resolves once per run, not once per graph.
+    """
+    if isinstance(checks, _Selection):
+        return checks
     if isinstance(checks, str):
         checks = [c.strip() for c in checks.split(",") if c.strip()]
     if list(checks) == ["all"]:
@@ -469,7 +481,7 @@ def normalize_checks(checks: str | Sequence[str]) -> tuple[str, ...]:
     for c in checks:
         if c not in _CHECKS:
             raise BadParameter(f"unknown check {c!r}; {known}")
-    return tuple(checks)
+    return _Selection(checks)
 
 
 def evaluate_graph(

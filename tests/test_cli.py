@@ -202,7 +202,7 @@ class TestVerify:
         )
         assert proc.returncode == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
-        assert len(rows) == 60
+        assert [r["graph_id"] for r in rows] == [f"exhaustive:6,2,i={i}" for i in range(60)]
         assert all(r["holds"] == "true" for r in rows)
 
     def test_k2_equality_reported(self):

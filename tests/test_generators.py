@@ -5,7 +5,7 @@ import pytest
 
 import vattol as vt
 from vattol import BadParameter
-from vattol.corpus import _RANDOM_SHAPES
+from vattol.corpus import _RANDOM_SHAPES, exhaustive_members
 from vattol.generators import FamilySpec, parse_family_spec
 
 
@@ -161,6 +161,13 @@ class TestEnumerateSmallRegular:
             list(vt.enumerate_small_regular(9, 2))
         with pytest.raises(BadParameter):
             list(vt.enumerate_small_regular(5, 3))
+
+    def test_exhaustive_members(self):
+        items = list(exhaustive_members(6, 2))
+        assert [i for i, _ in items] == [f"exhaustive:6,2,i={k}" for k in range(60)]
+        assert [g for _, g in items] == list(vt.enumerate_small_regular(6, 2))
+        with pytest.raises(BadParameter):
+            exhaustive_members(9, 2)  # at the call, before any graph
 
 
 class TestFamilySpec:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,8 @@ import pytest
 
 import vattol as vt
 from vattol import DisconnectedInput, IsolatedVertex, TrivialGraph
+from vattol import spectral as spectral_mod
+from vattol.spectral import _RESIDUAL_TOL
 
 F = Fraction
 
@@ -142,3 +146,85 @@ class TestSweep:
         a = vt.sweep_conductance(g)
         b = vt.sweep_conductance(g)
         assert a == b
+
+
+CUTOFF = spectral_mod._DENSE_MAX_N
+
+
+def _random_regular(n, d):
+    n += (n * d) % 2  # n * d must be even
+    return vt.connected_random_regular(n, d, 11)[0]
+
+
+def _gnp_largest_component(n, p, seed):
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return vt.restrict_to_largest_component(vt.build_graph(n, edges))
+
+
+class TestLanczos:
+    """Above the cutoff lambda2 and the sweep come from Lanczos; the dense
+    spectrum is the oracle."""
+
+    def _check(self, g):
+        assert g.n > CUTOFF
+        expected = np.linalg.eigvalsh(vt.normalized_adjacency(g))[-2]
+        res = vt.lambda2(g)
+        assert abs(res.lambda2 - expected) <= 1e-12
+        assert res.gap == 1.0 - res.lambda2
+        assert 0 <= res.residual <= _RESIDUAL_TOL
+        sweep = vt.sweep_conductance(g)
+        assert vt.set_conductance(g, sweep.witness) == sweep.value
+        assert vt.volume(g, sweep.witness) <= g.m
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("n", [CUTOFF + 1, 600, 1000])
+    def test_random_regular(self, n, d):
+        g = _random_regular(n, d)
+        assert spectral_mod._lanczos(g) is not None  # no dense fallback
+        self._check(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            vt.star(CUTOFF + 1),
+            vt.complete(CUTOFF + 1),  # lambda2 of multiplicity n - 1
+            vt.cycle(CUTOFF + 2),  # lambda2 of multiplicity 2
+            vt.path(CUTOFF + 1),
+            _gnp_largest_component(600, 3 / 600, 5),
+        ],
+        ids=["star", "complete", "cycle", "path", "gnp"],
+    )
+    def test_families_and_irregular(self, g):
+        self._check(g)
+
+    def test_residual_certificate(self, monkeypatch):
+        # a converged Ritz pair is still refused above the residual bound
+        g = _random_regular(CUTOFF + 1, 3)
+        monkeypatch.setattr(spectral_mod, "_RESIDUAL_TOL", 0.0)
+        with pytest.raises(vt.NoConvergence):
+            vt.lambda2(g)
+
+    def test_clustered_spectrum_falls_back_to_dense(self):
+        # a path needs a Krylov dimension near n, so Lanczos gives up
+        g = vt.path(CUTOFF + 1)
+        assert spectral_mod._lanczos(g) is None
+        dense, _, _ = spectral_mod._eigenpairs(vt.normalized_adjacency(g)[None])
+        assert vt.lambda2(g) == dense[0]
+
+    @pytest.mark.parametrize(
+        "n,value,size,digest",
+        [
+            (500, F(73, 747), 249,
+             "d14ce6162554337fb1cccca6f72d154426c69fda2eadca2e04c66823077a3716"),
+            (2000, F(307, 2979), 993,
+             "950f0f8ae3a9f350bc97e97ed9535774fcc8d2f972e5246de424c5f131fc14be"),
+        ],
+    )
+    def test_sweep_pinned_to_dense_solver(self, n, value, size, digest):
+        # value and witness as the dense solver found them
+        g = vt.connected_random_regular(n, 3, 11)[0]
+        sweep = vt.sweep_conductance(g)
+        assert sweep.value == value
+        assert sweep.witness.bit_count() == size
+        assert hashlib.sha256(hex(sweep.witness).encode()).hexdigest() == digest

@@ -9,7 +9,7 @@ import vattol as vt
 from vattol import BadParameter, DisconnectedInput, TooLarge, TrivialGraph, verify
 from vattol import graph as graph_mod
 from vattol import spectral as spectral_mod
-from vattol.corpus import exhaustive_regular
+from vattol.corpus import exhaustive_members, exhaustive_regular
 from vattol.spectral import _RESIDUAL_TOL
 from vattol.verify import (
     SUITE_BATCH,
@@ -261,10 +261,7 @@ class TestEvaluateAndSuite:
         assert result.skipped_count > 0  # conditional branches skip on dense cycles
 
     def test_exhaustive_cubic_on_six_hold(self):
-        graphs = [
-            (f"exhaustive:6,3,i={i}", g)
-            for i, g in enumerate(vt.enumerate_small_regular(6, 3))
-        ]
+        graphs = exhaustive_members(6, 3)
         result = run_suite(graphs, checks="vat_lower,vat_upper,cheeger")
         assert result.all_hold
 
@@ -312,7 +309,9 @@ class TestEvaluateAndSuite:
         with pytest.raises(BadParameter):
             normalize_checks("nosuch")
         assert normalize_checks("all") == vt.CHECK_GROUPS
-        assert normalize_checks("cheeger, vat_lower") == ("cheeger", "vat_lower")
+        groups = normalize_checks("cheeger, vat_lower")
+        assert groups == ("cheeger", "vat_lower")
+        assert normalize_checks(groups) is groups  # resolved once per run
 
 
 class TestPrefill:
@@ -340,6 +339,10 @@ class TestPrefill:
                 assert spectral is None, graph_id
             else:
                 assert spectral == batch[graph_id], graph_id
+        # the largest n the dense solver takes, next to the Lanczos cutoff
+        g = vt.connected_random_regular(spectral_mod._DENSE_MAX_N, 3, 1)[0]
+        (spectral,) = spectral_mod._lambda2_batch([g])
+        assert spectral is not None and vt.lambda2(g) == spectral
 
     def test_no_eigensolve_no_check_can_read(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigh", None)  # any call fails
