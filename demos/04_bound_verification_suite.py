@@ -7,8 +7,6 @@ of them are achieved exactly on boundary graphs (the single edge K2 most
 prominently).
 """
 
-from collections import Counter
-
 import vattol as vt
 from vattol.verify import run_suite
 
@@ -23,17 +21,13 @@ graphs += [
 ]
 
 result = run_suite(graphs, checks="all")
-outcomes = Counter(
-    "skipped" if r.skipped else ("holds" if r.holds else "FAILS")
-    for r in result.reports
-)
-print(f"{len(graphs)} graphs, {len(result.reports)} reports: {dict(outcomes)}")
+print(f"{len(graphs)} graphs; the summary that `vattol verify` prints:")
+print(result.summary.lines(), end="")
 assert result.all_hold
 
 print()
 print("Equality cases (bound met exactly), grouped by inequality:")
-by_theorem = Counter(r.theorem for r in result.equalities)
-for theorem, count in sorted(by_theorem.items()):
+for theorem, count in sorted(result.summary.equality_counts.items()):
     examples = [r.graph_id for r in result.equalities if r.theorem == theorem][:3]
     print(f"  {theorem:24s} {count:3d}   e.g. {', '.join(examples)}")
 

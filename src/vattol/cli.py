@@ -47,7 +47,13 @@ from .metrics import (
     weighted_vat_exact,
 )
 from .spectral import lambda2
-from .verify import CHECK_GROUPS, TheoremReport, iter_suite, normalize_checks
+from .verify import (
+    CHECK_GROUPS,
+    SuiteSummary,
+    TheoremReport,
+    iter_suite,
+    normalize_checks,
+)
 
 VERIFY_CSV_COLUMNS = (
     "graph_id",
@@ -200,21 +206,17 @@ def report_to_csv_row(r: TheoremReport) -> list[str]:
     return _CsvFormat().row(r)
 
 
-def _write_reports_csv(reports: Iterable[TheoremReport], out: IO[str]) -> "_Summary":
+def _write_reports_csv(reports: Iterable[TheoremReport], out: IO[str]) -> None:
     """Write the rows of :func:`report_to_csv_row`, through one
-    :class:`_CsvFormat` for the run; return the summary."""
+    :class:`_CsvFormat` for the run."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(VERIFY_CSV_COLUMNS)
-    summary = _Summary()
     rows = _CsvFormat()
     for r in reports:
         writer.writerow(rows.row(r))
-        summary.add(r)
-    return summary
 
 
-def _write_reports_json(reports: Iterable[TheoremReport], out: IO[str]) -> "_Summary":
-    summary = _Summary()
+def _write_reports_json(reports: Iterable[TheoremReport], out: IO[str]) -> None:
     out.write("[")
     first = True
     for r in reports:
@@ -224,59 +226,7 @@ def _write_reports_json(reports: Iterable[TheoremReport], out: IO[str]) -> "_Sum
             out.write("\n ")
             first = False
         out.write(json.dumps(report_to_json(r), separators=(", ", ": ")))
-        summary.add(r)
     out.write("\n]\n")
-    return summary
-
-
-class _Summary:
-    """Streaming accumulator over report rows."""
-
-    def __init__(self) -> None:
-        self.graphs: set[str] = set()
-        self.total = 0
-        self.holds = 0
-        self.strict = 0
-        self.failed = 0
-        self.skipped = 0
-        self.equality_counts: dict[str, int] = {}
-        self.strict_claim_equalities: dict[str, list[str]] = {
-            "vat_lower": [],
-            "vat_upper_unconditional": [],
-        }
-
-    def add(self, r: TheoremReport) -> None:
-        self.graphs.add(r.graph_id)
-        self.total += 1
-        if r.skipped:
-            self.skipped += 1
-            return
-        if r.holds:
-            self.holds += 1
-        else:
-            self.failed += 1
-        if r.strict_holds:
-            self.strict += 1
-        if r.equality:
-            self.equality_counts[r.theorem] = self.equality_counts.get(r.theorem, 0) + 1
-            if r.theorem in self.strict_claim_equalities:
-                self.strict_claim_equalities[r.theorem].append(r.graph_id)
-
-    def print_to(self, out: IO[str]) -> None:
-        print(
-            f"graphs={len(self.graphs)} reports={self.total} holds={self.holds} "
-            f"strict={self.strict} failed={self.failed} skipped={self.skipped}",
-            file=out,
-        )
-        if self.equality_counts:
-            parts = " ".join(
-                f"{name}={count}"
-                for name, count in sorted(self.equality_counts.items())
-            )
-            print(f"equalities by theorem: {parts}", file=out)
-        for name, ids in self.strict_claim_equalities.items():
-            if ids:
-                print(f"equality cases for {name}: {', '.join(ids)}", file=out)
 
 
 def _load_input(text: str) -> tuple[str, Graph]:
@@ -400,30 +350,36 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _check_selection(
     args: argparse.Namespace,
-) -> tuple[list[FamilySpec], Iterable[tuple[str, Graph]]]:
+) -> tuple[list[tuple[str, Graph]], Iterable[tuple[str, Graph]]]:
     """Reject an empty or unbuildable verify selection before any output
-    is written; return the parsed ``--spec`` values and the ``--exhaustive``
+    is written; return the built ``--spec`` graphs and the ``--exhaustive``
     members, whose bounds :func:`corpus.exhaustive_members` checks at the call.
-    A ``--family`` takes at most one integer, its field count in ``_SPEC_USAGE``.
+    A ``--family`` takes at most one integer, its field count in ``_SPEC_USAGE``;
+    each such family builds on an interval of it, so the two ends of ``--n``
+    decide whether every member builds.
     """
     for family in args.family or ():
         usage = _SPEC_USAGE.get(family)
         if usage is None or usage[1] > 1:
             raise VattolError(f"--family {family} takes no single integer; use --spec")
-        if usage[1] and (args.n is None or args.n[0] > args.n[1]):
-            raise VattolError(f"--family {family} needs --n A..B with A <= B")
+        if usage[1]:
+            if args.n is None or args.n[0] > args.n[1]:
+                raise VattolError(f"--family {family} needs --n A..B with A <= B")
+            for end in args.n:
+                FamilySpec(family, (end,)).build()
     if not (args.corpus or args.family or args.spec or args.exhaustive or args.files):
         raise VattolError(
             "empty selection: use --corpus, --family/--n, --spec, "
             "--exhaustive or --files"
         )
     specs = [parse_family_spec(text) for text in args.spec or ()]
-    return specs, corpus_mod.exhaustive_members(*args.exhaustive) if args.exhaustive else ()
+    built = [(str(spec), spec.build()) for spec in specs]
+    return built, corpus_mod.exhaustive_members(*args.exhaustive) if args.exhaustive else ()
 
 
 def _verify_selection(
     args: argparse.Namespace,
-    specs: list[FamilySpec],
+    specs: list[tuple[str, Graph]],
     exhaustive: Iterable[tuple[str, Graph]],
 ) -> Iterator[tuple[str, Graph]]:
     """The graphs of a selection that :func:`_check_selection` passed."""
@@ -438,8 +394,7 @@ def _verify_selection(
             params = [()]
         for spec in (FamilySpec(family, p) for p in params):
             yield str(spec), spec.build()
-    for spec in specs:
-        yield str(spec), spec.build()
+    yield from specs
     yield from exhaustive
     for path in args.files or ():
         yield path, read_edge_list_path(path)
@@ -447,17 +402,18 @@ def _verify_selection(
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     graphs = _verify_selection(args, *_check_selection(args))
-    reports = iter_suite(graphs, checks=normalize_checks(args.checks), jobs=args.jobs)
+    summary = SuiteSummary()
+    reports = summary.count(
+        iter_suite(graphs, checks=normalize_checks(args.checks), jobs=args.jobs)
+    )
+    write = _write_reports_json if args.format == "json" else _write_reports_csv
     out = _open_out(args.output)
     try:
-        if args.format == "json":
-            summary = _write_reports_json(reports, out)
-        else:
-            summary = _write_reports_csv(reports, out)
+        write(reports, out)
     finally:
         if out is not sys.stdout:
             out.close()
-    summary.print_to(sys.stderr)
+    sys.stderr.write(summary.lines())
     return 1 if summary.failed else 0
 
 

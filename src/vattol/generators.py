@@ -340,7 +340,3 @@ def parse_family_spec(text: str) -> FamilySpec:
         raise BadParameter(f"non-integer parameter in spec {text!r}") from None
     return FamilySpec(family, params, seed)
 
-
-def build_family(text: str) -> Graph:
-    """Parse a spec string and build the graph."""
-    return parse_family_spec(text).build()

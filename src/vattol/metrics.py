@@ -85,21 +85,11 @@ class MetricResult:
 
 
 @dataclass(frozen=True)
-class WeightedValue:
-    """A generalized attack-tolerance value with its witness.
+class WeightedValue(MetricResult):
+    """A generalized attack-tolerance value with its witness; ``parameters``
+    holds (alpha, beta) as the caller gave them."""
 
-    ``value`` is an exact :class:`~fractions.Fraction`; ``parameters``
-    holds (alpha, beta) as the caller gave them.
-    """
-
-    value: Fraction
-    witness: VertexMask
-    metric: str
     parameters: tuple | None = None
-
-    @property
-    def witness_vertices(self) -> list[int]:
-        return vertices_from_mask(self.witness)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ sides that (d, tau, phi) fix and their exact verdicts come from a
 bounded memo.  Spectral sides compare with the fixed absolute tolerance
 :data:`SPECTRAL_TOL`.  A check raises on an unmet precondition;
 :func:`evaluate_graph` turns that into skipped reports, built like every
-skipped report by ``_skipped``.
+skipped report by ``_skipped``.  One :class:`SuiteSummary` counts the
+outcome of a run, for :func:`run_suite` and ``vattol verify`` alike.
 
 One table, ``_CHECKS``, names each check group in report order with
 its function, its theorems and whether it reads lambda2;
@@ -48,8 +49,10 @@ The conditional hypothesis is strict on purpose.  On the boundary
 phi == 1/d^2 the sharp bound tau <= d phi can genuinely fail: there is
 an 18-vertex cubic graph with phi exactly 1/9 and tau = 3/8 > 1/3, found
 by exhaustive search and confirmed against an independent naive
-enumeration.  Strictly inside the region no violation is known (the full
-test corpus of ~46k graphs has none), so the strict form is what gets
+enumeration.  Strictly inside the region no violation is known: the
+theorem corpus has none, and its 45,799 exhaustive graphs on n <= 8 are
+labeled copies of just 32 isomorphism classes (OEIS A005177), beside 52
+family members and 100 random samples.  So the strict form is what gets
 checked; boundary graphs are reported as skipped for the conditional
 checks and remain covered by the unconditional bound.
 
@@ -62,7 +65,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import islice
@@ -462,6 +465,61 @@ CHECK_GROUPS = _Selection(_CHECKS)
 GROUP_THEOREMS = {group: theorems for group, (_, theorems, _) in _CHECKS.items()}
 ALL_THEOREMS = tuple(t for theorems in GROUP_THEOREMS.values() for t in theorems)
 
+#: The bounds the paper claims strictly; a suite summary lists each of
+#: their equality cases by graph id.
+STRICT_CLAIMS = ("vat_lower", "vat_upper_unconditional")
+
+
+class SuiteSummary:
+    """The outcome of a suite run, counted as its reports stream past."""
+
+    def __init__(self) -> None:
+        self.graphs: set[str] = set()
+        self.total = self.holds = self.strict = self.failed = self.skipped = 0
+        self.equality_counts: dict[str, int] = {}
+        self.strict_claim_equalities: dict[str, list[str]] = {
+            theorem: [] for theorem in STRICT_CLAIMS
+        }
+
+    def count(self, reports: Iterable[TheoremReport]) -> Iterator[TheoremReport]:
+        """Yield each report unchanged, after counting it."""
+        equalities, cases = self.equality_counts, self.strict_claim_equalities
+        for r in reports:
+            self.graphs.add(r.graph_id)
+            self.total += 1
+            if r.skipped:
+                self.skipped += 1
+            else:
+                if r.holds:
+                    self.holds += 1
+                else:
+                    self.failed += 1
+                if r.strict_holds:
+                    self.strict += 1
+                if r.equality:
+                    equalities[r.theorem] = equalities.get(r.theorem, 0) + 1
+                    if r.theorem in cases:
+                        cases[r.theorem].append(r.graph_id)
+            yield r
+
+    def lines(self) -> str:
+        """The summary that ``vattol verify`` prints to stderr: the counts,
+        then the equalities per theorem and the equality cases of each
+        strict claim, each line ending in a newline."""
+        lines = [
+            f"graphs={len(self.graphs)} reports={self.total} holds={self.holds} "
+            f"strict={self.strict} failed={self.failed} skipped={self.skipped}"
+        ]
+        if self.equality_counts:
+            parts = " ".join(f"{t}={c}" for t, c in sorted(self.equality_counts.items()))
+            lines.append(f"equalities by theorem: {parts}")
+        lines += [
+            f"equality cases for {t}: {', '.join(ids)}"
+            for t, ids in self.strict_claim_equalities.items()
+            if ids
+        ]
+        return "".join(line + "\n" for line in lines)
+
 
 def normalize_checks(checks: str | Sequence[str]) -> tuple[str, ...]:
     """Resolve a check selection ('all', a name, or a list) to group names.
@@ -578,21 +636,10 @@ def iter_suite(
 
 @dataclass
 class SuiteResult:
-    """Materialized suite outcome with summary counters."""
+    """A materialized suite run: every report, and their :class:`SuiteSummary`."""
 
-    reports: list[TheoremReport] = field(default_factory=list)
-
-    @property
-    def holds_count(self) -> int:
-        return sum(1 for r in self.reports if r.holds is True)
-
-    @property
-    def strict_count(self) -> int:
-        return sum(1 for r in self.reports if r.strict_holds is True)
-
-    @property
-    def skipped_count(self) -> int:
-        return sum(1 for r in self.reports if r.skipped)
+    reports: list[TheoremReport]
+    summary: SuiteSummary
 
     @property
     def failures(self) -> list[TheoremReport]:
@@ -605,7 +652,7 @@ class SuiteResult:
 
     @property
     def all_hold(self) -> bool:
-        return not self.failures
+        return not self.summary.failed
 
 
 def run_suite(
@@ -614,7 +661,9 @@ def run_suite(
     jobs: int = 1,
 ) -> SuiteResult:
     """Run the checks over a corpus and collect every report."""
-    return SuiteResult(reports=list(iter_suite(graphs, checks=checks, jobs=jobs)))
+    summary = SuiteSummary()
+    reports = list(summary.count(iter_suite(graphs, checks=checks, jobs=jobs)))
+    return SuiteResult(reports, summary)
 
 
 # ---------------------------------------------------------------------------

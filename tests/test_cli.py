@@ -271,6 +271,9 @@ class TestVerify:
             ["--spec", "cycle"],
             ["--spec", "nosuch:3"],
             ["--exhaustive", "9", "3"],
+            ["--spec", "cycle:2"],
+            ["--family", "star", "--n", "1..3"],
+            ["--family", "hypercube", "--n", "5..7"],
         ],
     )
     def test_bad_family_selection_exit_2_one_line(self, selection):
@@ -306,6 +309,17 @@ class TestVerify:
             "graphs=243 reports=3159 holds=2544 strict=1781 failed=0 skipped=615\n"
         )
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.fixture(scope="class")
+    def standard_summary(self):
+        return vt.run_suite(vt.standard_corpus()).summary.lines()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_stderr_is_the_library_summary(self, standard_summary, jobs):
+        proc = run_cli("verify", "--corpus", "standard", "--jobs", jobs, "-o", os.devnull)
+        assert proc.returncode == 0
+        assert "equality cases for vat_lower: complete:2," in standard_summary
+        assert proc.stderr == standard_summary
 
 
 class TestCsvWriter:

@@ -9,6 +9,10 @@ from vattol.corpus import _RANDOM_SHAPES, exhaustive_members
 from vattol.generators import FamilySpec, parse_family_spec
 
 
+def test_every_public_name_resolves():
+    assert [name for name in vt.__all__ if not hasattr(vt, name)] == []
+
+
 def test_cycle():
     k3 = vt.cycle(3)
     assert k3.m == 3 and vt.regularity(k3) == 2

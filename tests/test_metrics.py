@@ -111,6 +111,7 @@ class TestAlphaBetaVat:
         r = vt.alpha_beta_vat_exact(vt.star(5), 2, 0)
         assert r.value == F(2, 5)
         assert r.witness_vertices == [0]
+        assert isinstance(r, vt.MetricResult) and r.parameters == (2, 0)
 
     def test_float_parameters(self):
         g = vt.cycle(5)
