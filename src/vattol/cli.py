@@ -27,6 +27,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import IO, Iterable, Iterator, NoReturn
 
 from . import corpus as corpus_mod
@@ -348,17 +349,24 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected 'A..B' or 'A', got {text!r}") from None
 
 
-def _check_selection(
-    args: argparse.Namespace,
-) -> tuple[list[tuple[str, Graph]], Iterable[tuple[str, Graph]]]:
-    """Reject an empty or unbuildable verify selection before any output
-    is written; return the built ``--spec`` graphs and the ``--exhaustive``
-    members, whose bounds :func:`corpus.exhaustive_members` checks at the call.
-    A ``--family`` takes at most one integer, its field count in ``_SPEC_USAGE``;
-    each such family builds on an interval of it, so the two ends of ``--n``
-    decide whether every member builds.
+def _verify_selection(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
+    """The graphs of a verify selection, in order; a bad selection raises
+    here, before any output is opened.
+
+    The corpora and the ``--family`` members stream; ``--spec`` graphs
+    are built and ``--files`` read up front, and
+    :func:`corpus.exhaustive_members` checks its bounds at the call.  A
+    ``--family`` takes at most one integer, its field count in
+    ``_SPEC_USAGE``; each such family builds on an interval of it, so the
+    two ends of ``--n`` decide whether every member builds.
     """
-    for family in args.family or ():
+    if not (args.corpus or args.family or args.spec or args.exhaustive or args.files):
+        raise VattolError(
+            "empty selection: use --corpus, --family/--n, --spec, "
+            "--exhaustive or --files"
+        )
+    families = args.family or ()
+    for family in families:
         usage = _SPEC_USAGE.get(family)
         if usage is None or usage[1] > 1:
             raise VattolError(f"--family {family} takes no single integer; use --spec")
@@ -367,41 +375,30 @@ def _check_selection(
                 raise VattolError(f"--family {family} needs --n A..B with A <= B")
             for end in args.n:
                 FamilySpec(family, (end,)).build()
-    if not (args.corpus or args.family or args.spec or args.exhaustive or args.files):
-        raise VattolError(
-            "empty selection: use --corpus, --family/--n, --spec, "
-            "--exhaustive or --files"
-        )
-    specs = [parse_family_spec(text) for text in args.spec or ()]
-    built = [(str(spec), spec.build()) for spec in specs]
-    return built, corpus_mod.exhaustive_members(*args.exhaustive) if args.exhaustive else ()
-
-
-def _verify_selection(
-    args: argparse.Namespace,
-    specs: list[tuple[str, Graph]],
-    exhaustive: Iterable[tuple[str, Graph]],
-) -> Iterator[tuple[str, Graph]]:
-    """The graphs of a selection that :func:`_check_selection` passed."""
-    if args.corpus == "standard":
-        yield from corpus_mod.standard_corpus()
-    elif args.corpus == "theorem":
-        yield from corpus_mod.theorem_corpus(base_seed=args.seed)
-    for family in args.family or ():
-        if _SPEC_USAGE[family][1]:
-            params = ((p,) for p in range(args.n[0], args.n[1] + 1))
-        else:
-            params = [()]
-        for spec in (FamilySpec(family, p) for p in params):
-            yield str(spec), spec.build()
-    yield from specs
-    yield from exhaustive
-    for path in args.files or ():
-        yield path, read_edge_list_path(path)
+    if args.n is not None and not any(_SPEC_USAGE[f][1] for f in families):
+        raise VattolError("--n needs a --family that takes one integer")
+    ints = range(args.n[0], args.n[1] + 1) if args.n else ()
+    members = (  # zip(ints) yields the one-integer parameter tuples lazily
+        FamilySpec(family, params)
+        for family in families
+        for params in (zip(ints) if _SPEC_USAGE[family][1] else [()])
+    )
+    specs = [(str(s), s.build()) for s in map(parse_family_spec, args.spec or ())]
+    if args.corpus == "theorem":
+        corpus = corpus_mod.theorem_corpus(base_seed=args.seed)
+    else:
+        corpus = corpus_mod.standard_corpus() if args.corpus else ()
+    return chain(
+        corpus,
+        ((str(spec), spec.build()) for spec in members),
+        specs,
+        corpus_mod.exhaustive_members(*args.exhaustive) if args.exhaustive else (),
+        [(path, read_edge_list_path(path)) for path in args.files or ()],
+    )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    graphs = _verify_selection(args, *_check_selection(args))
+    graphs = _verify_selection(args)
     summary = SuiteSummary()
     reports = summary.count(
         iter_suite(graphs, checks=normalize_checks(args.checks), jobs=args.jobs)

@@ -8,19 +8,21 @@ are achieved with equality on boundary graphs (the single edge K2 most
 prominently) and an equality must be auditable rather than a failure.
 
 A check is a function of one :class:`MetricCache`, e.g.
-``check_vat_lower(MetricCache(g))``.  The cache carries the graph and
-its id, and computes tau, phi and the conductance minimizers (one
-:func:`exact_batch` result, so n <= 24) and lambda2 at most once per
-graph.  The suite takes graphs in batches of :data:`SUITE_BATCH`, each
-evaluated by ``_evaluate_batch`` (in process at ``jobs=1``, in a pool
-task otherwise), which prefills a batch per (n, d): one
-:func:`exact_batch` call and, if regular, one stacked ``eigh``.  The
-sides that (d, tau, phi) fix and their exact verdicts come from a
-bounded memo.  Spectral sides compare with the fixed absolute tolerance
-:data:`SPECTRAL_TOL`.  A check raises on an unmet precondition;
-:func:`evaluate_graph` turns that into skipped reports, built like every
-skipped report by ``_skipped``.  One :class:`SuiteSummary` counts the
-outcome of a run, for :func:`run_suite` and ``vattol verify`` alike.
+``check_vat_lower(MetricCache(g))``.  The cache carries the graph, its
+id and its degree, and computes tau, phi and the conductance minimizers
+(one :func:`exact_batch` result, so n <= 24) and lambda2 at most once
+per graph.  :func:`evaluate_graph` runs the selected checks on one
+cache; a check raises on an unmet precondition, and it turns that into
+skipped reports, built like every skipped report by ``_skipped``.  The
+suite takes graphs in batches of :data:`SUITE_BATCH`, each evaluated by
+``_evaluate_batch`` (in process at ``jobs=1``, in a pool task
+otherwise): it builds the batch's caches, and ``_prefill`` fills them in
+place per (n, d), by one :func:`exact_batch` call and, if regular, one
+stacked ``eigh``.  The sides that (d, tau, phi) fix and their exact
+verdicts come from a bounded memo.  Spectral sides compare with the
+fixed absolute tolerance :data:`SPECTRAL_TOL`.  One :class:`SuiteSummary`
+counts the outcome of a run, for :func:`run_suite` and ``vattol verify``
+alike.
 
 One table, ``_CHECKS``, names each check group in report order with
 its function, its theorems and whether it reads lambda2;
@@ -228,26 +230,16 @@ class MetricCache:
     of once per check keeps large suite runs within their time budget.
     tau, phi and the conductance minimizers all come from ``exact``, the
     graph's :func:`exact_batch` result, and lambda2 from ``spectral``:
-    each given by a caller that computed it for a batch, or else computed
-    on first use, which raises what :func:`vat_exact` or :func:`lambda2`
+    each set in place by the suite's batch prefill, or else computed on
+    first use, which raises what :func:`vat_exact` or :func:`lambda2`
     would.  ``sides`` come from a bounded memo of (d, tau, phi), and the
     ``{"S": ...}`` witness dicts of tau and phi are built once.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        graph_id: str = "graph",
-        exact: ExactMetrics | None = None,
-        spectral: SpectralResult | None = None,
-    ) -> None:
+    def __init__(self, g: Graph, graph_id: str = "graph") -> None:
         self.g = g
         self.graph_id = graph_id
         self.d = regularity(g)
-        if exact is not None:
-            self.exact = exact
-        if spectral is not None:
-            self.spectral = spectral
 
     @cached_property
     def exact(self) -> ExactMetrics:
@@ -522,7 +514,8 @@ class SuiteSummary:
 
 
 def normalize_checks(checks: str | Sequence[str]) -> tuple[str, ...]:
-    """Resolve a check selection ('all', a name, or a list) to group names.
+    """Resolve a check selection ('all', a name, or a list) to group names,
+    each once, at its first position.
 
     A selection it resolved before is returned as it is, so the suite
     resolves once per run, not once per graph.
@@ -531,7 +524,8 @@ def normalize_checks(checks: str | Sequence[str]) -> tuple[str, ...]:
         return checks
     if isinstance(checks, str):
         checks = [c.strip() for c in checks.split(",") if c.strip()]
-    if list(checks) == ["all"]:
+    checks = list(dict.fromkeys(checks))
+    if checks == ["all"]:
         return CHECK_GROUPS
     known = f"known: all, {', '.join(CHECK_GROUPS)}"
     if not checks:
@@ -543,22 +537,12 @@ def normalize_checks(checks: str | Sequence[str]) -> tuple[str, ...]:
 
 
 def evaluate_graph(
-    item: tuple[str, Graph],
-    checks: str | Sequence[str] = "all",
-    exact: ExactMetrics | None = None,
-    spectral: SpectralResult | None = None,
+    cache: MetricCache, checks: str | Sequence[str] = "all"
 ) -> list[TheoremReport]:
-    """Run the selected checks on one graph, mapping precondition
-    violations to skipped reports instead of raising.
-
-    ``exact`` is the graph's :func:`exact_batch` result and ``spectral``
-    its :func:`lambda2` result, if already known.
-    """
-    graph_id, g = item
-    groups = normalize_checks(checks)
-    cache = MetricCache(g, graph_id=graph_id, exact=exact, spectral=spectral)
+    """Run the selected checks on one graph's cache, mapping precondition
+    violations to skipped reports instead of raising."""
     reports: list[TheoremReport] = []
-    for group in groups:
+    for group in normalize_checks(checks):
         run, theorems, _ = _CHECKS[group]
         try:
             reports.extend(run(cache))
@@ -568,43 +552,37 @@ def evaluate_graph(
     return reports
 
 
-def _prefill(
-    items: Sequence[tuple[str, Graph]], spectral: bool = True
-) -> list[tuple[ExactMetrics | None, SpectralResult | None]]:
-    """Per item, its :func:`exact_batch` and stacked-``eigh`` results, or None.
+def _prefill(caches: Sequence[MetricCache], spectral: bool = True) -> None:
+    """Set ``exact`` and, if ``spectral``, ``spectral`` of a batch's caches.
 
     Both take the connected graphs with ``2 <= n <= HARD_CAP`` (each
     tested once), one call per (n, d): :func:`exact_batch` all of them,
-    the eigensolve the regular ones if ``spectral``, as no check reads
-    lambda2 of any other.  :class:`MetricCache` raises the error of any
-    other graph on first use.
+    the stacked ``eigh`` the regular ones if ``spectral``, as no check
+    reads lambda2 of any other.  A cache left unset, or whose eigensolve
+    failed its residual check, raises its graph's error on first use.
     """
-    groups: dict[tuple[int, int | None], list[int]] = {}
-    for i, (_, g) in enumerate(items):
+    groups: dict[tuple[int, int | None], list[MetricCache]] = {}
+    for cache in caches:
+        g = cache.g
         if 2 <= g.n <= HARD_CAP and is_connected(g):
-            groups.setdefault((g.n, regularity(g)), []).append(i)
-    out: list[tuple[ExactMetrics | None, SpectralResult | None]]
-    out = [(None, None)] * len(items)
-    for (_, d), idx in groups.items():
-        graphs = [items[i][1] for i in idx]
-        eigh = spectral and d is not None
-        spectra = _lambda2_batch(graphs) if eigh else [None] * len(idx)
-        for i, pair in zip(idx, zip(exact_batch(graphs), spectra)):
-            out[i] = pair
-    return out
+            groups.setdefault((g.n, cache.d), []).append(cache)
+    for (_, d), group in groups.items():
+        graphs = [cache.g for cache in group]
+        for cache, exact in zip(group, exact_batch(graphs)):
+            cache.exact = exact
+        if spectral and d is not None:
+            for cache, result in zip(group, _lambda2_batch(graphs)):
+                if result is not None:
+                    cache.spectral = result
 
 
 def _evaluate_batch(
     checks: tuple[str, ...], items: Sequence[tuple[str, Graph]]
 ) -> list[TheoremReport]:
     """The reports of one batch, in order, after one :func:`_prefill`."""
-    reads_lambda2 = any(_CHECKS[c][2] for c in checks)
-    prefilled = _prefill(items, reads_lambda2)
-    return [
-        report
-        for item, (exact, spectral) in zip(items, prefilled)
-        for report in evaluate_graph(item, checks, exact, spectral)
-    ]
+    caches = [MetricCache(g, graph_id) for graph_id, g in items]
+    _prefill(caches, any(_CHECKS[c][2] for c in checks))
+    return [report for cache in caches for report in evaluate_graph(cache, checks)]
 
 
 def clamp_jobs(jobs: int) -> int:

@@ -274,6 +274,9 @@ class TestVerify:
             ["--spec", "cycle:2"],
             ["--family", "star", "--n", "1..3"],
             ["--family", "hypercube", "--n", "5..7"],
+            ["--files", "no/such/dir/graph.edges"],
+            ["--spec", "cycle:4", "--n", "3..5"],
+            ["--family", "petersen", "--n", "3..5"],
         ],
     )
     def test_bad_family_selection_exit_2_one_line(self, selection):
@@ -288,6 +291,15 @@ class TestVerify:
         proc = run_cli("verify", "--files", str(bad))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_repeated_check_group_runs_once(self):
+        proc = run_cli("verify", "--spec", "cycle:6", "--checks", "vat_lower,vat_lower")
+        assert proc.returncode == 0
+        rows = list(csv.DictReader(proc.stdout.splitlines()))
+        assert [r["theorem"] for r in rows] == ["vat_lower"]
+        assert proc.stderr.startswith("graphs=1 reports=1 ")
 
 
     @pytest.mark.parametrize(

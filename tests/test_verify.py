@@ -193,7 +193,9 @@ class TestConnectedMinimizer:
     def test_reads_minimizers_from_cache(self):
         g = vt.cycle(6)
         exact = replace(vt.exact_batch([g])[0], minimizers=np.array([0b111000]))
-        (r,) = check_connected_minimizer(MetricCache(g, exact=exact))
+        cache = MetricCache(g)
+        cache.exact = exact
+        (r,) = check_connected_minimizer(cache)
         assert r.witnesses["S"] == [3, 4, 5]
 
     def test_hypercube3_face(self):
@@ -245,7 +247,7 @@ class TestValueRanges:
 
 class TestEvaluateAndSuite:
     def test_star_skips_regular_only_checks(self):
-        reports = evaluate_graph(("star:5", vt.star(5)))
+        reports = evaluate_graph(MetricCache(vt.star(5), "star:5"))
         by = {}
         for r in reports:
             by.setdefault(r.theorem, r)
@@ -284,7 +286,7 @@ class TestEvaluateAndSuite:
         cycles = [(f"cycle:{n}", vt.cycle(n)) for n in range(3, 12)]
         items = small[:45] + mixed + small[45:] + cycles
         assert len(items) > 3 * SUITE_BATCH
-        alone = [r for item in items for r in evaluate_graph(item)]
+        alone = [r for i, g in items for r in evaluate_graph(MetricCache(g, i))]
         reasons = {r.skip_reason.split(":")[0] for r in alone if r.skipped}
         assert {"NotRegular", "DisconnectedInput", "TooLarge"} <= reasons
         for jobs in (1, 2):
@@ -312,6 +314,7 @@ class TestEvaluateAndSuite:
         groups = normalize_checks("cheeger, vat_lower")
         assert groups == ("cheeger", "vat_lower")
         assert normalize_checks(groups) is groups  # resolved once per run
+        assert normalize_checks("vat_lower,cheeger,vat_lower") == ("vat_lower", "cheeger")
 
 
 class TestPrefill:
@@ -333,12 +336,14 @@ class TestPrefill:
             assert spectral.gap.hex() == expected.gap.hex(), graph_id
             assert spectral.n == g.n
             assert 0 <= spectral.residual <= _RESIDUAL_TOL
-        for (graph_id, g), (exact, spectral) in zip(items, verify._prefill(items)):
-            assert exact is not None, graph_id
-            if vt.regularity(g) is None:
-                assert spectral is None, graph_id
+        caches = [MetricCache(g, graph_id) for graph_id, g in items]
+        verify._prefill(caches)
+        for cache in caches:
+            assert "exact" in vars(cache), cache.graph_id
+            if cache.d is None:
+                assert "spectral" not in vars(cache), cache.graph_id
             else:
-                assert spectral == batch[graph_id], graph_id
+                assert vars(cache)["spectral"] == batch[cache.graph_id], cache.graph_id
         # the largest n the dense solver takes, next to the Lanczos cutoff
         g = vt.connected_random_regular(spectral_mod._DENSE_MAX_N, 3, 1)[0]
         (spectral,) = spectral_mod._lambda2_batch([g])
@@ -348,10 +353,11 @@ class TestPrefill:
         monkeypatch.setattr(np.linalg, "eigh", None)  # any call fails
         cap = verify.HARD_CAP
         star, big = vt.star(5), vt.cycle(cap + 1)
-        ((exact, spectral),) = verify._prefill([("star", star)])
-        assert exact is not None and spectral is None
-        assert verify._prefill([("big", big)]) == [(None, None)]
-        reports = evaluate_graph(("big", big), "cheeger,spectral_vat")
+        star_cache, big_cache = MetricCache(star, "star"), MetricCache(big, "big")
+        verify._prefill([star_cache, big_cache])
+        assert "exact" in vars(star_cache) and "spectral" not in vars(star_cache)
+        assert "exact" not in vars(big_cache) and "spectral" not in vars(big_cache)
+        reports = evaluate_graph(big_cache, "cheeger,spectral_vat")
         assert all(r.skipped for r in reports)
         reason = f"TooLarge: n={cap + 1} exceeds the hard cap {cap}"
         assert {r.skip_reason for r in reports} == {reason}
@@ -375,11 +381,13 @@ class TestPrefill:
             ("isolated", vt.build_graph(3, [(0, 1)])),
             ("disconnected", vt.build_graph(6, triangle + [(3, 4), (4, 5), (3, 5)])),
         ]
-        assert verify._prefill(items) == [(None, None)] * 3
-        for item in items:
-            reports = evaluate_graph(item)
+        caches = [MetricCache(g, graph_id) for graph_id, g in items]
+        verify._prefill(caches)
+        for cache in caches:
+            assert "exact" not in vars(cache) and "spectral" not in vars(cache)
+            reports = evaluate_graph(cache)
             assert [r.theorem for r in reports] == list(verify.ALL_THEOREMS)
-            expected = reasons[item[0]]
+            expected = reasons[cache.graph_id]
             for group, theorems in verify.GROUP_THEOREMS.items():
                 for r in reports:
                     if r.theorem in theorems:
@@ -389,9 +397,10 @@ class TestPrefill:
     def test_failed_residual_check_gives_none_then_the_error(self, monkeypatch):
         g = vt.petersen()
         monkeypatch.setattr(spectral_mod, "_RESIDUAL_TOL", -1.0)
-        ((exact, spectral),) = verify._prefill([("p", g)])
-        assert exact is not None and spectral is None
-        reports = by_theorem(evaluate_graph(("p", g), "cheeger,vat_lower", exact, spectral))
+        cache = MetricCache(g, "p")
+        verify._prefill([cache])
+        assert "exact" in vars(cache) and "spectral" not in vars(cache)
+        reports = by_theorem(evaluate_graph(cache, "cheeger,vat_lower"))
         assert reports["cheeger_lower"].skipped
         assert reports["cheeger_lower"].skip_reason.startswith(
             "NoConvergence: eigenpair residual"
@@ -400,8 +409,12 @@ class TestPrefill:
 
     def test_given_results_change_no_report(self):
         items = [(f"c{n}", vt.cycle(n)) for n in (5, 6, 6, 7)] + [("k4", vt.complete(4))]
-        for item, (exact, spectral) in zip(items, verify._prefill(items)):
-            assert evaluate_graph(item, "all", exact, spectral) == evaluate_graph(item)
+        caches = [MetricCache(g, graph_id) for graph_id, g in items]
+        verify._prefill(caches)
+        for cache in caches:
+            assert {"exact", "spectral"} <= vars(cache).keys()
+            alone = MetricCache(cache.g, cache.graph_id)
+            assert evaluate_graph(cache, "all") == evaluate_graph(alone)
 
     def test_one_connectivity_traversal_per_graph(self, monkeypatch):
         calls = []
@@ -413,10 +426,23 @@ class TestPrefill:
 
         monkeypatch.setattr(graph_mod, "_component", counting)
         items = [(f"c{n}", vt.cycle(n)) for n in (5, 6, 6, 7)]
-        verify._prefill(items)
+        verify._prefill([MetricCache(g, graph_id) for graph_id, g in items])
         assert len(calls) == len(items)
         vt.exact_batch([items[1][1], items[2][1]])
         vt.lambda2(items[0][1])
+        assert len(calls) == len(items)
+
+    def test_one_regularity_test_per_graph(self, monkeypatch):
+        calls = []
+        original = verify.regularity
+
+        def counting(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(verify, "regularity", counting)
+        items = [(f"c{n}", vt.cycle(n)) for n in (5, 6, 6, 7)] + [("star", vt.star(5))]
+        list(vt.iter_suite(items))
         assert len(calls) == len(items)
 
     def test_checks_without_lambda2_skip_the_eigensolve(self, monkeypatch):
