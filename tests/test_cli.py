@@ -7,13 +7,15 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import vattol as vt
-from vattol import cli
+from vattol import cli, verify
 
 F = Fraction
 
@@ -294,6 +296,11 @@ class TestVerify:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
+    def test_graphs_counts_each_graph_checked(self):
+        proc = run_cli("verify", "--spec", "cycle:4", "--spec", "cycle:4", "--checks", "vat_lower")
+        assert proc.returncode == 0
+        assert proc.stderr.startswith("graphs=2 reports=2 ")
+
     def test_repeated_check_group_runs_once(self):
         proc = run_cli("verify", "--spec", "cycle:6", "--checks", "vat_lower,vat_lower")
         assert proc.returncode == 0
@@ -335,62 +342,106 @@ class TestVerify:
 
 
 class TestCsvWriter:
-    """The memoizing writer emits exactly the rows of ``report_to_csv_row``."""
+    """The row table's CSV text is byte-equal to ``csv.writer`` over
+    ``report_to_csv_row`` of the same graphs' reports."""
 
     @staticmethod
-    def report(graph_id, lhs, rhs, witnesses=None, **fields):
-        base = dict(
-            theorem="t", graph_id=graph_id, n=4, m=6, d=3, lhs=lhs, rhs=rhs,
-            holds=True, strict_holds=False, slack=0.0, witnesses=witnesses,
+    def cache(graph_id, g, tau=None, phi=None, gap=None, minimizers=None):
+        """A cache whose results are set by hand, as the prefill would."""
+        cache = verify.MetricCache(g, graph_id)
+        exact = vt.exact_batch([g])[0]
+        cache.exact = replace(
+            exact,
+            tau=exact.tau if tau is None else replace(exact.tau, **tau),
+            phi=exact.phi if phi is None else replace(exact.phi, **phi),
+            minimizers=exact.minimizers if minimizers is None else np.array(minimizers),
         )
-        return vt.TheoremReport(**{**base, **fields})
+        if gap is not None:
+            cache.spectral = vt.SpectralResult(1 - gap, gap, 0.0, g.n)
+        return cache
 
-    def written(self, reports):
+    @staticmethod
+    def written(caches):
         buf = io.StringIO()
-        cli._write_reports_csv(reports, buf)
+        batch = verify._render(caches, verify.CHECK_GROUPS, text=True)
+        cli._write_reports_csv([batch], buf)
         return buf.getvalue()
 
-    def expected(self, reports):
+    @staticmethod
+    def expected(caches):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(cli.VERIFY_CSV_COLUMNS)
-        for r in reports:
-            writer.writerow(cli.report_to_csv_row(r))
+        for cache in caches:
+            for r in vt.evaluate_graph(cache):
+                writer.writerow(cli.report_to_csv_row(r))
         return buf.getvalue()
 
     def test_equal_values_that_print_apart(self):
-        shared = {"S": [0, 2], "T": [1]}
-        reports = [
-            self.report("a", F(1), 1.0, shared),
-            self.report("a", 1.0, F(1), shared, slack=-0.0),
-            self.report("a", 0.0, -0.0, {}),
-            self.report("a", -0.0, 0.0, None, d=None),
-            self.report("b", F(1), 1.0, shared),
-            self.report("b", F(-1, 3), float("nan"), {"S": []}, slack=None),
-            self.report(
-                "b", None, None, None, holds=None, strict_holds=None, slack=None,
-                skipped=True, skip_reason="NotRegular: no",
-            ),
-            self.report("b", None, None, None, holds=None, strict_holds=None, slack=None),
+        k2, c6 = vt.complete(2), vt.cycle(6)
+        half = {"value": F(1, 2)}
+        caches = [
+            self.cache("a", k2, phi=half, gap=1.0),  # gap 1.0 against 2 phi = Fraction(1)
+            self.cache("a", k2, phi=half, gap=0.0),
+            self.cache("a", k2, phi=half, gap=-0.0),  # same (d, tau, phi), prints apart
+            self.cache("b", k2, phi=half, gap=float("nan")),
+            self.cache("b", k2, phi=half, gap=float("nan")),
+            self.cache('c,"d', c6, tau={"witness": 0}, minimizers=[0b010101]),
+            self.cache("star", vt.star(3)),
         ]
-        text = self.written(reports)
-        assert text == self.expected(reports)
+        text = self.written(caches)
+        assert text == self.expected(caches)
         rows = text.splitlines()[1:]
-        assert rows[0] == "a,4,6,3,t,1,1,1,,,1,true,false,0,S=0 2;T=1"
-        assert rows[1] == "a,4,6,3,t,,,1,1,1,1,true,false,-0,S=0 2;T=1"
-        assert rows[2] == "a,4,6,3,t,,,0,,,-0,true,false,0,"
-        assert rows[3] == "a,4,6,,t,,,-0,,,0,true,false,0,"
-        assert rows[5] == "b,4,6,3,t,-1,3,-0.333333333333,,,nan,true,false,,S="
-        assert rows[6] == rows[7] == "b,4,6,3,t,,,,,,,,,,"
+        assert rows[1] == "a,2,1,1,cheeger_upper,,,1,1,1,1,true,false,0,S=0"
+        assert rows[14] == "a,2,1,1,cheeger_upper,,,0,1,1,1,true,true,1,S=0"
+        assert rows[27] == "a,2,1,1,cheeger_upper,,,-0,1,1,1,true,true,1,S=0"
+        assert rows[40] == "b,2,1,1,cheeger_upper,,,nan,1,1,1,false,false,nan,S=0"
+        assert rows[53] == rows[40]
+        assert rows[52 + 13 + 8].startswith('"c,""d",6,6,2,connected_minimizer,')
+        assert rows[52 + 13 + 8].endswith(",false,,,")  # no connected minimizer, no witness
+        assert rows[52 + 13 + 4].endswith(",S=")  # an empty attack witness
+        assert rows[-13] == "star,4,3,,cheeger_lower,,,,,,,,,,"
 
     def test_fresh_witness_dicts_are_not_confused(self):
-        # Each dict is dropped after its row, so without the memo holding
-        # it a later dict could take its id.
-        def reports():
-            for i in range(200):
-                yield self.report("g" if i < 100 else "h", F(i, 7), i / 7, {"S": [i]})
+        # 200 distinct attack witnesses through the witness-text memo.
+        g = vt.cycle(10)
+        caches = [self.cache(f"g{i}", g, tau={"witness": i}) for i in range(1, 201)]
+        assert self.written(caches) == self.expected(caches)
 
-        assert self.written(reports()) == self.expected(list(reports()))
+    def test_cold_and_warm_table_give_the_same_bytes(self):
+        graphs = list(vt.standard_corpus())
+
+        def text():
+            buf = io.StringIO()
+            cli._write_reports_csv(verify._suite_batches(graphs, "all", 1, True), buf)
+            return buf.getvalue()
+
+        for memo in (verify._entry, verify._witness_line, verify._derived):
+            memo.cache_clear()
+        texts = [text(), text()]  # cold, then warm
+        assert verify._entry.cache_info().hits > 0
+        assert texts[0] == texts[1]
+        digest = hashlib.sha256(texts[0].encode()).hexdigest()
+        assert digest == "596767de40c5d7117240f52b7bebd86ef395d6cc821e89daf79985f94b8b229c"
+
+    def test_table_stays_within_its_bound(self):
+        size = verify._TABLE_SIZE
+        for i in range(size + 100):
+            verify._entry("vat_lower", f"TooLarge: graph {i}")
+        info = verify._entry.cache_info()
+        assert info.maxsize == size and info.currsize == size
+        caches = [self.cache(f"c{n}", vt.cycle(n)) for n in range(3, 9)]
+        assert self.written(caches) == self.expected(caches)  # evicted, then rebuilt
+
+    def test_files_path_with_comma_and_quote(self, tmp_path):
+        path = tmp_path / 'a,"b.edges'
+        path.write_text("0 1\n1 2\n2 0\n")
+        proc = run_cli("verify", "--files", str(path), "--checks", "vat_lower")
+        assert proc.returncode == 0
+        quoted = '"' + str(path).replace('"', '""') + '"'
+        assert proc.stdout.splitlines()[1].startswith(quoted + ",3,3,2,vat_lower,")
+        (row,) = csv.DictReader(proc.stdout.splitlines())
+        assert row["graph_id"] == str(path)
 
 
 class TestCorpus:

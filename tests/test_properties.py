@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import vattol as vt
+from fraction_facts import mediant_between, series_lower_bound
 from naive_oracle import naive_conductance_minimizers, naive_vat, naive_weighted_vat
 
 F = Fraction
@@ -163,7 +164,7 @@ def test_sweep_upper_bounds_exact(g):
 def test_mediant_sandwich(a, x, b, y):
     if F(a, x) > F(b, y):
         a, x, b, y = b, y, a, x
-    mid = vt.mediant_between(a, x, b, y)
+    mid = mediant_between(a, x, b, y)
     if F(a, x) < F(b, y):
         assert F(a, x) < mid < F(b, y)
     else:
@@ -181,7 +182,7 @@ def test_mediant_sandwich(a, x, b, y):
 def test_series_lower_bound_implication(pairs, c):
     ratios = [F(a, b) for a, b in pairs]
     if c <= min(ratios):
-        assert vt.series_lower_bound(pairs, c)
+        assert series_lower_bound(pairs, c)
 
 
 @given(st.integers(0, 2**63))

@@ -10,6 +10,7 @@ from vattol import BadParameter, DisconnectedInput, TooLarge, TrivialGraph, veri
 from vattol import graph as graph_mod
 from vattol import spectral as spectral_mod
 from vattol.corpus import exhaustive_members, exhaustive_regular
+from fraction_facts import mediant_between, series_lower_bound
 from vattol.spectral import _RESIDUAL_TOL
 from vattol.verify import (
     SUITE_BATCH,
@@ -23,10 +24,8 @@ from vattol.verify import (
     check_vat_upper,
     clamp_jobs,
     evaluate_graph,
-    mediant_between,
     normalize_checks,
     run_suite,
-    series_lower_bound,
 )
 
 F = Fraction
