@@ -50,6 +50,7 @@ from .metrics import (
 from .spectral import lambda2
 from .verify import (
     CHECK_GROUPS,
+    VERIFY_CSV_COLUMNS,
     SuiteSummary,
     TheoremReport,
     _Batch,
@@ -57,25 +58,6 @@ from .verify import (
     _side_csv,
     _suite_batches,
     normalize_checks,
-    report_to_csv_row,  # noqa: F401  (the reference renderer of a CSV row)
-)
-
-VERIFY_CSV_COLUMNS = (
-    "graph_id",
-    "n",
-    "m",
-    "d",
-    "theorem",
-    "lhs_num",
-    "lhs_den",
-    "lhs_real",
-    "rhs_num",
-    "rhs_den",
-    "rhs_real",
-    "holds",
-    "strict_holds",
-    "slack",
-    "witness",
 )
 
 METRICS_CSV_COLUMNS = (
@@ -136,8 +118,11 @@ def _write_reports_csv(batches: Iterable[_Batch], out: IO[str]) -> None:
 
 def _write_reports_json(batches: Iterable[_Batch], out: IO[str]) -> None:
     out.write("[")
-    for i, r in enumerate(chain.from_iterable(batch.out for batch in batches)):
-        out.write((",\n " if i else "\n ") + json.dumps(report_to_json(r), separators=(", ", ": ")))
+    separator = "\n "
+    for r in chain.from_iterable(batch.out for batch in batches):
+        out.write(separator)
+        out.write(json.dumps(report_to_json(r), separators=(", ", ": ")))
+        separator = ",\n "
     out.write("\n]\n")
 
 
@@ -312,7 +297,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     graphs = _verify_selection(args)
     summary = SuiteSummary()
     text = args.format == "csv"
-    batches = summary.count(
+    batches = summary._count(
         _suite_batches(graphs, normalize_checks(args.checks), args.jobs, text)
     )
     write = _write_reports_csv if text else _write_reports_json

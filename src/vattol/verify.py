@@ -19,12 +19,32 @@ function, its row builder, its theorems and whether it reads lambda2;
 :data:`CHECK_GROUPS`, :data:`GROUP_THEOREMS` and :data:`ALL_THEOREMS`
 derive from it.  A key function reduces a cache to a verdict key, the
 inputs that decide the group's reports, and the graph's witness masks;
-a group that raises on an unmet precondition is keyed by its error.  A
-bounded row table maps each (group, key) to its rows: theorem, verdict,
+a group that raises on an unmet precondition is keyed ``None``, its
+reports taking their skip reason from the error.  A bounded row table maps each (group, key) to its rows: theorem, verdict,
 CSV text and summary counts.  The ``check_*`` functions,
 :func:`evaluate_graph`, :func:`iter_suite` and :func:`run_suite` build
 reports from those rows; ``vattol verify`` joins their CSV text with
 each graph's prefix and witness text, and builds no report.
+
+The groups and the inequalities they cover, for a connected d-regular
+graph with attack tolerance tau, conductance phi and spectral gap
+``gap = 1 - lambda2``:
+
+- ``cheeger``: phi^2 / 2 <= gap and gap <= 2 phi (the classical Cheeger
+  sandwich for the normalized adjacency spectrum)
+- ``vat_upper``: tau <= d phi whenever phi < 1/d^2, and the
+  unconditional weakening tau <= d^2 phi
+- ``vat_lower``: phi <= d tau (so tau and phi agree up to the factor d)
+- ``spectral_vat``: tau^2 / (2 d^4) <= gap <= 2 d tau, and the sharper
+  conditional lower bound tau^2 / (2 d^2) <= gap when phi < 1/d^2
+- ``connected_minimizer``: some conductance minimizer induces a
+  connected subgraph (all minimizers are enumerated, so n <= 16,
+  ``MINIMIZER_LIMIT``)
+- ``fragment_bounds``: with S a minimizing attack set and C_1..C_q+1 the
+  surviving components, d|S| bounds the total component boundary, and
+  the attack ratio denominator is bounded by the survivor count
+- ``value_ranges``: 0 < tau <= 1 (with a nonempty surviving component at
+  the witness) and 0 < phi <= 1, on any connected graph
 
 The suite takes graphs in batches of :data:`SUITE_BATCH`, each evaluated
 by ``_evaluate_batch``, in process or in a pool worker: ``_prefill``
@@ -55,7 +75,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import islice
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BadParameter, NotRegular, TooLarge, VattolError
@@ -210,20 +230,55 @@ def _witness_str(witnesses: dict[str, list[int]] | None) -> str:
     )
 
 
+#: The columns of ``vattol verify``'s CSV, one row per report.
+VERIFY_CSV_COLUMNS = (
+    "graph_id",
+    "n",
+    "m",
+    "d",
+    "theorem",
+    "lhs_num",
+    "lhs_den",
+    "lhs_real",
+    "rhs_num",
+    "rhs_den",
+    "rhs_real",
+    "holds",
+    "strict_holds",
+    "slack",
+    "witness",
+)
+
+
 def report_to_csv_row(r: TheoremReport) -> list[str]:
-    """The CSV fields of one report; the row table renders the fields
-    from ``theorem`` to ``slack`` of each of its rows with it."""
-    d = "" if r.d is None else str(r.d)
+    """The :data:`VERIFY_CSV_COLUMNS` fields of one report; the row table
+    renders the fields from ``theorem`` to ``slack`` of each of its rows
+    with it."""
     return [
-        r.graph_id, str(r.n), str(r.m), d, r.theorem, *_side_csv(r.lhs), *_side_csv(r.rhs),
-        _bool_str(r.holds), _bool_str(r.strict_holds), _real_str(r.slack),
+        r.graph_id,
+        str(r.n),
+        str(r.m),
+        "" if r.d is None else str(r.d),
+        r.theorem,
+        *_side_csv(r.lhs),
+        *_side_csv(r.rhs),
+        _bool_str(r.holds),
+        _bool_str(r.strict_holds),
+        _real_str(r.slack),
         _witness_str(r.witnesses),
     ]
 
 
-#: The ``csv`` module's text of one row, line end included: ``writerow``
-#: returns what the file's ``write`` returns.
-_csv_line = csv.writer(SimpleNamespace(write=lambda text: text), lineterminator="\n").writerow
+class _LineWriter:
+    """A file whose ``write`` returns the text it is given, so that the
+    ``writerow`` of a ``csv.writer`` over it returns the row's text."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+#: The ``csv`` module's text of one row, line end included.
+_csv_line = csv.writer(_LineWriter(), lineterminator="\n").writerow
 
 
 def _witness_dict(masks: tuple[int, ...]) -> dict[str, list[int]]:
@@ -250,6 +305,17 @@ class _Row(NamedTuple):
     witness: int | None = 0
 
 
+class _Theorem(NamedTuple):
+    """A theorem of a check group.  ``upper``: its side bounds the
+    spectral gap from above (gap <= side), else from below; only a
+    spectral group reads it.  ``conditional``: its row is skipped unless
+    phi < 1/d^2."""
+
+    name: str
+    upper: bool = False
+    conditional: bool = False
+
+
 @dataclass(frozen=True, eq=False)  # hashed by identity, so cheap to count
 class _Entry:
     """The rows of one (group, key).  ``tally``: what they add to a
@@ -270,11 +336,13 @@ def _tail(row: _Row) -> list[str]:
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
-def _entry(group: str, key: tuple | str) -> _Entry:
-    """The entry of ``group`` at ``key``; a ``str`` key is a skip reason."""
+def _entry(group: str, key: tuple | None) -> _Entry:
+    """The entry of ``group`` at ``key``.  Key ``None``: an unmet
+    precondition, whose rows are skipped whatever the error; the reports
+    take their skip reason from the error."""
     _, build, theorems, _ = _CHECKS[group]
-    if isinstance(key, str):
-        rows = tuple(_Row(t, skip_reason=key, witness=None) for t in theorems)
+    if key is None:
+        rows = tuple(_Row(t.name, skip_reason=_UNMET, witness=None) for t in theorems)
     else:
         rows = build(theorems, *key)
     checked = [r.verdict for r in rows if not r.skip_reason]
@@ -339,6 +407,7 @@ class MetricCache:
 
 
 _HYPOTHESIS_NOT_MET = "hypothesis not met: conductance not strictly below 1/d^2"
+_UNMET = "precondition not met"
 
 # Per check group: a key function, cache -> (verdict key, witnesses),
 # which raises on an unmet precondition, and a row builder, (theorems,
@@ -356,21 +425,21 @@ def _triple_key(witness: str, spectral: bool, ctx: MetricCache):
     return key, ((getattr(ctx, witness).witness,),)
 
 
-def _triple_rows(theorems: tuple[str, ...], *key) -> tuple[_Row, ...]:
+def _triple_rows(theorems: tuple[_Theorem, ...], *key) -> tuple[_Row, ...]:
     """The rows that (d, tau, phi) decide, with the gap if the key has
-    one: an exact verdict, else the side against the gap, which an
-    ``_upper`` theorem bounds from above; a ``_conditional`` theorem is
-    skipped unless phi < 1/d^2."""
+    one: an exact verdict, else the side against the gap."""
     sides = _derived(*key[:5])
     gap = float(key[5]) if len(key) > 5 else None
 
-    def row(t: str) -> _Row:
-        side = sides[t]
-        if t.endswith("_conditional") and not sides["hypothesis"]:
-            return _Row(t, skip_reason=_HYPOTHESIS_NOT_MET, witness=None)
+    def row(t: _Theorem) -> _Row:
+        side = sides[t.name]
+        if t.conditional and not sides["hypothesis"]:
+            return _Row(t.name, skip_reason=_HYPOTHESIS_NOT_MET, witness=None)
         if gap is None:
-            return _Row(t, side)
-        return _Row(t, _verdict(gap, side, True) if "_upper" in t else _verdict(side, gap, True))
+            return _Row(t.name, side)
+        if t.upper:
+            return _Row(t.name, _verdict(gap, side, True))
+        return _Row(t.name, _verdict(side, gap, True))
 
     return tuple(map(row, theorems))
 
@@ -389,7 +458,8 @@ def _connected_minimizer_key(ctx: MetricCache):
 
 
 def _connected_minimizer_rows(theorems, holds: bool) -> tuple[_Row, ...]:
-    return (_Row(theorems[0], _NO_VERDICT._replace(holds=holds), witness=0 if holds else None),)
+    verdict = _NO_VERDICT._replace(holds=holds)
+    return (_Row(theorems[0].name, verdict, witness=0 if holds else None),)
 
 
 def _fragment_bounds_key(ctx: MetricCache):
@@ -408,7 +478,10 @@ def _fragment_bounds_key(ctx: MetricCache):
 def _fragment_bounds_rows(theorems, *sides: int) -> tuple[_Row, ...]:
     lhs_cut, rhs_cut, lhs_size, rhs_size = map(Fraction, sides)
     cut, size = theorems
-    return _Row(cut, _verdict(lhs_cut, rhs_cut)), _Row(size, _verdict(lhs_size, rhs_size))
+    return (
+        _Row(cut.name, _verdict(lhs_cut, rhs_cut)),
+        _Row(size.name, _verdict(lhs_size, rhs_size)),
+    )
 
 
 def _value_ranges_key(ctx: MetricCache):
@@ -419,39 +492,55 @@ def _value_ranges_key(ctx: MetricCache):
 def _value_ranges_rows(theorems, *key) -> tuple[_Row, ...]:
     sides, no_survivor = _derived(*key[:5]), key[5]
     tau = sides["vat_range"]._replace(holds=False) if no_survivor else sides["vat_range"]
-    return _Row(theorems[0], tau), _Row(theorems[1], sides["conductance_range"], witness=1)
+    phi = sides["conductance_range"]
+    return _Row(theorems[0].name, tau), _Row(theorems[1].name, phi, witness=1)
 
 
 #: Per check group, in report order: its key function, its row builder,
 #: its theorems in report order, and whether it reads lambda2.
 _CHECKS = {
     "cheeger": (
-        partial(_triple_key, "phi", True), _triple_rows, ("cheeger_lower", "cheeger_upper"), True
+        partial(_triple_key, "phi", True),
+        _triple_rows,
+        (_Theorem("cheeger_lower"), _Theorem("cheeger_upper", upper=True)),
+        True,
     ),
     "vat_upper": (
         partial(_triple_key, "tau", False),
         _triple_rows,
-        ("vat_upper_conditional", "vat_upper_unconditional"),
+        (_Theorem("vat_upper_conditional", conditional=True), _Theorem("vat_upper_unconditional")),
         False,
     ),
-    "vat_lower": (partial(_triple_key, "tau", False), _triple_rows, ("vat_lower",), False),
+    "vat_lower": (
+        partial(_triple_key, "tau", False), _triple_rows, (_Theorem("vat_lower"),), False
+    ),
     "spectral_vat": (
         partial(_triple_key, "tau", True),
         _triple_rows,
-        ("spectral_vat_lower", "spectral_vat_upper", "spectral_vat_lower_conditional"),
+        (
+            _Theorem("spectral_vat_lower"),
+            _Theorem("spectral_vat_upper", upper=True),
+            _Theorem("spectral_vat_lower_conditional", conditional=True),
+        ),
         True,
     ),
     "connected_minimizer": (
-        _connected_minimizer_key, _connected_minimizer_rows, ("connected_minimizer",), False
+        _connected_minimizer_key,
+        _connected_minimizer_rows,
+        (_Theorem("connected_minimizer"),),
+        False,
     ),
     "fragment_bounds": (
         _fragment_bounds_key,
         _fragment_bounds_rows,
-        ("fragment_cut_bound", "fragment_size_bound"),
+        (_Theorem("fragment_cut_bound"), _Theorem("fragment_size_bound")),
         False,
     ),
     "value_ranges": (
-        _value_ranges_key, _value_ranges_rows, ("vat_range", "conductance_range"), False
+        _value_ranges_key,
+        _value_ranges_rows,
+        (_Theorem("vat_range"), _Theorem("conductance_range")),
+        False,
     ),
 }
 
@@ -461,40 +550,47 @@ class _Selection(tuple):
 
 
 CHECK_GROUPS = _Selection(_CHECKS)
-GROUP_THEOREMS = {group: theorems for group, (_, _, theorems, _) in _CHECKS.items()}
+GROUP_THEOREMS = {
+    group: tuple(t.name for t in theorems) for group, (_, _, theorems, _) in _CHECKS.items()
+}
 ALL_THEOREMS = tuple(t for theorems in GROUP_THEOREMS.values() for t in theorems)
 
 #: The bounds the paper claims strictly; a suite summary lists each of
 #: their equality cases by graph id.
 STRICT_CLAIMS = ("vat_lower", "vat_upper_unconditional")
 
-_Verdicts = list[tuple[_Entry, tuple]]
+_Verdicts = list[tuple[_Entry, tuple, VattolError | None]]
 
 
 def _verdicts(cache: MetricCache, checks: Sequence[str]) -> _Verdicts:
-    """Per selected group: its table entry for ``cache``, and its witnesses."""
+    """Per selected group: its table entry for ``cache``, its witnesses,
+    and the error of an unmet precondition (else ``None``)."""
     out = []
     for group in checks:
         try:
             key, witnesses = _CHECKS[group][0](cache)
+            error = None
         except VattolError as exc:
-            key, witnesses = f"{type(exc).__name__}: {exc}", ()
-        out.append((_entry(group, key), witnesses))
+            key, witnesses, error = None, (), exc
+        out.append((_entry(group, key), witnesses, error))
     return out
 
 
 def _reports(cache: MetricCache, verdicts: _Verdicts) -> list[TheoremReport]:
     g = cache.g
     graph = (cache.graph_id, g.n, g.m, cache.d)
-    return [
-        TheoremReport(
-            row.theorem, *graph, *row.verdict,
-            None if row.witness is None else _witness_dict(witnesses[row.witness]),
-            bool(row.skip_reason), row.skip_reason,
-        )
-        for entry, witnesses in verdicts
-        for row in entry.rows
-    ]
+    out = []
+    for entry, witnesses, error in verdicts:
+        reason = None if error is None else f"{type(error).__name__}: {error}"
+        for row in entry.rows:
+            skip_reason = reason or row.skip_reason
+            witness = None if row.witness is None else _witness_dict(witnesses[row.witness])
+            out.append(
+                TheoremReport(
+                    row.theorem, *graph, *row.verdict, witness, bool(skip_reason), skip_reason
+                )
+            )
+    return out
 
 
 def _csv_text(cache: MetricCache, verdicts: _Verdicts) -> str:
@@ -502,7 +598,7 @@ def _csv_text(cache: MetricCache, verdicts: _Verdicts) -> str:
     g = cache.g
     prefix = _csv_line((cache.graph_id, g.n, g.m, cache.d))[:-1]
     out = []
-    for entry, witnesses in verdicts:
+    for entry, witnesses, _ in verdicts:
         ends = [*map(_witness_line, witnesses), "\n"]
         out += [prefix + text + ends[i] for text, i in entry.lines]
     return "".join(out)
@@ -510,7 +606,7 @@ def _csv_text(cache: MetricCache, verdicts: _Verdicts) -> str:
 
 def _check(group: str, ctx: MetricCache) -> list[TheoremReport]:
     key, witnesses = _CHECKS[group][0](ctx)
-    return _reports(ctx, [(_entry(group, key), witnesses)])
+    return _reports(ctx, [(_entry(group, key), witnesses, None)])
 
 
 def check_cheeger(ctx: MetricCache) -> list[TheoremReport]:
@@ -594,7 +690,7 @@ class SuiteSummary:
             theorem: [] for theorem in STRICT_CLAIMS
         }
 
-    def count(self, batches: Iterable[_Batch]) -> Iterator[_Batch]:
+    def _count(self, batches: Iterable[_Batch]) -> Iterator[_Batch]:
         """Yield each batch unchanged, after adding it."""
         equalities = self.equality_counts
         for batch in batches:
@@ -692,7 +788,7 @@ def _render(caches: Sequence[MetricCache], checks: Sequence[str], text: bool) ->
     out = []
     for cache in caches:
         verdicts = _verdicts(cache, checks)
-        for entry, _ in verdicts:
+        for entry, _, _ in verdicts:
             entries.append(entry)
             for theorem in entry.claims:
                 cases[theorem].append(cache.graph_id)
@@ -775,5 +871,5 @@ def run_suite(
 ) -> SuiteResult:
     """Run the checks over a corpus and collect every report."""
     summary = SuiteSummary()
-    batches = summary.count(_suite_batches(graphs, checks, jobs, text=False))
+    batches = summary._count(_suite_batches(graphs, checks, jobs, text=False))
     return SuiteResult([r for batch in batches for r in batch.out], summary)

@@ -371,10 +371,10 @@ class TestCsvWriter:
     def expected(caches):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(cli.VERIFY_CSV_COLUMNS)
+        writer.writerow(verify.VERIFY_CSV_COLUMNS)
         for cache in caches:
             for r in vt.evaluate_graph(cache):
-                writer.writerow(cli.report_to_csv_row(r))
+                writer.writerow(verify.report_to_csv_row(r))
         return buf.getvalue()
 
     def test_equal_values_that_print_apart(self):
@@ -427,11 +427,20 @@ class TestCsvWriter:
     def test_table_stays_within_its_bound(self):
         size = verify._TABLE_SIZE
         for i in range(size + 100):
-            verify._entry("vat_lower", f"TooLarge: graph {i}")
+            verify._entry("vat_lower", (3, 1, i + 2, 1, 3))  # distinct tau
         info = verify._entry.cache_info()
         assert info.maxsize == size and info.currsize == size
         caches = [self.cache(f"c{n}", vt.cycle(n)) for n in range(3, 9)]
         assert self.written(caches) == self.expected(caches)  # evicted, then rebuilt
+
+    def test_unmet_preconditions_share_one_entry_per_group(self):
+        verify._entry.cache_clear()
+        caches = [verify.MetricCache(vt.star(k), f"star:{k}") for k in (30, 31)]
+        reports = [vt.evaluate_graph(cache) for cache in caches]
+        assert verify._entry.cache_info().currsize == len(verify.CHECK_GROUPS)
+        assert reports[1][0].skip_reason == "NotRegular: star:31: the check needs a regular graph"
+        assert reports[1][-1].skip_reason == "TooLarge: n=32 exceeds the hard cap 24"
+        assert self.written(caches) == self.expected(caches)
 
     def test_files_path_with_comma_and_quote(self, tmp_path):
         path = tmp_path / 'a,"b.edges'
