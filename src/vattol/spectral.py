@@ -81,10 +81,13 @@ class SweepResult:
 
     The value is exact (cut and volume are integers), so comparisons
     against the exact conductance never suffer float rounding.
+    ``spectral`` is the :func:`lambda2` result whose eigenvector ordered
+    the sweep, so lambda2 and the gap need no second solve.
     """
 
     value: Fraction
     witness: VertexMask
+    spectral: SpectralResult
 
     @property
     def witness_vertices(self) -> list[int]:
@@ -257,7 +260,7 @@ def sweep_conductance(g: Graph) -> SweepResult:
     is returned.  Since each prefix is an admissible set, the result can
     never be below the true conductance.
     """
-    _, vec = _lambda2_pair(g)
+    spectral, vec = _lambda2_pair(g)
     scores = vec / np.sqrt(np.array(g.deg, dtype=float))
     order = np.lexsort((np.arange(g.n), -scores))
     deg = g.deg
@@ -284,4 +287,4 @@ def sweep_conductance(g: Graph) -> SweepResult:
         ):
             best_cut, best_vol, best_mask = cut, vol, cur
             have = True
-    return SweepResult(value=Fraction(best_cut, best_vol), witness=best_mask)
+    return SweepResult(value=Fraction(best_cut, best_vol), witness=best_mask, spectral=spectral)

@@ -1,30 +1,33 @@
 """Mechanical checking of the resilience inequalities on supplied graphs.
 
-Each check compares two exactly-computed (or, for spectral quantities,
-tightly-toleranced) sides of one inequality and emits a structured
-:class:`TheoremReport`.  Inequalities are judged in non-strict form for
-``holds``; strictness is recorded separately, because some of the bounds
-are achieved with equality on boundary graphs (the single edge K2 most
-prominently) and an equality must be auditable rather than a failure.
-Spectral sides compare with the fixed absolute tolerance
-:data:`SPECTRAL_TOL`.
+Each check compares the two sides of one inequality and emits a
+structured :class:`TheoremReport`.  One rule decides every verdict:
+Fraction sides compare exactly, and a float side is the spectral gap,
+compared with the fixed absolute tolerance :data:`SPECTRAL_TOL`.
+Inequalities are judged in non-strict form for ``holds``; strictness is
+recorded separately, because some of the bounds are achieved with
+equality on boundary graphs (the single edge K2 most prominently) and
+an equality must be auditable rather than a failure.
 
 A check is a function of one :class:`MetricCache`, e.g.
 ``check_vat_lower(MetricCache(g))``.  The cache carries the graph, its
 id and its degree, and computes tau, phi and the conductance minimizers
 (one :func:`exact_batch` result, so n <= 24) and lambda2 at most once
 per graph.  One table, ``_CHECKS``, names each check group in report
-order (the ``check_*`` functions state their inequalities) with its key
-function, its row builder, its theorems and whether it reads lambda2;
-:data:`CHECK_GROUPS`, :data:`GROUP_THEOREMS` and :data:`ALL_THEOREMS`
-derive from it.  A key function reduces a cache to a verdict key, the
-inputs that decide the group's reports, and the graph's witness masks;
-a group that raises on an unmet precondition is keyed ``None``, its
-reports taking their skip reason from the error.  A bounded row table maps each (group, key) to its rows: theorem, verdict,
-CSV text and summary counts.  The ``check_*`` functions,
-:func:`evaluate_graph`, :func:`iter_suite` and :func:`run_suite` build
-reports from those rows; ``vattol verify`` joins their CSV text with
-each graph's prefix and witness text, and builds no report.
+order with its key function, its row builder, its theorems and whether
+it reads lambda2; :data:`CHECK_GROUPS`, :data:`GROUP_THEOREMS` and
+:data:`ALL_THEOREMS` derive from it.  Each theorem of the four groups
+on (d, tau, phi) carries its inequality there as code, (d, tau, phi
+[, gap]) -> (lhs, rhs), and whether it is conditional on phi < 1/d^2.
+A key function reduces a cache to a verdict key, the inputs that decide
+the group's reports, and the graph's witness masks; a group that raises
+on an unmet precondition is keyed ``None``, its reports taking their
+skip reason from the error.  A bounded row table maps each (group, key)
+to its rows: theorem, verdict, CSV text and summary counts.  The
+``check_*`` functions, :func:`evaluate_graph`, :func:`iter_suite` and
+:func:`run_suite` build reports from those rows; ``vattol verify``
+joins their CSV text with each graph's prefix and witness text, and
+builds no report.
 
 The groups and the inequalities they cover, for a connected d-regular
 graph with attack tolerance tau, conductance phi and spectral gap
@@ -75,8 +78,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import islice
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BadParameter, NotRegular, TooLarge, VattolError
 from .graph import (
@@ -117,8 +119,8 @@ class TheoremReport:
     """Outcome of one inequality check on one graph.
 
     ``lhs <= rhs`` is the checked direction.  Fraction sides compare
-    exactly; when either side is a float (a spectral quantity) the
-    comparison uses an absolute tolerance.  ``skipped`` reports record a
+    exactly; a float side is the spectral gap, and the comparison then
+    allows :data:`SPECTRAL_TOL`.  ``skipped`` reports record a
     precondition that was not met instead of a verdict.  Each report has
     its own ``witnesses`` dict, built from the graph's witness masks.
     """
@@ -153,41 +155,15 @@ class _Verdict(NamedTuple):
     slack: float | None
 
 
-def _verdict(lhs: Fraction | float, rhs: Fraction | float, spectral: bool = False) -> _Verdict:
+def _verdict(lhs: Fraction | float, rhs: Fraction | float) -> _Verdict:
+    """``lhs <= rhs``, exact on Fractions; a float side is the spectral
+    gap, so the comparison then allows :data:`SPECTRAL_TOL`."""
     l, r = float(lhs), float(rhs)
-    if spectral:
+    if isinstance(lhs, float) or isinstance(rhs, float):
         holds, strict = l <= r + SPECTRAL_TOL, l < r - SPECTRAL_TOL
     else:
         holds, strict = lhs <= rhs, lhs < rhs
     return _Verdict(lhs, rhs, holds, strict, r - l)
-
-
-@lru_cache(maxsize=_TABLE_SIZE)
-def _derived(
-    d: int | None, tau_num: int, tau_den: int, phi_num: int, phi_den: int
-) -> Mapping[str, Fraction | _Verdict | bool]:
-    """What (d, tau, phi) fix, by theorem: the verdict of an exact check,
-    the rational side of a check against the gap, and ``"hypothesis"``,
-    phi < 1/d^2.  Only the value ranges, 0 < x <= 1, when ``d`` is None.
-    The groups of one triple share it."""
-    tau, phi = Fraction(tau_num, tau_den), Fraction(phi_num, phi_den)
-    out: dict[str, Fraction | _Verdict | bool] = {
-        "vat_range": _verdict(tau, Fraction(1))._replace(holds=0 < tau <= 1),
-        "conductance_range": _verdict(phi, Fraction(1))._replace(holds=0 < phi <= 1),
-    }
-    if d is not None:
-        out.update(
-            hypothesis=phi < Fraction(1, d * d),
-            cheeger_lower=phi * phi / 2,
-            cheeger_upper=2 * phi,
-            vat_upper_conditional=_verdict(tau, d * phi),
-            vat_upper_unconditional=_verdict(tau, d * d * phi),
-            vat_lower=_verdict(phi, d * tau),
-            spectral_vat_lower=tau * tau / (2 * d**4),
-            spectral_vat_upper=2 * d * tau,
-            spectral_vat_lower_conditional=tau * tau / (2 * d**2),
-        )
-    return MappingProxyType(out)  # shared by every caller, so read-only
 
 
 _NO_VERDICT = _Verdict(None, None, None, None, None)
@@ -306,13 +282,13 @@ class _Row(NamedTuple):
 
 
 class _Theorem(NamedTuple):
-    """A theorem of a check group.  ``upper``: its side bounds the
-    spectral gap from above (gap <= side), else from below; only a
-    spectral group reads it.  ``conditional``: its row is skipped unless
-    phi < 1/d^2."""
+    """A theorem of a check group.  ``sides``: its inequality lhs <= rhs,
+    (d, tau, phi[, gap]) -> (lhs, rhs), the gap given if its group reads
+    lambda2; None where the group's row builder states it.
+    ``conditional``: its row is skipped unless phi < 1/d^2."""
 
     name: str
-    upper: bool = False
+    sides: Callable[..., tuple[Fraction | float, Fraction | float]] | None = None
     conditional: bool = False
 
 
@@ -425,23 +401,19 @@ def _triple_key(witness: str, spectral: bool, ctx: MetricCache):
     return key, ((getattr(ctx, witness).witness,),)
 
 
-def _triple_rows(theorems: tuple[_Theorem, ...], *key) -> tuple[_Row, ...]:
-    """The rows that (d, tau, phi) decide, with the gap if the key has
-    one: an exact verdict, else the side against the gap."""
-    sides = _derived(*key[:5])
-    gap = float(key[5]) if len(key) > 5 else None
-
-    def row(t: _Theorem) -> _Row:
-        side = sides[t.name]
-        if t.conditional and not sides["hypothesis"]:
-            return _Row(t.name, skip_reason=_HYPOTHESIS_NOT_MET, witness=None)
-        if gap is None:
-            return _Row(t.name, side)
-        if t.upper:
-            return _Row(t.name, _verdict(gap, side, True))
-        return _Row(t.name, _verdict(side, gap, True))
-
-    return tuple(map(row, theorems))
+def _triple_rows(theorems, d, tau_num, tau_den, phi_num, phi_den, *gap) -> tuple[_Row, ...]:
+    """The verdict of each theorem on its sides at (d, tau, phi), with
+    the gap if the key has one; a conditional one is skipped unless
+    phi < 1/d^2."""
+    tau, phi = Fraction(tau_num, tau_den), Fraction(phi_num, phi_den)
+    values = (d, tau, phi, *map(float, gap))
+    hypothesis = phi_num * d * d < phi_den  # phi < 1/d^2
+    return tuple(
+        _Row(t.name, _verdict(*t.sides(*values)))
+        if hypothesis or not t.conditional
+        else _Row(t.name, skip_reason=_HYPOTHESIS_NOT_MET, witness=None)
+        for t in theorems
+    )
 
 
 def _connected_minimizer_key(ctx: MetricCache):
@@ -489,11 +461,14 @@ def _value_ranges_key(ctx: MetricCache):
     return (*ctx.values, no_survivor), ((ctx.tau.witness,), (ctx.phi.witness,))
 
 
-def _value_ranges_rows(theorems, *key) -> tuple[_Row, ...]:
-    sides, no_survivor = _derived(*key[:5]), key[5]
-    tau = sides["vat_range"]._replace(holds=False) if no_survivor else sides["vat_range"]
-    phi = sides["conductance_range"]
-    return _Row(theorems[0].name, tau), _Row(theorems[1].name, phi, witness=1)
+def _value_ranges_rows(
+    theorems, d, tau_num, tau_den, phi_num, phi_den, no_survivor: bool
+) -> tuple[_Row, ...]:
+    """0 < x <= 1 for tau, which also needs a survivor, and for phi."""
+    tau, phi = Fraction(tau_num, tau_den), Fraction(phi_num, phi_den)
+    tau_range = _verdict(tau, Fraction(1))._replace(holds=not no_survivor and 0 < tau <= 1)
+    phi_range = _verdict(phi, Fraction(1))._replace(holds=0 < phi <= 1)
+    return _Row(theorems[0].name, tau_range), _Row(theorems[1].name, phi_range, witness=1)
 
 
 #: Per check group, in report order: its key function, its row builder,
@@ -502,25 +477,40 @@ _CHECKS = {
     "cheeger": (
         partial(_triple_key, "phi", True),
         _triple_rows,
-        (_Theorem("cheeger_lower"), _Theorem("cheeger_upper", upper=True)),
+        (
+            _Theorem("cheeger_lower", lambda d, tau, phi, gap: (phi * phi / 2, gap)),
+            _Theorem("cheeger_upper", lambda d, tau, phi, gap: (gap, 2 * phi)),
+        ),
         True,
     ),
     "vat_upper": (
         partial(_triple_key, "tau", False),
         _triple_rows,
-        (_Theorem("vat_upper_conditional", conditional=True), _Theorem("vat_upper_unconditional")),
+        (
+            _Theorem(
+                "vat_upper_conditional", lambda d, tau, phi: (tau, d * phi), conditional=True
+            ),
+            _Theorem("vat_upper_unconditional", lambda d, tau, phi: (tau, d * d * phi)),
+        ),
         False,
     ),
     "vat_lower": (
-        partial(_triple_key, "tau", False), _triple_rows, (_Theorem("vat_lower"),), False
+        partial(_triple_key, "tau", False),
+        _triple_rows,
+        (_Theorem("vat_lower", lambda d, tau, phi: (phi, d * tau)),),
+        False,
     ),
     "spectral_vat": (
         partial(_triple_key, "tau", True),
         _triple_rows,
         (
-            _Theorem("spectral_vat_lower"),
-            _Theorem("spectral_vat_upper", upper=True),
-            _Theorem("spectral_vat_lower_conditional", conditional=True),
+            _Theorem("spectral_vat_lower", lambda d, tau, phi, gap: (tau * tau / (2 * d**4), gap)),
+            _Theorem("spectral_vat_upper", lambda d, tau, phi, gap: (gap, 2 * d * tau)),
+            _Theorem(
+                "spectral_vat_lower_conditional",
+                lambda d, tau, phi, gap: (tau * tau / (2 * d**2), gap),
+                conditional=True,
+            ),
         ),
         True,
     ),
@@ -545,11 +535,7 @@ _CHECKS = {
 }
 
 
-class _Selection(tuple):
-    """Check group names as :func:`normalize_checks` resolved them."""
-
-
-CHECK_GROUPS = _Selection(_CHECKS)
+CHECK_GROUPS = tuple(_CHECKS)
 GROUP_THEOREMS = {
     group: tuple(t.name for t in theorems) for group, (_, _, theorems, _) in _CHECKS.items()
 }
@@ -728,13 +714,7 @@ class SuiteSummary:
 
 def normalize_checks(checks: str | Sequence[str]) -> tuple[str, ...]:
     """Resolve a check selection ('all', a name, or a list) to group names,
-    each once, at its first position.
-
-    A selection it resolved before is returned as it is, so the suite
-    resolves once per run, not once per graph.
-    """
-    if isinstance(checks, _Selection):
-        return checks
+    each once, at its first position."""
     if isinstance(checks, str):
         checks = [c.strip() for c in checks.split(",") if c.strip()]
     checks = list(dict.fromkeys(checks))
@@ -746,7 +726,7 @@ def normalize_checks(checks: str | Sequence[str]) -> tuple[str, ...]:
     for c in checks:
         if c not in _CHECKS:
             raise BadParameter(f"unknown check {c!r}; {known}")
-    return _Selection(checks)
+    return tuple(checks)
 
 
 def evaluate_graph(

@@ -309,6 +309,7 @@ class TestVerify:
         assert proc.stderr.startswith("graphs=1 reports=1 ")
 
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(
         "fmt,digest",
         [
@@ -316,11 +317,12 @@ class TestVerify:
             ("json", "17fbbbd8717949675a34476e57594229ee0e7f168a67db0b99fe3f7ee586c980"),
         ],
     )
-    def test_standard_corpus_bytes_pinned(self, tmp_path, fmt, digest):
-        # Pinned before the writer memoized sides and witnesses.
+    def test_standard_corpus_bytes_pinned(self, tmp_path, fmt, digest, jobs):
+        # Pinned before the writer memoized sides and witnesses; at
+        # --jobs 2 the JSON comes from reports pickled by the pool.
         out = tmp_path / f"r.{fmt}"
         proc = run_cli(
-            "verify", "--corpus", "standard", "--jobs", "1", "--format", fmt,
+            "verify", "--corpus", "standard", "--jobs", jobs, "--format", fmt,
             "-o", str(out),
         )
         assert proc.returncode == 0
@@ -416,7 +418,7 @@ class TestCsvWriter:
             cli._write_reports_csv(verify._suite_batches(graphs, "all", 1, True), buf)
             return buf.getvalue()
 
-        for memo in (verify._entry, verify._witness_line, verify._derived):
+        for memo in (verify._entry, verify._witness_line):
             memo.cache_clear()
         texts = [text(), text()]  # cold, then warm
         assert verify._entry.cache_info().hits > 0

@@ -147,6 +147,24 @@ class TestSweep:
         b = vt.sweep_conductance(g)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "g",
+        [vt.petersen(), vt.connected_random_regular(500, 3, 11)[0]],
+        ids=["dense", "lanczos"],
+    )
+    def test_returns_its_lambda2(self, g, monkeypatch):
+        solve = spectral_mod._lambda2_pair
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return solve(graph)
+
+        monkeypatch.setattr(spectral_mod, "_lambda2_pair", counted)
+        sweep = vt.sweep_conductance(g)
+        assert len(calls) == 1  # one eigensolve serves lambda2 and the sweep
+        assert sweep.spectral == vt.lambda2(g)
+
 
 CUTOFF = spectral_mod._DENSE_MAX_N
 
