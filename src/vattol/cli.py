@@ -21,8 +21,6 @@ significant digits (the exact fields are authoritative).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -54,6 +52,7 @@ from .verify import (
     SuiteSummary,
     TheoremReport,
     _Batch,
+    _csv_line,
     _float,
     _side_csv,
     _suite_batches,
@@ -111,7 +110,7 @@ def report_to_json(r: TheoremReport) -> dict:
 
 def _write_reports_csv(batches: Iterable[_Batch], out: IO[str]) -> None:
     """Write the header, then each batch's CSV text as it arrives."""
-    csv.writer(out, lineterminator="\n").writerow(VERIFY_CSV_COLUMNS)
+    out.write(_csv_line(VERIFY_CSV_COLUMNS))
     for batch in batches:
         out.write(batch.out)
 
@@ -208,11 +207,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             record[metric] = entry
         text = json.dumps(record, indent=2) + "\n"
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(METRICS_CSV_COLUMNS)
-        for metric, params, value, witness in rows:
-            writer.writerow(
+        text = _csv_line(METRICS_CSV_COLUMNS) + "".join(
+            _csv_line(
                 [
                     graph_id,
                     str(g.n),
@@ -224,7 +220,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                     "" if witness is None else " ".join(map(str, witness)),
                 ]
             )
-        text = buf.getvalue()
+            for metric, params, value, witness in rows
+        )
     out = _open_out(args.output)
     try:
         out.write(text)
@@ -324,15 +321,12 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     os.makedirs(args.output, exist_ok=True)
     manifest_path = os.path.join(args.output, "manifest.csv")
     with open(manifest_path, "w", encoding="utf-8") as mf:
-        writer = csv.writer(mf, lineterminator="\n")
-        writer.writerow(["id", "file", "n", "m", "d"])
+        mf.write(_csv_line(["id", "file", "n", "m", "d"]))
         for graph_id, g in corpus_mod.standard_corpus():
             fname = _safe_name(graph_id) + ".edges"
             write_edge_list_path(g, os.path.join(args.output, fname))
             d = regularity(g)
-            writer.writerow(
-                [graph_id, fname, g.n, g.m, "" if d is None else d]
-            )
+            mf.write(_csv_line([graph_id, fname, g.n, g.m, "" if d is None else d]))
     print(f"corpus written to {args.output}", file=sys.stderr)
     return 0
 

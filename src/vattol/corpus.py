@@ -77,11 +77,8 @@ def exhaustive_regular(max_n: int = 8) -> Iterator[GraphItem]:
     """:func:`exhaustive_members` of every feasible (n, d) with n <= max_n."""
     for n in range(2, max_n + 1):
         for d in range(1, n):
-            if (n * d) % 2 != 0:
-                continue
-            if d == 1 and n > 2:
-                continue  # 1-regular graphs on n > 2 vertices are never connected
-            yield from exhaustive_members(n, d)
+            if (n * d) % 2 == 0:
+                yield from exhaustive_members(n, d)
 
 
 def random_regular_samples(base_seed: int = 42) -> Iterator[GraphItem]:

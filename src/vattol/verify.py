@@ -9,9 +9,11 @@ recorded separately, because some of the bounds are achieved with
 equality on boundary graphs (the single edge K2 most prominently) and
 an equality must be auditable rather than a failure.
 
-A check is a function of one :class:`MetricCache`, e.g.
-``check_vat_lower(MetricCache(g))``.  The cache carries the graph, its
-id and its degree, and computes tau, phi and the conductance minimizers
+:func:`evaluate_graph` runs check groups on one :class:`MetricCache`,
+e.g. ``evaluate_graph(MetricCache(g), "vat_upper")``; an unmet
+precondition gives skipped reports whose reason starts with the error
+type, e.g. ``NotRegular: ...``.  The cache carries the graph, its id and
+its degree, and computes tau, phi and the conductance minimizers
 (one :func:`exact_batch` result, so n <= 24) and lambda2 at most once
 per graph.  One table, ``_CHECKS``, names each check group in report
 order with its key function, its row builder, its theorems and whether
@@ -23,11 +25,10 @@ A key function reduces a cache to a verdict key, the inputs that decide
 the group's reports, and the graph's witness masks; a group that raises
 on an unmet precondition is keyed ``None``, its reports taking their
 skip reason from the error.  A bounded row table maps each (group, key)
-to its rows: theorem, verdict, CSV text and summary counts.  The
-``check_*`` functions, :func:`evaluate_graph`, :func:`iter_suite` and
-:func:`run_suite` build reports from those rows; ``vattol verify``
-joins their CSV text with each graph's prefix and witness text, and
-builds no report.
+to its rows: theorem, verdict, CSV text and summary counts.
+:func:`evaluate_graph`, :func:`iter_suite` and :func:`run_suite` build
+reports from those rows; ``vattol verify`` joins their CSV text with
+each graph's prefix and witness text, and builds no report.
 
 The groups and the inequalities they cover, for a connected d-regular
 graph with attack tolerance tau, conductance phi and spectral gap
@@ -43,14 +44,17 @@ graph with attack tolerance tau, conductance phi and spectral gap
 - ``connected_minimizer``: some conductance minimizer induces a
   connected subgraph (all minimizers are enumerated, so n <= 16,
   ``MINIMIZER_LIMIT``)
-- ``fragment_bounds``: with S a minimizing attack set and C_1..C_q+1 the
-  surviving components, d|S| bounds the total component boundary, and
-  the attack ratio denominator is bounded by the survivor count
-- ``value_ranges``: 0 < tau <= 1 (with a nonempty surviving component at
-  the witness) and 0 < phi <= 1, on any connected graph
+- ``fragment_bounds``: with S a minimizing attack set, T the largest
+  surviving component and C_1..C_q the others, d|S| bounds the total
+  component boundary, since every edge leaving a surviving component
+  ends in S; and the attack ratio denominator |V-S-T| + 1 is bounded by
+  the survivor count, since the components partition V-S
+- ``value_ranges``: 0 < tau <= 1 and 0 < phi <= 1, on any connected
+  graph; the tau report also needs a nonempty surviving component at
+  the witness, as removing every vertex is never optimal
 
 The suite takes graphs in batches of :data:`SUITE_BATCH`, each evaluated
-by ``_evaluate_batch``, in process or in a pool worker: ``_prefill``
+by ``_evaluate_batch``, in process or as one pool task: ``_prefill``
 fills the batch's caches per (n, d), by one :func:`exact_batch` call
 and, if regular, one stacked ``eigh``, and the batch returns its reports
 or CSV text with its summary counts, so a worker ships text, not
@@ -103,12 +107,9 @@ from .spectral import SpectralResult, _lambda2_batch, lambda2
 #: Absolute tolerance of every comparison with a spectral side.
 SPECTRAL_TOL = 1e-9
 
-#: Graphs per unit of suite work: one :func:`exact_batch` prefill.
-SUITE_BATCH = 32
-
-#: Batches per pool task when ``jobs > 1``: fewer, larger messages through
-#: the parent, whose threads share one interpreter lock with the corpus.
-_POOL_BATCHES = 8
+#: Graphs per unit of suite work: one :func:`_prefill` and, when
+#: ``jobs > 1``, one pool task.
+SUITE_BATCH = 256
 
 #: Entries of the row table, and of each memo behind it.
 _TABLE_SIZE = 4096
@@ -253,7 +254,8 @@ class _LineWriter:
         return text
 
 
-#: The ``csv`` module's text of one row, line end included.
+#: The ``csv`` module's text of one row, line end included; every CSV
+#: line of the CLI is written with it.
 _csv_line = csv.writer(_LineWriter(), lineterminator="\n").writerow
 
 
@@ -590,72 +592,6 @@ def _csv_text(cache: MetricCache, verdicts: _Verdicts) -> str:
     return "".join(out)
 
 
-def _check(group: str, ctx: MetricCache) -> list[TheoremReport]:
-    key, witnesses = _CHECKS[group][0](ctx)
-    return _reports(ctx, [(_entry(group, key), witnesses, None)])
-
-
-def check_cheeger(ctx: MetricCache) -> list[TheoremReport]:
-    """Cheeger sandwich: phi^2/2 <= gap <= 2 phi on a regular graph."""
-    return _check("cheeger", ctx)
-
-
-def check_vat_upper(ctx: MetricCache) -> list[TheoremReport]:
-    """Attack tolerance bounded above by conductance on a regular graph.
-
-    The sharp form tau <= d phi applies when phi < 1/d^2 (otherwise the
-    conditional report is emitted as skipped); the weaker tau <= d^2 phi
-    is checked unconditionally.
-    """
-    return _check("vat_upper", ctx)
-
-
-def check_vat_lower(ctx: MetricCache) -> list[TheoremReport]:
-    """Conductance bounded by d times the attack tolerance; exact."""
-    return _check("vat_lower", ctx)
-
-
-def check_spectral_vat(ctx: MetricCache) -> list[TheoremReport]:
-    """Spectral gap sandwiched by attack tolerance on a regular graph.
-
-    General form: tau^2/(2 d^4) <= gap <= 2 d tau.  When phi < 1/d^2
-    the sharper lower bound tau^2/(2 d^2) <= gap is checked as well,
-    otherwise that report is emitted as skipped.
-    """
-    return _check("spectral_vat", ctx)
-
-
-def check_connected_minimizer(ctx: MetricCache) -> list[TheoremReport]:
-    """Some conductance minimizer induces a connected subgraph.
-
-    Enumerates every minimizing set (so the graph must be small enough,
-    ``n <= MINIMIZER_LIMIT``) and records the first connected one.
-    """
-    return _check("connected_minimizer", ctx)
-
-
-def check_fragment_bounds(ctx: MetricCache) -> list[TheoremReport]:
-    """Structural facts about a minimizing attack set, exact.
-
-    With S the attack witness, T the largest surviving component and
-    C_1..C_q the other components: every edge leaving a surviving
-    component must end in S, so d|S| bounds the summed component
-    boundaries; and the attack denominator |V-S-T| + 1 is bounded by the
-    survivor count, the components being a partition of V-S.
-    """
-    return _check("fragment_bounds", ctx)
-
-
-def check_value_ranges(ctx: MetricCache) -> list[TheoremReport]:
-    """Both metrics land in (0, 1] on any connected non-trivial graph.
-
-    The attack-tolerance report additionally requires that the witness
-    leaves a nonempty largest component (removing everything can never
-    be optimal).
-    """
-    return _check("value_ranges", ctx)
-
-
 class _Batch(NamedTuple):
     """One batch of a run: its reports or CSV text, its graph count, the
     (graph, group) count per tally, and each strict claim's equality ids."""
@@ -732,8 +668,9 @@ def normalize_checks(checks: str | Sequence[str]) -> tuple[str, ...]:
 def evaluate_graph(
     cache: MetricCache, checks: str | Sequence[str] = "all"
 ) -> list[TheoremReport]:
-    """Run the selected checks on one graph's cache, mapping precondition
-    violations to skipped reports instead of raising."""
+    """Run the selected check groups on one graph's cache.  A group whose
+    precondition is unmet gives skipped reports, with the reason
+    ``"<error type>: <message>"``, instead of raising."""
     return _reports(cache, _verdicts(cache, normalize_checks(checks)))
 
 
@@ -809,7 +746,7 @@ def _suite_batches(
         yield from map(evaluate, batches)
         return
     with multiprocessing.Pool(jobs) as pool:
-        yield from pool.imap(evaluate, batches, _POOL_BATCHES)
+        yield from pool.imap(evaluate, batches)
 
 
 def iter_suite(
@@ -818,7 +755,7 @@ def iter_suite(
     jobs: int = 1,
 ) -> Iterator[TheoremReport]:
     """Stream reports for every graph, in input order, from batches of
-    :data:`SUITE_BATCH` checked in ``jobs`` processes."""
+    :data:`SUITE_BATCH` (256) graphs checked in ``jobs`` processes."""
     for batch in _suite_batches(graphs, checks, jobs, text=False):
         yield from batch.out
 

@@ -175,6 +175,21 @@ class TestMetrics:
             "parameters": "alpha=2 beta=0",
         }
 
+    def test_csv_bytes_pinned(self):
+        args = ["metrics", "star:5", "--vat", "--conductance", "--weighted"]
+        args += ["--alpha-beta", "1.5,0.5", "--format", "csv"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "vattol.cli", *args], capture_output=True, timeout=300
+        )
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert proc.stdout == (
+            b"graph_id,n,m,d,metric,parameters,num,den,real,witness\n"
+            b"star:5,6,5,,vat,,1,5,0.2,0\n"
+            b"star:5,6,5,,conductance,,1,1,1,0\n"
+            b"star:5,6,5,,alpha_beta_vat,alpha=1.5 beta=0.5,2,5,0.4,0\n"
+            b"star:5,6,5,,weighted_vat,,1,5,0.2,0\n"
+        )
+
     def test_alpha_beta_label_is_the_decimal_read(self):
         proc = run_cli(
             "metrics", "cycle:5", "--alpha-beta", "0.1234567,0", "--format", "csv"

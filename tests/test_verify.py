@@ -13,15 +13,7 @@ from vattol.corpus import exhaustive_members, exhaustive_regular
 from fraction_facts import mediant_between, series_lower_bound
 from vattol.spectral import _RESIDUAL_TOL
 from vattol.verify import (
-    SUITE_BATCH,
     MetricCache,
-    check_cheeger,
-    check_connected_minimizer,
-    check_fragment_bounds,
-    check_spectral_vat,
-    check_value_ranges,
-    check_vat_lower,
-    check_vat_upper,
     clamp_jobs,
     evaluate_graph,
     normalize_checks,
@@ -33,6 +25,16 @@ F = Fraction
 
 def by_theorem(reports):
     return {r.theorem: r for r in reports}
+
+
+def assert_all_skipped(reports, reason_prefix):
+    assert reports
+    for r in reports:
+        assert r.skipped and r.holds is None
+        assert r.skip_reason.startswith(reason_prefix), r.skip_reason
+
+
+_TWO_TRIANGLES = vt.build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
 
 class TestMetricCache:
@@ -69,33 +71,32 @@ class TestMetricCache:
 
 class TestCheeger:
     def test_k2(self):
-        lower, upper = check_cheeger(MetricCache(vt.complete(2)))
+        lower, upper = evaluate_graph(MetricCache(vt.complete(2)), "cheeger")
         assert lower.lhs == F(1, 2) and lower.rhs == pytest.approx(2.0)
         assert lower.holds and lower.strict_holds
         assert upper.lhs == pytest.approx(2.0) and upper.rhs == F(2)
         assert upper.holds and not upper.strict_holds  # equality
 
     def test_c6(self):
-        lower, upper = check_cheeger(MetricCache(vt.cycle(6)))
+        lower, upper = evaluate_graph(MetricCache(vt.cycle(6)), "cheeger")
         assert lower.lhs == F(1, 18)
         assert lower.rhs == pytest.approx(0.5)
         assert upper.rhs == F(2, 3)
         assert lower.holds and upper.holds and upper.strict_holds
 
     def test_k4_upper_equality(self):
-        _, upper = check_cheeger(MetricCache(vt.complete(4)))
+        _, upper = evaluate_graph(MetricCache(vt.complete(4)), "cheeger")
         assert upper.lhs == pytest.approx(4 / 3)
         assert upper.rhs == F(4, 3)
         assert upper.holds and not upper.strict_holds
 
     def test_star_not_regular(self):
-        with pytest.raises(vt.NotRegular):
-            check_cheeger(MetricCache(vt.star(5)))
+        assert_all_skipped(evaluate_graph(MetricCache(vt.star(5)), "cheeger"), "NotRegular: ")
 
 
 class TestVatUpper:
     def test_c6_conditional_skipped(self):
-        reports = by_theorem(check_vat_upper(MetricCache(vt.cycle(6))))
+        reports = by_theorem(evaluate_graph(MetricCache(vt.cycle(6)), "vat_upper"))
         cond = reports["vat_upper_conditional"]
         assert cond.skipped and "hypothesis" in cond.skip_reason
         uncond = reports["vat_upper_unconditional"]
@@ -103,7 +104,7 @@ class TestVatUpper:
         assert uncond.holds and uncond.strict_holds
 
     def test_k2_boundary_skips_conditional(self):
-        reports = by_theorem(check_vat_upper(MetricCache(vt.complete(2))))
+        reports = by_theorem(evaluate_graph(MetricCache(vt.complete(2)), "vat_upper"))
         assert reports["vat_upper_conditional"].skipped
         uncond = reports["vat_upper_unconditional"]
         assert uncond.lhs == F(1) and uncond.rhs == F(1)
@@ -111,7 +112,7 @@ class TestVatUpper:
 
     def test_c12_conditional_equality(self):
         # phi(C12) = 1/6 < 1/4, tau(C12) = 1/3 = d*phi: holds, non-strict
-        reports = by_theorem(check_vat_upper(MetricCache(vt.cycle(12))))
+        reports = by_theorem(evaluate_graph(MetricCache(vt.cycle(12)), "vat_upper"))
         cond = reports["vat_upper_conditional"]
         assert not cond.skipped
         assert cond.lhs == F(1, 3) and cond.rhs == F(1, 3)
@@ -124,31 +125,31 @@ class TestVatUpper:
         cache = MetricCache(g, graph_id="boundary")
         assert cache.phi.value == F(1, 9)
         assert cache.tau.value == F(3, 8)
-        reports = by_theorem(check_vat_upper(cache))
+        reports = by_theorem(evaluate_graph(cache, "vat_upper"))
         assert reports["vat_upper_conditional"].skipped
         assert reports["vat_upper_unconditional"].holds
 
 
 class TestVatLower:
     def test_c6_strict(self):
-        (r,) = check_vat_lower(MetricCache(vt.cycle(6)))
+        (r,) = evaluate_graph(MetricCache(vt.cycle(6)), "vat_lower")
         assert r.lhs == F(1, 3) and r.rhs == F(4, 3)
         assert r.holds and r.strict_holds
 
     def test_k4_strict(self):
-        (r,) = check_vat_lower(MetricCache(vt.complete(4)))
+        (r,) = evaluate_graph(MetricCache(vt.complete(4)), "vat_lower")
         assert r.lhs == F(2, 3) and r.rhs == F(3)
         assert r.holds and r.strict_holds
 
     def test_k2_equality(self):
-        (r,) = check_vat_lower(MetricCache(vt.complete(2)))
+        (r,) = evaluate_graph(MetricCache(vt.complete(2)), "vat_lower")
         assert r.lhs == F(1) and r.rhs == F(1)
         assert r.holds and not r.strict_holds and r.equality
 
 
 class TestSpectralVat:
     def test_c6_values(self):
-        reports = by_theorem(check_spectral_vat(MetricCache(vt.cycle(6))))
+        reports = by_theorem(evaluate_graph(MetricCache(vt.cycle(6)), "spectral_vat"))
         lower = reports["spectral_vat_lower"]
         assert lower.lhs == F(1, 72)
         assert lower.rhs == pytest.approx(0.5)
@@ -158,7 +159,7 @@ class TestSpectralVat:
         assert reports["spectral_vat_lower_conditional"].skipped
 
     def test_k4_values(self):
-        reports = by_theorem(check_spectral_vat(MetricCache(vt.complete(4))))
+        reports = by_theorem(evaluate_graph(MetricCache(vt.complete(4)), "spectral_vat"))
         assert reports["spectral_vat_lower"].lhs == F(1, 162)
         assert reports["spectral_vat_lower"].rhs == pytest.approx(4 / 3)
         assert reports["spectral_vat_upper"].rhs == F(6)
@@ -167,12 +168,12 @@ class TestSpectralVat:
         )
 
     def test_hypercube3(self):
-        reports = by_theorem(check_spectral_vat(MetricCache(vt.hypercube(3))))
+        reports = by_theorem(evaluate_graph(MetricCache(vt.hypercube(3)), "spectral_vat"))
         for r in reports.values():
             assert r.skipped or r.holds
 
     def test_c12_conditional_emitted(self):
-        reports = by_theorem(check_spectral_vat(MetricCache(vt.cycle(12))))
+        reports = by_theorem(evaluate_graph(MetricCache(vt.cycle(12)), "spectral_vat"))
         cond = reports["spectral_vat_lower_conditional"]
         assert not cond.skipped
         assert cond.lhs == F(1, 72)  # (1/3)^2 / (2*4)
@@ -181,12 +182,12 @@ class TestSpectralVat:
 
 class TestConnectedMinimizer:
     def test_c6(self):
-        (r,) = check_connected_minimizer(MetricCache(vt.cycle(6)))
+        (r,) = evaluate_graph(MetricCache(vt.cycle(6)), "connected_minimizer")
         assert r.holds
         assert r.witnesses["S"] == [0, 1, 2]  # an arc: connected path
 
     def test_k4(self):
-        (r,) = check_connected_minimizer(MetricCache(vt.complete(4)))
+        (r,) = evaluate_graph(MetricCache(vt.complete(4)), "connected_minimizer")
         assert r.holds and r.witnesses["S"] == [0, 1]
 
     def test_reads_minimizers_from_cache(self):
@@ -194,57 +195,74 @@ class TestConnectedMinimizer:
         exact = replace(vt.exact_batch([g])[0], minimizers=np.array([0b111000]))
         cache = MetricCache(g)
         cache.exact = exact
-        (r,) = check_connected_minimizer(cache)
+        (r,) = evaluate_graph(cache, "connected_minimizer")
         assert r.witnesses["S"] == [3, 4, 5]
 
     def test_hypercube3_face(self):
-        (r,) = check_connected_minimizer(MetricCache(vt.hypercube(3)))
+        (r,) = evaluate_graph(MetricCache(vt.hypercube(3)), "connected_minimizer")
         assert r.holds
         s = vt.mask_from_vertices(r.witnesses["S"])
         assert vt.set_conductance(vt.hypercube(3), s) == F(1, 3)
 
     def test_too_large(self):
         g, _ = vt.connected_random_regular(18, 3, 0)
-        with pytest.raises(vt.TooLarge):
-            check_connected_minimizer(MetricCache(g))
+        reports = evaluate_graph(MetricCache(g), "connected_minimizer")
+        assert_all_skipped(reports, "TooLarge: ")
 
 
 class TestFragmentBounds:
     def test_c6(self):
-        cut_r, size_r = check_fragment_bounds(MetricCache(vt.cycle(6)))
+        cut_r, size_r = evaluate_graph(MetricCache(vt.cycle(6)), "fragment_bounds")
         assert cut_r.lhs == F(4) and cut_r.rhs == F(4)
         assert cut_r.holds and not cut_r.strict_holds
         assert size_r.lhs == F(3) and size_r.rhs == F(4)
         assert size_r.holds and size_r.strict_holds
 
     def test_k4(self):
-        cut_r, size_r = check_fragment_bounds(MetricCache(vt.complete(4)))
+        cut_r, size_r = evaluate_graph(MetricCache(vt.complete(4)), "fragment_bounds")
         assert cut_r.lhs == F(3) and cut_r.rhs == F(3)
         assert size_r.lhs == F(1) and size_r.rhs == F(3)
         assert cut_r.holds and size_r.holds
 
     def test_star_not_regular(self):
-        with pytest.raises(vt.NotRegular):
-            check_fragment_bounds(MetricCache(vt.star(4)))
+        reports = evaluate_graph(MetricCache(vt.star(4)), "fragment_bounds")
+        assert_all_skipped(reports, "NotRegular: ")
 
 
 class TestValueRanges:
     def test_star(self):
-        tau_r, phi_r = check_value_ranges(MetricCache(vt.star(5)))
+        tau_r, phi_r = evaluate_graph(MetricCache(vt.star(5)), "value_ranges")
         assert tau_r.lhs == F(1, 5) and tau_r.holds and tau_r.strict_holds
         assert phi_r.lhs == F(1) and phi_r.holds and not phi_r.strict_holds
 
     def test_k2_boundary(self):
-        tau_r, phi_r = check_value_ranges(MetricCache(vt.complete(2)))
+        tau_r, phi_r = evaluate_graph(MetricCache(vt.complete(2)), "value_ranges")
         assert tau_r.holds and not tau_r.strict_holds
         assert phi_r.holds and not phi_r.strict_holds
 
     def test_c6(self):
-        tau_r, phi_r = check_value_ranges(MetricCache(vt.cycle(6)))
+        tau_r, phi_r = evaluate_graph(MetricCache(vt.cycle(6)), "value_ranges")
         assert tau_r.holds and phi_r.holds
 
 
 class TestEvaluateAndSuite:
+    @pytest.mark.parametrize("group", vt.CHECK_GROUPS)
+    def test_one_group_is_its_share_of_all(self, group):
+        graphs = [
+            vt.complete(2),
+            vt.cycle(6),
+            vt.cycle(12),
+            vt.star(5),
+            _TWO_TRIANGLES,
+            vt.connected_random_regular(18, 3, 0)[0],
+        ]
+        theorems = verify.GROUP_THEOREMS[group]
+        for g in graphs:
+            every = evaluate_graph(MetricCache(g), "all")
+            alone = evaluate_graph(MetricCache(g), group)
+            assert alone == [r for r in every if r.theorem in theorems]
+            assert [r.theorem for r in alone] == list(theorems)
+
     def test_star_skips_regular_only_checks(self):
         reports = evaluate_graph(MetricCache(vt.star(5), "star:5"))
         by = {}
@@ -272,19 +290,20 @@ class TestEvaluateAndSuite:
         for jobs in (0, 2):
             assert run_suite(graphs, jobs=jobs).reports == serial.reports
 
-    def test_batch_boundaries_change_nothing(self):
+    def test_batch_boundaries_change_nothing(self, monkeypatch):
+        monkeypatch.setattr(verify, "SUITE_BATCH", 32)
         small = list(exhaustive_regular(6))  # n = 2..6
         mixed = [
             ("complete:2", vt.complete(2)),
             ("star:5", vt.star(5)),
-            ("two-triangles", vt.build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
+            ("two-triangles", _TWO_TRIANGLES),
             ("cycle:25", vt.cycle(25)),  # above the hard cap
             ("petersen", vt.petersen()),
             ("hypercube:3", vt.hypercube(3)),
         ]
         cycles = [(f"cycle:{n}", vt.cycle(n)) for n in range(3, 12)]
         items = small[:45] + mixed + small[45:] + cycles
-        assert len(items) > 3 * SUITE_BATCH
+        assert len(items) > 5 * verify.SUITE_BATCH
         alone = [r for i, g in items for r in evaluate_graph(MetricCache(g, i))]
         reasons = {r.skip_reason.split(":")[0] for r in alone if r.skipped}
         assert {"NotRegular", "DisconnectedInput", "TooLarge"} <= reasons
