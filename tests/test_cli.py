@@ -55,6 +55,15 @@ class TestGen:
         assert proc.returncode == 2
         assert proc.stderr == "error: circulant spec needs 'n,o1+o2+..': 'circulant:8'\n"
 
+    def test_retry_limit_exit_2_one_line(self, tmp_path):
+        out = tmp_path / "k10.edges"
+        proc = run_cli("gen", "random_regular:10,9,seed=0", "-o", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: no simple 9-regular pairing on 10 vertices after 10000 attempts\n"
+        )
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "args",

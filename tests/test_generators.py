@@ -4,8 +4,8 @@ import json
 import pytest
 
 import vattol as vt
-from vattol import BadParameter
-from vattol.corpus import _RANDOM_SHAPES, exhaustive_members
+from vattol import BadParameter, RetryLimitExceeded
+from vattol.corpus import _RANDOM_SHAPES, exhaustive_members, exhaustive_regular
 from vattol.generators import FamilySpec, parse_family_spec
 
 
@@ -125,11 +125,28 @@ class TestRandomRegular:
         assert vt.is_connected(g)
         assert vt.random_regular(12, 3, seed) == g
 
+    def test_retry_limit(self):
+        # K_8 as a pairing of 56 stubs: no simple pairing in 10000 attempts
+        with pytest.raises(RetryLimitExceeded) as err:
+            vt.random_regular(8, 7, 0)
+        assert str(err.value) == (
+            "no simple 7-regular pairing on 8 vertices after 10000 attempts"
+        )
+
+
+@pytest.fixture(scope="module")
+def exhaustive_8():
+    return list(exhaustive_regular(8))
+
 
 class TestEnumerateSmallRegular:
     @pytest.mark.parametrize(
         "n,d,count",
-        [(2, 1, 1), (4, 2, 3), (4, 3, 1), (5, 2, 12), (6, 2, 60), (6, 3, 70), (6, 4, 15)],
+        [
+            (2, 1, 1), (4, 2, 3), (4, 3, 1), (5, 2, 12), (6, 2, 60), (6, 3, 70),
+            (6, 4, 15), (7, 2, 360), (7, 4, 465), (8, 2, 2520), (8, 3, 19320),
+            (8, 4, 19355), (8, 5, 3507), (8, 6, 105), (8, 7, 1),
+        ],
     )
     def test_counts(self, n, d, count):
         graphs = list(vt.enumerate_small_regular(n, d))
@@ -165,6 +182,18 @@ class TestEnumerateSmallRegular:
             list(vt.enumerate_small_regular(9, 2))
         with pytest.raises(BadParameter):
             list(vt.enumerate_small_regular(5, 3))
+
+    def test_whole_corpus_pinned(self, exhaustive_8):
+        # ids and edge lists of every exhaustive member up to n = 8
+        dump = json.dumps([[i, [list(e) for e in g.edges()]] for i, g in exhaustive_8])
+        digest = hashlib.sha256(dump.encode()).hexdigest()
+        assert digest == "168a1fb28c1ff9890336d81dba0309dffa15e3c300bf8e8013b4e4be076359e8"
+
+    def test_members_equal_validated_graphs(self, exhaustive_8):
+        for _, g in exhaustive_8:
+            ref = vt.build_graph(g.n, list(g.edges()))
+            assert g == ref and g.adj_masks == ref.adj_masks
+            assert vt.is_connected(g) and vt.is_connected(ref)
 
     def test_exhaustive_members(self):
         items = list(exhaustive_members(6, 2))
@@ -311,3 +340,14 @@ class TestRandomRegularPinned:
         pinned += [[s, sorted(vt.random_regular(12, 4, s).edges())] for s in range(5)]
         digest = hashlib.sha256(json.dumps(pinned).encode()).hexdigest()
         assert digest == "758f4e1f0fcfe13f5ecc6317cc130d3b0f19a2e0e44edbce1a28d676947c02f5"
+
+    def test_seeds_that_wrap(self):
+        # Attempt seeds wrap at 2^64; (10, 5) retries past it, and the
+        # seed used is still the input seed, its first simple attempt
+        # being connected.
+        pinned = []
+        for n, d, seed in ((12, 3, 2**64 - 2), (10, 5, 2**64 - 1), (8, 3, 2**64 - 3)):
+            g, used = vt.connected_random_regular(n, d, seed)
+            pinned.append([n, d, seed, used, [list(e) for e in g.edges()]])
+        digest = hashlib.sha256(json.dumps(pinned).encode()).hexdigest()
+        assert digest == "664262c55d0d0ff768430c4c9148a1b349e5abc154b6552b39bb7e90e592be5a"
