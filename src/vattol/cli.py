@@ -309,12 +309,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _safe_name(graph_id: str) -> str:
-    return (
-        graph_id.replace(":", "-")
-        .replace(",", "_")
-        .replace("=", "-")
-        .replace("+", "-")
-    )
+    return graph_id.translate(str.maketrans(":,=+", "-_--"))
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:

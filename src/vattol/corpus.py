@@ -92,19 +92,20 @@ def random_regular_samples(base_seed: int = 42) -> Iterator[GraphItem]:
         yield _random(*_RANDOM_SHAPES[i % len(_RANDOM_SHAPES)], base_seed + 7919 * i)
 
 
+def _families(ranges: dict[str, range], circulants: tuple) -> Iterator[GraphItem]:
+    """Each family of ``ranges`` at each of its parameters, in order, then
+    the circulants and the Petersen graph."""
+    for family, params in ranges.items():
+        yield from (_family(family, p) for p in params)
+    yield from (_family("circulant", n, *offsets) for n, offsets in circulants)
+    yield _family("petersen")
+
+
 def theorem_families() -> Iterator[GraphItem]:
     """The regular families driven up to 16 vertices."""
-    for n in range(3, 17):
-        yield _family("cycle", n)
-    for n in range(2, 17):
-        yield _family("complete", n)
-    for k in range(1, 5):  # 2^k <= 16
-        yield _family("hypercube", k)
-    for d in range(1, 9):
-        yield _family("complete_bipartite", d)
-    for n, offsets in _THEOREM_CIRCULANTS:
-        yield _family("circulant", n, *offsets)
-    yield _family("petersen")
+    ranges = {"cycle": range(3, 17), "complete": range(2, 17), "hypercube": range(1, 5),
+              "complete_bipartite": range(1, 9)}  # 2^k <= 16 for the hypercubes
+    yield from _families(ranges, _THEOREM_CIRCULANTS)
 
 
 def theorem_corpus(base_seed: int = 42) -> Iterator[GraphItem]:
@@ -120,23 +121,9 @@ def standard_corpus() -> list[GraphItem]:
     Contains well over 200 graphs with n <= 10, which is the slice the
     naive-oracle equivalence tests sweep.
     """
-    items: list[GraphItem] = []
-    for n in range(3, 13):
-        items.append(_family("cycle", n))
-    for n in range(2, 11):
-        items.append(_family("complete", n))
-    for leaves in range(2, 9):
-        items.append(_family("star", leaves))
-    for n in range(2, 11):
-        items.append(_family("path", n))
-    for k in range(1, 4):
-        items.append(_family("hypercube", k))
-    for d in range(1, 6):
-        items.append(_family("complete_bipartite", d))
-    for n, offsets in _STANDARD_CIRCULANTS:
-        items.append(_family("circulant", n, *offsets))
-    items.append(_family("petersen"))
-    items.extend(exhaustive_regular(6))
+    ranges = {"cycle": range(3, 13), "complete": range(2, 11), "star": range(2, 9),
+              "path": range(2, 11), "hypercube": range(1, 4), "complete_bipartite": range(1, 6)}
+    items = [*_families(ranges, _STANDARD_CIRCULANTS), *exhaustive_regular(6)]
     shapes = tuple((n, d) for n in (6, 8, 10) for d in (3, 4, 5))
     items.extend(_random(*shapes[i % len(shapes)], 1000 + 101 * i) for i in range(30))
     return items

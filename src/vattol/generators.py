@@ -8,13 +8,20 @@ same edge set for the same ``(n, d, seed)`` on every platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, count
 from typing import Iterator
 
+import numpy as np
+
 from .errors import BadParameter, RetryLimitExceeded
-from .graph import Graph, build_graph, is_connected
+from .graph import Graph, _trusted_graph, build_graph, is_connected, vertices_from_mask
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 _RETRY_LIMIT = 10_000
+#: Words drawn for one block of pairing attempts, unless one attempt needs more.
+_DRAW_CELLS = 1 << 12
 
 
 def path(n: int) -> Graph:
@@ -50,13 +57,7 @@ def hypercube(k: int) -> Graph:
     if not 1 <= k <= 6:
         raise BadParameter(f"hypercube dimension must be in [1, 6], got {k}")
     n = 1 << k
-    edges = []
-    for v in range(n):
-        for bit in range(k):
-            u = v ^ (1 << bit)
-            if v < u:
-                edges.append((v, u))
-    return build_graph(n, edges)
+    return build_graph(n, [(v, v | 1 << b) for v in range(n) for b in range(k) if not v >> b & 1])
 
 
 def complete_bipartite(d: int) -> Graph:
@@ -81,11 +82,7 @@ def circulant(n: int, offsets: list[int]) -> Graph:
     for o in offsets:
         if not 1 <= o <= n // 2:
             raise BadParameter(f"offset {o} outside [1, {n // 2}] for n={n}")
-    edges = set()
-    for i in range(n):
-        for o in offsets:
-            j = (i + o) % n
-            edges.add((min(i, j), max(i, j)))
+    edges = {tuple(sorted((i, (i + o) % n))) for i in range(n) for o in offsets}
     return build_graph(n, sorted(edges))
 
 
@@ -99,83 +96,115 @@ def petersen() -> Graph:
     return build_graph(10, sorted((min(u, v), max(u, v)) for u, v in edges))
 
 
-class _SplitMix64:
-    """splitmix64: a small, named, platform-stable 64-bit generator.
-
-    Used for the seeded shuffles so random graphs reproduce bit for bit
-    everywhere, independent of any runtime's RNG internals.
-    """
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
-
-    def next64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def below(self, bound: int) -> int:
-        """Uniform integer in ``[0, bound)`` by rejection sampling."""
-        limit = _MASK64 + 1 - ((_MASK64 + 1) % bound)
-        while True:
-            r = self.next64()
-            if r < limit:
-                return r % bound
+def _splitmix64(seed: int | np.ndarray, length: int) -> np.ndarray:
+    """The first ``length`` words of the splitmix64 stream of each seed, on
+    a new last axis.  splitmix64 (Steele, Lea & Flood 2014) is small and
+    platform-stable, and its k-th word is a pure function of
+    ``seed + k * gamma``, so streams are one wrapping uint64 expression."""
+    z = _GAMMA * np.arange(1, length + 1, dtype=np.uint64)
+    z = z + np.asarray(seed, dtype=np.uint64)[..., None]
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> shift
+        z *= np.uint64(factor)
+    return z ^ (z >> 31)
 
 
-def random_regular(n: int, d: int, seed: int) -> Graph:
-    """Seeded d-regular graph from the stub-pairing (configuration) model.
+def _pairings(n: int, d: int, seed: int) -> Iterator[set[tuple[int, int]] | None]:
+    """The edge set of the stub pairing of each attempt seed ``seed``,
+    ``seed + 1``, .. (wrapping at 2^64), or None where it is not simple.
 
-    Each vertex contributes ``d`` stubs; the stub list is shuffled with a
-    splitmix64-driven Fisher-Yates and paired consecutively.  Attempts
-    that produce a self-loop or duplicate edge are discarded and retried
-    with ``seed + 1`` (wrapping at 2^64), so failures are reproducible.
-    A pair is checked once the shuffle has fixed both its stubs, and a
-    bad pair ends the attempt; each attempt seeds its own generator.
-    Connectivity is NOT guaranteed; the caller checks.
+    Swap i (from the top down) of the shuffle takes the attempt stream's
+    next word below the largest multiple of ``i + 1``, mod ``i + 1``.  The
+    words of a block of attempts are drawn as one array, blocks growing 1,
+    2, 4, .. up to :data:`_DRAW_CELLS` words; an attempt holding a word
+    that this rejection rule discards is redrawn word by word.
     """
     if not 1 <= d < n:
         raise BadParameter(f"degree must satisfy 1 <= d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
         raise BadParameter(f"n*d must be even, got n={n}, d={d}")
     all_stubs = [v for v in range(n) for _ in range(d)]
-    attempt_seed = seed & _MASK64
-    for _ in range(_RETRY_LIMIT):
-        rng = _SplitMix64(attempt_seed)
-        stubs = all_stubs.copy()
-        edges = set()
-        for i in range(len(stubs) - 1, 0, -1):
-            j = rng.below(i + 1)
-            stubs[i], stubs[j] = stubs[j], stubs[i]
-            if i % 2 and i > 1:
-                continue  # stub i - 1, its partner, can still move
-            k = i - i % 2  # stubs k and k + 1 are now final
-            u, v = stubs[k], stubs[k + 1]
-            key = (min(u, v), max(u, v))
-            if u == v or key in edges:
-                break
-            edges.add(key)
-        else:
-            return build_graph(n, sorted(edges))
-        attempt_seed = (attempt_seed + 1) & _MASK64
-    raise RetryLimitExceeded(
-        f"no simple {d}-regular pairing on {n} vertices after {_RETRY_LIMIT} attempts"
-    )
+    top = len(all_stubs) - 1
+    bounds = np.arange(top + 1, 1, -1, dtype=np.uint64)
+    keep = _MASK64 - (np.uint64(_MASK64) % bounds + 1) % bounds  # largest kept word
+    block = 1
+    while True:
+        seeds = seed + np.arange(block, dtype=np.uint64)
+        words = _splitmix64(seeds, top)
+        redraw = (words > keep).any(axis=1).tolist()
+        for s, row, exact in zip(seeds.tolist(), words % bounds, redraw):
+            draws = row.tolist()
+            if exact:
+                stream = chain.from_iterable(
+                    _splitmix64((s + c * top * _GAMMA) & _MASK64, top).tolist() for c in count()
+                )
+                kept = zip(bounds.tolist(), keep.tolist())
+                draws = [next(w for w in stream if w <= ok) % b for b, ok in kept]
+            stubs = all_stubs.copy()
+            edges = set()
+            for i, j in zip(range(top, 0, -1), draws):
+                stubs[i], stubs[j] = stubs[j], stubs[i]
+                if i % 2 and i > 1:
+                    continue  # stub i - 1, its partner, can still move
+                k = i - i % 2  # stubs k and k + 1 are now final
+                u, v = stubs[k], stubs[k + 1]
+                key = (u, v) if u < v else (v, u)
+                if u == v or key in edges:
+                    yield None
+                    break
+                edges.add(key)
+            else:
+                yield edges
+        seed = (seed + block) & _MASK64
+        block = min(2 * block, max(1, _DRAW_CELLS // top))
+
+
+def _first_sample(n: int, d: int, seed: int, connected: bool) -> tuple[Graph, int]:
+    """The first simple (and, if asked, connected) sample of the attempts
+    from ``seed``, and the seed of the run of attempts that found it."""
+    seed &= _MASK64
+    start = 0  # that seed's offset: one past the last sample turned down
+    for offset, edges in enumerate(_pairings(n, d, seed)):
+        if edges is not None:
+            g = build_graph(n, sorted(edges))
+            if not connected or is_connected(g):
+                return g, (seed + start) & _MASK64
+            start = offset + 1
+            if start >= _RETRY_LIMIT:
+                raise RetryLimitExceeded(
+                    f"no connected {d}-regular graph on {n} vertices after {_RETRY_LIMIT} seeds"
+                )
+        elif offset + 1 - start == _RETRY_LIMIT:
+            raise RetryLimitExceeded(
+                f"no simple {d}-regular pairing on {n} vertices after {_RETRY_LIMIT} attempts"
+            )
+
+
+def random_regular(n: int, d: int, seed: int) -> Graph:
+    """Seeded d-regular graph from the stub-pairing (configuration) model.
+
+    Each vertex contributes ``d`` stubs, shuffled by a Fisher-Yates driven
+    by a splitmix64 stream seeded with the attempt's seed and paired
+    consecutively; a pair is checked once the shuffle has fixed both its
+    stubs.  An attempt that makes a self-loop or a duplicate edge ends at
+    that pair and is retried with ``seed + 1`` (wrapping at 2^64), up to
+    10,000 attempts.  The streams of a block of attempts are drawn as one
+    array, giving the graph that word-by-word draws give.  Connectivity is
+    NOT guaranteed; the caller checks.
+    """
+    return _first_sample(n, d, seed, connected=False)[0]
 
 
 def connected_random_regular(n: int, d: int, seed: int) -> tuple[Graph, int]:
-    """First connected sample at or after ``seed``; returns (graph, seed used)."""
-    s = seed & _MASK64
-    for _ in range(_RETRY_LIMIT):
-        g = random_regular(n, d, s)
-        if is_connected(g):
-            return g, s
-        s = (s + 1) & _MASK64
-    raise RetryLimitExceeded(
-        f"no connected {d}-regular graph on {n} vertices after {_RETRY_LIMIT} seeds"
-    )
+    """First connected sample at or after ``seed``; returns (graph, seed used).
+
+    The seed used is the least ``s >= seed`` (wrapping at 2^64) whose
+    :func:`random_regular` graph is connected: ``seed``, or one past the
+    last simple but disconnected attempt, found in one walk of the
+    attempts.  It raises as :func:`random_regular` does after 10,000
+    attempts from a seed it tries, and after 10,000 seeds.
+    """
+    return _first_sample(n, d, seed, connected=True)
 
 
 def enumerate_small_regular(n: int, d: int) -> Iterator[Graph]:
@@ -186,12 +215,13 @@ def enumerate_small_regular(n: int, d: int) -> Iterator[Graph]:
     graphs are emitted in increasing order of that encoding.  No
     isomorphism reduction: every labeled edge set appears exactly once.
 
-    The search walks edge indices from highest to lowest, excluding
-    before including, which visits encodings in ascending order while
-    degree-feasibility pruning keeps the tree near the solution count.
-    It keeps its path on an explicit stack, so the generator resumes once
-    per graph, not once per edge index.  The arguments are checked at the
-    call, before the first graph.
+    The enumeration runs at the call in numpy, a uint8 neighbour mask per
+    vertex: vertex by vertex, each partial graph takes every set of
+    higher-numbered neighbours that completes its vertex's degree without
+    overfilling another, one subtree per neighbourhood of vertex 0.  A
+    bitmask flood keeps the connected graphs, and a sort orders them.  A
+    graph is built, unvalidated, when it is taken.  The arguments are
+    checked at the call, before the first graph.
     """
     if not 2 <= n <= 8:
         raise BadParameter(f"exhaustive enumeration needs 2 <= n <= 8, got {n}")
@@ -200,51 +230,31 @@ def enumerate_small_regular(n: int, d: int) -> Iterator[Graph]:
     if (n * d) % 2 != 0:
         raise BadParameter(f"n*d must be even, got n={n}, d={d}")
 
-    edge_list = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    def extend(rows: np.ndarray, v: int) -> np.ndarray:
+        deg = np.bitwise_count(rows)
+        sets = np.arange(0, 1 << n, 2 << v).astype(np.uint8)  # no bit <= v
+        under = np.packbits(deg < d, axis=1, bitorder="little")
+        fits = ((sets & ~under) == 0) & (np.bitwise_count(sets) == d - deg[:, v, None])
+        rows_at, pick = np.nonzero(fits)
+        rows, chosen = rows[rows_at], sets[pick]
+        rows[:, v] |= chosen
+        rows[:, v + 1:] |= (chosen[:, None] >> np.arange(v + 1, n, dtype=np.uint8) & 1) << v
+        return rows
 
-    def leaves() -> Iterator[Graph]:
-        deg = [0] * n
-        avail = [n - 1] * n  # undecided edges incident to each vertex
-        chosen: list[tuple[int, int]] = []
-        # per edge index on the path: 0 not entered, 1 out, 2 in
-        branch = [0] * len(edge_list)
-        idx = top = len(edge_list) - 1
-        while idx <= top:
-            if idx < 0:
-                # avail is 0 everywhere, so pruning forces deg[v] == d exactly
-                g = build_graph(n, list(chosen))
-                if is_connected(g):
-                    yield g
-                idx = 0
-                continue
-            u, v = edge_list[idx]
-            if branch[idx] == 0:
-                # branch 1: leave edge idx out
-                branch[idx] = 1
-                avail[u] -= 1
-                avail[v] -= 1
-                if deg[u] + avail[u] >= d and deg[v] + avail[v] >= d:
-                    idx -= 1
-                    continue
-            if branch[idx] == 1:
-                # branch 2: put edge idx in
-                branch[idx] = 2
-                if deg[u] < d and deg[v] < d:
-                    deg[u] += 1
-                    deg[v] += 1
-                    chosen.append((u, v))
-                    idx -= 1
-                    continue
-            else:  # back from branch 2
-                chosen.pop()
-                deg[u] -= 1
-                deg[v] -= 1
-            branch[idx] = 0
-            avail[u] += 1
-            avail[v] += 1
-            idx += 1
-
-    return leaves()
+    # One subtree per neighbourhood of vertex 0: few partial graphs at once.
+    first = extend(np.zeros((1, n), dtype=np.uint8), 0)
+    rows = np.concatenate([reduce(extend, range(1, n), row[None]) for row in first])
+    reach = np.ones(len(rows), dtype=np.uint8)
+    for _ in range(n - 1):
+        inside = reach[:, None] >> np.arange(n, dtype=np.uint8) & 1
+        reach |= np.bitwise_or.reduce(rows * inside, axis=1)
+    rows = rows[reach == (1 << n) - 1]
+    # The encoding puts the edges from u to higher vertices above those of
+    # every lower u, so it sorts as the higher-neighbour masks, last u first.
+    rows = rows[np.lexsort([rows[:, u] >> (u + 1) for u in range(n - 1)])]
+    nbrs = [tuple(vertices_from_mask(m)) for m in range(1 << n)]
+    masks = map(np.ndarray.tolist, rows)
+    return (_trusted_graph(n, tuple(map(nbrs.__getitem__, m)), tuple(m)) for m in masks)
 
 
 #: Per family: its constructor, called with a spec's parameters (and seed).

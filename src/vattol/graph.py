@@ -187,6 +187,14 @@ def build_graph(
     )
 
 
+def _trusted_graph(n: int, adj: tuple[tuple[int, ...], ...], adj_masks: tuple[int, ...]) -> Graph:
+    """A connected unweighted graph from sorted neighbour tuples and masks
+    that the caller built simple and symmetric; nothing is re-validated."""
+    g = object.__new__(Graph)
+    g.__dict__.update(n=n, adj=adj, costs=None, values=None, adj_masks=adj_masks, _connected=True)
+    return g
+
+
 def _check_mask(g: Graph, mask: VertexMask) -> None:
     if mask < 0 or mask >> g.n:
         raise BadVertexId(f"mask {mask:#x} has bits outside [0, {g.n})")

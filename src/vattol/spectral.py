@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IsolatedVertex, NoConvergence, TrivialGraph
-from .generators import _SplitMix64
+from .generators import _splitmix64
 from .graph import Graph, VertexMask, require_connected, vertices_from_mask
 
 _SIGN_EPS = 1e-12
@@ -170,8 +170,7 @@ def _lanczos(g: Graph) -> tuple[SpectralResult, np.ndarray] | None:
     def apply(x: np.ndarray) -> np.ndarray:
         return np.bincount(rows, weights=weights * x[cols], minlength=n)
 
-    rng = _SplitMix64(n)
-    x = np.array([rng.next64() >> 11 for _ in range(n)]) * 2.0**-53 - 0.5
+    x = (_splitmix64(n, n) >> 11).astype(np.float64) * 2.0**-53 - 0.5
     basis = np.empty((_BLOCK, n))
     basis[0] = sqrt_deg / np.linalg.norm(sqrt_deg)
     alpha: list[float] = []

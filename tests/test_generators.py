@@ -1,12 +1,69 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vattol as vt
-from vattol import BadParameter, RetryLimitExceeded
+from vattol import BadParameter, RetryLimitExceeded, generators
 from vattol.corpus import _RANDOM_SHAPES, exhaustive_members, exhaustive_regular
-from vattol.generators import FamilySpec, parse_family_spec
+from vattol.generators import FamilySpec, _splitmix64, parse_family_spec
+
+M64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def mix(z):
+    """splitmix64's output function on one state (Steele, Lea & Flood 2014)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+def ref_pairing(n, d, seed, word=mix):
+    """One attempt, drawn word by word: a full Fisher-Yates shuffle of the
+    stubs with rejection sampling, then the consecutive pairs; sorted
+    edges, or None when the pairing is not simple."""
+    state = seed
+
+    def below(bound):
+        nonlocal state
+        while True:
+            state = (state + GAMMA) & M64
+            r = word(state)
+            if r < (1 << 64) - (1 << 64) % bound:
+                return r % bound
+
+    stubs = [v for v in range(n) for _ in range(d)]
+    for i in range(len(stubs) - 1, 0, -1):
+        j = below(i + 1)
+        stubs[i], stubs[j] = stubs[j], stubs[i]
+    pairs = [(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2])]
+    if any(u == v for u, v in pairs) or len(set(pairs)) < len(pairs):
+        return None
+    return sorted(pairs)
+
+
+def ref_random_regular(n, d, seed, word=mix):
+    """(sorted edges, attempt seed) of the first simple attempt."""
+    for k in range(10_000):
+        edges = ref_pairing(n, d, (seed + k) & M64, word)
+        if edges is not None:
+            return edges, (seed + k) & M64
+    raise RetryLimitExceeded("reference")
+
+
+def ref_connected(n, d, seed, word=mix):
+    """(sorted edges, seed used): retry random_regular at seed + 1, .."""
+    for k in range(10_000):
+        edges, _ = ref_random_regular(n, d, (seed + k) & M64, word)
+        if vt.is_connected(vt.build_graph(n, edges)):
+            return edges, (seed + k) & M64
+    raise RetryLimitExceeded("reference")
+
+
+wrapping_seeds = st.integers(0, M64) | st.integers(M64 - 2**10, M64)
 
 
 def test_every_public_name_resolves():
@@ -351,3 +408,57 @@ class TestRandomRegularPinned:
             pinned.append([n, d, seed, used, [list(e) for e in g.edges()]])
         digest = hashlib.sha256(json.dumps(pinned).encode()).hexdigest()
         assert digest == "664262c55d0d0ff768430c4c9148a1b349e5abc154b6552b39bb7e90e592be5a"
+
+
+class TestBlockDraws:
+    """The array draws against the word-by-word reference above."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds=st.lists(wrapping_seeds, min_size=1, max_size=4), count=st.integers(0, 40))
+    def test_words_match_the_scalar_reference(self, seeds, count):
+        ref = [[mix((s + k * GAMMA) & M64) for k in range(1, count + 1)] for s in seeds]
+        assert _splitmix64(seeds[0], count).tolist() == ref[0]
+        assert _splitmix64(np.array(seeds, dtype=np.uint64), count).tolist() == ref
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shape=st.sampled_from([(4, 3), (6, 3), (8, 3), (8, 4), (10, 3), (10, 5), (12, 4)]),
+        seed=wrapping_seeds,
+    )
+    def test_graphs_match_the_scalar_reference(self, shape, seed):
+        n, d = shape
+        edges, _ = ref_random_regular(n, d, seed)
+        assert list(vt.random_regular(n, d, seed).edges()) == edges
+        g, used = vt.connected_random_regular(n, d, seed)
+        assert [list(g.edges()), used] == list(ref_connected(n, d, seed))
+
+    def test_rejected_words_are_redrawn(self, monkeypatch):
+        # No natural seed draws a word that rejection sampling discards
+        # (the chance is at most bound / 2^64 a draw), so inject them at
+        # chosen stream states: the largest word, which every bound but a
+        # power of two rejects, and as each attempt's first draw (bound
+        # 30) the largest word that bound keeps.
+        n, d, seed = 10, 3, 7
+        injected = {
+            (seed + a + k * GAMMA) & M64: M64
+            for a in range(12)
+            for k in (2, 3, 5, 8, 13, 14, 15, 21, 29)
+        }
+        injected.update({(seed + a + GAMMA) & M64: M64 - (1 << 64) % 30 for a in range(12)})
+        real = generators._splitmix64
+
+        def splitmix64_injected(seeds, count):
+            words = real(seeds, count)
+            steps = np.uint64(GAMMA) * np.arange(1, count + 1, dtype=np.uint64)
+            states = np.asarray(seeds, dtype=np.uint64)[..., None] + steps
+            for state, value in injected.items():
+                words[states == state] = value
+            return words
+
+        monkeypatch.setattr(generators, "_splitmix64", splitmix64_injected)
+        word = lambda z: injected.get(z, mix(z))
+        edges, _ = ref_random_regular(n, d, seed, word)
+        assert edges != ref_random_regular(n, d, seed)[0]
+        assert list(vt.random_regular(n, d, seed).edges()) == edges
+        g, used = vt.connected_random_regular(n, d, seed)
+        assert [list(g.edges()), used] == list(ref_connected(n, d, seed, word))
