@@ -24,7 +24,7 @@ Engines, none of which caches across calls:
   (:func:`_exact_block`); the other forms share :func:`_min_ratio`.
 
 Temporaries of the numpy kernels span at most ``max(BLOCK_CELLS,
-2^ceil(n/2))`` cells.
+2^ceil(n/2))`` cells at any batch width; the engines return integers.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -151,17 +151,48 @@ def set_conductance(g: Graph, s: VertexMask) -> Fraction:
     return Fraction(cut_size(g, s), vol)
 
 
+class _ExactInts(NamedTuple):
+    """One graph's :func:`exact_batch` result in integers: tau and phi as
+    reduced fractions with their witnesses, and the minimizer array."""
+
+    tau_num: int
+    tau_den: int
+    tau_witness: int
+    phi_num: int
+    phi_den: int
+    phi_witness: int
+    minimizers: np.ndarray
+
+    @classmethod
+    def of(cls, exact: ExactMetrics) -> _ExactInts:
+        tau, phi = exact.tau, exact.phi
+        return cls(tau.value.numerator, tau.value.denominator, tau.witness,
+                   phi.value.numerator, phi.value.denominator, phi.witness, exact.minimizers)
+
+    def metrics(self) -> ExactMetrics:
+        tau = MetricResult(Fraction(self.tau_num, self.tau_den), self.tau_witness, "vat")
+        phi = MetricResult(Fraction(self.phi_num, self.phi_den), self.phi_witness, "conductance")
+        return ExactMetrics(tau, phi, self.minimizers)
+
+
 def exact_batch(graphs: Sequence[Graph]) -> list[ExactMetrics]:
     """tau, phi and all phi-minimizers of graphs that share one n <= 24.
 
     tau comes from one numpy pass over a (graphs x subsets) table of
     largest surviving components (see :func:`_exact_block`), phi and its
     minimizers from :func:`_conductance_batch`, the conductance engine
-    for every n.  Values and lowest-encoding witnesses are those
-    :func:`vat_exact` and :func:`conductance_exact` return, and so are
-    the errors, raised in the same order.  Weights are ignored, as those
-    functions ignore them.
+    for every n.  Both take one int32 adjacency array of up to ``max(1,
+    8 * BLOCK_CELLS >> n)`` graphs per call (256 at n = 8, one from n =
+    16 on): a uint8 VAT table of ``max(2^n, 8 * BLOCK_CELLS)`` cells.
+    Values and lowest-encoding witnesses are those :func:`vat_exact` and
+    :func:`conductance_exact` return, and so are the errors, raised in
+    the same order.  Weights are ignored, as those functions ignore them.
     """
+    return [exact.metrics() for exact in _exact_ints(graphs)]
+
+
+def _exact_ints(graphs: Sequence[Graph]) -> list[_ExactInts]:
+    """:func:`exact_batch` in integers; minimizers are views of one array."""
     if not graphs:
         return []
     n = graphs[0].n
@@ -169,14 +200,17 @@ def exact_batch(graphs: Sequence[Graph]) -> list[ExactMetrics]:
         raise BadParameter("exact_batch needs graphs that share one vertex count")
     for g in graphs:
         _require_enumerable(g)
-    per_block = max(1, BLOCK_CELLS >> n)
-    taus: list[MetricResult] = []
-    for i in range(0, len(graphs), per_block):
-        taus.extend(_exact_block(graphs[i : i + per_block]))
-    return [
-        ExactMetrics(tau=tau, phi=phi, minimizers=minimizers)
-        for tau, (phi, minimizers) in zip(taus, _conductance_batch(graphs))
-    ]
+    per_call = max(1, (8 * BLOCK_CELLS) >> n)
+    out: list[_ExactInts] = []
+    for i in range(0, len(graphs), per_call):
+        adj = np.array([g.adj_masks for g in graphs[i : i + per_call]], np.int32)
+        tau = (a.tolist() for a in _exact_block(adj))
+        phi_num, phi_den, hits, ends = _conductance_batch(adj)
+        starts = [0, *ends[:-1]]
+        minimizers = [hits[a:b] for a, b in zip(starts, ends)]
+        phi = phi_num.tolist(), phi_den.tolist(), hits[starts].tolist()
+        out += map(_ExactInts._make, zip(*tau, *phi, minimizers))
+    return out
 
 
 def _flood_fill(adj: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -192,7 +226,7 @@ def _flood_fill(adj: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarra
     low_mask = (1 << low) - 1
     unions = []
     for part in (adj[:, :low], adj[:, low:]):
-        table = np.zeros((rows, 1 << part.shape[1]), np.int32)
+        table = np.zeros((rows, 1 << part.shape[1]), adj.dtype)
         for v in range(part.shape[1]):
             table[:, 1 << v : 2 << v] = table[:, : 1 << v] | part[:, v : v + 1]
         unions.append(table.ravel())
@@ -224,10 +258,10 @@ def _component_tables(
     mask ``x`` in ``[2^k, 2^(k+1))`` has top vertex ``k``; its components
     are ``C``, that of ``k``, flooded over all masks of a chunk at once,
     and those of ``x - C``, which lacks ``k`` and so lies in an earlier
-    layer.  Temporaries span ``BLOCK_CELLS`` cells.
+    layer.  Temporaries span ``BLOCK_CELLS`` cells of the dtype of ``adj``.
     """
     rows, n = adj.shape
-    chunk = BLOCK_CELLS // rows
+    chunk = max(1, BLOCK_CELLS // rows)
     flood = _flood_fill(adj)
     table_off = np.arange(rows, dtype=np.int32)[:, None] << n
     cmax = np.zeros((rows, 1 << n), np.uint8)
@@ -237,7 +271,7 @@ def _component_tables(
         adj_k = adj[:, k : k + 1]
         for j0 in range(0, top, chunk):
             j1 = min(top, j0 + chunk)
-            x = np.arange(j0, j1, dtype=np.int32) | top
+            x = np.arange(j0, j1, dtype=adj.dtype) | top
             comp = flood((adj_k & x) | top, x)
             rest = (x ^ comp) + table_off
             size, size_rest = np.bitwise_count(comp), cmax.ravel().take(rest)
@@ -250,8 +284,8 @@ def _component_tables(
     return cmax, cmin
 
 
-def _exact_block(block: Sequence[Graph]) -> list[MetricResult]:
-    """tau of connected graphs that share n, for ``len(block) << n`` graph x mask cells.
+def _exact_block(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """tau of the connected graphs in the rows of ``adj``: num, den, witness.
 
     tau minimizes ``|S| / (n - |S| - cmax[V - S] + 1)`` over the table of
     :func:`_component_tables`, an argmin over float keys, which is exact
@@ -259,16 +293,14 @@ def _exact_block(block: Sequence[Graph]) -> list[MetricResult]:
     n + 1 <= 25 and every key is at most 24, so two distinct fractions
     differ by at least 1/25^2 while each key, a correctly rounded
     quotient, is off by at most 24 * 2^-53; equal fractions get equal
-    keys.  ``argmin`` and the ascending mask order keep the lowest-encoding
-    witness.
+    keys.  ``argmin`` and the ascending mask order, in chunks of
+    ``BLOCK_CELLS`` cells, keep the lowest-encoding witness.  Up to n = 8
+    the masks are uint8, so the union table of a suite batch is 64 KiB.
     """
-    rows = len(block)
-    n = block[0].n
+    rows, n = adj.shape
     size = 1 << n
-    full = size - 1
-    chunk = BLOCK_CELLS // rows
-    adj = np.array([g.adj_masks for g in block], dtype=np.int32)
-    cmax, _ = _component_tables(adj, lowest=False)
+    chunk = max(1, BLOCK_CELLS // rows)
+    cmax, _ = _component_tables(adj.astype(np.uint8) if n <= 8 else adj, lowest=False)
 
     # Column s of this view is cmax of the survivors V - s.
     cmax_of_rest = cmax[:, ::-1]
@@ -286,13 +318,10 @@ def _exact_block(block: Sequence[Graph]) -> list[MetricResult]:
         tau_arg[better] = tau_key.argmin(axis=1)[better] + c0
         tau_best[better] = tau_min[better]
 
-    out = []
-    for r in range(rows):
-        s = int(tau_arg[r])
-        k = s.bit_count()
-        tau = Fraction(k, n + 1 - k - int(cmax[r, full ^ s]))
-        out.append(MetricResult(value=tau, witness=s, metric="vat"))
-    return out
+    k = np.bitwise_count(tau_arg)
+    den = n + 1 - k - cmax[np.arange(rows), (size - 1) ^ tau_arg]
+    common = np.gcd(k, den)
+    return k // common, den // common, tau_arg
 
 
 def _half_tables(
@@ -317,43 +346,44 @@ def _half_tables(
 
 
 def _conductance_batch(
-    graphs: Sequence[Graph],
-) -> list[tuple[MetricResult, np.ndarray]]:
-    """phi, its lowest-encoding witness and every minimizer, sorted, per graph.
+    adj: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """phi's num and den per row of ``adj`` (connected graphs), and every
+    minimizer of all rows, by row then ascending, with each row's end.
 
-    The one conductance engine, for any n; the graphs share n and are
-    connected.  A mask splits as ``lo | hi << h``, ``h = ceil(n / 2)``:
-    ``vol(S) = vol_lo[lo] + vol_hi[hi]`` and ``cut(S) = cut_lo[lo] +
-    cut_hi[hi] - 2 cross``, where ``cross``, the sum over u in lo of
-    ``|N(u) & hi|``, is filled by doubling over the low vertices for a
-    block of high halves at a time.  Blocks cover masks in ascending
-    order; temporaries span at most ``max(BLOCK_CELLS, 2^h)`` cells and
-    no table exceeds ``2^h`` entries per graph.
+    The one conductance engine, for any n.  A mask splits as ``lo | hi <<
+    h``, ``h = ceil(n / 2)``: ``vol(S) = vol_lo[lo] + vol_hi[hi]`` and
+    ``cut(S) = cut_lo[lo] + cut_hi[hi] - 2 cross``, where ``cross``, the
+    sum over u in lo of ``|N(u) & hi|``, is filled by doubling over the
+    low vertices for a block of high halves at a time.  Rows go in
+    chunks of ``max(1, cells >> n)``, ``cells = max(BLOCK_CELLS, 2^h)``,
+    so rows share a chunk only when one block covers them all; a lone
+    row's blocks cover its masks in ascending order.  Temporaries span
+    at most ``cells`` cells and no table exceeds ``2^h`` entries per row.
 
     phi minimizes ``cut / vol`` over ``0 < vol <= m`` by float keys,
     which is exact: there ``cut <= vol <= m <= n(n - 1)/2 < 2^11`` (n <=
     64), so two distinct fractions differ by at least 2^-22 while each
     key, a correctly rounded quotient of at most 1, is off by at most
     2^-53; equal fractions get equal keys.  The minimizers are the masks
-    whose key equals the minimum, in ascending order.
+    whose key equals the minimum; the lowest is phi's witness.
     """
-    n = graphs[0].n
+    n = adj.shape[1]
     h = (n + 1) // 2
     highs = 1 << (n - h)
     cells = max(BLOCK_CELLS, 1 << h)
     per_chunk = max(1, cells >> n)
-    out = []
-    for i in range(0, len(graphs), per_chunk):
-        chunk = graphs[i : i + per_chunk]
-        rows = len(chunk)
-        adj = np.array([g.adj_masks for g in chunk], dtype=np.int64)
-        m = np.bitwise_count(adj).sum(axis=1, keepdims=True) // 2
-        vol_lo, cut_lo = _half_tables(adj, 0, h)
-        vol_hi, cut_hi = _half_tables(adj, h, n - h)
-        high_adj = adj[:, :h, None] >> h
+    m_all = np.bitwise_count(adj).sum(axis=1, keepdims=True) // 2
+    tables = (*_half_tables(adj, 0, h), *_half_tables(adj, h, n - h), adj[:, :h, None] >> h)
+    phi_cut, phi_vol = np.zeros((2, len(adj)), np.int64)
+    hits, counts = [], []
+    for i in range(0, len(adj), per_chunk):
+        m = m_all[i : i + per_chunk]
+        vol_lo, cut_lo, vol_hi, cut_hi, high_adj = (t[i : i + per_chunk] for t in tables)
+        rows = len(m)
         per_block = min(highs, cells // (rows << h))
         best = np.full(rows, np.inf)
-        phi_cut, phi_vol = np.zeros((2, rows), np.int64)
+        chunk_cut, chunk_vol = phi_cut[i : i + rows], phi_vol[i : i + rows]
         hit_rows = hit_masks = np.zeros(0, np.int64)
         for b0 in range(0, highs, per_block):
             b1 = min(highs, b0 + per_block)
@@ -373,23 +403,18 @@ def _conductance_batch(
             block_min = key.min(axis=1)
             better = block_min < best
             first = key.argmin(axis=1)[better]
-            phi_cut[better] = cut[better, first]
-            phi_vol[better] = vol[better, first]
+            chunk_cut[better] = cut[better, first]
+            chunk_vol[better] = vol[better, first]
             best[better] = block_min[better]
             keep = ~better[hit_rows]  # earlier hits of a row this block beat
             rows_now, masks_now = np.nonzero(key == best[:, None])
             hit_rows = np.concatenate([hit_rows[keep], rows_now])
             hit_masks = np.concatenate([hit_masks[keep], masks_now + (b0 << h)])
-        # Rows share a chunk only when one block covers them all, so the
-        # hits are sorted by row and then by mask.
-        ends = np.cumsum(np.bincount(hit_rows, minlength=rows))
-        for r, minimizers in enumerate(np.split(hit_masks, ends[:-1])):
-            phi = Fraction(int(phi_cut[r]), int(phi_vol[r]))
-            result = MetricResult(
-                value=phi, witness=int(minimizers[0]), metric="conductance"
-            )
-            out.append((result, minimizers))
-    return out
+        hits.append(hit_masks)
+        counts.append(np.bincount(hit_rows, minlength=rows))
+    common = np.gcd(phi_cut, phi_vol)
+    ends = np.cumsum(np.concatenate(counts)).tolist()
+    return phi_cut // common, phi_vol // common, np.concatenate(hits), ends
 
 
 def _exact(x: float | Fraction) -> Fraction:
@@ -505,7 +530,8 @@ def vat_exact(g: Graph) -> MetricResult:
     a singleton.
     """
     _require_enumerable(g)
-    return _exact_block([g])[0]
+    num, den, witness = (int(a[0]) for a in _exact_block(np.array([g.adj_masks], np.int32)))
+    return MetricResult(Fraction(num, den), witness, "vat")
 
 
 def _check_alpha_beta(alpha: float, beta: float) -> None:
@@ -566,13 +592,14 @@ def conductance_exact(g: Graph) -> MetricResult:
     The value always lies in (0, 1].
     """
     _require_enumerable(g)
-    return _conductance_batch([g])[0][0]
+    num, den, minimizers, _ = _conductance_batch(np.array([g.adj_masks], np.int32))
+    return MetricResult(Fraction(int(num[0]), int(den[0])), int(minimizers[0]), "conductance")
 
 
 def conductance_minimizers(g: Graph) -> list[VertexMask]:
     """Every admissible set achieving the exact conductance, sorted by encoding."""
     _require_enumerable(g)
-    return _conductance_batch([g])[0][1].tolist()
+    return _conductance_batch(np.array([g.adj_masks], np.int32))[2].tolist()
 
 
 def vat_witness_components(

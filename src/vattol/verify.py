@@ -55,21 +55,21 @@ graph with attack tolerance tau, conductance phi and spectral gap
 
 The suite takes graphs in batches of :data:`SUITE_BATCH`, each evaluated
 by ``_evaluate_batch``, in process or as one pool task: ``_prefill``
-fills the batch's caches per (n, d), by one :func:`exact_batch` call
-and, if regular, one stacked ``eigh``, and the batch returns its reports
-or CSV text with its summary counts, so a worker ships text, not
+fills the batch's caches per (n, d), by one :func:`exact_batch` pass in
+integers and, if regular, one stacked ``eigh``, and the batch returns its
+reports or CSV text with its summary counts, so a worker ships text, not
 reports.  One :class:`SuiteSummary` sums the batches of a run.
 
 The conditional hypothesis is strict on purpose.  On the boundary
 phi == 1/d^2 the sharp bound tau <= d phi can genuinely fail: there is
 an 18-vertex cubic graph with phi exactly 1/9 and tau = 3/8 > 1/3, found
 by exhaustive search and confirmed against an independent naive
-enumeration.  Strictly inside the region no violation is known: the
-theorem corpus has none, and its 45,799 exhaustive graphs on n <= 8 are
-labeled copies of just 32 isomorphism classes (OEIS A005177), beside 52
-family members and 100 random samples.  So the strict form is what gets
-checked; boundary graphs are reported as skipped for the conditional
-checks and remain covered by the unconditional bound.
+enumeration.  Strictly inside the region the theorem corpus tests little:
+at seed 42, ``vat_upper_conditional`` and ``spectral_vat_lower_conditional``
+are each checked on 7 graphs, all cycles (d = 2, n = 10..16), and skipped
+on the other 45,944; no graph with d >= 3 meets the hypothesis there.  The
+strict form is what gets checked; boundary graphs are reported as skipped
+for the conditional checks and remain covered by the unconditional bound.
 """
 
 from __future__ import annotations
@@ -88,6 +88,7 @@ from .errors import BadParameter, NotRegular, TooLarge, VattolError
 from .graph import (
     Graph,
     _component,
+    components,
     cut_size,
     full_mask,
     is_connected,
@@ -99,8 +100,9 @@ from .metrics import (
     MINIMIZER_LIMIT,
     ExactMetrics,
     MetricResult,
+    _exact_ints,
+    _ExactInts,
     exact_batch,
-    vat_witness_components,
 )
 from .spectral import SpectralResult, _lambda2_batch, lambda2
 
@@ -340,11 +342,12 @@ def _entry(group: str, key: tuple | None) -> _Entry:
 class MetricCache:
     """Per-graph quantities shared across checks, each computed once.
 
-    tau, phi and the conductance minimizers all come from ``exact``, the
-    graph's :func:`exact_batch` result, and lambda2 from ``spectral``:
+    tau, phi and the conductance minimizers come from ``_ints``, the
+    integers of the graph's :func:`exact_batch` result (``exact`` builds
+    it on each read; setting it sets them), and lambda2 from ``spectral``:
     each set in place by the suite's batch prefill, or else computed on
     first use, which raises what :func:`vat_exact` or :func:`lambda2`
-    would.  ``values`` is (d, tau, phi) as plain ints, cheap to hash.
+    would.  ``values`` is (d, tau_num, tau_den, phi_num, phi_den).
     """
 
     def __init__(self, g: Graph, graph_id: str = "graph") -> None:
@@ -353,8 +356,16 @@ class MetricCache:
         self.d = regularity(g)
 
     @cached_property
+    def _ints(self) -> _ExactInts:
+        return _ExactInts.of(exact_batch([self.g])[0])
+
+    @property
     def exact(self) -> ExactMetrics:
-        return exact_batch([self.g])[0]
+        return self._ints.metrics()
+
+    @exact.setter
+    def exact(self, exact: ExactMetrics) -> None:
+        self._ints = _ExactInts.of(exact)
 
     @property
     def tau(self) -> MetricResult:
@@ -367,7 +378,7 @@ class MetricCache:
     @property
     def minimizers(self) -> Sequence[int]:
         """Every conductance minimizer, sorted by encoding."""
-        return self.exact.minimizers
+        return self._ints.minimizers
 
     @cached_property
     def spectral(self) -> SpectralResult:
@@ -375,8 +386,8 @@ class MetricCache:
 
     @cached_property
     def values(self) -> tuple[int | None, int, int, int, int]:
-        tau, phi = self.tau.value, self.phi.value
-        return (self.d, tau.numerator, tau.denominator, phi.numerator, phi.denominator)
+        ints = self._ints
+        return (self.d, ints.tau_num, ints.tau_den, ints.phi_num, ints.phi_den)
 
     def require_regular(self) -> int:
         if self.d is None:
@@ -394,13 +405,13 @@ _UNMET = "precondition not met"
 
 
 def _triple_key(witness: str, spectral: bool, ctx: MetricCache):
-    """(d, tau, phi), with the gap if ``spectral``; the tau or phi witness."""
+    """(d, tau, phi), with the gap if ``spectral``; the witness named ``witness``."""
     ctx.require_regular()
     key = ctx.values
     if spectral:
         gap = ctx.spectral.gap
         key = (*key, gap or repr(float(gap)))
-    return key, ((getattr(ctx, witness).witness,),)
+    return key, ((getattr(ctx._ints, witness),),)
 
 
 def _triple_rows(theorems, d, tau_num, tau_den, phi_num, phi_den, *gap) -> tuple[_Row, ...]:
@@ -439,9 +450,9 @@ def _connected_minimizer_rows(theorems, holds: bool) -> tuple[_Row, ...]:
 def _fragment_bounds_key(ctx: MetricCache):
     d = ctx.require_regular()
     g = ctx.g
-    s_mask = ctx.tau.witness
-    t_mask, others = vat_witness_components(g, ctx.tau)
-    pieces = [t_mask] + others
+    s_mask = ctx._ints.tau_witness
+    pieces = components(g, s_mask)
+    t_mask = pieces[0]
     cut_total = sum(cut_size(g, c) for c in pieces)
     survivors = sum(c.bit_count() for c in pieces)
     s_size = s_mask.bit_count()
@@ -459,8 +470,8 @@ def _fragment_bounds_rows(theorems, *sides: int) -> tuple[_Row, ...]:
 
 
 def _value_ranges_key(ctx: MetricCache):
-    no_survivor = full_mask(ctx.g.n) & ~ctx.tau.witness == 0
-    return (*ctx.values, no_survivor), ((ctx.tau.witness,), (ctx.phi.witness,))
+    no_survivor = full_mask(ctx.g.n) & ~ctx._ints.tau_witness == 0
+    return (*ctx.values, no_survivor), ((ctx._ints.tau_witness,), (ctx._ints.phi_witness,))
 
 
 def _value_ranges_rows(
@@ -477,7 +488,7 @@ def _value_ranges_rows(
 #: its theorems in report order, and whether it reads lambda2.
 _CHECKS = {
     "cheeger": (
-        partial(_triple_key, "phi", True),
+        partial(_triple_key, "phi_witness", True),
         _triple_rows,
         (
             _Theorem("cheeger_lower", lambda d, tau, phi, gap: (phi * phi / 2, gap)),
@@ -486,7 +497,7 @@ _CHECKS = {
         True,
     ),
     "vat_upper": (
-        partial(_triple_key, "tau", False),
+        partial(_triple_key, "tau_witness", False),
         _triple_rows,
         (
             _Theorem(
@@ -497,13 +508,13 @@ _CHECKS = {
         False,
     ),
     "vat_lower": (
-        partial(_triple_key, "tau", False),
+        partial(_triple_key, "tau_witness", False),
         _triple_rows,
         (_Theorem("vat_lower", lambda d, tau, phi: (phi, d * tau)),),
         False,
     ),
     "spectral_vat": (
-        partial(_triple_key, "tau", True),
+        partial(_triple_key, "tau_witness", True),
         _triple_rows,
         (
             _Theorem("spectral_vat_lower", lambda d, tau, phi, gap: (tau * tau / (2 * d**4), gap)),
@@ -675,13 +686,14 @@ def evaluate_graph(
 
 
 def _prefill(caches: Sequence[MetricCache], spectral: bool = True) -> None:
-    """Set ``exact`` and, if ``spectral``, ``spectral`` of a batch's caches.
+    """Set ``_ints`` and, if ``spectral``, ``spectral`` of a batch's caches.
 
     Both take the connected graphs with ``2 <= n <= HARD_CAP`` (each
-    tested once), one call per (n, d): :func:`exact_batch` all of them,
-    the stacked ``eigh`` the regular ones if ``spectral``, as no check
-    reads lambda2 of any other.  A cache left unset, or whose eigensolve
-    failed its residual check, raises its graph's error on first use.
+    tested once), one call per (n, d): :func:`exact_batch` in integers
+    all of them, the stacked ``eigh`` the regular ones if ``spectral``,
+    as no check reads lambda2 of any other.  A cache left unset, or whose
+    eigensolve failed its residual check, raises its graph's error on
+    first use.
     """
     groups: dict[tuple[int, int | None], list[MetricCache]] = {}
     for cache in caches:
@@ -690,8 +702,8 @@ def _prefill(caches: Sequence[MetricCache], spectral: bool = True) -> None:
             groups.setdefault((g.n, cache.d), []).append(cache)
     for (_, d), group in groups.items():
         graphs = [cache.g for cache in group]
-        for cache, exact in zip(group, exact_batch(graphs)):
-            cache.exact = exact
+        for cache, ints in zip(group, _exact_ints(graphs)):
+            cache._ints = ints
         if spectral and d is not None:
             for cache, result in zip(group, _lambda2_batch(graphs)):
                 if result is not None:
@@ -728,15 +740,16 @@ def _evaluate_batch(
 
 
 def clamp_jobs(jobs: int) -> int:
-    """The worker count ``jobs`` limited to ``[1, os.cpu_count()]``."""
-    return max(1, min(jobs, os.cpu_count() or 1))
+    """The worker count ``jobs`` limited to [1, the CPUs this process may run on]."""
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return max(1, min(jobs, len(usable) if usable else os.cpu_count() or 1))
 
 
 def _suite_batches(
     graphs: Iterable[tuple[str, Graph]], checks: str | Sequence[str], jobs: int, text: bool
 ) -> Iterator[_Batch]:
     """The batches of a run, of reports or of CSV text, in input order
-    at any ``jobs`` (a process pool if more than 1, at most the CPU count),
+    at any ``jobs`` (a process pool if more than 1, at most the usable CPUs),
     so the output is byte-for-byte independent of the worker count."""
     evaluate = partial(_evaluate_batch, normalize_checks(checks), text)
     it = iter(graphs)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,15 @@ from vattol import (
     TooLarge,
     TrivialGraph,
     VolumeTooLarge,
+    metrics,
+    verify,
 )
-from vattol.corpus import random_regular_samples, theorem_families
+from vattol.corpus import (
+    exhaustive_members,
+    exhaustive_regular,
+    random_regular_samples,
+    theorem_families,
+)
 from naive_oracle import naive_conductance_minimizers, naive_vat, naive_weighted_vat
 
 F = Fraction
@@ -362,6 +370,42 @@ class TestExactBatch:
             phi, minimizers = naive_conductance_minimizers(g)
             expected = naive_vat(g), (phi, minimizers[0]), minimizers
             assert _kernel_tuple(results[-1]) == expected
+
+    def test_chunk_budget_and_prefill_change_no_result(self, monkeypatch):
+        graphs = [g for _, g in exhaustive_regular(8) if g.n == 8][::140]
+        assert len(graphs) >= 300 and {g.m for g in graphs} == {8, 12, 16, 20, 24}
+        results = {}
+        # 16 cells: one graph per call, chunks of 16 masks, one high half
+        # per conductance block; 2^16 cells: one call, chunks of 256 rows.
+        for cells in (1 << 4, 1 << 16):
+            monkeypatch.setattr(metrics, "BLOCK_CELLS", cells)
+            results[cells] = [_kernel_tuple(e) for e in vt.exact_batch(graphs)]
+        assert results[1 << 4] == results[1 << 16]
+        monkeypatch.undo()
+        caches = [vt.MetricCache(g, f"g{i}") for i, g in enumerate(graphs)]
+        verify._prefill(caches, spectral=False)
+        for cache, expected in zip(caches, results[1 << 4]):
+            fresh = vt.MetricCache(cache.g, cache.graph_id)
+            assert _kernel_tuple(cache.exact) == _kernel_tuple(fresh.exact) == expected
+            assert cache.values == fresh.values
+
+    def test_batch_width_costs_no_more_memory_than_one_n18_graph(self):
+        """The tracemalloc peak of a suite batch of cubic n = 8 graphs in
+        one call stays within that of one cubic n = 18 graph."""
+        cubic8 = [g for _, g in exhaustive_members(8, 3)][:256]
+        assert len(cubic8) == 256
+        g18 = vt.connected_random_regular(18, 3, 1)[0]
+
+        def peak(graphs):
+            vt.exact_batch(graphs)  # numpy's first-use allocations
+            tracemalloc.start()
+            try:
+                vt.exact_batch(graphs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(cubic8) <= peak([g18])
 
     def test_errors(self):
         assert vt.exact_batch([]) == []

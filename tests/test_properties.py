@@ -120,6 +120,20 @@ def test_exact_batch_matches_naive_oracle(g):
     assert e.minimizers.tolist() == minimizers
 
 
+@given(st.integers(2, 9), st.integers(2, 40), st.data())
+@settings(deadline=None)
+def test_exact_batch_of_many_graphs_matches_naive_oracle(n, k, data):
+    """One call on k graphs of one n: every row's offsets line up, also
+    across the conductance engine's chunks of 16 rows at n = 9 and 32 at
+    n = 8."""
+    group = data.draw(st.lists(graphs(min_n=n, max_n=n, connected=True), min_size=k, max_size=k))
+    for g, e in zip(group, vt.exact_batch(group), strict=True):
+        phi, minimizers = naive_conductance_minimizers(g)
+        assert (e.tau.value, e.tau.witness) == naive_vat(g)
+        assert (e.phi.value, e.phi.witness) == (phi, minimizers[0])
+        assert e.minimizers.tolist() == minimizers
+
+
 @given(graphs(min_n=2, max_n=7, connected=True))
 def test_reduction_chain_identity(g):
     base = vt.vat_exact(g)

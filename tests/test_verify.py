@@ -310,11 +310,15 @@ class TestEvaluateAndSuite:
         for jobs in (1, 2):
             assert run_suite(items, jobs=jobs).reports == alone
 
-    def test_clamp_jobs(self):
-        cpus = os.cpu_count() or 1
+    def test_clamp_jobs(self, monkeypatch):
+        # Under an affinity or cpuset limit the CPUs this process may run
+        # on are fewer than the machine's; the lower count wins.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert clamp_jobs(-1) == clamp_jobs(0) == clamp_jobs(1) == 1
-        assert clamp_jobs(cpus) == cpus
-        assert clamp_jobs(10**9) == cpus
+        assert clamp_jobs(2) == clamp_jobs(8) == clamp_jobs(10**9) == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert clamp_jobs(10**9) == 8
 
     def test_report_order_is_input_order(self):
         graphs = [("complete:3", vt.complete(3)), ("cycle:4", vt.cycle(4))]
@@ -357,7 +361,7 @@ class TestPrefill:
         caches = [MetricCache(g, graph_id) for graph_id, g in items]
         verify._prefill(caches)
         for cache in caches:
-            assert "exact" in vars(cache), cache.graph_id
+            assert "_ints" in vars(cache), cache.graph_id
             if cache.d is None:
                 assert "spectral" not in vars(cache), cache.graph_id
             else:
@@ -373,8 +377,8 @@ class TestPrefill:
         star, big = vt.star(5), vt.cycle(cap + 1)
         star_cache, big_cache = MetricCache(star, "star"), MetricCache(big, "big")
         verify._prefill([star_cache, big_cache])
-        assert "exact" in vars(star_cache) and "spectral" not in vars(star_cache)
-        assert "exact" not in vars(big_cache) and "spectral" not in vars(big_cache)
+        assert "_ints" in vars(star_cache) and "spectral" not in vars(star_cache)
+        assert "_ints" not in vars(big_cache) and "spectral" not in vars(big_cache)
         reports = evaluate_graph(big_cache, "cheeger,spectral_vat")
         assert all(r.skipped for r in reports)
         reason = f"TooLarge: n={cap + 1} exceeds the hard cap {cap}"
@@ -402,7 +406,7 @@ class TestPrefill:
         caches = [MetricCache(g, graph_id) for graph_id, g in items]
         verify._prefill(caches)
         for cache in caches:
-            assert "exact" not in vars(cache) and "spectral" not in vars(cache)
+            assert "_ints" not in vars(cache) and "spectral" not in vars(cache)
             reports = evaluate_graph(cache)
             assert [r.theorem for r in reports] == list(verify.ALL_THEOREMS)
             expected = reasons[cache.graph_id]
@@ -417,7 +421,7 @@ class TestPrefill:
         monkeypatch.setattr(spectral_mod, "_RESIDUAL_TOL", -1.0)
         cache = MetricCache(g, "p")
         verify._prefill([cache])
-        assert "exact" in vars(cache) and "spectral" not in vars(cache)
+        assert "_ints" in vars(cache) and "spectral" not in vars(cache)
         reports = by_theorem(evaluate_graph(cache, "cheeger,vat_lower"))
         assert reports["cheeger_lower"].skipped
         assert reports["cheeger_lower"].skip_reason.startswith(
@@ -430,7 +434,7 @@ class TestPrefill:
         caches = [MetricCache(g, graph_id) for graph_id, g in items]
         verify._prefill(caches)
         for cache in caches:
-            assert {"exact", "spectral"} <= vars(cache).keys()
+            assert {"_ints", "spectral"} <= vars(cache).keys()
             alone = MetricCache(cache.g, cache.graph_id)
             assert evaluate_graph(cache, "all") == evaluate_graph(alone)
 
