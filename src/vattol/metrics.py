@@ -92,19 +92,6 @@ class WeightedValue(MetricResult):
     parameters: tuple | None = None
 
 
-@dataclass(frozen=True)
-class ExactMetrics:
-    """tau, phi and every conductance minimizer of one graph, by :func:`exact_batch`.
-
-    ``minimizers`` is a sorted integer array of masks, the compact form of
-    what :func:`conductance_minimizers` returns as a list.
-    """
-
-    tau: MetricResult
-    phi: MetricResult
-    minimizers: np.ndarray
-
-
 def _require_metric_graph(g: Graph) -> None:
     if g.n < 2:
         raise TrivialGraph("metrics need at least two vertices")
@@ -151,9 +138,11 @@ def set_conductance(g: Graph, s: VertexMask) -> Fraction:
     return Fraction(cut_size(g, s), vol)
 
 
-class _ExactInts(NamedTuple):
-    """One graph's :func:`exact_batch` result in integers: tau and phi as
-    reduced fractions with their witnesses, and the minimizer array."""
+class ExactMetrics(NamedTuple):
+    """tau, phi and every conductance minimizer of one graph, by :func:`exact_batch`:
+    tau and phi as reduced fractions with their lowest-encoding witnesses,
+    and ``minimizers``, a sorted integer array of masks (the compact form of
+    what :func:`conductance_minimizers` returns as a list)."""
 
     tau_num: int
     tau_den: int
@@ -163,16 +152,13 @@ class _ExactInts(NamedTuple):
     phi_witness: int
     minimizers: np.ndarray
 
-    @classmethod
-    def of(cls, exact: ExactMetrics) -> _ExactInts:
-        tau, phi = exact.tau, exact.phi
-        return cls(tau.value.numerator, tau.value.denominator, tau.witness,
-                   phi.value.numerator, phi.value.denominator, phi.witness, exact.minimizers)
+    @property
+    def tau(self) -> MetricResult:
+        return MetricResult(Fraction(self.tau_num, self.tau_den), self.tau_witness, "vat")
 
-    def metrics(self) -> ExactMetrics:
-        tau = MetricResult(Fraction(self.tau_num, self.tau_den), self.tau_witness, "vat")
-        phi = MetricResult(Fraction(self.phi_num, self.phi_den), self.phi_witness, "conductance")
-        return ExactMetrics(tau, phi, self.minimizers)
+    @property
+    def phi(self) -> MetricResult:
+        return MetricResult(Fraction(self.phi_num, self.phi_den), self.phi_witness, "conductance")
 
 
 def exact_batch(graphs: Sequence[Graph]) -> list[ExactMetrics]:
@@ -187,12 +173,8 @@ def exact_batch(graphs: Sequence[Graph]) -> list[ExactMetrics]:
     Values and lowest-encoding witnesses are those :func:`vat_exact` and
     :func:`conductance_exact` return, and so are the errors, raised in
     the same order.  Weights are ignored, as those functions ignore them.
+    The records hold integers; the minimizers are views of one array.
     """
-    return [exact.metrics() for exact in _exact_ints(graphs)]
-
-
-def _exact_ints(graphs: Sequence[Graph]) -> list[_ExactInts]:
-    """:func:`exact_batch` in integers; minimizers are views of one array."""
     if not graphs:
         return []
     n = graphs[0].n
@@ -201,7 +183,7 @@ def _exact_ints(graphs: Sequence[Graph]) -> list[_ExactInts]:
     for g in graphs:
         _require_enumerable(g)
     per_call = max(1, (8 * BLOCK_CELLS) >> n)
-    out: list[_ExactInts] = []
+    out: list[ExactMetrics] = []
     for i in range(0, len(graphs), per_call):
         adj = np.array([g.adj_masks for g in graphs[i : i + per_call]], np.int32)
         tau = (a.tolist() for a in _exact_block(adj))
@@ -209,7 +191,7 @@ def _exact_ints(graphs: Sequence[Graph]) -> list[_ExactInts]:
         starts = [0, *ends[:-1]]
         minimizers = [hits[a:b] for a, b in zip(starts, ends)]
         phi = phi_num.tolist(), phi_den.tolist(), hits[starts].tolist()
-        out += map(_ExactInts._make, zip(*tau, *phi, minimizers))
+        out += map(ExactMetrics._make, zip(*tau, *phi, minimizers))
     return out
 
 

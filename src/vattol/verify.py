@@ -42,8 +42,10 @@ graph with attack tolerance tau, conductance phi and spectral gap
 - ``spectral_vat``: tau^2 / (2 d^4) <= gap <= 2 d tau, and the sharper
   conditional lower bound tau^2 / (2 d^2) <= gap when phi < 1/d^2
 - ``connected_minimizer``: some conductance minimizer induces a
-  connected subgraph (all minimizers are enumerated, so n <= 16,
-  ``MINIMIZER_LIMIT``)
+  connected subgraph, checked for n <= 16 (``MINIMIZER_LIMIT``): the
+  engine returns every minimizer at any n <= 24, but lifting the cap
+  would change 15 rows of the theorem CSV and the summary that the
+  acceptance test pins
 - ``fragment_bounds``: with S a minimizing attack set, T the largest
   surviving component and C_1..C_q the others, d|S| bounds the total
   component boundary, since every edge leaving a surviving component
@@ -55,8 +57,8 @@ graph with attack tolerance tau, conductance phi and spectral gap
 
 The suite takes graphs in batches of :data:`SUITE_BATCH`, each evaluated
 by ``_evaluate_batch``, in process or as one pool task: ``_prefill``
-fills the batch's caches per (n, d), by one :func:`exact_batch` pass in
-integers and, if regular, one stacked ``eigh``, and the batch returns its
+fills the batch's caches per (n, d), by one :func:`exact_batch` pass
+and, if regular, one stacked ``eigh``, and the batch returns its
 reports or CSV text with its summary counts, so a worker ships text, not
 reports.  One :class:`SuiteSummary` sums the batches of a run.
 
@@ -95,15 +97,7 @@ from .graph import (
     regularity,
     vertices_from_mask,
 )
-from .metrics import (
-    HARD_CAP,
-    MINIMIZER_LIMIT,
-    ExactMetrics,
-    MetricResult,
-    _exact_ints,
-    _ExactInts,
-    exact_batch,
-)
+from .metrics import HARD_CAP, MINIMIZER_LIMIT, ExactMetrics, exact_batch
 from .spectral import SpectralResult, _lambda2_batch, lambda2
 
 #: Absolute tolerance of every comparison with a spectral side.
@@ -229,21 +223,27 @@ VERIFY_CSV_COLUMNS = (
 )
 
 
+def _verdict_csv(theorem: str, v: _Verdict) -> list[str]:
+    """The ``theorem`` to ``slack`` fields of a CSV row."""
+    return [
+        theorem,
+        *_side_csv(v.lhs),
+        *_side_csv(v.rhs),
+        _bool_str(v.holds),
+        _bool_str(v.strict_holds),
+        _real_str(v.slack),
+    ]
+
+
 def report_to_csv_row(r: TheoremReport) -> list[str]:
-    """The :data:`VERIFY_CSV_COLUMNS` fields of one report; the row table
-    renders the fields from ``theorem`` to ``slack`` of each of its rows
-    with it."""
+    """The :data:`VERIFY_CSV_COLUMNS` fields of one report."""
+    verdict = _Verdict(r.lhs, r.rhs, r.holds, r.strict_holds, r.slack)
     return [
         r.graph_id,
         str(r.n),
         str(r.m),
         "" if r.d is None else str(r.d),
-        r.theorem,
-        *_side_csv(r.lhs),
-        *_side_csv(r.rhs),
-        _bool_str(r.holds),
-        _bool_str(r.strict_holds),
-        _real_str(r.slack),
+        *_verdict_csv(r.theorem, verdict),
         _witness_str(r.witnesses),
     ]
 
@@ -310,11 +310,6 @@ class _Entry:
     lines: tuple[tuple[str, int], ...]
 
 
-def _tail(row: _Row) -> list[str]:
-    """The ``theorem`` to ``slack`` fields of a row's CSV text."""
-    return report_to_csv_row(TheoremReport(row.theorem, "", 0, 0, None, *row.verdict))[4:-1]
-
-
 @lru_cache(maxsize=_TABLE_SIZE)
 def _entry(group: str, key: tuple | None) -> _Entry:
     """The entry of ``group`` at ``key``.  Key ``None``: an unmet
@@ -332,9 +327,9 @@ def _entry(group: str, key: tuple | None) -> _Entry:
     holds = sum(1 for v in checked if v.holds)
     strict = sum(1 for v in checked if v.strict_holds)
     tally = (len(rows), holds, strict, len(checked) - holds, len(rows) - len(checked), equalities)
+    texts = [_csv_line(_verdict_csv(r.theorem, r.verdict))[:-1] for r in rows]
     lines = tuple(
-        ("," + _csv_line(_tail(r))[:-1] + ",", -1 if r.witness is None else r.witness)
-        for r in rows
+        ("," + text + ",", -1 if r.witness is None else r.witness) for text, r in zip(texts, rows)
     )
     return _Entry(rows, tally, tuple(t for t in equalities if t in STRICT_CLAIMS), lines)
 
@@ -342,12 +337,12 @@ def _entry(group: str, key: tuple | None) -> _Entry:
 class MetricCache:
     """Per-graph quantities shared across checks, each computed once.
 
-    tau, phi and the conductance minimizers come from ``_ints``, the
-    integers of the graph's :func:`exact_batch` result (``exact`` builds
-    it on each read; setting it sets them), and lambda2 from ``spectral``:
-    each set in place by the suite's batch prefill, or else computed on
-    first use, which raises what :func:`vat_exact` or :func:`lambda2`
-    would.  ``values`` is (d, tau_num, tau_den, phi_num, phi_den).
+    ``exact`` is the graph's :func:`exact_batch` record (tau, phi, their
+    witnesses and the conductance minimizers, in integers) and
+    ``spectral`` its lambda2: each set in place by the suite's batch
+    prefill, or else computed on first use, which raises what
+    :func:`vat_exact` or :func:`lambda2` would.  ``values`` is (d,
+    tau_num, tau_den, phi_num, phi_den).
     """
 
     def __init__(self, g: Graph, graph_id: str = "graph") -> None:
@@ -356,29 +351,8 @@ class MetricCache:
         self.d = regularity(g)
 
     @cached_property
-    def _ints(self) -> _ExactInts:
-        return _ExactInts.of(exact_batch([self.g])[0])
-
-    @property
     def exact(self) -> ExactMetrics:
-        return self._ints.metrics()
-
-    @exact.setter
-    def exact(self, exact: ExactMetrics) -> None:
-        self._ints = _ExactInts.of(exact)
-
-    @property
-    def tau(self) -> MetricResult:
-        return self.exact.tau
-
-    @property
-    def phi(self) -> MetricResult:
-        return self.exact.phi
-
-    @property
-    def minimizers(self) -> Sequence[int]:
-        """Every conductance minimizer, sorted by encoding."""
-        return self._ints.minimizers
+        return exact_batch([self.g])[0]
 
     @cached_property
     def spectral(self) -> SpectralResult:
@@ -386,8 +360,8 @@ class MetricCache:
 
     @cached_property
     def values(self) -> tuple[int | None, int, int, int, int]:
-        ints = self._ints
-        return (self.d, ints.tau_num, ints.tau_den, ints.phi_num, ints.phi_den)
+        exact = self.exact
+        return (self.d, exact.tau_num, exact.tau_den, exact.phi_num, exact.phi_den)
 
     def require_regular(self) -> int:
         if self.d is None:
@@ -411,7 +385,7 @@ def _triple_key(witness: str, spectral: bool, ctx: MetricCache):
     if spectral:
         gap = ctx.spectral.gap
         key = (*key, gap or repr(float(gap)))
-    return key, ((getattr(ctx._ints, witness),),)
+    return key, ((getattr(ctx.exact, witness),),)
 
 
 def _triple_rows(theorems, d, tau_num, tau_den, phi_num, phi_den, *gap) -> tuple[_Row, ...]:
@@ -436,9 +410,8 @@ def _connected_minimizer_key(ctx: MetricCache):
         raise TooLarge(
             f"{ctx.graph_id}: all-minimizers enumeration capped at n={MINIMIZER_LIMIT}"
         )
-    first = next(
-        (s for s in map(int, ctx.minimizers) if _component(g.adj_masks, s & -s, s) == s), None
-    )
+    minimizers = map(int, ctx.exact.minimizers)
+    first = next((s for s in minimizers if _component(g.adj_masks, s & -s, s) == s), None)
     return (first is not None,), () if first is None else ((first,),)
 
 
@@ -450,7 +423,7 @@ def _connected_minimizer_rows(theorems, holds: bool) -> tuple[_Row, ...]:
 def _fragment_bounds_key(ctx: MetricCache):
     d = ctx.require_regular()
     g = ctx.g
-    s_mask = ctx._ints.tau_witness
+    s_mask = ctx.exact.tau_witness
     pieces = components(g, s_mask)
     t_mask = pieces[0]
     cut_total = sum(cut_size(g, c) for c in pieces)
@@ -470,8 +443,9 @@ def _fragment_bounds_rows(theorems, *sides: int) -> tuple[_Row, ...]:
 
 
 def _value_ranges_key(ctx: MetricCache):
-    no_survivor = full_mask(ctx.g.n) & ~ctx._ints.tau_witness == 0
-    return (*ctx.values, no_survivor), ((ctx._ints.tau_witness,), (ctx._ints.phi_witness,))
+    exact = ctx.exact
+    no_survivor = full_mask(ctx.g.n) & ~exact.tau_witness == 0
+    return (*ctx.values, no_survivor), ((exact.tau_witness,), (exact.phi_witness,))
 
 
 def _value_ranges_rows(
@@ -686,12 +660,12 @@ def evaluate_graph(
 
 
 def _prefill(caches: Sequence[MetricCache], spectral: bool = True) -> None:
-    """Set ``_ints`` and, if ``spectral``, ``spectral`` of a batch's caches.
+    """Set ``exact`` and, if ``spectral``, ``spectral`` of a batch's caches.
 
     Both take the connected graphs with ``2 <= n <= HARD_CAP`` (each
-    tested once), one call per (n, d): :func:`exact_batch` in integers
-    all of them, the stacked ``eigh`` the regular ones if ``spectral``,
-    as no check reads lambda2 of any other.  A cache left unset, or whose
+    tested once), one call per (n, d): :func:`exact_batch` all of them,
+    the stacked ``eigh`` the regular ones if ``spectral``, as no check
+    reads lambda2 of any other.  A cache left unset, or whose
     eigensolve failed its residual check, raises its graph's error on
     first use.
     """
@@ -702,8 +676,8 @@ def _prefill(caches: Sequence[MetricCache], spectral: bool = True) -> None:
             groups.setdefault((g.n, cache.d), []).append(cache)
     for (_, d), group in groups.items():
         graphs = [cache.g for cache in group]
-        for cache, ints in zip(group, _exact_ints(graphs)):
-            cache._ints = ints
+        for cache, exact in zip(group, exact_batch(graphs)):
+            cache.exact = exact
         if spectral and d is not None:
             for cache, result in zip(group, _lambda2_batch(graphs)):
                 if result is not None:

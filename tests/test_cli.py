@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -372,16 +371,11 @@ class TestCsvWriter:
     ``report_to_csv_row`` of the same graphs' reports."""
 
     @staticmethod
-    def cache(graph_id, g, tau=None, phi=None, gap=None, minimizers=None):
-        """A cache whose results are set by hand, as the prefill would."""
+    def cache(graph_id, g, gap=None, **fields):
+        """A cache whose results are set by hand, as the prefill would;
+        ``fields`` replace those of the graph's exact record."""
         cache = verify.MetricCache(g, graph_id)
-        exact = vt.exact_batch([g])[0]
-        cache.exact = replace(
-            exact,
-            tau=exact.tau if tau is None else replace(exact.tau, **tau),
-            phi=exact.phi if phi is None else replace(exact.phi, **phi),
-            minimizers=exact.minimizers if minimizers is None else np.array(minimizers),
-        )
+        cache.exact = vt.exact_batch([g])[0]._replace(**fields)
         if gap is not None:
             cache.spectral = vt.SpectralResult(1 - gap, gap, 0.0, g.n)
         return cache
@@ -405,14 +399,14 @@ class TestCsvWriter:
 
     def test_equal_values_that_print_apart(self):
         k2, c6 = vt.complete(2), vt.cycle(6)
-        half = {"value": F(1, 2)}
+        half = {"phi_num": 1, "phi_den": 2}
         caches = [
-            self.cache("a", k2, phi=half, gap=1.0),  # gap 1.0 against 2 phi = Fraction(1)
-            self.cache("a", k2, phi=half, gap=0.0),
-            self.cache("a", k2, phi=half, gap=-0.0),  # same (d, tau, phi), prints apart
-            self.cache("b", k2, phi=half, gap=float("nan")),
-            self.cache("b", k2, phi=half, gap=float("nan")),
-            self.cache('c,"d', c6, tau={"witness": 0}, minimizers=[0b010101]),
+            self.cache("a", k2, gap=1.0, **half),  # gap 1.0 against 2 phi = Fraction(1)
+            self.cache("a", k2, gap=0.0, **half),
+            self.cache("a", k2, gap=-0.0, **half),  # same (d, tau, phi), prints apart
+            self.cache("b", k2, gap=float("nan"), **half),
+            self.cache("b", k2, gap=float("nan"), **half),
+            self.cache('c,"d', c6, tau_witness=0, minimizers=np.array([0b010101])),
             self.cache("star", vt.star(3)),
         ]
         text = self.written(caches)
@@ -431,7 +425,7 @@ class TestCsvWriter:
     def test_fresh_witness_dicts_are_not_confused(self):
         # 200 distinct attack witnesses through the witness-text memo.
         g = vt.cycle(10)
-        caches = [self.cache(f"g{i}", g, tau={"witness": i}) for i in range(1, 201)]
+        caches = [self.cache(f"g{i}", g, tau_witness=i) for i in range(1, 201)]
         assert self.written(caches) == self.expected(caches)
 
     def test_cold_and_warm_table_give_the_same_bytes(self):

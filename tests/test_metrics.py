@@ -448,7 +448,7 @@ class TestHardCap:
             lambda g: vt.alpha_beta_vat_exact(g, 1, 0),
             lambda g: vt.alpha_beta_weighted_vat_exact(g, 1, 0),
             lambda g: vt.exact_batch([g]),
-            lambda g: vt.MetricCache(g).tau,
+            lambda g: vt.MetricCache(g).exact,
         ],
         ids=[
             "vat_exact",
@@ -458,7 +458,7 @@ class TestHardCap:
             "alpha_beta_vat_exact",
             "alpha_beta_weighted_vat_exact",
             "exact_batch",
-            "MetricCache.tau",
+            "MetricCache.exact",
         ],
     )
     def test_n25_raises_one_message(self, call):

@@ -1,6 +1,7 @@
 """Property-based invariants over randomly generated small graphs."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -125,13 +126,18 @@ def test_exact_batch_matches_naive_oracle(g):
 def test_exact_batch_of_many_graphs_matches_naive_oracle(n, k, data):
     """One call on k graphs of one n: every row's offsets line up, also
     across the conductance engine's chunks of 16 rows at n = 9 and 32 at
-    n = 8."""
+    n = 8.  Each record holds reduced fractions, the integers of the
+    single-graph engines, as the row table keys on them."""
     group = data.draw(st.lists(graphs(min_n=n, max_n=n, connected=True), min_size=k, max_size=k))
     for g, e in zip(group, vt.exact_batch(group), strict=True):
         phi, minimizers = naive_conductance_minimizers(g)
         assert (e.tau.value, e.tau.witness) == naive_vat(g)
         assert (e.phi.value, e.phi.witness) == (phi, minimizers[0])
         assert e.minimizers.tolist() == minimizers
+        assert gcd(e.tau_num, e.tau_den) == gcd(e.phi_num, e.phi_den) == 1
+        vat, cond = vt.vat_exact(g), vt.conductance_exact(g)
+        assert e[:3] == (vat.value.numerator, vat.value.denominator, vat.witness)
+        assert e[3:6] == (cond.value.numerator, cond.value.denominator, cond.witness)
 
 
 @given(graphs(min_n=2, max_n=7, connected=True))

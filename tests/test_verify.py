@@ -1,5 +1,4 @@
 import os
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -48,9 +47,9 @@ class TestMetricCache:
         monkeypatch.setattr(verify, "exact_batch", counting)
         g = vt.petersen()
         cache = MetricCache(g)
-        assert cache.tau == vt.vat_exact(g)
-        assert cache.phi == vt.conductance_exact(g)
-        assert cache.minimizers.tolist() == vt.conductance_minimizers(g)
+        assert cache.exact.tau == vt.vat_exact(g)
+        assert cache.exact.phi == vt.conductance_exact(g)
+        assert cache.exact.minimizers.tolist() == vt.conductance_minimizers(g)
         assert calls == [1]
 
     def test_errors_match_vat_exact_in_order(self):
@@ -66,7 +65,7 @@ class TestMetricCache:
                 vt.vat_exact(g)
             for name in ("tau", "phi", "minimizers"):
                 with pytest.raises(error):
-                    getattr(MetricCache(g), name)
+                    getattr(MetricCache(g).exact, name)
 
 
 class TestCheeger:
@@ -123,8 +122,8 @@ class TestVatUpper:
         # excludes it, the unconditional bound still holds
         g, _ = vt.connected_random_regular(18, 3, 118827)
         cache = MetricCache(g, graph_id="boundary")
-        assert cache.phi.value == F(1, 9)
-        assert cache.tau.value == F(3, 8)
+        assert cache.exact.phi.value == F(1, 9)
+        assert cache.exact.tau.value == F(3, 8)
         reports = by_theorem(evaluate_graph(cache, "vat_upper"))
         assert reports["vat_upper_conditional"].skipped
         assert reports["vat_upper_unconditional"].holds
@@ -192,9 +191,8 @@ class TestConnectedMinimizer:
 
     def test_reads_minimizers_from_cache(self):
         g = vt.cycle(6)
-        exact = replace(vt.exact_batch([g])[0], minimizers=np.array([0b111000]))
         cache = MetricCache(g)
-        cache.exact = exact
+        cache.exact = vt.exact_batch([g])[0]._replace(minimizers=np.array([0b111000]))
         (r,) = evaluate_graph(cache, "connected_minimizer")
         assert r.witnesses["S"] == [3, 4, 5]
 
@@ -361,7 +359,7 @@ class TestPrefill:
         caches = [MetricCache(g, graph_id) for graph_id, g in items]
         verify._prefill(caches)
         for cache in caches:
-            assert "_ints" in vars(cache), cache.graph_id
+            assert "exact" in vars(cache), cache.graph_id
             if cache.d is None:
                 assert "spectral" not in vars(cache), cache.graph_id
             else:
@@ -377,8 +375,8 @@ class TestPrefill:
         star, big = vt.star(5), vt.cycle(cap + 1)
         star_cache, big_cache = MetricCache(star, "star"), MetricCache(big, "big")
         verify._prefill([star_cache, big_cache])
-        assert "_ints" in vars(star_cache) and "spectral" not in vars(star_cache)
-        assert "_ints" not in vars(big_cache) and "spectral" not in vars(big_cache)
+        assert "exact" in vars(star_cache) and "spectral" not in vars(star_cache)
+        assert "exact" not in vars(big_cache) and "spectral" not in vars(big_cache)
         reports = evaluate_graph(big_cache, "cheeger,spectral_vat")
         assert all(r.skipped for r in reports)
         reason = f"TooLarge: n={cap + 1} exceeds the hard cap {cap}"
@@ -406,7 +404,7 @@ class TestPrefill:
         caches = [MetricCache(g, graph_id) for graph_id, g in items]
         verify._prefill(caches)
         for cache in caches:
-            assert "_ints" not in vars(cache) and "spectral" not in vars(cache)
+            assert "exact" not in vars(cache) and "spectral" not in vars(cache)
             reports = evaluate_graph(cache)
             assert [r.theorem for r in reports] == list(verify.ALL_THEOREMS)
             expected = reasons[cache.graph_id]
@@ -421,7 +419,7 @@ class TestPrefill:
         monkeypatch.setattr(spectral_mod, "_RESIDUAL_TOL", -1.0)
         cache = MetricCache(g, "p")
         verify._prefill([cache])
-        assert "_ints" in vars(cache) and "spectral" not in vars(cache)
+        assert "exact" in vars(cache) and "spectral" not in vars(cache)
         reports = by_theorem(evaluate_graph(cache, "cheeger,vat_lower"))
         assert reports["cheeger_lower"].skipped
         assert reports["cheeger_lower"].skip_reason.startswith(
@@ -434,7 +432,7 @@ class TestPrefill:
         caches = [MetricCache(g, graph_id) for graph_id, g in items]
         verify._prefill(caches)
         for cache in caches:
-            assert {"_ints", "spectral"} <= vars(cache).keys()
+            assert {"exact", "spectral"} <= vars(cache).keys()
             alone = MetricCache(cache.g, cache.graph_id)
             assert evaluate_graph(cache, "all") == evaluate_graph(alone)
 
