@@ -21,6 +21,7 @@ significant digits (the exact fields are authoritative).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -133,9 +134,10 @@ def _load_input(text: str) -> tuple[str, Graph]:
     return str(spec), spec.build()
 
 
-def _open_out(path: str | None) -> IO[str]:
+def _open_out(path: str | None) -> contextlib.AbstractContextManager[IO[str]]:
+    """The output to write in a ``with`` block; stdout is left open."""
     if path is None or path == "-":
-        return sys.stdout
+        return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8")
 
 
@@ -222,12 +224,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             )
             for metric, params, value, witness in rows
         )
-    out = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         out.write(text)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -270,6 +268,8 @@ def _verify_selection(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
                 FamilySpec(family, (end,)).build()
     if args.n is not None and not any(_SPEC_USAGE[f][1] for f in families):
         raise VattolError("--n needs a --family that takes one integer")
+    if args.seed is not None and args.corpus != "theorem":
+        raise VattolError("--seed needs --corpus theorem")
     ints = range(args.n[0], args.n[1] + 1) if args.n else ()
     members = (  # zip(ints) yields the one-integer parameter tuples lazily
         FamilySpec(family, params)
@@ -278,7 +278,7 @@ def _verify_selection(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
     )
     specs = [(str(s), s.build()) for s in map(parse_family_spec, args.spec or ())]
     if args.corpus == "theorem":
-        corpus = corpus_mod.theorem_corpus(base_seed=args.seed)
+        corpus = corpus_mod.theorem_corpus(base_seed=42 if args.seed is None else args.seed)
     else:
         corpus = corpus_mod.standard_corpus() if args.corpus else ()
     return chain(
@@ -298,12 +298,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _suite_batches(graphs, normalize_checks(args.checks), args.jobs, text)
     )
     write = _write_reports_csv if text else _write_reports_json
-    out = _open_out(args.output)
-    try:
+    with _open_out(args.output) as out:
         write(batches, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     sys.stderr.write(summary.lines())
     return 1 if summary.failed else 0
 
@@ -394,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.add_argument("--format", choices=("json", "csv"), default="csv")
-    p_ver.add_argument("--seed", type=int, default=42, help="base seed for corpus random members")
+    p_ver.add_argument("--seed", type=int, help="base seed of the theorem corpus (default 42)")
     p_ver.add_argument("-o", "--output")
     p_ver.set_defaults(func=_cmd_verify)
 

@@ -160,6 +160,16 @@ class ExactMetrics(NamedTuple):
     def phi(self) -> MetricResult:
         return MetricResult(Fraction(self.phi_num, self.phi_den), self.phi_witness, "conductance")
 
+    # Tuple equality would compare the arrays with ``==`` and raise.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExactMetrics):
+            return NotImplemented
+        return self[:6] == other[:6] and np.array_equal(self.minimizers, other.minimizers)
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
 
 def exact_batch(graphs: Sequence[Graph]) -> list[ExactMetrics]:
     """tau, phi and all phi-minimizers of graphs that share one n <= 24.

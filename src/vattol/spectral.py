@@ -16,9 +16,10 @@ lambda2 and its eigenvector come from one of two solvers, picked by size:
   same bits;
 - above it, matrix-free Lanczos (:func:`_lanczos`): N is applied edge by
   edge, the known top eigenvector ``D^{1/2} 1`` is deflated, and each
-  new Krylov vector is orthogonalized against the whole basis twice.
-  Time is O(k^2 n + k m) and memory O(k n) for a Krylov dimension k,
-  about 200 to 300 on random cubic graphs with n = 2000.  Clustered
+  new Krylov vector is orthogonalized twice against the whole basis,
+  allocated once for every row the loop can reach.  Time is
+  O(k^2 n + k m) and memory O(k n) for a Krylov dimension k, about 200
+  to 300 on random cubic graphs with n = 2000.  Clustered
   spectra (cycles, paths) would need k near n; there Lanczos gives up
   early and the dense solve runs instead.
 
@@ -28,9 +29,10 @@ of the dense time at n = 384 and under half of it from n = 640.  Where
 it falls back, a call costs about 1.2 times the dense solve; that is
 most long cycles and paths, and 2 in 100 random cubic graphs at n = 2000.
 
-Either way the pair is certified the same: its max-norm residual
-``|N v - lambda v|``, computed with N itself, must be at most
-:data:`_RESIDUAL_TOL`, else :class:`NoConvergence` is raised.
+Both solvers return the raw pair and its max-norm residual
+``|N v - lambda v|``, computed with N's one set of values (:func:`_nonzeros`);
+:func:`_certified` refuses the pair when that residual is above
+:data:`_RESIDUAL_TOL`, and a refused pair raises :class:`NoConvergence`.
 """
 
 from __future__ import annotations
@@ -60,9 +62,8 @@ _RITZ_TOL = 1e-12
 #: Lanczos hands the graph to the dense solve before its Krylov dimension
 #: passes this share of n.
 _KRYLOV_SHARE = 0.6
-#: Lanczos steps between Ritz checks; basis rows added at a time.
+#: Lanczos steps between Ritz checks.
 _CHECK_EVERY = 20
-_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -102,17 +103,23 @@ def _require_spectral_graph(g: Graph) -> None:
     require_connected(g)
 
 
-def _normalized_stack(graphs: Sequence[Graph]) -> np.ndarray:
-    """The normalized adjacency matrices of graphs that share n and have
-    no isolated vertex, as one ``(k, n, n)`` stack."""
+def _nonzeros(graphs: Sequence[Graph]) -> tuple[np.ndarray, ...]:
+    """The nonzeros of the normalized adjacency matrices of graphs that
+    share n, none with an isolated vertex: graph, row, column and value."""
     n = graphs[0].n
     deg = np.array([g.deg for g in graphs])
     which, rows = np.divmod(np.repeat(np.arange(deg.size), deg.ravel()), n)
     adj = chain.from_iterable(g.adj for g in graphs)
     cols = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=len(rows))
     inv_sqrt = 1.0 / np.sqrt(deg)
-    mats = np.zeros((len(graphs), n, n))
-    mats[which, rows, cols] = inv_sqrt[which, rows] * inv_sqrt[which, cols]
+    return which, rows, cols, inv_sqrt[which, rows] * inv_sqrt[which, cols]
+
+
+def _normalized_stack(graphs: Sequence[Graph]) -> np.ndarray:
+    """The matrices of :func:`_nonzeros` as one ``(k, n, n)`` stack."""
+    which, rows, cols, values = _nonzeros(graphs)
+    mats = np.zeros((len(graphs), graphs[0].n, graphs[0].n))
+    mats[which, rows, cols] = values
     return mats
 
 
@@ -122,12 +129,18 @@ def normalized_adjacency(g: Graph) -> np.ndarray:
     return _normalized_stack([g])[0]
 
 
-def _eigenpairs(
-    mats: np.ndarray,
-) -> tuple[list[SpectralResult | None], np.ndarray, list[float]]:
-    """One ``eigh`` over a ``(k, n, n)`` stack.  Per matrix: the result of
-    its second largest eigenpair, None if the pair's max-norm residual is
-    above :data:`_RESIDUAL_TOL`; the eigenvector (row i); the residual."""
+def _certified(lam: float, residual: float, n: int) -> SpectralResult | None:
+    """The result of an eigenpair of an n-vertex graph, or None when its
+    max-norm residual is above :data:`_RESIDUAL_TOL`."""
+    if residual > _RESIDUAL_TOL:
+        return None
+    return SpectralResult(lambda2=lam, gap=1.0 - lam, residual=residual, n=n)
+
+
+def _eigenpairs(mats: np.ndarray) -> tuple[list[float], np.ndarray, list[float]]:
+    """One ``eigh`` over a ``(k, n, n)`` stack.  Per matrix: its second
+    largest eigenvalue, its eigenvector (row i) and the pair's max-norm
+    residual."""
     try:
         evals, evecs = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:
@@ -136,46 +149,38 @@ def _eigenpairs(
     lams, vecs = evals[:, -2], evecs[:, :, -2]
     products = np.matmul(mats, vecs[:, :, None])[:, :, 0]
     residuals = np.abs(products - lams[:, None] * vecs).max(axis=1).tolist()
-    n = mats.shape[1]
-    results = [
-        SpectralResult(lambda2=lam, gap=1.0 - lam, residual=res, n=n)
-        if res <= _RESIDUAL_TOL
-        else None
-        for lam, res in zip(lams.tolist(), residuals)
-    ]
-    return results, vecs, residuals
+    return lams.tolist(), vecs, residuals
 
 
-def _lanczos(g: Graph) -> tuple[SpectralResult, np.ndarray] | None:
-    """The second eigenpair of ``g``'s normalized adjacency, or None when
-    Lanczos gives up and the dense solve should run.
+def _lanczos(g: Graph) -> tuple[float, np.ndarray, float] | None:
+    """The second eigenpair of ``g``'s normalized adjacency and its
+    max-norm residual, or None when Lanczos gives up and the dense solve
+    should run.
 
     Row 0 of the basis is the top eigenvector ``D^{1/2} 1``, so
     orthogonalizing each new vector against the whole basis, twice, also
     deflates it.  Every :data:`_CHECK_EVERY` steps the top Ritz pair of the
     tridiagonal T is taken once its residual estimate ``|beta_k y_k|`` is
-    at most :data:`_RITZ_TOL`, and returned only if its residual recomputed
-    with N passes :data:`_RESIDUAL_TOL`.  It gives up once k passes
-    :data:`_KRYLOV_SHARE` of n, or sooner when the Kaniel-Paige rate on the
-    current Ritz values says the estimate cannot get under the tolerance
-    by then.  The start vector is a fixed splitmix64 stream, so the result
-    is the same on every platform.
+    at most :data:`_RITZ_TOL`, and returned with its residual recomputed
+    with N.  It gives up once k passes :data:`_KRYLOV_SHARE` of n, or
+    sooner when the Kaniel-Paige rate on the current Ritz values says the
+    estimate cannot get under the tolerance by then.  The start vector is
+    a fixed splitmix64 stream, so the result is the same on every platform.
     """
     n = g.n
-    rows = np.repeat(np.arange(n), g.deg)
-    cols = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp, count=len(rows))
-    sqrt_deg = np.sqrt(np.array(g.deg, dtype=float))
-    weights = 1.0 / (sqrt_deg[rows] * sqrt_deg[cols])
+    _, rows, cols, weights = _nonzeros([g])
 
     def apply(x: np.ndarray) -> np.ndarray:
         return np.bincount(rows, weights=weights * x[cols], minlength=n)
 
     x = (_splitmix64(n, n) >> 11).astype(np.float64) * 2.0**-53 - 0.5
-    basis = np.empty((_BLOCK, n))
+    limit = int(_KRYLOV_SHARE * n)
+    # every row reachable: the first check at or past the limit returns
+    basis = np.empty((limit + _CHECK_EVERY, n))
+    sqrt_deg = np.sqrt(np.array(g.deg, dtype=float))
     basis[0] = sqrt_deg / np.linalg.norm(sqrt_deg)
     alpha: list[float] = []
     beta: list[float] = []
-    limit = int(_KRYLOV_SHARE * n)
     while True:
         k = len(alpha)
         for _ in range(2):
@@ -189,10 +194,7 @@ def _lanczos(g: Graph) -> tuple[SpectralResult, np.ndarray] | None:
                 vec = y[:, -1] @ basis[1 : k + 1]
                 vec /= np.linalg.norm(vec)
                 lam = float(theta[-1])
-                res = float(np.abs(apply(vec) - lam * vec).max())
-                if res > _RESIDUAL_TOL:
-                    raise NoConvergence(f"eigenpair residual {res:.3e} above tolerance")
-                return SpectralResult(lambda2=lam, gap=1.0 - lam, residual=res, n=n), vec
+                return lam, vec, float(np.abs(apply(vec) - lam * vec).max())
             # The estimate shrinks about exp(-2 sqrt(gap / spread)) a step.
             shrink = math.log(estimate / _RITZ_TOL)
             gap, spread = theta[-1] - theta[-2], theta[-2] - theta[0]
@@ -200,28 +202,22 @@ def _lanczos(g: Graph) -> tuple[SpectralResult, np.ndarray] | None:
                 return None
         if k:
             beta.append(b)
-        if k + 1 == len(basis):
-            basis = np.concatenate([basis, np.empty((_BLOCK, n))])
         basis[k + 1] = x / b
         x = apply(basis[k + 1])
         alpha.append(float(basis[k + 1] @ x))
 
 
 def _lambda2_pair(g: Graph) -> tuple[SpectralResult, np.ndarray]:
+    """``g``'s certified lambda2 result and eigenvector; see :func:`_certified`."""
     _require_spectral_graph(g)
     pair = _lanczos(g) if g.n > _DENSE_MAX_N else None
     if pair is None:
-        (result,), vecs, (residual,) = _eigenpairs(_normalized_stack([g]))
-        if result is None:
-            raise NoConvergence(f"eigenpair residual {residual:.3e} above tolerance")
-        pair = result, vecs[0].copy()
-    result, vec = pair
-    # fix the sign: first entry of non-negligible magnitude is made positive
-    for x in vec:
-        if abs(x) > _SIGN_EPS:
-            if x < 0:
-                vec = -vec
-            break
+        (lam,), vecs, (residual,) = _eigenpairs(_normalized_stack([g]))
+        pair = lam, vecs[0], residual
+    lam, vec, residual = pair
+    result = _certified(lam, residual, g.n)
+    if result is None:
+        raise NoConvergence(f"eigenpair residual {residual:.3e} above tolerance")
     return result, vec
 
 
@@ -239,9 +235,10 @@ def _lambda2_batch(graphs: Sequence[Graph]) -> list[SpectralResult | None]:
     stacked ``eigh``: bit for bit its result up to :data:`_DENSE_MAX_N`
     vertices, or None where it raises."""
     try:
-        return _eigenpairs(_normalized_stack(graphs))[0]
+        lams, _, residuals = _eigenpairs(_normalized_stack(graphs))
     except NoConvergence:
         return [None] * len(graphs)
+    return [_certified(lam, res, graphs[0].n) for lam, res in zip(lams, residuals)]
 
 
 def spectral_gap(g: Graph) -> float:
@@ -252,14 +249,17 @@ def spectral_gap(g: Graph) -> float:
 def sweep_conductance(g: Graph) -> SweepResult:
     """Cheeger-style sweep: an exact upper bound on conductance.
 
-    Vertices are ordered by the lambda2 eigenvector rescaled per vertex
-    by 1/sqrt(degree) (the random-walk eigenvector), descending, ties
-    broken by vertex id ascending; every prefix with volume at most half
-    the total is scored with its exact cut/volume ratio and the best one
-    is returned.  Since each prefix is an admissible set, the result can
-    never be below the true conductance.
+    Vertices are ordered by the lambda2 eigenvector, its first entry above
+    :data:`_SIGN_EPS` in magnitude made positive, rescaled per vertex by
+    1/sqrt(degree) (the random-walk eigenvector), descending, ties broken
+    by vertex id ascending.  Every prefix with volume at most half the
+    total is scored with its exact cut/volume ratio; the first best one,
+    a subset of every later one, is returned.  Since each prefix is an
+    admissible set, the result can never be below the true conductance.
     """
     spectral, vec = _lambda2_pair(g)
+    if vec[np.argmax(np.abs(vec) > _SIGN_EPS)] < 0:
+        vec = -vec
     scores = vec / np.sqrt(np.array(g.deg, dtype=float))
     order = np.lexsort((np.arange(g.n), -scores))
     deg = g.deg
@@ -268,22 +268,14 @@ def sweep_conductance(g: Graph) -> SweepResult:
     cur = 0
     vol = 0
     cut = 0
-    best_cut = best_vol = 0
-    best_mask = -1
-    have = False
+    best_cut, best_vol, best_mask = 1, 0, 0  # cut/vol = +inf
     for v in order[:-1]:
         v = int(v)
-        bit = 1 << v
         cut += deg[v] - 2 * (adj_masks[v] & cur).bit_count()
-        cur |= bit
+        cur |= 1 << v
         vol += deg[v]
         if vol > m:
             break  # prefix volumes only grow
-        if (
-            not have
-            or cut * best_vol < best_cut * vol
-            or (cut * best_vol == best_cut * vol and cur < best_mask)
-        ):
+        if cut * best_vol < best_cut * vol:
             best_cut, best_vol, best_mask = cut, vol, cur
-            have = True
     return SweepResult(value=Fraction(best_cut, best_vol), witness=best_mask, spectral=spectral)

@@ -9,6 +9,7 @@ with the lowest integer encoding (bit i = vertex i) wins.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -135,3 +136,31 @@ def naive_weighted_vat(g, alpha=1, beta=0) -> tuple[Fraction, int]:
         if best is None or value < best or (value == best and code < best_mask):
             best, best_mask = value, code
     return best, best_mask
+
+
+def naive_sweep(g, vec, sign_eps) -> tuple[Fraction, list[int]]:
+    """The spectral sweep of ``g`` along the eigenvector ``vec``, by the
+    documented rules: ``vec``'s first entry above ``sign_eps`` in magnitude
+    is made positive, vertices are ordered by ``vec[v] / sqrt(deg v)``
+    descending, ties by id, and every proper prefix with volume at most m
+    is scored.  Returns the minimum and every prefix reaching it, in
+    prefix order."""
+    lead = next(x for x in vec if abs(x) > sign_eps)
+    sign = 1.0 if lead > 0 else -1.0
+    scores = [sign * float(x) / math.sqrt(g.deg[v]) for v, x in enumerate(vec)]
+    order = sorted(range(g.n), key=lambda v: (-scores[v], v))
+    edges = list(g.edges())
+    best = None
+    hits = []
+    for size in range(1, g.n):
+        s = set(order[:size])
+        vol = sum(g.deg[v] for v in s)
+        if vol > g.m:
+            continue
+        value = Fraction(sum(1 for u, v in edges if (u in s) != (v in s)), vol)
+        code = sum(1 << v for v in s)
+        if best is None or value < best:
+            best, hits = value, [code]
+        elif value == best:
+            hits.append(code)
+    return best, hits

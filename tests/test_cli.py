@@ -302,6 +302,8 @@ class TestVerify:
             ["--files", "no/such/dir/graph.edges"],
             ["--spec", "cycle:4", "--n", "3..5"],
             ["--family", "petersen", "--n", "3..5"],
+            ["--corpus", "standard", "--seed", "7"],
+            ["--spec", "cycle:5", "--seed", "7"],
         ],
     )
     def test_bad_family_selection_exit_2_one_line(self, selection):

@@ -419,6 +419,15 @@ class TestExactBatch:
         with pytest.raises(DisconnectedInput):
             vt.exact_batch([vt.cycle(6), two_triangles()])
 
+    def test_records_compare(self):
+        # cycle(6) has six minimizers, so the array alone cannot decide
+        a, b = vt.exact_batch([vt.cycle(6)])[0], vt.exact_batch([vt.cycle(6)])[0]
+        assert a == b and not a != b
+        other = a._replace(tau_witness=a.tau_witness + 1)
+        assert a != other and not a == other
+        assert a != a._replace(minimizers=a.minimizers[:-1])
+        assert a != tuple(a[:6])
+
 
 class TestHardCap:
     """Every exact metric takes any n up to 24 and raises one message above."""

@@ -9,7 +9,9 @@ import pytest
 import vattol as vt
 from vattol import DisconnectedInput, IsolatedVertex, TrivialGraph
 from vattol import spectral as spectral_mod
+from vattol.corpus import standard_corpus, theorem_families
 from vattol.spectral import _RESIDUAL_TOL
+from naive_oracle import naive_sweep
 
 F = Fraction
 
@@ -166,6 +168,23 @@ class TestSweep:
         assert sweep.spectral == vt.lambda2(g)
 
 
+class TestSweepOracle:
+    """The sweep against :func:`naive_oracle.naive_sweep` along the same
+    eigenvector, in value and witness: the first minimal prefix the engine
+    keeps is also the lowest-encoding one."""
+
+    def test_matches_naive_sweep(self):
+        graphs = [(i, g) for i, g in standard_corpus() if g.n >= 2 and vt.is_connected(g)]
+        graphs += theorem_families()
+        graphs.append(("lanczos", vt.connected_random_regular(400, 3, 3)[0]))
+        for graph_id, g in graphs:
+            _, vec = spectral_mod._lambda2_pair(g)
+            value, hits = naive_sweep(g, vec.tolist(), spectral_mod._SIGN_EPS)
+            sweep = vt.sweep_conductance(g)
+            assert (sweep.value, sweep.witness) == (value, hits[0]), graph_id
+            assert hits[0] == min(hits), graph_id
+
+
 CUTOFF = spectral_mod._DENSE_MAX_N
 
 
@@ -227,8 +246,8 @@ class TestLanczos:
         # a path needs a Krylov dimension near n, so Lanczos gives up
         g = vt.path(CUTOFF + 1)
         assert spectral_mod._lanczos(g) is None
-        dense, _, _ = spectral_mod._eigenpairs(vt.normalized_adjacency(g)[None])
-        assert vt.lambda2(g) == dense[0]
+        (lam,), _, (residual,) = spectral_mod._eigenpairs(vt.normalized_adjacency(g)[None])
+        assert vt.lambda2(g) == spectral_mod._certified(lam, residual, g.n)
 
     @pytest.mark.parametrize(
         "n,value,size,digest",
