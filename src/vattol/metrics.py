@@ -20,8 +20,10 @@ Engines, none of which caches across calls:
   with tables of 2^ceil(n/2) entries per graph.
 - all four VAT forms, for every n up to :data:`HARD_CAP`: one
   enumeration, :func:`_component_tables`, a uint8 table of 2^n entries
-  per graph (1 MiB at n = 20).  tau is a float-key argmin over it
-  (:func:`_exact_block`); the other forms share :func:`_min_ratio`.
+  per graph (1 MiB at n = 20), filled by flooding the component of each
+  mask's top vertex (:func:`_flood_fill`, which drops settled masks).
+  tau is a float-key argmin over it (:func:`_exact_block`); the other
+  forms share :func:`_min_ratio`.
 
 Temporaries of the numpy kernels span at most ``max(BLOCK_CELLS,
 2^ceil(n/2))`` cells at any batch width; the engines return integers.
@@ -209,9 +211,14 @@ def _flood_fill(adj: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarra
     """A flood fill over many masks at once for the graphs whose rows are ``adj``.
 
     ``flood(comp, within)`` grows each mask of ``comp`` (rows x masks, a
-    fresh array, grown in place) to its component inside ``within``.  A
-    step looks up neighbour unions in two tables, over the low eight
-    vertices and over the rest, so no ``2^n x n`` table exists.
+    fresh array, grown in place) to its component inside ``within`` (one
+    mask per column).  A step looks up neighbour unions in two tables,
+    over the low eight vertices and over the rest, so no ``2^n x n``
+    table exists, and adds the vertices of ``within`` not yet in the
+    component.  A single-graph flood drops its settled masks whenever
+    fewer than half still grow, and writes them back; a batch flood steps
+    all masks until the last settles.  Temporaries span at most the cells
+    of ``comp``, which callers keep within :data:`BLOCK_CELLS`.
     """
     rows, n = adj.shape
     low = min(n, 8)
@@ -223,18 +230,32 @@ def _flood_fill(adj: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarra
             table[:, 1 << v : 2 << v] = table[:, : 1 << v] | part[:, v : v + 1]
         unions.append(table.ravel())
     row = np.arange(rows, dtype=np.int32)[:, None]
-    low_off, high_off = row << low, row << (n - low)
+    offsets = row << low, row << (n - low)
+
+    def lookup(half: int, index: np.ndarray) -> np.ndarray:
+        # One row's offsets are zeros, and adding them costs a pass.
+        return unions[half].take(index if rows == 1 else index + offsets[half])
 
     def flood(comp: np.ndarray, within: np.ndarray) -> np.ndarray:
-        front = comp
+        out = comp[0] if rows == 1 else comp  # a view: writes reach comp
+        grown, front, avail = out, out, within & ~out
+        at = None  # once compacted, the masks of out that grown holds
         while True:
-            reach = unions[0].take((front & low_mask) + low_off)
+            reach = lookup(0, front & low_mask)
             if n > low:
-                reach |= unions[1].take((front >> low) + high_off)
-            front = reach & within & ~comp
-            if not np.count_nonzero(front):
+                reach |= lookup(1, front >> low)
+            front = reach & avail
+            growing = np.count_nonzero(front)
+            if rows == 1 and 2 * growing < len(front):
+                if at is not None:
+                    out[at] = grown
+                keep = front.nonzero()[0]
+                at = keep if at is None else at[keep]
+                grown, front, avail = grown[keep], front[keep], avail[keep]
+            if not growing:
                 return comp
-            comp |= front
+            grown |= front
+            avail ^= front
 
     return flood
 
@@ -345,9 +366,9 @@ def _conductance_batch(
 
     The one conductance engine, for any n.  A mask splits as ``lo | hi <<
     h``, ``h = ceil(n / 2)``: ``vol(S) = vol_lo[lo] + vol_hi[hi]`` and
-    ``cut(S) = cut_lo[lo] + cut_hi[hi] - 2 cross``, where ``cross``, the
-    sum over u in lo of ``|N(u) & hi|``, is filled by doubling over the
-    low vertices for a block of high halves at a time.  Rows go in
+    ``cut(S) = cut_lo[lo] + cut_hi[hi] - 2 cross``, where ``2 cross``,
+    twice the sum over u in lo of ``|N(u) & hi|``, is filled by doubling
+    over the low vertices for a block of high halves at a time.  Rows go in
     chunks of ``max(1, cells >> n)``, ``cells = max(BLOCK_CELLS, 2^h)``,
     so rows share a chunk only when one block covers them all; a lone
     row's blocks cover its masks in ascending order.  Temporaries span
@@ -358,7 +379,9 @@ def _conductance_batch(
     64), so two distinct fractions differ by at least 2^-22 while each
     key, a correctly rounded quotient of at most 1, is off by at most
     2^-53; equal fractions get equal keys.  The minimizers are the masks
-    whose key equals the minimum; the lowest is phi's witness.
+    whose key equals the minimum; the lowest is phi's witness.  A block
+    whose minimum is above every row's best so far is not scanned for
+    ties, and one that improves no row moves no witness.
     """
     n = adj.shape[1]
     h = (n + 1) // 2
@@ -379,29 +402,32 @@ def _conductance_batch(
         hit_rows = hit_masks = np.zeros(0, np.int64)
         for b0 in range(0, highs, per_block):
             b1 = min(highs, b0 + per_block)
-            edges_to = np.bitwise_count(high_adj & np.arange(b0, b1))
-            cross = np.zeros((rows, b1 - b0, 1 << h), np.int32)
+            twice_edges = 2 * np.bitwise_count(high_adj & np.arange(b0, b1))
+            twice_cross = np.zeros((rows, b1 - b0, 1 << h), np.int32)
             for u in range(h):
                 t = 1 << u
-                cross[:, :, t : 2 * t] = cross[:, :, :t] + edges_to[:, u, :, None]
+                twice_cross[:, :, t : 2 * t] = twice_cross[:, :, :t] + twice_edges[:, u, :, None]
             vol = vol_lo[:, None, :] + vol_hi[:, b0:b1, None]
-            cut = cut_lo[:, None, :] + cut_hi[:, b0:b1, None] - 2 * cross
+            cut = cut_lo[:, None, :] + cut_hi[:, b0:b1, None] - twice_cross
             vol, cut = vol.reshape(rows, -1), cut.reshape(rows, -1)
-            key = np.where(vol <= m, cut / np.maximum(vol, 1), np.inf)
             if b0 == 0:  # the empty set is not admissible
-                key[:, 0] = np.inf
+                vol[:, :1] = m + 1
+            key = np.where(vol <= m, cut / vol, np.inf)
             # The first block holds the admissible singleton {0} (deg <= m),
             # so best is finite from then on and an all-inf block adds no hit.
             block_min = key.min(axis=1)
             better = block_min < best
-            first = key.argmin(axis=1)[better]
-            chunk_cut[better] = cut[better, first]
-            chunk_vol[better] = vol[better, first]
-            best[better] = block_min[better]
-            keep = ~better[hit_rows]  # earlier hits of a row this block beat
-            rows_now, masks_now = np.nonzero(key == best[:, None])
-            hit_rows = np.concatenate([hit_rows[keep], rows_now])
-            hit_masks = np.concatenate([hit_masks[keep], masks_now + (b0 << h)])
+            if better.any():
+                first = key.argmin(axis=1)[better]
+                chunk_cut[better] = cut[better, first]
+                chunk_vol[better] = vol[better, first]
+                best[better] = block_min[better]
+                keep = ~better[hit_rows]  # earlier hits of a row this block beat
+                hit_rows, hit_masks = hit_rows[keep], hit_masks[keep]
+            if (block_min <= best).any():  # a block above every row's best adds no hit
+                rows_now, masks_now = np.nonzero(key == best[:, None])
+                hit_rows = np.concatenate([hit_rows, rows_now])
+                hit_masks = np.concatenate([hit_masks, masks_now + (b0 << h)])
         hits.append(hit_masks)
         counts.append(np.bincount(hit_rows, minlength=rows))
     common = np.gcd(phi_cut, phi_vol)

@@ -50,7 +50,9 @@ graph with attack tolerance tau, conductance phi and spectral gap
   surviving component and C_1..C_q the others, d|S| bounds the total
   component boundary, since every edge leaving a surviving component
   ends in S; and the attack ratio denominator |V-S-T| + 1 is bounded by
-  the survivor count, since the components partition V-S
+  the survivor count, since the components partition V-S.  The first
+  bound's sides, cut(S) and d|S| = vol(S), obey cut(S) <= vol(S) for any
+  S: it cannot fail, and its equalities in the summary are no finding
 - ``value_ranges``: 0 < tau <= 1 and 0 < phi <= 1, on any connected
   graph; the tau report also needs a nonempty surviving component at
   the witness, as removing every vertex is never optimal

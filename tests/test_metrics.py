@@ -22,6 +22,7 @@ from vattol.corpus import (
     random_regular_samples,
     theorem_families,
 )
+from vattol.graph import _component
 from naive_oracle import naive_conductance_minimizers, naive_vat, naive_weighted_vat
 
 F = Fraction
@@ -427,6 +428,86 @@ class TestExactBatch:
         assert a != other and not a == other
         assert a != a._replace(minimizers=a.minimizers[:-1])
         assert a != tuple(a[:6])
+
+
+def _random_floods(n, count, dtype, seed):
+    """``count`` (start, within) pairs over n vertices, each within holding
+    its one-bit start, at densities spread over (0, 1) so deep floods occur."""
+    rng = np.random.default_rng(seed)
+    density = rng.random((count, 1))
+    bits = rng.random((count, n)) < density
+    start = rng.integers(0, n, count)
+    bits[np.arange(count), start] = True
+    within = (bits.astype(np.int64) << np.arange(n)).sum(axis=1)
+    return (np.int64(1) << start).astype(dtype), within.astype(dtype)
+
+
+class TestFloodFill:
+    """The vectorized flood against the scalar one, mask by mask."""
+
+    @staticmethod
+    def check(graphs, count, dtype, seed):
+        adj = np.array([g.adj_masks for g in graphs], dtype)
+        starts, within = _random_floods(adj.shape[1], count, dtype, seed)
+        comp = np.repeat(starts[None], len(graphs), axis=0)
+        grown = metrics._flood_fill(adj)(comp, within)
+        pairs = list(zip(starts.tolist(), within.tolist()))
+        for g, row in zip(graphs, grown.tolist()):
+            assert row == [_component(g.adj_masks, a, b) for a, b in pairs]
+
+    @pytest.mark.parametrize(
+        "g",
+        # A path's floods run 19 steps deep next to 1-step ones, so the
+        # flood drops settled masks several times before the last settles.
+        [vt.path(20), vt.connected_random_regular(20, 3, 5)[0]],
+        ids=["path", "cubic"],
+    )
+    def test_one_row_at_n20(self, g):
+        self.check([g], 4096, np.int32, seed=1)
+
+    def test_uint8_batch_at_n8(self):
+        cubic8 = [g for _, g in exhaustive_members(8, 3)]
+        graphs = [cubic8[i % len(cubic8)] for i in range(256)]
+        self.check(graphs, 64, np.uint8, seed=2)
+
+    def test_chunking_changes_no_table(self, monkeypatch):
+        adj = np.array([vt.path(18).adj_masks], np.int32)
+        default = metrics._component_tables(adj, lowest=True)
+        monkeypatch.setattr(metrics, "BLOCK_CELLS", 16)
+        small = metrics._component_tables(adj, lowest=True)
+        assert all(np.array_equal(a, b) for a, b in zip(default, small))
+
+
+class TestConductanceBlocks:
+    @pytest.mark.parametrize(
+        "g, blocks",
+        [(vt.cycle(16), [0, 1, 3, 7]), (vt.hypercube(4), [0, 15, 51, 85])],
+        ids=["cycle16", "hypercube4"],
+    )
+    def test_ties_after_blocks_without_one(self, monkeypatch, g, blocks):
+        """At 16 cells each of the 256 blocks holds one high half, and the
+        minimizers fall in 16 and 8 of them: ties come after blocks with
+        none, which add no hit and move no witness."""
+        phi, minimizers = naive_conductance_minimizers(g)
+        assert sorted({s >> 8 for s in minimizers})[:4] == blocks
+        monkeypatch.setattr(metrics, "BLOCK_CELLS", 16)
+        assert vt.conductance_minimizers(g) == minimizers
+        r = vt.conductance_exact(g)
+        assert (r.value, r.witness) == (phi, minimizers[0])
+
+
+def test_vat_n20_memory_stays_under_budget():
+    """The tracemalloc peak of one n = 20 tau, after a warm-up call: the
+    2^20-byte table and temporaries within BLOCK_CELLS cells."""
+    g = vt.connected_random_regular(20, 3, 7)[0]
+    vt.vat_exact(g)  # numpy's first-use allocations
+    tracemalloc.start()
+    try:
+        vt.vat_exact(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 class TestHardCap:
