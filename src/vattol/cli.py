@@ -25,7 +25,6 @@ import contextlib
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import chain
 from typing import IO, Iterable, Iterator, NoReturn
 
@@ -51,78 +50,33 @@ from .verify import (
     CHECK_GROUPS,
     VERIFY_CSV_COLUMNS,
     SuiteSummary,
-    TheoremReport,
     _Batch,
     _csv_line,
-    _float,
+    _csv_text,
+    _json_text,
     _side_csv,
+    _side_json,
     _suite_batches,
     normalize_checks,
 )
 
 METRICS_CSV_COLUMNS = (
-    "graph_id",
-    "n",
-    "m",
-    "d",
-    "metric",
-    "parameters",
-    "num",
-    "den",
-    "real",
-    "witness",
+    "graph_id", "n", "m", "d", "metric", "parameters", "num", "den", "real", "witness",
 )
-
-
-def _real(x: float) -> float:
-    """Decimal convenience value: 12 significant digits."""
-    return float(f"{x:.12g}")
-
-
-def _side_json(value: Fraction | float | None):
-    if value is None:
-        return None
-    if isinstance(value, Fraction):
-        return {
-            "num": value.numerator,
-            "den": value.denominator,
-            "real": _real(_float(value)),
-        }
-    return {"real": _real(value)}
-
-
-def report_to_json(r: TheoremReport) -> dict:
-    return {
-        "graph_id": r.graph_id,
-        "n": r.n,
-        "m": r.m,
-        "d": r.d,
-        "theorem": r.theorem,
-        "lhs": _side_json(r.lhs),
-        "rhs": _side_json(r.rhs),
-        "holds": r.holds,
-        "strict_holds": r.strict_holds,
-        "slack": None if r.slack is None else _real(r.slack),
-        "witness": r.witnesses,
-        "skipped": r.skipped,
-        "skip_reason": r.skip_reason,
-    }
 
 
 def _write_reports_csv(batches: Iterable[_Batch], out: IO[str]) -> None:
     """Write the header, then each batch's CSV text as it arrives."""
     out.write(_csv_line(VERIFY_CSV_COLUMNS))
-    for batch in batches:
-        out.write(batch.out)
+    out.writelines("".join(batch.out) for batch in batches)
 
 
 def _write_reports_json(batches: Iterable[_Batch], out: IO[str]) -> None:
-    out.write("[")
-    separator = "\n "
-    for r in chain.from_iterable(batch.out for batch in batches):
-        out.write(separator)
-        out.write(json.dumps(report_to_json(r), separators=(", ", ": ")))
-        separator = ",\n "
+    """Write ``[``, each batch's records as it arrives, then ``\\n]\\n``;
+    the first record loses its leading comma."""
+    texts = ("".join(batch.out) for batch in batches)
+    out.write("[" + next(texts, ",")[1:])
+    out.writelines(texts)
     out.write("\n]\n")
 
 
@@ -209,20 +163,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             record[metric] = entry
         text = json.dumps(record, indent=2) + "\n"
     else:
+        graph = [graph_id, g.n, g.m, d]  # the csv module writes None as ""
         text = _csv_line(METRICS_CSV_COLUMNS) + "".join(
-            _csv_line(
-                [
-                    graph_id,
-                    str(g.n),
-                    str(g.m),
-                    "" if d is None else str(d),
-                    metric,
-                    params,
-                    *_side_csv(value),
-                    "" if witness is None else " ".join(map(str, witness)),
-                ]
-            )
-            for metric, params, value, witness in rows
+            _csv_line([*graph, metric, params, *_side_csv(value), " ".join(map(str, w or ()))])
+            for metric, params, value, w in rows
         )
     with _open_out(args.output) as out:
         out.write(text)
@@ -293,11 +237,12 @@ def _verify_selection(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     graphs = _verify_selection(args)
     summary = SuiteSummary()
-    text = args.format == "csv"
+    json_out = args.format == "json"
+    render = _json_text if json_out else _csv_text
+    write = _write_reports_json if json_out else _write_reports_csv
     batches = summary._count(
-        _suite_batches(graphs, normalize_checks(args.checks), args.jobs, text)
+        _suite_batches(graphs, normalize_checks(args.checks), args.jobs, render)
     )
-    write = _write_reports_csv if text else _write_reports_json
     with _open_out(args.output) as out:
         write(batches, out)
     sys.stderr.write(summary.lines())

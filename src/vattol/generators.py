@@ -257,18 +257,21 @@ def enumerate_small_regular(n: int, d: int) -> Iterator[Graph]:
     return (_trusted_graph(n, tuple(map(nbrs.__getitem__, m)), tuple(m)) for m in masks)
 
 
-#: Per family: its constructor, called with a spec's parameters (and seed).
+#: Per family: its constructor, called with a spec's parameters (and seed),
+#: and at most how many edges it builds at them (read as 0 if negative).
 _CONSTRUCTORS = {
-    "cycle": cycle,
-    "complete": complete,
-    "star": star,
-    "path": path,
-    "hypercube": hypercube,
-    "complete_bipartite": complete_bipartite,
-    "circulant": lambda n, *offsets: circulant(n, list(offsets)),
-    "random_regular": random_regular,
-    "petersen": petersen,
+    "cycle": (cycle, lambda n: n),
+    "complete": (complete, lambda n: n * n // 2),
+    "star": (star, lambda leaves: leaves),
+    "path": (path, lambda n: n),
+    "hypercube": (hypercube, lambda k: 32 * min(k, 6)),
+    "complete_bipartite": (complete_bipartite, lambda d: d * d),
+    "circulant": (lambda n, *offsets: circulant(n, list(offsets)), lambda n, *o: n * len(o)),
+    "random_regular": (random_regular, lambda n, d: n * d // 2),
+    "petersen": (petersen, lambda: 15),
 }
+#: The most edges a :class:`FamilySpec` builds; the constructors have no bound.
+SPEC_EDGE_LIMIT = 100_000
 #: Per family: its usage and its number of spec fields after the colon,
 #: which is one integer except for the three families listed last.
 _SPEC_USAGE = {
@@ -290,7 +293,8 @@ class FamilySpec:
     ``circulant:8,1+4``, ``random_regular:20,3,seed=42``, and
     ``petersen``, which has no fields.  ``str`` and ``build`` raise
     :class:`BadParameter` when the family takes no ``len(params)``
-    parameters.
+    parameters, and ``build`` when the member could have more than
+    :data:`SPEC_EDGE_LIMIT` edges, before it allocates them.
     """
 
     family: str
@@ -318,7 +322,13 @@ class FamilySpec:
         seed = (self.seed,) if self.family == "random_regular" else ()
         if seed == (None,):
             raise BadParameter("random_regular spec needs seed=...")
-        return _CONSTRUCTORS[self.family](*self.params, *seed)
+        build, edge_bound = _CONSTRUCTORS[self.family]
+        edges = edge_bound(*(max(p, 0) for p in self.params))
+        if edges > SPEC_EDGE_LIMIT:
+            raise BadParameter(
+                f"{self}: up to {edges} edges, above the spec limit {SPEC_EDGE_LIMIT}"
+            )
+        return build(*self.params, *seed)
 
 
 def parse_family_spec(text: str) -> FamilySpec:

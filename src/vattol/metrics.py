@@ -286,7 +286,7 @@ def _component_tables(
             j1 = min(top, j0 + chunk)
             x = np.arange(j0, j1, dtype=adj.dtype) | top
             comp = flood((adj_k & x) | top, x)
-            rest = (x ^ comp) + table_off
+            rest = x ^ comp if rows == 1 else (x ^ comp) + table_off  # one row: offsets 0
             size, size_rest = np.bitwise_count(comp), cmax.ravel().take(rest)
             cmax[:, top + j0 : top + j1] = np.maximum(size, size_rest)
             if lowest:

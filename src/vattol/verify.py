@@ -25,10 +25,10 @@ A key function reduces a cache to a verdict key, the inputs that decide
 the group's reports, and the graph's witness masks; a group that raises
 on an unmet precondition is keyed ``None``, its reports taking their
 skip reason from the error.  A bounded row table maps each (group, key)
-to its rows: theorem, verdict, CSV text and summary counts.
+to its rows: theorem, verdict, CSV and JSON text and summary counts.
 :func:`evaluate_graph`, :func:`iter_suite` and :func:`run_suite` build
-reports from those rows; ``vattol verify`` joins their CSV text with
-each graph's prefix and witness text, and builds no report.
+reports from those rows; ``vattol verify`` joins their CSV or JSON text
+with each graph's prefix and witness text, and builds no report.
 
 The groups and the inequalities they cover, for a connected d-regular
 graph with attack tolerance tau, conductance phi and spectral gap
@@ -60,9 +60,10 @@ graph with attack tolerance tau, conductance phi and spectral gap
 The suite takes graphs in batches of :data:`SUITE_BATCH`, each evaluated
 by ``_evaluate_batch``, in process or as one pool task: ``_prefill``
 fills the batch's caches per (n, d), by one :func:`exact_batch` pass
-and, if regular, one stacked ``eigh``, and the batch returns its
-reports or CSV text with its summary counts, so a worker ships text, not
-reports.  One :class:`SuiteSummary` sums the batches of a run.
+and, if regular, one stacked ``eigh``, and the batch returns each
+graph's reports, or its CSV or JSON text, with its summary counts, so a
+worker of ``vattol verify`` ships text, not reports.  One
+:class:`SuiteSummary` sums the batches of a run.
 
 The conditional hypothesis is strict on purpose.  On the boundary
 phi == 1/d^2 the sharp bound tau <= d phi can genuinely fail: there is
@@ -79,13 +80,14 @@ for the conditional checks and remain covered by the unconditional bound.
 from __future__ import annotations
 
 import csv
+import json
 import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BadParameter, NotRegular, TooLarge, VattolError
@@ -197,55 +199,30 @@ def _bool_str(b: bool | None) -> str:
 
 
 def _witness_str(witnesses: dict[str, list[int]] | None) -> str:
-    if not witnesses:
-        return ""
-    return ";".join(
-        f"{name}=" + " ".join(str(v) for v in ids)
-        for name, ids in witnesses.items()
-    )
+    items = (witnesses or {}).items()
+    return ";".join(f"{name}=" + " ".join(map(str, ids)) for name, ids in items)
 
 
 #: The columns of ``vattol verify``'s CSV, one row per report.
 VERIFY_CSV_COLUMNS = (
-    "graph_id",
-    "n",
-    "m",
-    "d",
-    "theorem",
-    "lhs_num",
-    "lhs_den",
-    "lhs_real",
-    "rhs_num",
-    "rhs_den",
-    "rhs_real",
-    "holds",
-    "strict_holds",
-    "slack",
-    "witness",
+    "graph_id", "n", "m", "d", "theorem", "lhs_num", "lhs_den", "lhs_real",
+    "rhs_num", "rhs_den", "rhs_real", "holds", "strict_holds", "slack", "witness",
 )
-
-
-def _verdict_csv(theorem: str, v: _Verdict) -> list[str]:
-    """The ``theorem`` to ``slack`` fields of a CSV row."""
-    return [
-        theorem,
-        *_side_csv(v.lhs),
-        *_side_csv(v.rhs),
-        _bool_str(v.holds),
-        _bool_str(v.strict_holds),
-        _real_str(v.slack),
-    ]
 
 
 def report_to_csv_row(r: TheoremReport) -> list[str]:
     """The :data:`VERIFY_CSV_COLUMNS` fields of one report."""
-    verdict = _Verdict(r.lhs, r.rhs, r.holds, r.strict_holds, r.slack)
     return [
         r.graph_id,
         str(r.n),
         str(r.m),
         "" if r.d is None else str(r.d),
-        *_verdict_csv(r.theorem, verdict),
+        r.theorem,
+        *_side_csv(r.lhs),
+        *_side_csv(r.rhs),
+        _bool_str(r.holds),
+        _bool_str(r.strict_holds),
+        _real_str(r.slack),
         _witness_str(r.witnesses),
     ]
 
@@ -263,6 +240,51 @@ class _LineWriter:
 _csv_line = csv.writer(_LineWriter(), lineterminator="\n").writerow
 
 
+# ---------------------------------------------------------------------------
+# JSON text of report fields.
+
+
+def _real(x: float) -> float:
+    """Decimal convenience value: 12 significant digits."""
+    return float(f"{x:.12g}")
+
+
+def _side_json(value: Fraction | float | None):
+    if value is None:
+        return None
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator, "real": _real(_float(value))}
+    return {"real": _real(value)}
+
+
+def report_to_json(r: TheoremReport) -> dict:
+    return {
+        "graph_id": r.graph_id,
+        "n": r.n,
+        "m": r.m,
+        "d": r.d,
+        "theorem": r.theorem,
+        "lhs": _side_json(r.lhs),
+        "rhs": _side_json(r.rhs),
+        "holds": r.holds,
+        "strict_holds": r.strict_holds,
+        "slack": None if r.slack is None else _real(r.slack),
+        "witness": r.witnesses,
+        "skipped": r.skipped,
+        "skip_reason": r.skip_reason,
+    }
+
+
+#: The JSON text of a value; ``vattol verify`` writes every record with it.
+_json = json.JSONEncoder(separators=(", ", ": ")).encode
+
+#: A field that the text of a row's report is split at, to be filled per
+#: graph; JSON writes it ``"\u0000"``.  No field of a row holds it.
+_HOLE = "\x00"
+_HOLE_JSON = _json(_HOLE)
+_GRAPH_HOLES = (_HOLE,) * 4  # graph_id, n, m and d
+
+
 def _witness_dict(masks: tuple[int, ...]) -> dict[str, list[int]]:
     """The set ``S`` of a witness, then the largest survivor ``T`` if any."""
     return dict(zip("ST", map(vertices_from_mask, masks)))
@@ -272,6 +294,12 @@ def _witness_dict(masks: tuple[int, ...]) -> dict[str, list[int]]:
 def _witness_line(masks: tuple[int, ...]) -> str:
     """The last CSV field of a row with this witness, line end included."""
     return _csv_line([_witness_str(_witness_dict(masks))])
+
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _witness_json(masks: tuple[int, ...]) -> str:
+    """The ``witness`` field of a record with this witness."""
+    return _json(_witness_dict(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +313,12 @@ class _Row(NamedTuple):
     verdict: _Verdict = _NO_VERDICT
     skip_reason: str = ""
     witness: int | None = 0
+
+
+def _report(row: _Row, graph: tuple, witnesses, reason: str = "") -> TheoremReport:
+    """``row`` as a report on ``graph`` (id, n, m, d), skipped for ``reason`` if given."""
+    reason = reason or row.skip_reason
+    return TheoremReport(row.theorem, *graph, *row.verdict, witnesses, bool(reason), reason)
 
 
 class _Theorem(NamedTuple):
@@ -311,15 +345,24 @@ class _Entry:
     claims: tuple[str, ...]
     lines: tuple[tuple[str, int], ...]
 
+    @cached_property  # built by the first JSON render, so CSV runs hold none
+    def records(self) -> list[tuple[str, int, list[str]]]:
+        """Per row, its JSON text between the graph's prefix and its
+        witness, the witness's index as in ``lines``, and the text after
+        the witness, split at the skip reason if that is a hole."""
+        reports = (_report(r, _GRAPH_HOLES, _HOLE) for r in self.rows)
+        texts = [_json(report_to_json(r)).split(_HOLE_JSON) for r in reports]
+        return [(t[4], i, t[5:]) for t, (_, i) in zip(texts, self.lines)]
+
 
 @lru_cache(maxsize=_TABLE_SIZE)
 def _entry(group: str, key: tuple | None) -> _Entry:
     """The entry of ``group`` at ``key``.  Key ``None``: an unmet
-    precondition, whose rows are skipped whatever the error; the reports
-    take their skip reason from the error."""
+    precondition, whose rows are skipped whatever the error; their skip
+    reason is a hole that the error fills."""
     _, build, theorems, _ = _CHECKS[group]
     if key is None:
-        rows = tuple(_Row(t.name, skip_reason=_UNMET, witness=None) for t in theorems)
+        rows = tuple(_Row(t.name, skip_reason=_HOLE, witness=None) for t in theorems)
     else:
         rows = build(theorems, *key)
     checked = [r.verdict for r in rows if not r.skip_reason]
@@ -329,10 +372,9 @@ def _entry(group: str, key: tuple | None) -> _Entry:
     holds = sum(1 for v in checked if v.holds)
     strict = sum(1 for v in checked if v.strict_holds)
     tally = (len(rows), holds, strict, len(checked) - holds, len(rows) - len(checked), equalities)
-    texts = [_csv_line(_verdict_csv(r.theorem, r.verdict))[:-1] for r in rows]
-    lines = tuple(
-        ("," + text + ",", -1 if r.witness is None else r.witness) for text, r in zip(texts, rows)
-    )
+    texts = (_csv_line(report_to_csv_row(_report(r, _GRAPH_HOLES, None))) for r in rows)
+    ends = (-1 if r.witness is None else r.witness for r in rows)
+    lines = tuple((t.split(_HOLE)[4][:-1], i) for t, i in zip(texts, ends))
     return _Entry(rows, tally, tuple(t for t in equalities if t in STRICT_CLAIMS), lines)
 
 
@@ -372,7 +414,6 @@ class MetricCache:
 
 
 _HYPOTHESIS_NOT_MET = "hypothesis not met: conductance not strictly below 1/d^2"
-_UNMET = "precondition not met"
 
 # Per check group: a key function, cache -> (verdict key, witnesses),
 # which raises on an unmet precondition, and a row builder, (theorems,
@@ -534,37 +575,31 @@ ALL_THEOREMS = tuple(t for theorems in GROUP_THEOREMS.values() for t in theorems
 #: their equality cases by graph id.
 STRICT_CLAIMS = ("vat_lower", "vat_upper_unconditional")
 
-_Verdicts = list[tuple[_Entry, tuple, VattolError | None]]
+_Verdicts = list[tuple[_Entry, tuple, str]]
 
 
 def _verdicts(cache: MetricCache, checks: Sequence[str]) -> _Verdicts:
-    """Per selected group: its table entry for ``cache``, its witnesses,
-    and the error of an unmet precondition (else ``None``)."""
+    """Per selected group: its table entry for ``cache``, its witnesses, and
+    an unmet precondition's skip reason, ``"<error type>: <message>"``."""
     out = []
     for group in checks:
         try:
             key, witnesses = _CHECKS[group][0](cache)
-            error = None
+            reason = ""
         except VattolError as exc:
-            key, witnesses, error = None, (), exc
-        out.append((_entry(group, key), witnesses, error))
+            key, witnesses, reason = None, (), f"{type(exc).__name__}: {exc}"
+        out.append((_entry(group, key), witnesses, reason))
     return out
 
 
 def _reports(cache: MetricCache, verdicts: _Verdicts) -> list[TheoremReport]:
-    g = cache.g
-    graph = (cache.graph_id, g.n, g.m, cache.d)
+    graph = (cache.graph_id, cache.g.n, cache.g.m, cache.d)
     out = []
-    for entry, witnesses, error in verdicts:
-        reason = None if error is None else f"{type(error).__name__}: {error}"
+    for entry, witnesses, reason in verdicts:
         for row in entry.rows:
-            skip_reason = reason or row.skip_reason
-            witness = None if row.witness is None else _witness_dict(witnesses[row.witness])
-            out.append(
-                TheoremReport(
-                    row.theorem, *graph, *row.verdict, witness, bool(skip_reason), skip_reason
-                )
-            )
+            w = row.witness
+            witness = None if w is None else _witness_dict(witnesses[w])
+            out.append(_report(row, graph, witness, reason))
     return out
 
 
@@ -579,11 +614,31 @@ def _csv_text(cache: MetricCache, verdicts: _Verdicts) -> str:
     return "".join(out)
 
 
-class _Batch(NamedTuple):
-    """One batch of a run: its reports or CSV text, its graph count, the
-    (graph, group) count per tally, and each strict claim's equality ids."""
+#: The JSON text of a record before each of its four graph fields.
+_GRAPH_KEYS = _json(report_to_json(_report(_Row(""), _GRAPH_HOLES, None))).split(_HOLE_JSON)[:4]
 
-    out: list[TheoremReport] | str
+
+def _json_text(cache: MetricCache, verdicts: _Verdicts) -> str:
+    """The graph's JSON records, each led by a comma and a new line: its
+    prefix, then each row's head, its witness text and its tail, whose
+    pieces join at an unmet precondition's reason."""
+    g = cache.g
+    fields = map(_json, (cache.graph_id, g.n, g.m, cache.d))
+    prefix = ",\n " + "".join(map(str.__add__, _GRAPH_KEYS, fields))
+    out = []
+    for entry, witnesses, reason in verdicts:
+        ends = [*map(_witness_json, witnesses), "null"]
+        fill = _json(reason)
+        out += [prefix + head + ends[i] + fill.join(tail) for head, i, tail in entry.records]
+    return "".join(out)
+
+
+class _Batch(NamedTuple):
+    """One batch of a run: each graph's output from the run's renderer, its
+    graph count, the (graph, group) count per tally, and each strict
+    claim's equality ids."""
+
+    out: list
     graphs: int
     tallies: dict[tuple, int]
     cases: dict[str, list[str]]
@@ -686,8 +741,8 @@ def _prefill(caches: Sequence[MetricCache], spectral: bool = True) -> None:
                     cache.spectral = result
 
 
-def _render(caches: Sequence[MetricCache], checks: Sequence[str], text: bool) -> _Batch:
-    """The batch of ``caches``: their CSV text if ``text``, else reports."""
+def _render(caches: Sequence[MetricCache], checks: Sequence[str], render: Callable) -> _Batch:
+    """The batch of ``caches``, each graph's output from ``render``."""
     entries: list[_Entry] = []
     cases: dict[str, list[str]] = {theorem: [] for theorem in STRICT_CLAIMS}
     out = []
@@ -697,22 +752,21 @@ def _render(caches: Sequence[MetricCache], checks: Sequence[str], text: bool) ->
             entries.append(entry)
             for theorem in entry.claims:
                 cases[theorem].append(cache.graph_id)
-        out.append(_csv_text(cache, verdicts) if text else _reports(cache, verdicts))
+        out.append(render(cache, verdicts))
     tallies: Counter[tuple] = Counter()
     for entry, k in Counter(entries).items():
         tallies[entry.tally] += k
-    rendered = "".join(out) if text else [r for reports in out for r in reports]
-    return _Batch(rendered, len(caches), tallies, cases)
+    return _Batch(out, len(caches), tallies, cases)
 
 
 def _evaluate_batch(
-    checks: tuple[str, ...], text: bool, items: Sequence[tuple[str, Graph]]
+    checks: tuple[str, ...], render: Callable, items: Sequence[tuple[str, Graph]]
 ) -> _Batch:
     """One batch, after one :func:`_prefill`: what a pool worker returns,
     so the parent only writes and sums."""
     caches = [MetricCache(g, graph_id) for graph_id, g in items]
     _prefill(caches, any(_CHECKS[c][3] for c in checks))
-    return _render(caches, checks, text)
+    return _render(caches, checks, render)
 
 
 def clamp_jobs(jobs: int) -> int:
@@ -722,12 +776,12 @@ def clamp_jobs(jobs: int) -> int:
 
 
 def _suite_batches(
-    graphs: Iterable[tuple[str, Graph]], checks: str | Sequence[str], jobs: int, text: bool
+    graphs: Iterable[tuple[str, Graph]], checks: str | Sequence[str], jobs: int, render: Callable
 ) -> Iterator[_Batch]:
-    """The batches of a run, of reports or of CSV text, in input order
-    at any ``jobs`` (a process pool if more than 1, at most the usable CPUs),
-    so the output is byte-for-byte independent of the worker count."""
-    evaluate = partial(_evaluate_batch, normalize_checks(checks), text)
+    """The batches of a run, each graph rendered by ``render``, in input
+    order at any ``jobs`` (a process pool if more than 1, at most the usable
+    CPUs), so the output is byte-for-byte independent of the worker count."""
+    evaluate = partial(_evaluate_batch, normalize_checks(checks), render)
     it = iter(graphs)
     batches = iter(lambda: list(islice(it, SUITE_BATCH)), [])
     jobs = clamp_jobs(jobs)
@@ -745,8 +799,8 @@ def iter_suite(
 ) -> Iterator[TheoremReport]:
     """Stream reports for every graph, in input order, from batches of
     :data:`SUITE_BATCH` (256) graphs checked in ``jobs`` processes."""
-    for batch in _suite_batches(graphs, checks, jobs, text=False):
-        yield from batch.out
+    for batch in _suite_batches(graphs, checks, jobs, _reports):
+        yield from chain.from_iterable(batch.out)
 
 
 @dataclass
@@ -777,5 +831,5 @@ def run_suite(
 ) -> SuiteResult:
     """Run the checks over a corpus and collect every report."""
     summary = SuiteSummary()
-    batches = summary._count(_suite_batches(graphs, checks, jobs, text=False))
-    return SuiteResult([r for batch in batches for r in batch.out], summary)
+    batches = summary._count(_suite_batches(graphs, checks, jobs, _reports))
+    return SuiteResult([r for batch in batches for out in batch.out for r in out], summary)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -19,14 +20,21 @@ from vattol import cli, verify
 F = Fraction
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, preexec_fn=None):
     return subprocess.run(
         [sys.executable, "-m", "vattol.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         timeout=300,
+        preexec_fn=preexec_fn,
     )
+
+
+def limit_memory():
+    """Cap the address space at 2 GB, so that an unbounded allocation
+    fails fast in the child instead of exhausting the machine."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
 class TestGen:
@@ -53,6 +61,24 @@ class TestGen:
         proc = run_cli("gen", "circulant:8")
         assert proc.returncode == 2
         assert proc.stderr == "error: circulant spec needs 'n,o1+o2+..': 'circulant:8'\n"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "cycle:100000000",
+            "complete:50000",
+            "complete:3000",
+            "star:100000000",
+            "circulant:100000000,1",
+            "random_regular:100000000,3,seed=1",
+        ],
+    )
+    def test_spec_over_edge_limit_exit_2_one_line(self, spec):
+        proc = run_cli("gen", spec, preexec_fn=limit_memory)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {spec}: up to ")
+        assert proc.stderr.endswith(" edges, above the spec limit 100000\n")
 
     def test_retry_limit_exit_2_one_line(self, tmp_path):
         out = tmp_path / "k10.edges"
@@ -304,10 +330,13 @@ class TestVerify:
             ["--family", "petersen", "--n", "3..5"],
             ["--corpus", "standard", "--seed", "7"],
             ["--spec", "cycle:5", "--seed", "7"],
+            ["--family", "cycle", "--n", "3..100000000"],
+            ["--spec", "complete:50000"],
+            ["--spec", "random_regular:100000000,3,seed=1"],
         ],
     )
     def test_bad_family_selection_exit_2_one_line(self, selection):
-        proc = run_cli("verify", *selection)
+        proc = run_cli("verify", *selection, preexec_fn=limit_memory)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
@@ -343,8 +372,9 @@ class TestVerify:
         ],
     )
     def test_standard_corpus_bytes_pinned(self, tmp_path, fmt, digest, jobs):
-        # Pinned before the writer memoized sides and witnesses; at
-        # --jobs 2 the JSON comes from reports pickled by the pool.
+        # Pinned before the writer memoized sides and witnesses, and before
+        # the JSON was spliced from the row table as the CSV is; at --jobs 2
+        # both come as text from the pool.
         out = tmp_path / f"r.{fmt}"
         proc = run_cli(
             "verify", "--corpus", "standard", "--jobs", jobs, "--format", fmt,
@@ -370,7 +400,8 @@ class TestVerify:
 
 class TestCsvWriter:
     """The row table's CSV text is byte-equal to ``csv.writer`` over
-    ``report_to_csv_row`` of the same graphs' reports."""
+    ``report_to_csv_row`` of the same graphs' reports, and its JSON text
+    to ``json.dumps`` over their ``report_to_json``."""
 
     @staticmethod
     def cache(graph_id, g, gap=None, **fields):
@@ -384,20 +415,30 @@ class TestCsvWriter:
 
     @staticmethod
     def written(caches):
-        buf = io.StringIO()
-        batch = verify._render(caches, verify.CHECK_GROUPS, text=True)
-        cli._write_reports_csv([batch], buf)
-        return buf.getvalue()
+        """The CLI's CSV and JSON text of ``caches``."""
+        texts = []
+        for render, write in [
+            (verify._csv_text, cli._write_reports_csv),
+            (verify._json_text, cli._write_reports_json),
+        ]:
+            buf = io.StringIO()
+            write([verify._render(caches, verify.CHECK_GROUPS, render)], buf)
+            texts.append(buf.getvalue())
+        return tuple(texts)
 
     @staticmethod
     def expected(caches):
+        """The CSV and JSON text of ``caches``' reports, one report at a time."""
+        reports = [r for cache in caches for r in vt.evaluate_graph(cache)]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(verify.VERIFY_CSV_COLUMNS)
-        for cache in caches:
-            for r in vt.evaluate_graph(cache):
-                writer.writerow(verify.report_to_csv_row(r))
-        return buf.getvalue()
+        writer.writerows(map(verify.report_to_csv_row, reports))
+        records = (
+            "\n " + json.dumps(verify.report_to_json(r), separators=(", ", ": "))
+            for r in reports
+        )
+        return buf.getvalue(), "[" + ",".join(records) + "\n]\n"
 
     def test_equal_values_that_print_apart(self):
         k2, c6 = vt.complete(2), vt.cycle(6)
@@ -409,10 +450,13 @@ class TestCsvWriter:
             self.cache("b", k2, gap=float("nan"), **half),
             self.cache("b", k2, gap=float("nan"), **half),
             self.cache('c,"d', c6, tau_witness=0, minimizers=np.array([0b010101])),
+            self.cache("pfad·ü", vt.path(4)),  # non-ASCII, in the skip reason too
             self.cache("star", vt.star(3)),
         ]
-        text = self.written(caches)
-        assert text == self.expected(caches)
+        text, js = self.written(caches)
+        assert (text, js) == self.expected(caches)
+        assert '"graph_id": "pfad\\u00b7\\u00fc"' in js
+        assert '"skip_reason": "NotRegular: pfad\\u00b7\\u00fc: the check' in js
         rows = text.splitlines()[1:]
         assert rows[1] == "a,2,1,1,cheeger_upper,,,1,1,1,1,true,false,0,S=0"
         assert rows[14] == "a,2,1,1,cheeger_upper,,,0,1,1,1,true,true,1,S=0"
@@ -433,18 +477,29 @@ class TestCsvWriter:
     def test_cold_and_warm_table_give_the_same_bytes(self):
         graphs = list(vt.standard_corpus())
 
-        def text():
+        def text(render, write):
             buf = io.StringIO()
-            cli._write_reports_csv(verify._suite_batches(graphs, "all", 1, True), buf)
+            write(verify._suite_batches(graphs, "all", 1, render), buf)
             return buf.getvalue()
 
-        for memo in (verify._entry, verify._witness_line):
-            memo.cache_clear()
-        texts = [text(), text()]  # cold, then warm
-        assert verify._entry.cache_info().hits > 0
-        assert texts[0] == texts[1]
-        digest = hashlib.sha256(texts[0].encode()).hexdigest()
-        assert digest == "596767de40c5d7117240f52b7bebd86ef395d6cc821e89daf79985f94b8b229c"
+        for render, write, digest in [
+            (
+                verify._csv_text,
+                cli._write_reports_csv,
+                "596767de40c5d7117240f52b7bebd86ef395d6cc821e89daf79985f94b8b229c",
+            ),
+            (
+                verify._json_text,
+                cli._write_reports_json,
+                "17fbbbd8717949675a34476e57594229ee0e7f168a67db0b99fe3f7ee586c980",
+            ),
+        ]:
+            for memo in (verify._entry, verify._witness_line, verify._witness_json):
+                memo.cache_clear()
+            texts = [text(render, write), text(render, write)]  # cold, then warm
+            assert verify._entry.cache_info().hits > 0
+            assert texts[0] == texts[1]
+            assert hashlib.sha256(texts[0].encode()).hexdigest() == digest
 
     def test_table_stays_within_its_bound(self):
         size = verify._TABLE_SIZE

@@ -330,6 +330,14 @@ class TestFamilySpec:
         with pytest.raises(BadParameter):
             FamilySpec("random_regular", (10, 3)).build()
 
+    def test_edge_limit(self):
+        over = generators.SPEC_EDGE_LIMIT + 1
+        with pytest.raises(BadParameter, match=f"cycle:{over}: up to {over} edges"):
+            FamilySpec("cycle", (over,)).build()
+        with pytest.raises(BadParameter, match="above the spec limit 100000"):
+            parse_family_spec("circulant:50001,1+2").build()
+        assert vt.cycle(over).m == over  # the constructors have no bound
+
     def test_outcomes_pinned(self):
         # The str and built (n, m), or the error, of a grid of spec
         # strings and FamilySpec tuples over the nine families and an
