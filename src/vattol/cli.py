@@ -61,7 +61,16 @@ from .verify import (
 )
 
 METRICS_CSV_COLUMNS = (
-    "graph_id", "n", "m", "d", "metric", "parameters", "num", "den", "real", "witness",
+    "graph_id",
+    "n",
+    "m",
+    "d",
+    "metric",
+    "parameters",
+    "num",
+    "den",
+    "real",
+    "witness",
 )
 
 
@@ -163,10 +172,20 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             record[metric] = entry
         text = json.dumps(record, indent=2) + "\n"
     else:
-        graph = [graph_id, g.n, g.m, d]  # the csv module writes None as ""
         text = _csv_line(METRICS_CSV_COLUMNS) + "".join(
-            _csv_line([*graph, metric, params, *_side_csv(value), " ".join(map(str, w or ()))])
-            for metric, params, value, w in rows
+            _csv_line(
+                [
+                    graph_id,
+                    str(g.n),
+                    str(g.m),
+                    "" if d is None else str(d),
+                    metric,
+                    params,
+                    *_side_csv(value),
+                    "" if witness is None else " ".join(map(str, witness)),
+                ]
+            )
+            for metric, params, value, witness in rows
         )
     with _open_out(args.output) as out:
         out.write(text)

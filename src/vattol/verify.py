@@ -199,14 +199,31 @@ def _bool_str(b: bool | None) -> str:
 
 
 def _witness_str(witnesses: dict[str, list[int]] | None) -> str:
-    items = (witnesses or {}).items()
-    return ";".join(f"{name}=" + " ".join(map(str, ids)) for name, ids in items)
+    if not witnesses:
+        return ""
+    return ";".join(
+        f"{name}=" + " ".join(str(v) for v in ids)
+        for name, ids in witnesses.items()
+    )
 
 
 #: The columns of ``vattol verify``'s CSV, one row per report.
 VERIFY_CSV_COLUMNS = (
-    "graph_id", "n", "m", "d", "theorem", "lhs_num", "lhs_den", "lhs_real",
-    "rhs_num", "rhs_den", "rhs_real", "holds", "strict_holds", "slack", "witness",
+    "graph_id",
+    "n",
+    "m",
+    "d",
+    "theorem",
+    "lhs_num",
+    "lhs_den",
+    "lhs_real",
+    "rhs_num",
+    "rhs_den",
+    "rhs_real",
+    "holds",
+    "strict_holds",
+    "slack",
+    "witness",
 )
 
 
@@ -253,7 +270,11 @@ def _side_json(value: Fraction | float | None):
     if value is None:
         return None
     if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator, "real": _real(_float(value))}
+        return {
+            "num": value.numerator,
+            "den": value.denominator,
+            "real": _real(_float(value)),
+        }
     return {"real": _real(value)}
 
 
@@ -279,8 +300,9 @@ def report_to_json(r: TheoremReport) -> dict:
 _json = json.JSONEncoder(separators=(", ", ": ")).encode
 
 #: A field that the text of a row's report is split at, to be filled per
-#: graph; JSON writes it ``"\u0000"``.  No field of a row holds it.
-_HOLE = "\x00"
+#: graph: a private-use character, which the ``csv`` module writes as it
+#: is and JSON as ``"\ue000"``.  No field of a row holds it.
+_HOLE = "\ue000"
 _HOLE_JSON = _json(_HOLE)
 _GRAPH_HOLES = (_HOLE,) * 4  # graph_id, n, m and d
 

@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import unicodedata
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -467,6 +468,14 @@ class TestCsvWriter:
         assert rows[52 + 13 + 8].endswith(",false,,,")  # no connected minimizer, no witness
         assert rows[52 + 13 + 4].endswith(",S=")  # an empty attack witness
         assert rows[-13] == "star,4,3,,cheeger_lower,,,,,,,,,,"
+
+    def test_hole_is_a_private_use_character(self):
+        # Before Python 3.11 the csv writer refuses a NUL field when no
+        # escapechar is set, so the hole is a character that no csv or json
+        # version treats specially.
+        assert unicodedata.category(verify._HOLE) == "Co"
+        assert verify._csv_line(["a", verify._HOLE]) == "a," + verify._HOLE + "\n"
+        assert verify._HOLE_JSON == json.dumps(verify._HOLE)
 
     def test_fresh_witness_dicts_are_not_confused(self):
         # 200 distinct attack witnesses through the witness-text memo.
