@@ -64,10 +64,6 @@ from .graph import (
 #: entries per graph (16 MiB each at n = 24).
 HARD_CAP = 24
 
-#: Largest n of the suite's all-minimizers check (``connected_minimizer``),
-#: whose skip reason above it is part of the report.
-MINIMIZER_LIMIT = 16
-
 #: Graph x subset cells per kernel chunk, which bounds the temporaries of
 #: the numpy kernels (a few arrays of this many int32/int64/float64 cells).
 BLOCK_CELLS = 1 << 13

@@ -19,9 +19,10 @@ lambda2 and its eigenvector come from one of two solvers, picked by size:
   new Krylov vector is orthogonalized twice against the whole basis,
   allocated once for every row the loop can reach.  Time is
   O(k^2 n + k m) and memory O(k n) for a Krylov dimension k, about 200
-  to 300 on random cubic graphs with n = 2000.  Clustered
-  spectra (cycles, paths) would need k near n; there Lanczos gives up
-  early and the dense solve runs instead.
+  to 300 on random cubic graphs with n = 2000.  Clustered spectra
+  (cycles, paths) would need k near n; there Lanczos gives up early and
+  the dense solve runs instead, or raises :class:`NoConvergence` if its
+  matrix is over :data:`_MEMORY_BUDGET` (n > 5,792), which also caps the basis.
 
 The cutoff is the measured crossover.  On random d-regular graphs
 (d = 3, 4, 5; a 2-vCPU Xeon VM), Lanczos with its fallbacks takes 0.8-1.05
@@ -64,6 +65,9 @@ _RITZ_TOL = 1e-12
 _KRYLOV_SHARE = 0.6
 #: Lanczos steps between Ritz checks.
 _CHECK_EVERY = 20
+#: Bytes of float64 one solve may hold: the n x n matrix of the dense
+#: solve, or the Lanczos basis (``eigh``'s own workspace not counted).
+_MEMORY_BUDGET = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -162,10 +166,11 @@ def _lanczos(g: Graph) -> tuple[float, np.ndarray, float] | None:
     deflates it.  Every :data:`_CHECK_EVERY` steps the top Ritz pair of the
     tridiagonal T is taken once its residual estimate ``|beta_k y_k|`` is
     at most :data:`_RITZ_TOL`, and returned with its residual recomputed
-    with N.  It gives up once k passes :data:`_KRYLOV_SHARE` of n, or
-    sooner when the Kaniel-Paige rate on the current Ritz values says the
-    estimate cannot get under the tolerance by then.  The start vector is
-    a fixed splitmix64 stream, so the result is the same on every platform.
+    with N.  It gives up once k passes :data:`_KRYLOV_SHARE` of n or the
+    rows that fit :data:`_MEMORY_BUDGET`, or sooner when the Kaniel-Paige
+    rate on the current Ritz values says the estimate cannot get under the
+    tolerance by then.  The start vector is a fixed splitmix64 stream, so
+    the result is the same on every platform.
     """
     n = g.n
     _, rows, cols, weights = _nonzeros([g])
@@ -174,7 +179,9 @@ def _lanczos(g: Graph) -> tuple[float, np.ndarray, float] | None:
         return np.bincount(rows, weights=weights * x[cols], minlength=n)
 
     x = (_splitmix64(n, n) >> 11).astype(np.float64) * 2.0**-53 - 0.5
-    limit = int(_KRYLOV_SHARE * n)
+    limit = min(int(_KRYLOV_SHARE * n), _MEMORY_BUDGET // (8 * n) - _CHECK_EVERY)
+    if limit <= 0:
+        return None
     # every row reachable: the first check at or past the limit returns
     basis = np.empty((limit + _CHECK_EVERY, n))
     sqrt_deg = np.sqrt(np.array(g.deg, dtype=float))
@@ -212,6 +219,9 @@ def _lambda2_pair(g: Graph) -> tuple[SpectralResult, np.ndarray]:
     _require_spectral_graph(g)
     pair = _lanczos(g) if g.n > _DENSE_MAX_N else None
     if pair is None:
+        if 8 * g.n**2 > _MEMORY_BUDGET:
+            mib = _MEMORY_BUDGET >> 20
+            raise NoConvergence(f"n={g.n}: Lanczos gave up and a dense solve exceeds {mib} MiB")
         (lam,), vecs, (residual,) = _eigenpairs(_normalized_stack([g]))
         pair = lam, vecs[0], residual
     lam, vec, residual = pair

@@ -25,7 +25,8 @@ A key function reduces a cache to a verdict key, the inputs that decide
 the group's reports, and the graph's witness masks; a group that raises
 on an unmet precondition is keyed ``None``, its reports taking their
 skip reason from the error.  A bounded row table maps each (group, key)
-to its rows: theorem, verdict, CSV and JSON text and summary counts.
+to its rows, which the row builder makes from (theorems, *key): theorem,
+verdict, CSV and JSON text and summary counts.
 :func:`evaluate_graph`, :func:`iter_suite` and :func:`run_suite` build
 reports from those rows; ``vattol verify`` joins their CSV or JSON text
 with each graph's prefix and witness text, and builds no report.
@@ -42,17 +43,18 @@ graph with attack tolerance tau, conductance phi and spectral gap
 - ``spectral_vat``: tau^2 / (2 d^4) <= gap <= 2 d tau, and the sharper
   conditional lower bound tau^2 / (2 d^2) <= gap when phi < 1/d^2
 - ``connected_minimizer``: some conductance minimizer induces a
-  connected subgraph, checked for n <= 16 (``MINIMIZER_LIMIT``): the
-  engine returns every minimizer at any n <= 24, but lifting the cap
-  would change 15 rows of the theorem CSV and the summary that the
-  acceptance test pins
-- ``fragment_bounds``: with S a minimizing attack set, T the largest
-  surviving component and C_1..C_q the others, d|S| bounds the total
-  component boundary, since every edge leaving a surviving component
-  ends in S; and the attack ratio denominator |V-S-T| + 1 is bounded by
-  the survivor count, since the components partition V-S.  The first
-  bound's sides, cut(S) and d|S| = vol(S), obey cut(S) <= vol(S) for any
-  S: it cannot fail, and its equalities in the summary are no finding
+  connected subgraph, checked for n <= 16 (``MINIMIZER_LIMIT``; lifting
+  it would change 15 rows of the theorem CSV and the summary that the
+  acceptance test pins).  The lowest-encoding minimizer is always
+  connected: cut and volume add over components, so each component of a
+  disconnected minimizer is itself a minimizer, with a smaller encoding
+- ``fragment_bounds``: with S a minimizing attack set and T the largest
+  surviving component, d|S| bounds the total boundary of the surviving
+  components, since every edge leaving one ends in S, and |V-S-T| + 1 is
+  at most the survivor count.  The components share no edge and
+  partition V-S, so their boundaries sum to cut(S) and their sizes to
+  n - |S|.  As cut(S) <= vol(S) = d|S| for any S, the first bound cannot
+  fail, and its equalities in the summary are no finding
 - ``value_ranges``: 0 < tau <= 1 and 0 < phi <= 1, on any connected
   graph; the tau report also needs a nonempty surviving component at
   the witness, as removing every vertex is never optimal
@@ -94,14 +96,14 @@ from .errors import BadParameter, NotRegular, TooLarge, VattolError
 from .graph import (
     Graph,
     _component,
-    components,
     cut_size,
     full_mask,
     is_connected,
+    largest_component,
     regularity,
     vertices_from_mask,
 )
-from .metrics import HARD_CAP, MINIMIZER_LIMIT, ExactMetrics, exact_batch
+from .metrics import HARD_CAP, ExactMetrics, exact_batch
 from .spectral import SpectralResult, _lambda2_batch, lambda2
 
 #: Absolute tolerance of every comparison with a spectral side.
@@ -146,28 +148,16 @@ class TheoremReport:
         return self.holds is True and self.strict_holds is False
 
 
-class _Verdict(NamedTuple):
-    """The ``lhs`` to ``slack`` fields of a :class:`TheoremReport`."""
-
-    lhs: Fraction | float | None
-    rhs: Fraction | float | None
-    holds: bool | None
-    strict_holds: bool | None
-    slack: float | None
-
-
-def _verdict(lhs: Fraction | float, rhs: Fraction | float) -> _Verdict:
-    """``lhs <= rhs``, exact on Fractions; a float side is the spectral
-    gap, so the comparison then allows :data:`SPECTRAL_TOL`."""
+def _verdict(lhs: Fraction | float, rhs: Fraction | float) -> tuple:
+    """The ``lhs`` to ``slack`` fields of ``lhs <= rhs``, exact on Fractions;
+    a float side is the spectral gap, so the comparison then allows
+    :data:`SPECTRAL_TOL`."""
     l, r = float(lhs), float(rhs)
     if isinstance(lhs, float) or isinstance(rhs, float):
         holds, strict = l <= r + SPECTRAL_TOL, l < r - SPECTRAL_TOL
     else:
         holds, strict = lhs <= rhs, lhs < rhs
-    return _Verdict(lhs, rhs, holds, strict, r - l)
-
-
-_NO_VERDICT = _Verdict(None, None, None, None, None)
+    return lhs, rhs, holds, strict, r - l
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +322,11 @@ class _Row(NamedTuple):
     """A report less its graph; ``witness`` indexes its group's witnesses."""
 
     theorem: str
-    verdict: _Verdict = _NO_VERDICT
+    lhs: Fraction | float | None = None
+    rhs: Fraction | float | None = None
+    holds: bool | None = None
+    strict_holds: bool | None = None
+    slack: float | None = None
     skip_reason: str = ""
     witness: int | None = 0
 
@@ -340,7 +334,8 @@ class _Row(NamedTuple):
 def _report(row: _Row, graph: tuple, witnesses, reason: str = "") -> TheoremReport:
     """``row`` as a report on ``graph`` (id, n, m, d), skipped for ``reason`` if given."""
     reason = reason or row.skip_reason
-    return TheoremReport(row.theorem, *graph, *row.verdict, witnesses, bool(reason), reason)
+    verdict = row.lhs, row.rhs, row.holds, row.strict_holds, row.slack
+    return TheoremReport(row.theorem, *graph, *verdict, witnesses, bool(reason), reason)
 
 
 class _Theorem(NamedTuple):
@@ -387,12 +382,10 @@ def _entry(group: str, key: tuple | None) -> _Entry:
         rows = tuple(_Row(t.name, skip_reason=_HOLE, witness=None) for t in theorems)
     else:
         rows = build(theorems, *key)
-    checked = [r.verdict for r in rows if not r.skip_reason]
-    equalities = tuple(
-        r.theorem for r in rows if r.verdict.holds is True and r.verdict.strict_holds is False
-    )
-    holds = sum(1 for v in checked if v.holds)
-    strict = sum(1 for v in checked if v.strict_holds)
+    checked = [r for r in rows if not r.skip_reason]
+    equalities = tuple(r.theorem for r in rows if r.holds is True and r.strict_holds is False)
+    holds = sum(1 for r in checked if r.holds)
+    strict = sum(1 for r in checked if r.strict_holds)
     tally = (len(rows), holds, strict, len(checked) - holds, len(rows) - len(checked), equalities)
     texts = (_csv_line(report_to_csv_row(_report(r, _GRAPH_HOLES, None))) for r in rows)
     ends = (-1 if r.witness is None else r.witness for r in rows)
@@ -437,14 +430,10 @@ class MetricCache:
 
 _HYPOTHESIS_NOT_MET = "hypothesis not met: conductance not strictly below 1/d^2"
 
-# Per check group: a key function, cache -> (verdict key, witnesses),
-# which raises on an unmet precondition, and a row builder, (theorems,
-# *key) -> rows.  A key holds ints, bools and the float gap; a zero gap
-# is keyed by its repr, as -0.0 == 0.0 but they print apart.
-
 
 def _triple_key(witness: str, spectral: bool, ctx: MetricCache):
-    """(d, tau, phi), with the gap if ``spectral``; the witness named ``witness``."""
+    """(d, tau, phi), with the gap if ``spectral``; the witness named ``witness``.
+    A zero gap is keyed by its repr, as -0.0 == 0.0 but they print apart."""
     ctx.require_regular()
     key = ctx.values
     if spectral:
@@ -461,11 +450,16 @@ def _triple_rows(theorems, d, tau_num, tau_den, phi_num, phi_den, *gap) -> tuple
     values = (d, tau, phi, *map(float, gap))
     hypothesis = phi_num * d * d < phi_den  # phi < 1/d^2
     return tuple(
-        _Row(t.name, _verdict(*t.sides(*values)))
+        _Row(t.name, *_verdict(*t.sides(*values)))
         if hypothesis or not t.conditional
         else _Row(t.name, skip_reason=_HYPOTHESIS_NOT_MET, witness=None)
         for t in theorems
     )
+
+
+#: Largest n of the ``connected_minimizer`` check, whose skip reason above
+#: it is part of the report.
+MINIMIZER_LIMIT = 16
 
 
 def _connected_minimizer_key(ctx: MetricCache):
@@ -481,30 +475,23 @@ def _connected_minimizer_key(ctx: MetricCache):
 
 
 def _connected_minimizer_rows(theorems, holds: bool) -> tuple[_Row, ...]:
-    verdict = _NO_VERDICT._replace(holds=holds)
-    return (_Row(theorems[0].name, verdict, witness=0 if holds else None),)
+    return (_Row(theorems[0].name, holds=holds, witness=0 if holds else None),)
 
 
 def _fragment_bounds_key(ctx: MetricCache):
     d = ctx.require_regular()
     g = ctx.g
     s_mask = ctx.exact.tau_witness
-    pieces = components(g, s_mask)
-    t_mask = pieces[0]
-    cut_total = sum(cut_size(g, c) for c in pieces)
-    survivors = sum(c.bit_count() for c in pieces)
+    t_mask = largest_component(g, s_mask)
     s_size = s_mask.bit_count()
     outside = g.n - s_size - t_mask.bit_count()
-    return (cut_total, d * s_size, outside + 1, survivors), ((s_mask, t_mask),)
+    key = (cut_size(g, s_mask), d * s_size), (outside + 1, g.n - s_size)
+    return key, ((s_mask, t_mask),)
 
 
-def _fragment_bounds_rows(theorems, *sides: int) -> tuple[_Row, ...]:
-    lhs_cut, rhs_cut, lhs_size, rhs_size = map(Fraction, sides)
-    cut, size = theorems
-    return (
-        _Row(cut.name, _verdict(lhs_cut, rhs_cut)),
-        _Row(size.name, _verdict(lhs_size, rhs_size)),
-    )
+def _fragment_bounds_rows(theorems, *pairs: tuple[int, int]) -> tuple[_Row, ...]:
+    """Per theorem, the verdict of its pair of integer sides."""
+    return tuple(_Row(t.name, *_verdict(*map(Fraction, p))) for t, p in zip(theorems, pairs))
 
 
 def _value_ranges_key(ctx: MetricCache):
@@ -518,9 +505,12 @@ def _value_ranges_rows(
 ) -> tuple[_Row, ...]:
     """0 < x <= 1 for tau, which also needs a survivor, and for phi."""
     tau, phi = Fraction(tau_num, tau_den), Fraction(phi_num, phi_den)
-    tau_range = _verdict(tau, Fraction(1))._replace(holds=not no_survivor and 0 < tau <= 1)
-    phi_range = _verdict(phi, Fraction(1))._replace(holds=0 < phi <= 1)
-    return _Row(theorems[0].name, tau_range), _Row(theorems[1].name, phi_range, witness=1)
+    tau_row = _Row(theorems[0].name, *_verdict(tau, Fraction(1)))
+    phi_row = _Row(theorems[1].name, *_verdict(phi, Fraction(1)), witness=1)
+    return (
+        tau_row._replace(holds=not no_survivor and 0 < tau <= 1),
+        phi_row._replace(holds=0 < phi <= 1),
+    )
 
 
 #: Per check group, in report order: its key function, its row builder,
@@ -656,12 +646,11 @@ def _json_text(cache: MetricCache, verdicts: _Verdicts) -> str:
 
 
 class _Batch(NamedTuple):
-    """One batch of a run: each graph's output from the run's renderer, its
-    graph count, the (graph, group) count per tally, and each strict
-    claim's equality ids."""
+    """One batch of a run: each graph's output from the run's renderer (so
+    ``len(out)`` is its graph count), the (graph, group) count per tally,
+    and each strict claim's equality ids."""
 
     out: list
-    graphs: int
     tallies: dict[tuple, int]
     cases: dict[str, list[str]]
 
@@ -680,7 +669,7 @@ class SuiteSummary:
         """Yield each batch unchanged, after adding it."""
         equalities = self.equality_counts
         for batch in batches:
-            self.graphs += batch.graphs
+            self.graphs += len(batch.out)
             for (total, holds, strict, failed, skipped, theorems), k in batch.tallies.items():
                 self.total += k * total
                 self.holds += k * holds
@@ -778,7 +767,7 @@ def _render(caches: Sequence[MetricCache], checks: Sequence[str], render: Callab
     tallies: Counter[tuple] = Counter()
     for entry, k in Counter(entries).items():
         tallies[entry.tally] += k
-    return _Batch(out, len(caches), tallies, cases)
+    return _Batch(out, tallies, cases)
 
 
 def _evaluate_batch(

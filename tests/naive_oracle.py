@@ -17,24 +17,30 @@ def _adjacency(g) -> dict[int, set[int]]:
     return {v: set(g.adj[v]) for v in range(g.n)}
 
 
-def _component_sizes(n: int, adj: dict[int, set[int]], removed: set[int]) -> list[int]:
+def _components(n: int, adj: dict[int, set[int]], removed: set[int]) -> list[set[int]]:
+    """The components of the graph less ``removed``, in order of their
+    smallest vertex."""
     seen = set(removed)
-    sizes = []
+    comps = []
     for start in range(n):
         if start in seen:
             continue
         stack = [start]
         seen.add(start)
-        size = 0
+        comp = set()
         while stack:
             v = stack.pop()
-            size += 1
+            comp.add(v)
             for u in adj[v]:
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
-        sizes.append(size)
-    return sizes
+        comps.append(comp)
+    return comps
+
+
+def _component_sizes(n: int, adj: dict[int, set[int]], removed: set[int]) -> list[int]:
+    return [len(c) for c in _components(n, adj, removed)]
 
 
 def naive_vat(g) -> tuple[Fraction, int]:
@@ -50,6 +56,23 @@ def naive_vat(g) -> tuple[Fraction, int]:
         if best is None or value < best or (value == best and code < best_mask):
             best, best_mask = value, code
     return best, best_mask
+
+
+def naive_fragment_sides(g, s_mask: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, int]]:
+    """The sides of the two fragment bounds of a d-regular graph at the
+    attack set ``s_mask``, summed per surviving component: the components'
+    boundaries against d|S|, and |V - S - T| + 1 against their sizes, with
+    T the largest component (ties toward the smallest vertex).  Returns the
+    two (lhs, rhs) pairs and the witness (S, T) as masks."""
+    adj = _adjacency(g)
+    s = {v for v in range(g.n) if (s_mask >> v) & 1}
+    # a stable sort, so ties stay in order of their smallest vertex
+    pieces = sorted(_components(g.n, adj, s), key=len, reverse=True)
+    t = pieces[0]
+    cut_total = sum(1 for c in pieces for v in c for u in adj[v] if u not in c)
+    survivors = sum(len(c) for c in pieces)
+    sides = (cut_total, len(adj[0]) * len(s)), (g.n - len(s) - len(t) + 1, survivors)
+    return sides, (s_mask, sum(1 << v for v in t))
 
 
 def naive_conductance(g) -> tuple[Fraction, int]:

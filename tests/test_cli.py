@@ -153,6 +153,21 @@ class TestMetrics:
         assert F(entry["num"], entry["den"]) == F(10**308, 10**308 + 1)
         assert entry["witness"] == [1]
 
+    @pytest.mark.parametrize("n, spec", [(20000, "cycle:20000"), (30000, "path:30000")])
+    def test_lambda2_over_memory_budget_exit_2_one_line(self, n, spec):
+        # Lanczos gives up on these spectra, and the dense matrix is over budget
+        proc = run_cli("metrics", spec, "--lambda2", preexec_fn=limit_memory)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: n={n}: Lanczos gave up and a dense solve exceeds 256 MiB\n"
+
+    def test_lambda2_lanczos_within_memory_budget(self):
+        spec = "random_regular:20000,3,seed=1"
+        proc = run_cli("metrics", spec, "--lambda2", preexec_fn=limit_memory)
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        assert record["spectral_gap"]["real"] == pytest.approx(1 - record["lambda2"]["real"])
+
     def test_star_json(self):
         proc = run_cli("metrics", "star:5", "--vat", "--conductance")
         assert proc.returncode == 0

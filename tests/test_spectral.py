@@ -242,6 +242,16 @@ class TestLanczos:
         with pytest.raises(vt.NoConvergence):
             vt.lambda2(g)
 
+    def test_memory_budget_bounds_both_solvers(self, monkeypatch):
+        # a budget of one check interval of rows leaves Lanczos no row,
+        # and the dense matrix is over it too
+        g = _random_regular(CUTOFF + 1, 3)
+        budget = 8 * g.n * spectral_mod._CHECK_EVERY
+        monkeypatch.setattr(spectral_mod, "_MEMORY_BUDGET", budget)
+        assert spectral_mod._lanczos(g) is None
+        with pytest.raises(vt.NoConvergence, match=f"^n={g.n}: Lanczos gave up and a dense"):
+            vt.lambda2(g)
+
     def test_clustered_spectrum_falls_back_to_dense(self):
         # a path needs a Krylov dimension near n, so Lanczos gives up
         g = vt.path(CUTOFF + 1)

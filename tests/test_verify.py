@@ -1,4 +1,5 @@
 import os
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,9 @@ import vattol as vt
 from vattol import BadParameter, DisconnectedInput, TooLarge, TrivialGraph, verify
 from vattol import graph as graph_mod
 from vattol import spectral as spectral_mod
-from vattol.corpus import exhaustive_members, exhaustive_regular
+from vattol.corpus import exhaustive_members, exhaustive_regular, theorem_families
 from fraction_facts import mediant_between, series_lower_bound
+from naive_oracle import naive_fragment_sides
 from vattol.spectral import _RESIDUAL_TOL
 from vattol.verify import (
     MetricCache,
@@ -225,6 +227,46 @@ class TestFragmentBounds:
     def test_star_not_regular(self):
         reports = evaluate_graph(MetricCache(vt.star(4)), "fragment_bounds")
         assert_all_skipped(reports, "NotRegular: ")
+
+    @staticmethod
+    def assert_key_is_per_piece_sum(cache):
+        """The key at tau's witness and at hand-set witnesses (empty, each
+        vertex, V less each vertex, seeded random masks) is the per-piece
+        sum of the naive oracle: boundaries sum to cut(S), sizes to n - |S|."""
+        n = cache.g.n
+        full = vt.full_mask(n)
+        rng = random.Random(n * 1000 + cache.g.m)
+        masks = [cache.exact.tau_witness, 0, *(1 << v for v in range(n))]
+        masks += [full ^ (1 << v) for v in range(n)]
+        masks += [rng.randrange(full) for _ in range(8)]
+        record = cache.exact
+        for mask in masks:
+            cache.exact = record._replace(tau_witness=mask)
+            key, (witness,) = verify._fragment_bounds_key(cache)
+            assert (key, witness) == naive_fragment_sides(cache.g, mask), (cache.graph_id, mask)
+
+    def test_key_matches_per_piece_oracle_on_corpora(self):
+        items = [*exhaustive_regular(6), *theorem_families()]
+        caches = [MetricCache(g, graph_id) for graph_id, g in items]
+        verify._prefill(caches, spectral=False)
+        for cache in caches:
+            self.assert_key_is_per_piece_sum(cache)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_key_matches_per_piece_oracle_on_random_regular(self, d):
+        for n in range(d + 1, 21):
+            if n * d % 2 == 0:
+                g, _ = vt.connected_random_regular(n, d, 100 * d + n)
+                self.assert_key_is_per_piece_sum(MetricCache(g, f"random:{n},{d}"))
+
+    def test_witness_of_every_vertex_skips_both_rows(self):
+        cache = MetricCache(vt.cycle(6))
+        cache.exact = cache.exact._replace(tau_witness=vt.full_mask(6))
+        reports = evaluate_graph(cache, "fragment_bounds")
+        assert_all_skipped(reports, "EmptyRemainder: removed every vertex; no component remains")
+        tau_r, _ = evaluate_graph(cache, "value_ranges")
+        assert not tau_r.skipped and tau_r.holds is False
+        assert tau_r.witnesses == {"S": list(range(6))}
 
 
 class TestValueRanges:
