@@ -107,10 +107,8 @@ def _open_out(path: str | None) -> contextlib.AbstractContextManager[IO[str]]:
 def _cmd_gen(args: argparse.Namespace) -> int:
     spec = parse_family_spec(args.spec)
     g = spec.build()
-    if args.output:
-        write_edge_list_path(g, args.output)
-    else:
-        write_edge_list(g, sys.stdout)
+    with _open_out(args.output) as out:
+        write_edge_list(g, out)
     d = regularity(g)
     print(f"n={g.n} m={g.m} d={'-' if d is None else d}", file=sys.stderr)
     return 0
@@ -315,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a family graph as an edge list")
     p_gen.add_argument("spec", help="family spec, e.g. cycle:6 or random_regular:20,3,seed=42")
-    p_gen.add_argument("-o", "--output", help="output file (default: stdout)")
+    p_gen.add_argument("-o", "--output", help="output file (default or '-': stdout)")
     p_gen.set_defaults(func=_cmd_gen)
 
     p_met = sub.add_parser("metrics", help="compute metrics for one graph")

@@ -94,8 +94,18 @@ class Graph:
 
     @cached_property
     def _connected(self) -> bool:
-        full = full_mask(self.n)
-        return _component(self.adj_masks, 1, full) == full
+        if self.n <= 64:  # masks of a word or two, which the exact engines read
+            full = full_mask(self.n)
+            return _component(self.adj_masks, 1, full) == full
+        # A walk over adj: the masks of a path-like labeling cost n^2/16 bytes.
+        seen, stack = bytearray(self.n), [0]
+        seen[0] = 1
+        while stack:
+            for v in self.adj[stack.pop()]:
+                if not seen[v]:
+                    seen[v] = 1
+                    stack.append(v)
+        return all(seen)
 
     @cached_property
     def unit_weighted(self) -> bool:

@@ -26,12 +26,14 @@ Engines, none of which caches across calls:
   forms share :func:`_min_ratio`.
 
 Temporaries of the numpy kernels span at most ``max(BLOCK_CELLS,
-2^ceil(n/2))`` cells at any batch width; the engines return integers.
+2^ceil(n/2))`` cells at any batch width; the engines return Python
+ints, and each graph's minimizers as one ``array('q')``, 8 bytes a mask.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -139,8 +141,8 @@ def set_conductance(g: Graph, s: VertexMask) -> Fraction:
 class ExactMetrics(NamedTuple):
     """tau, phi and every conductance minimizer of one graph, by :func:`exact_batch`:
     tau and phi as reduced fractions with their lowest-encoding witnesses,
-    and ``minimizers``, a sorted integer array of masks (the compact form of
-    what :func:`conductance_minimizers` returns as a list)."""
+    and ``minimizers``, the sorted masks as an ``array('q')`` (the compact
+    form of what :func:`conductance_minimizers` returns as a list)."""
 
     tau_num: int
     tau_den: int
@@ -148,7 +150,7 @@ class ExactMetrics(NamedTuple):
     phi_num: int
     phi_den: int
     phi_witness: int
-    minimizers: np.ndarray
+    minimizers: array
 
     @property
     def tau(self) -> MetricResult:
@@ -157,16 +159,6 @@ class ExactMetrics(NamedTuple):
     @property
     def phi(self) -> MetricResult:
         return MetricResult(Fraction(self.phi_num, self.phi_den), self.phi_witness, "conductance")
-
-    # Tuple equality would compare the arrays with ``==`` and raise.
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExactMetrics):
-            return NotImplemented
-        return self[:6] == other[:6] and np.array_equal(self.minimizers, other.minimizers)
-
-    def __ne__(self, other: object) -> bool:
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
 
 
 def exact_batch(graphs: Sequence[Graph]) -> list[ExactMetrics]:
@@ -181,7 +173,6 @@ def exact_batch(graphs: Sequence[Graph]) -> list[ExactMetrics]:
     Values and lowest-encoding witnesses are those :func:`vat_exact` and
     :func:`conductance_exact` return, and so are the errors, raised in
     the same order.  Weights are ignored, as those functions ignore them.
-    The records hold integers; the minimizers are views of one array.
     """
     if not graphs:
         return []
@@ -194,12 +185,7 @@ def exact_batch(graphs: Sequence[Graph]) -> list[ExactMetrics]:
     out: list[ExactMetrics] = []
     for i in range(0, len(graphs), per_call):
         adj = np.array([g.adj_masks for g in graphs[i : i + per_call]], np.int32)
-        tau = (a.tolist() for a in _exact_block(adj))
-        phi_num, phi_den, hits, ends = _conductance_batch(adj)
-        starts = [0, *ends[:-1]]
-        minimizers = [hits[a:b] for a, b in zip(starts, ends)]
-        phi = phi_num.tolist(), phi_den.tolist(), hits[starts].tolist()
-        out += map(ExactMetrics._make, zip(*tau, *phi, minimizers))
+        out += map(ExactMetrics._make, zip(*_exact_block(adj), *_conductance_batch(adj)))
     return out
 
 
@@ -293,7 +279,7 @@ def _component_tables(
     return cmax, cmin
 
 
-def _exact_block(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _exact_block(adj: np.ndarray) -> tuple[list[int], list[int], list[int]]:
     """tau of the connected graphs in the rows of ``adj``: num, den, witness.
 
     tau minimizes ``|S| / (n - |S| - cmax[V - S] + 1)`` over the table of
@@ -330,7 +316,7 @@ def _exact_block(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k = np.bitwise_count(tau_arg)
     den = n + 1 - k - cmax[np.arange(rows), (size - 1) ^ tau_arg]
     common = np.gcd(k, den)
-    return k // common, den // common, tau_arg
+    return (k // common).tolist(), (den // common).tolist(), tau_arg.tolist()
 
 
 def _half_tables(
@@ -356,9 +342,9 @@ def _half_tables(
 
 def _conductance_batch(
     adj: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """phi's num and den per row of ``adj`` (connected graphs), and every
-    minimizer of all rows, by row then ascending, with each row's end.
+) -> tuple[list[int], list[int], list[int], list[array]]:
+    """phi's num, den and witness per row of ``adj`` (connected graphs),
+    and each row's minimizers, ascending, as an ``array('q')``.
 
     The one conductance engine, for any n.  A mask splits as ``lo | hi <<
     h``, ``h = ceil(n / 2)``: ``vol(S) = vol_lo[lo] + vol_hi[hi]`` and
@@ -387,7 +373,7 @@ def _conductance_batch(
     m_all = np.bitwise_count(adj).sum(axis=1, keepdims=True) // 2
     tables = (*_half_tables(adj, 0, h), *_half_tables(adj, h, n - h), adj[:, :h, None] >> h)
     phi_cut, phi_vol = np.zeros((2, len(adj)), np.int64)
-    hits, counts = [], []
+    found, counts = array("q"), []
     for i in range(0, len(adj), per_chunk):
         m = m_all[i : i + per_chunk]
         vol_lo, cut_lo, vol_hi, cut_hi, high_adj = (t[i : i + per_chunk] for t in tables)
@@ -424,11 +410,14 @@ def _conductance_batch(
                 rows_now, masks_now = np.nonzero(key == best[:, None])
                 hit_rows = np.concatenate([hit_rows, rows_now])
                 hit_masks = np.concatenate([hit_masks, masks_now + (b0 << h)])
-        hits.append(hit_masks)
+        found.frombytes(memoryview(hit_masks).cast("B"))
         counts.append(np.bincount(hit_rows, minlength=rows))
     common = np.gcd(phi_cut, phi_vol)
     ends = np.cumsum(np.concatenate(counts)).tolist()
-    return phi_cut // common, phi_vol // common, np.concatenate(hits), ends
+    # A slice copies, so a lone row keeps the buffer itself.
+    minimizers = [found[a:b] for a, b in zip([0, *ends], ends)] if len(ends) > 1 else [found]
+    witnesses = [row[0] for row in minimizers]
+    return (phi_cut // common).tolist(), (phi_vol // common).tolist(), witnesses, minimizers
 
 
 def _exact(x: float | Fraction) -> Fraction:
@@ -544,7 +533,7 @@ def vat_exact(g: Graph) -> MetricResult:
     a singleton.
     """
     _require_enumerable(g)
-    num, den, witness = (int(a[0]) for a in _exact_block(np.array([g.adj_masks], np.int32)))
+    num, den, witness = (a[0] for a in _exact_block(np.array([g.adj_masks], np.int32)))
     return MetricResult(Fraction(num, den), witness, "vat")
 
 
@@ -606,14 +595,14 @@ def conductance_exact(g: Graph) -> MetricResult:
     The value always lies in (0, 1].
     """
     _require_enumerable(g)
-    num, den, minimizers, _ = _conductance_batch(np.array([g.adj_masks], np.int32))
-    return MetricResult(Fraction(int(num[0]), int(den[0])), int(minimizers[0]), "conductance")
+    num, den, witness = (a[0] for a in _conductance_batch(np.array([g.adj_masks], np.int32))[:3])
+    return MetricResult(Fraction(num, den), witness, "conductance")
 
 
 def conductance_minimizers(g: Graph) -> list[VertexMask]:
     """Every admissible set achieving the exact conductance, sorted by encoding."""
     _require_enumerable(g)
-    return _conductance_batch(np.array([g.adj_masks], np.int32))[2].tolist()
+    return _conductance_batch(np.array([g.adj_masks], np.int32))[3][0].tolist()
 
 
 def vat_witness_components(

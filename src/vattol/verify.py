@@ -712,6 +712,8 @@ def normalize_checks(checks: str | Sequence[str]) -> tuple[str, ...]:
     known = f"known: all, {', '.join(CHECK_GROUPS)}"
     if not checks:
         raise BadParameter(f"no check selected; {known}")
+    if "all" in checks:
+        raise BadParameter("'all' selects every check group; list it alone")
     for c in checks:
         if c not in _CHECKS:
             raise BadParameter(f"unknown check {c!r}; {known}")

@@ -53,6 +53,13 @@ class TestGen:
         assert run_cli("gen", "random_regular:20,3,seed=42", "-o", str(b)).returncode == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_dash_output_is_stdout(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["gen", "cycle:6", "-o", "-"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "0 1" and len(lines) == 6
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_parameter_exit_2(self):
         proc = run_cli("gen", "cycle:2")
         assert proc.returncode == 2
@@ -328,6 +335,12 @@ class TestVerify:
         proc = run_cli("verify", "--family", "cycle", "--n", "3..4", "--checks", "bogus")
         assert proc.returncode == 2
 
+    def test_all_mixed_with_a_group_exit_2_one_line(self):
+        proc = run_cli("verify", "--spec", "cycle:4", "--checks", "all,cheeger")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: 'all' selects every check group; list it alone\n"
+
     @pytest.mark.parametrize(
         "selection",
         [
@@ -401,6 +414,24 @@ class TestVerify:
             "graphs=243 reports=3159 holds=2544 strict=1781 failed=0 skipped=615\n"
         )
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_theorem_corpus_json_bytes_pinned(self, tmp_path):
+        # Pinned at the JSON splice from the row table, before any rewrite of it.
+        out = tmp_path / "theorem.json"
+        proc = run_cli(
+            "verify", "--corpus", "theorem", "--format", "json", "--jobs", "2",
+            "-o", str(out),
+        )
+        assert proc.returncode == 0
+        assert proc.stderr.startswith(
+            "graphs=45951 reports=597363 holds=505460 strict=365829 failed=0 skipped=91903\n"
+        )
+        digest = hashlib.sha256()
+        with open(out, "rb") as fh:  # about 178 MB, so hashed in blocks
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+        pinned = "988afb16650a5e2a7083ea023e51dcf70e22a129076b9129de07f54eb58cd87b"
+        assert digest.hexdigest() == pinned
 
     @pytest.fixture(scope="class")
     def standard_summary(self):

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,18 @@ class TestConnectivity:
         assert vt.is_connected(vt.cycle(6))
         assert not vt.is_connected(triangles_disjoint())
         assert vt.is_connected(vt.build_graph(1, []))
+
+    def test_connectivity_builds_no_masks(self):
+        # The masks of a long cycle would take about 24 MiB at n = 20,000.
+        g = vt.cycle(20_000)
+        tracemalloc.start()
+        try:
+            assert vt.is_connected(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "adj_masks" not in vars(g)
+        assert peak < 4 << 20
 
     def test_components_cycle_split(self):
         g = vt.cycle(6)

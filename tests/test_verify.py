@@ -378,6 +378,14 @@ class TestEvaluateAndSuite:
         assert normalize_checks(groups) == groups
         assert normalize_checks("vat_lower,cheeger,vat_lower") == ("vat_lower", "cheeger")
 
+    def test_all_mixed_with_a_group_is_rejected(self):
+        for checks in ("all,cheeger", ["all", "cheeger"], ["cheeger", "all"]):
+            with pytest.raises(BadParameter, match="'all' selects every check group"):
+                normalize_checks(checks)
+        with pytest.raises(BadParameter, match="list it alone"):
+            evaluate_graph(MetricCache(vt.cycle(4)), ["all", "cheeger"])
+        assert normalize_checks("all,all") == vt.CHECK_GROUPS
+
 
 class TestPrefill:
     """The batch prefill gives each graph what its own calls would."""
