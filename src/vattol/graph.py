@@ -94,18 +94,7 @@ class Graph:
 
     @cached_property
     def _connected(self) -> bool:
-        if self.n <= 64:  # masks of a word or two, which the exact engines read
-            full = full_mask(self.n)
-            return _component(self.adj_masks, 1, full) == full
-        # A walk over adj: the masks of a path-like labeling cost n^2/16 bytes.
-        seen, stack = bytearray(self.n), [0]
-        seen[0] = 1
-        while stack:
-            for v in self.adj[stack.pop()]:
-                if not seen[v]:
-                    seen[v] = 1
-                    stack.append(v)
-        return all(seen)
+        return len(_walk(self.adj, 0, bytearray(self.n))) == self.n
 
     @cached_property
     def unit_weighted(self) -> bool:
@@ -210,6 +199,19 @@ def _check_mask(g: Graph, mask: VertexMask) -> None:
         raise BadVertexId(f"mask {mask:#x} has bits outside [0, {g.n})")
 
 
+def _walk(adj: Sequence[Sequence[int]], root: int, seen: bytearray) -> list[int]:
+    """Mark in ``seen`` and list the unmarked vertices that ``root`` reaches over
+    ``adj``; no bit masks, which cost n^2/16 bytes on a path-like labeling."""
+    seen[root] = 1
+    piece = [root]
+    for u in piece:  # the loop reads what it appends
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = 1
+                piece.append(v)
+    return piece
+
+
 def _component(adj_masks: Sequence[int], seed: VertexMask, within: VertexMask) -> VertexMask:
     """The component of the one-bit mask ``seed`` in the subgraph induced on ``within``."""
     comp = frontier = seed
@@ -306,9 +308,11 @@ def restrict_to_largest_component(g: Graph) -> Graph:
     """
     if is_connected(g):
         return g
-    keep = vertices_from_mask(largest_component(g))
+    seen = bytearray(g.n)
+    pieces = [_walk(g.adj, v, seen) for v in range(g.n) if not seen[v]]
+    keep = sorted(max(pieces, key=len))  # the first largest piece: ties go to the lowest id
     index = {v: i for i, v in enumerate(keep)}
-    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    edges = [(index[u], index[v]) for u in keep for v in g.adj[u] if u < v]
     costs = values = None
     if g.costs is not None:
         costs = [g.costs[v] for v in keep]

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import IsolatedVertex, NoConvergence, TrivialGraph
 from .generators import _splitmix64
-from .graph import Graph, VertexMask, require_connected, vertices_from_mask
+from .graph import Graph, VertexMask, mask_from_vertices, require_connected, vertices_from_mask
 
 _SIGN_EPS = 1e-12
 
@@ -271,21 +271,20 @@ def sweep_conductance(g: Graph) -> SweepResult:
     if vec[np.argmax(np.abs(vec) > _SIGN_EPS)] < 0:
         vec = -vec
     scores = vec / np.sqrt(np.array(g.deg, dtype=float))
-    order = np.lexsort((np.arange(g.n), -scores))
+    order = np.lexsort((np.arange(g.n), -scores)).tolist()
     deg = g.deg
-    adj_masks = g.adj_masks
+    adj = g.adj
     m = g.m
-    cur = 0
+    inside = bytearray(g.n)  # the prefix
     vol = 0
     cut = 0
-    best_cut, best_vol, best_mask = 1, 0, 0  # cut/vol = +inf
-    for v in order[:-1]:
-        v = int(v)
-        cut += deg[v] - 2 * (adj_masks[v] & cur).bit_count()
-        cur |= 1 << v
+    best_cut, best_vol, best_k = 1, 0, 0  # cut/vol = +inf
+    for k, v in enumerate(order[:-1], 1):
+        cut += deg[v] - 2 * sum(map(inside.__getitem__, adj[v]))
+        inside[v] = 1
         vol += deg[v]
         if vol > m:
             break  # prefix volumes only grow
         if cut * best_vol < best_cut * vol:
-            best_cut, best_vol, best_mask = cut, vol, cur
-    return SweepResult(value=Fraction(best_cut, best_vol), witness=best_mask, spectral=spectral)
+            best_cut, best_vol, best_k = cut, vol, k
+    return SweepResult(Fraction(best_cut, best_vol), mask_from_vertices(order[:best_k]), spectral)

@@ -43,11 +43,12 @@ graph with attack tolerance tau, conductance phi and spectral gap
 - ``spectral_vat``: tau^2 / (2 d^4) <= gap <= 2 d tau, and the sharper
   conditional lower bound tau^2 / (2 d^2) <= gap when phi < 1/d^2
 - ``connected_minimizer``: some conductance minimizer induces a
-  connected subgraph, checked for n <= 16 (``MINIMIZER_LIMIT``; lifting
-  it would change 15 rows of the theorem CSV and the summary that the
-  acceptance test pins).  The lowest-encoding minimizer is always
-  connected: cut and volume add over components, so each component of a
-  disconnected minimizer is itself a minimizer, with a smaller encoding
+  connected subgraph.  The check floods phi's witness, the lowest-encoding
+  minimizer, which is always connected: cut and volume add over
+  components, so each component of a disconnected minimizer is itself a
+  minimizer, with a smaller encoding.  Its skip above n = 16
+  (``MINIMIZER_LIMIT``) stays only as report contract: lifting it would
+  change 15 rows of the theorem CSV and the summary the acceptance test pins
 - ``fragment_bounds``: with S a minimizing attack set and T the largest
   surviving component, d|S| bounds the total boundary of the surviving
   components, since every edge leaving one ends in S, and |V-S-T| + 1 is
@@ -469,9 +470,9 @@ def _connected_minimizer_key(ctx: MetricCache):
         raise TooLarge(
             f"{ctx.graph_id}: all-minimizers enumeration capped at n={MINIMIZER_LIMIT}"
         )
-    minimizers = map(int, ctx.exact.minimizers)
-    first = next((s for s in minimizers if _component(g.adj_masks, s & -s, s) == s), None)
-    return (first is not None,), () if first is None else ((first,),)
+    s = ctx.exact.phi_witness
+    holds = _component(g.adj_masks, s & -s, s) == s
+    return (holds,), ((s,),) if holds else ()
 
 
 def _connected_minimizer_rows(theorems, holds: bool) -> tuple[_Row, ...]:

@@ -11,7 +11,6 @@ import unicodedata
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -206,6 +205,15 @@ class TestMetrics:
         record = json.loads(proc.stdout)
         assert record["restricted_to_largest_component"] is True
         assert record["n"] == 2
+
+    def test_restrict_lcc_of_a_huge_input_exit_2_one_line(self, tmp_path):
+        # Two 100,000-cycles: their bit masks ran out of the 2 GiB address space.
+        n = 100_000
+        path = tmp_path / "two.edges"
+        path.write_text("".join(f"{c + i} {c + (i + 1) % n}\n" for c in (0, n) for i in range(n)))
+        proc = run_cli("metrics", str(path), "--restrict-lcc", "--vat", preexec_fn=limit_memory)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: n={n} exceeds the hard cap 24\n"
 
     def test_csv_matches_json_values(self, tmp_path):
         js = run_cli("metrics", "cycle:6", "--vat", "--conductance")
@@ -496,7 +504,7 @@ class TestCsvWriter:
             self.cache("a", k2, gap=-0.0, **half),  # same (d, tau, phi), prints apart
             self.cache("b", k2, gap=float("nan"), **half),
             self.cache("b", k2, gap=float("nan"), **half),
-            self.cache('c,"d', c6, tau_witness=0, minimizers=np.array([0b010101])),
+            self.cache('c,"d', c6, tau_witness=0, phi_witness=0b010101),
             self.cache("pfad·ü", vt.path(4)),  # non-ASCII, in the skip reason too
             self.cache("star", vt.star(3)),
         ]

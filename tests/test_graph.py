@@ -195,6 +195,21 @@ class TestRestrict:
         r = vt.restrict_to_largest_component(g)
         assert r.n == 2 and r.costs == (1.0, 2.0)
 
+    def test_walks_without_masks(self):
+        # Two weighted 10,000-cycles: their masks would take about 30 MiB.
+        n = 10_000
+        edges = [(c + i, c + (i + 1) % n) for c in (0, n) for i in range(n)]
+        g = vt.build_graph(2 * n, edges, costs=[Fraction(v + 1) for v in range(2 * n)])
+        tracemalloc.start()
+        try:
+            r = vt.restrict_to_largest_component(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "adj_masks" not in vars(g)
+        assert peak < 8 << 20
+        assert r.n == n and r.m == n and r.costs == g.costs[:n] and r.values == g.values[:n]
+
 
 class TestMasks:
     def test_round_trip(self):

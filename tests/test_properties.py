@@ -85,6 +85,17 @@ def test_components_count_matches_connectivity(g):
     assert (len(vt.components(g)) == 1) == vt.is_connected(g)
 
 
+@given(graphs(min_n=1), st.data())
+def test_restrict_matches_the_mask_components(g, data):
+    weights = data.draw(st.lists(st.integers(1, 9), min_size=g.n, max_size=g.n))
+    g = vt.build_graph(g.n, g.edges(), costs=weights, values=weights[::-1])
+    keep = vt.vertices_from_mask(vt.largest_component(g))
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    costs, values = ([w[v] for v in keep] for w in (g.costs, g.values))
+    assert vt.restrict_to_largest_component(g) == vt.build_graph(len(keep), edges, costs, values)
+
+
 @given(graphs(min_n=2, max_n=7, connected=True))
 def test_regular_volume_identity(g):
     d = vt.regularity(g)

@@ -184,6 +184,11 @@ class TestSweepOracle:
             assert (sweep.value, sweep.witness) == (value, hits[0]), graph_id
             assert hits[0] == min(hits), graph_id
 
+    def test_sweep_builds_no_masks(self):
+        g = vt.connected_random_regular(500, 3, 11)[0]
+        vt.sweep_conductance(g)
+        assert "adj_masks" not in vars(g)
+
 
 CUTOFF = spectral_mod._DENSE_MAX_N
 

@@ -194,7 +194,7 @@ class TestConnectedMinimizer:
     def test_reads_minimizers_from_cache(self):
         g = vt.cycle(6)
         cache = MetricCache(g)
-        cache.exact = vt.exact_batch([g])[0]._replace(minimizers=np.array([0b111000]))
+        cache.exact = vt.exact_batch([g])[0]._replace(phi_witness=0b111000)
         (r,) = evaluate_graph(cache, "connected_minimizer")
         assert r.witnesses["S"] == [3, 4, 5]
 
@@ -488,13 +488,13 @@ class TestPrefill:
 
     def test_one_connectivity_traversal_per_graph(self, monkeypatch):
         calls = []
-        original = graph_mod._component
+        original = graph_mod._walk
 
-        def counting(adj_masks, seed, within):
-            calls.append(seed)
-            return original(adj_masks, seed, within)
+        def counting(adj, root, seen):
+            calls.append(root)
+            return original(adj, root, seen)
 
-        monkeypatch.setattr(graph_mod, "_component", counting)
+        monkeypatch.setattr(graph_mod, "_walk", counting)
         items = [(f"c{n}", vt.cycle(n)) for n in (5, 6, 6, 7)]
         verify._prefill([MetricCache(g, graph_id) for graph_id, g in items])
         assert len(calls) == len(items)
