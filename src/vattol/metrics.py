@@ -15,9 +15,9 @@ subset space is partitioned across workers.
 
 Engines, none of which caches across calls:
 
-- phi, its witness and every minimizer, for every n:
-  :func:`_conductance_batch`, one numpy pass over graphs that share n,
-  with tables of 2^ceil(n/2) entries per graph.
+- phi and its witness, for every n: :func:`_conductance_batch`, one
+  numpy pass over graphs that share n, with tables of 2^ceil(n/2)
+  entries per graph.
 - all four VAT forms, for every n up to :data:`HARD_CAP`: one
   enumeration, :func:`_component_tables`, a uint8 table of 2^n entries
   per graph (1 MiB at n = 20), filled by flooding the component of each
@@ -26,17 +26,15 @@ Engines, none of which caches across calls:
   forms share :func:`_min_ratio`.
 
 Temporaries of the numpy kernels span at most ``max(BLOCK_CELLS,
-2^ceil(n/2))`` cells at any batch width; the engines return Python
-ints, and each graph's minimizers as one ``array('q')``, 8 bytes a mask.
+2^ceil(n/2))`` cells at any batch width; the engines return Python ints.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -139,10 +137,8 @@ def set_conductance(g: Graph, s: VertexMask) -> Fraction:
 
 
 class ExactMetrics(NamedTuple):
-    """tau, phi and every conductance minimizer of one graph, by :func:`exact_batch`:
-    tau and phi as reduced fractions with their lowest-encoding witnesses,
-    and ``minimizers``, the sorted masks as an ``array('q')`` (the compact
-    form of what :func:`conductance_minimizers` returns as a list)."""
+    """tau and phi of one graph, by :func:`exact_batch`: reduced fractions
+    with their lowest-encoding witnesses, as plain ints."""
 
     tau_num: int
     tau_den: int
@@ -150,7 +146,6 @@ class ExactMetrics(NamedTuple):
     phi_num: int
     phi_den: int
     phi_witness: int
-    minimizers: array
 
     @property
     def tau(self) -> MetricResult:
@@ -162,14 +157,14 @@ class ExactMetrics(NamedTuple):
 
 
 def exact_batch(graphs: Sequence[Graph]) -> list[ExactMetrics]:
-    """tau, phi and all phi-minimizers of graphs that share one n <= 24.
+    """tau and phi of graphs that share one n <= 24.
 
     tau comes from one numpy pass over a (graphs x subsets) table of
-    largest surviving components (see :func:`_exact_block`), phi and its
-    minimizers from :func:`_conductance_batch`, the conductance engine
-    for every n.  Both take one int32 adjacency array of up to ``max(1,
-    8 * BLOCK_CELLS >> n)`` graphs per call (256 at n = 8, one from n =
-    16 on): a uint8 VAT table of ``max(2^n, 8 * BLOCK_CELLS)`` cells.
+    largest surviving components (see :func:`_exact_block`), phi from
+    :func:`_conductance_batch`, the conductance engine for every n.
+    Both take one int32 adjacency array of up to ``max(1, 8 *
+    BLOCK_CELLS >> n)`` graphs per call (256 at n = 8, one from n = 16
+    on): a uint8 VAT table of ``max(2^n, 8 * BLOCK_CELLS)`` cells.
     Values and lowest-encoding witnesses are those :func:`vat_exact` and
     :func:`conductance_exact` return, and so are the errors, raised in
     the same order.  Weights are ignored, as those functions ignore them.
@@ -279,18 +274,33 @@ def _component_tables(
     return cmax, cmin
 
 
+def _first_min(blocks: Iterable[tuple[int, int, np.ndarray]], rows: int) -> np.ndarray:
+    """Per row, the mask of the first least key over ``blocks`` of (first
+    row, first mask, keys), in ascending mask order per row: the first
+    ``argmin`` in a block and a strict ``<`` across blocks keep the
+    lowest-encoding witness."""
+    best = np.full(rows, np.inf)
+    arg = np.zeros(rows, np.int64)
+    for r0, c0, key in blocks:
+        low = key.min(axis=1)
+        at = slice(r0, r0 + len(key))
+        better = low < best[at]
+        arg[at][better] = key.argmin(axis=1)[better] + c0
+        best[at][better] = low[better]
+    return arg
+
+
 def _exact_block(adj: np.ndarray) -> tuple[list[int], list[int], list[int]]:
     """tau of the connected graphs in the rows of ``adj``: num, den, witness.
 
     tau minimizes ``|S| / (n - |S| - cmax[V - S] + 1)`` over the table of
-    :func:`_component_tables`, an argmin over float keys, which is exact
-    here: every numerator and denominator is an integer of at most
-    n + 1 <= 25 and every key is at most 24, so two distinct fractions
-    differ by at least 1/25^2 while each key, a correctly rounded
-    quotient, is off by at most 24 * 2^-53; equal fractions get equal
-    keys.  ``argmin`` and the ascending mask order, in chunks of
-    ``BLOCK_CELLS`` cells, keep the lowest-encoding witness.  Up to n = 8
-    the masks are uint8, so the union table of a suite batch is 64 KiB.
+    :func:`_component_tables`, by :func:`_first_min` over float keys in
+    chunks of ``BLOCK_CELLS`` cells, which is exact here: every numerator
+    and denominator is an integer of at most n + 1 <= 25 and every key is
+    at most 24, so two distinct fractions differ by at least 1/25^2 while
+    each key, a correctly rounded quotient, is off by at most 24 * 2^-53;
+    equal fractions get equal keys.  Up to n = 8 the masks are uint8, so
+    the union table of a suite batch is 64 KiB.
     """
     rows, n = adj.shape
     size = 1 << n
@@ -299,20 +309,17 @@ def _exact_block(adj: np.ndarray) -> tuple[list[int], list[int], list[int]]:
 
     # Column s of this view is cmax of the survivors V - s.
     cmax_of_rest = cmax[:, ::-1]
-    tau_best = np.full(rows, np.inf)
-    tau_arg = np.zeros(rows, np.int64)
-    for c0 in range(0, size, chunk):
-        c1 = min(size, c0 + chunk)
-        card = np.bitwise_count(np.arange(c0, c1, dtype=np.int32))
-        # S = V is no attack set either, but its key n > 1 never wins.
-        tau_key = card / ((n + 1 - card) - cmax_of_rest[:, c0:c1])
-        if c0 == 0:  # nor is the empty set
-            tau_key[:, 0] = np.inf
-        tau_min = tau_key.min(axis=1)
-        better = tau_min < tau_best
-        tau_arg[better] = tau_key.argmin(axis=1)[better] + c0
-        tau_best[better] = tau_min[better]
 
+    def blocks():
+        for c0 in range(0, size, chunk):
+            card = np.bitwise_count(np.arange(c0, min(size, c0 + chunk), dtype=np.int32))
+            # S = V is no attack set either, but its key n > 1 never wins.
+            key = card / ((n + 1 - card) - cmax_of_rest[:, c0 : c0 + chunk])
+            if c0 == 0:  # nor is the empty set
+                key[:, 0] = np.inf
+            yield 0, c0, key
+
+    tau_arg = _first_min(blocks(), rows)
     k = np.bitwise_count(tau_arg)
     den = n + 1 - k - cmax[np.arange(rows), (size - 1) ^ tau_arg]
     common = np.gcd(k, den)
@@ -340,30 +347,19 @@ def _half_tables(
     return vol, cut
 
 
-def _conductance_batch(
-    adj: np.ndarray,
-) -> tuple[list[int], list[int], list[int], list[array]]:
-    """phi's num, den and witness per row of ``adj`` (connected graphs),
-    and each row's minimizers, ascending, as an ``array('q')``.
+def _conductance_keys(adj: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Blocks of conductance keys of the rows of ``adj``, for :func:`_first_min`.
 
-    The one conductance engine, for any n.  A mask splits as ``lo | hi <<
-    h``, ``h = ceil(n / 2)``: ``vol(S) = vol_lo[lo] + vol_hi[hi]`` and
-    ``cut(S) = cut_lo[lo] + cut_hi[hi] - 2 cross``, where ``2 cross``,
-    twice the sum over u in lo of ``|N(u) & hi|``, is filled by doubling
-    over the low vertices for a block of high halves at a time.  Rows go in
-    chunks of ``max(1, cells >> n)``, ``cells = max(BLOCK_CELLS, 2^h)``,
-    so rows share a chunk only when one block covers them all; a lone
-    row's blocks cover its masks in ascending order.  Temporaries span
-    at most ``cells`` cells and no table exceeds ``2^h`` entries per row.
-
-    phi minimizes ``cut / vol`` over ``0 < vol <= m`` by float keys,
-    which is exact: there ``cut <= vol <= m <= n(n - 1)/2 < 2^11`` (n <=
-    64), so two distinct fractions differ by at least 2^-22 while each
-    key, a correctly rounded quotient of at most 1, is off by at most
-    2^-53; equal fractions get equal keys.  The minimizers are the masks
-    whose key equals the minimum; the lowest is phi's witness.  A block
-    whose minimum is above every row's best so far is not scanned for
-    ties, and one that improves no row moves no witness.
+    A key is ``cut / vol`` where ``0 < vol <= m``, else inf.  A mask splits
+    as ``lo | hi << h``, ``h = ceil(n / 2)``: ``vol(S) = vol_lo[lo] +
+    vol_hi[hi]`` and ``cut(S) = cut_lo[lo] + cut_hi[hi] - 2 cross``, where
+    ``2 cross``, twice the sum over u in lo of ``|N(u) & hi|``, is filled
+    by doubling over the low vertices for a block of high halves at a
+    time.  Rows go in chunks of ``max(1, cells >> n)``, ``cells =
+    max(BLOCK_CELLS, 2^h)``, so rows share a chunk only when one block
+    covers them all; a lone row's blocks cover its masks in ascending
+    order.  Temporaries span at most ``cells`` cells and no table exceeds
+    ``2^h`` entries per row.
     """
     n = adj.shape[1]
     h = (n + 1) // 2
@@ -372,16 +368,11 @@ def _conductance_batch(
     per_chunk = max(1, cells >> n)
     m_all = np.bitwise_count(adj).sum(axis=1, keepdims=True) // 2
     tables = (*_half_tables(adj, 0, h), *_half_tables(adj, h, n - h), adj[:, :h, None] >> h)
-    phi_cut, phi_vol = np.zeros((2, len(adj)), np.int64)
-    found, counts = array("q"), []
     for i in range(0, len(adj), per_chunk):
         m = m_all[i : i + per_chunk]
         vol_lo, cut_lo, vol_hi, cut_hi, high_adj = (t[i : i + per_chunk] for t in tables)
         rows = len(m)
         per_block = min(highs, cells // (rows << h))
-        best = np.full(rows, np.inf)
-        chunk_cut, chunk_vol = phi_cut[i : i + rows], phi_vol[i : i + rows]
-        hit_rows = hit_masks = np.zeros(0, np.int64)
         for b0 in range(0, highs, per_block):
             b1 = min(highs, b0 + per_block)
             twice_edges = 2 * np.bitwise_count(high_adj & np.arange(b0, b1))
@@ -394,30 +385,26 @@ def _conductance_batch(
             vol, cut = vol.reshape(rows, -1), cut.reshape(rows, -1)
             if b0 == 0:  # the empty set is not admissible
                 vol[:, :1] = m + 1
-            key = np.where(vol <= m, cut / vol, np.inf)
-            # The first block holds the admissible singleton {0} (deg <= m),
-            # so best is finite from then on and an all-inf block adds no hit.
-            block_min = key.min(axis=1)
-            better = block_min < best
-            if better.any():
-                first = key.argmin(axis=1)[better]
-                chunk_cut[better] = cut[better, first]
-                chunk_vol[better] = vol[better, first]
-                best[better] = block_min[better]
-                keep = ~better[hit_rows]  # earlier hits of a row this block beat
-                hit_rows, hit_masks = hit_rows[keep], hit_masks[keep]
-            if (block_min <= best).any():  # a block above every row's best adds no hit
-                rows_now, masks_now = np.nonzero(key == best[:, None])
-                hit_rows = np.concatenate([hit_rows, rows_now])
-                hit_masks = np.concatenate([hit_masks, masks_now + (b0 << h)])
-        found.frombytes(memoryview(hit_masks).cast("B"))
-        counts.append(np.bincount(hit_rows, minlength=rows))
-    common = np.gcd(phi_cut, phi_vol)
-    ends = np.cumsum(np.concatenate(counts)).tolist()
-    # A slice copies, so a lone row keeps the buffer itself.
-    minimizers = [found[a:b] for a, b in zip([0, *ends], ends)] if len(ends) > 1 else [found]
-    witnesses = [row[0] for row in minimizers]
-    return (phi_cut // common).tolist(), (phi_vol // common).tolist(), witnesses, minimizers
+            yield i, b0 << h, np.where(vol <= m, cut / vol, np.inf)
+
+
+def _conductance_batch(adj: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """phi's num, den and witness per row of ``adj`` (connected graphs).
+
+    The one conductance engine, for any n: :func:`_first_min` over the
+    keys of :func:`_conductance_keys`, which are exact: where ``0 < vol
+    <= m``, ``cut <= vol <= m <= n(n - 1)/2 < 2^11`` (n <= 64), so two
+    distinct fractions differ by at least 2^-22 while each key, a
+    correctly rounded quotient of at most 1, is off by at most 2^-53;
+    equal fractions get equal keys.  The witness S has ``vol = sum of
+    deg v`` over v in S and ``cut = vol - sum of |N(v) & S|``.
+    """
+    witness = _first_min(_conductance_keys(adj), len(adj))
+    inside = (witness[:, None] >> np.arange(adj.shape[1])) & 1
+    vol = (inside * np.bitwise_count(adj)).sum(axis=1)
+    cut = vol - (inside * np.bitwise_count(adj & witness[:, None])).sum(axis=1)
+    common = np.gcd(cut, vol)
+    return (cut // common).tolist(), (vol // common).tolist(), witness.tolist()
 
 
 def _exact(x: float | Fraction) -> Fraction:
@@ -595,14 +582,23 @@ def conductance_exact(g: Graph) -> MetricResult:
     The value always lies in (0, 1].
     """
     _require_enumerable(g)
-    num, den, witness = (a[0] for a in _conductance_batch(np.array([g.adj_masks], np.int32))[:3])
+    num, den, witness = (a[0] for a in _conductance_batch(np.array([g.adj_masks], np.int32)))
     return MetricResult(Fraction(num, den), witness, "conductance")
 
 
 def conductance_minimizers(g: Graph) -> list[VertexMask]:
-    """Every admissible set achieving the exact conductance, sorted by encoding."""
+    """Every admissible set achieving the exact conductance, sorted by encoding:
+    one pass keeps the masks whose key equals the least so far, restarting
+    when a block's least key is lower (block 0 holds the finite key of {0})."""
     _require_enumerable(g)
-    return _conductance_batch(np.array([g.adj_masks], np.int32))[3][0].tolist()
+    best, found = np.inf, []
+    for _, c0, key in _conductance_keys(np.array([g.adj_masks], np.int32)):
+        low = key.min()
+        if low < best:
+            best, found = low, []
+        if low == best:
+            found += (np.flatnonzero(key[0] == best) + c0).tolist()
+    return found
 
 
 def vat_witness_components(

@@ -13,14 +13,14 @@ an equality must be auditable rather than a failure.
 e.g. ``evaluate_graph(MetricCache(g), "vat_upper")``; an unmet
 precondition gives skipped reports whose reason starts with the error
 type, e.g. ``NotRegular: ...``.  The cache carries the graph, its id and
-its degree, and computes tau, phi and the conductance minimizers
-(one :func:`exact_batch` result, so n <= 24) and lambda2 at most once
-per graph.  One table, ``_CHECKS``, names each check group in report
-order with its key function, its row builder, its theorems and whether
-it reads lambda2; :data:`CHECK_GROUPS`, :data:`GROUP_THEOREMS` and
-:data:`ALL_THEOREMS` derive from it.  Each theorem of the four groups
-on (d, tau, phi) carries its inequality there as code, (d, tau, phi
-[, gap]) -> (lhs, rhs), and whether it is conditional on phi < 1/d^2.
+its degree, and computes tau and phi (one :func:`exact_batch` result,
+so n <= 24) and lambda2 at most once per graph.  One table,
+``_CHECKS``, names each check group in report order with its key
+function, its row builder, its theorems and whether it reads lambda2;
+:data:`CHECK_GROUPS`, :data:`GROUP_THEOREMS` and :data:`ALL_THEOREMS`
+derive from it.  Each theorem of the four groups on (d, tau, phi)
+carries its inequality there as code, (d, tau, phi [, gap]) -> (lhs,
+rhs), and whether it is conditional on phi < 1/d^2.
 A key function reduces a cache to a verdict key, the inputs that decide
 the group's reports, and the graph's witness masks; a group that raises
 on an unmet precondition is keyed ``None``, its reports taking their
@@ -397,12 +397,11 @@ def _entry(group: str, key: tuple | None) -> _Entry:
 class MetricCache:
     """Per-graph quantities shared across checks, each computed once.
 
-    ``exact`` is the graph's :func:`exact_batch` record (tau, phi, their
-    witnesses and the conductance minimizers, in integers) and
-    ``spectral`` its lambda2: each set in place by the suite's batch
-    prefill, or else computed on first use, which raises what
-    :func:`vat_exact` or :func:`lambda2` would.  ``values`` is (d,
-    tau_num, tau_den, phi_num, phi_den).
+    ``exact`` is the graph's :func:`exact_batch` record (tau, phi and
+    their witnesses, in integers) and ``spectral`` its lambda2: each set
+    in place by the suite's batch prefill, or else computed on first use,
+    which raises what :func:`vat_exact` or :func:`lambda2` would.
+    ``values`` is (d, tau_num, tau_den, phi_num, phi_den).
     """
 
     def __init__(self, g: Graph, graph_id: str = "graph") -> None:

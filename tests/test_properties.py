@@ -129,7 +129,7 @@ def test_exact_batch_matches_naive_oracle(g):
     phi, minimizers = naive_conductance_minimizers(g)
     assert (e.tau.value, e.tau.witness) == naive_vat(g)
     assert (e.phi.value, e.phi.witness) == (phi, minimizers[0])
-    assert e.minimizers.tolist() == minimizers
+    assert vt.conductance_minimizers(g) == minimizers
 
 
 @given(st.integers(2, 9), st.integers(2, 40), st.data())
@@ -144,7 +144,6 @@ def test_exact_batch_of_many_graphs_matches_naive_oracle(n, k, data):
         phi, minimizers = naive_conductance_minimizers(g)
         assert (e.tau.value, e.tau.witness) == naive_vat(g)
         assert (e.phi.value, e.phi.witness) == (phi, minimizers[0])
-        assert e.minimizers.tolist() == minimizers
         assert gcd(e.tau_num, e.tau_den) == gcd(e.phi_num, e.phi_den) == 1
         vat, cond = vt.vat_exact(g), vt.conductance_exact(g)
         assert e[:3] == (vat.value.numerator, vat.value.denominator, vat.witness)

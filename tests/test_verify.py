@@ -39,7 +39,7 @@ _TWO_TRIANGLES = vt.build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 
 
 
 class TestMetricCache:
-    def test_one_exact_batch_call_serves_tau_phi_and_minimizers(self, monkeypatch):
+    def test_one_exact_batch_call_serves_tau_and_phi(self, monkeypatch):
         calls = []
 
         def counting(graphs):
@@ -51,7 +51,6 @@ class TestMetricCache:
         cache = MetricCache(g)
         assert cache.exact.tau == vt.vat_exact(g)
         assert cache.exact.phi == vt.conductance_exact(g)
-        assert cache.exact.minimizers.tolist() == vt.conductance_minimizers(g)
         assert calls == [1]
 
     def test_errors_match_vat_exact_in_order(self):
@@ -65,7 +64,7 @@ class TestMetricCache:
         for g, error in cases:
             with pytest.raises(error):
                 vt.vat_exact(g)
-            for name in ("tau", "phi", "minimizers"):
+            for name in ("tau", "phi"):
                 with pytest.raises(error):
                     getattr(MetricCache(g).exact, name)
 
