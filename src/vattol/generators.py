@@ -115,9 +115,9 @@ def _pairings(n: int, d: int, seed: int) -> Iterator[set[tuple[int, int]] | None
 
     Swap i (from the top down) of the shuffle takes the attempt stream's
     next word below the largest multiple of ``i + 1``, mod ``i + 1``.  The
-    words of a block of attempts are drawn as one array, blocks growing 1,
-    2, 4, .. up to :data:`_DRAW_CELLS` words; an attempt holding a word
-    that this rejection rule discards is redrawn word by word.
+    words of a block of attempts are drawn as one array of about
+    :data:`_DRAW_CELLS` words; an attempt holding a word that this
+    rejection rule discards is redrawn word by word.
     """
     if not 1 <= d < n:
         raise BadParameter(f"degree must satisfy 1 <= d < n, got d={d}, n={n}")
@@ -127,7 +127,7 @@ def _pairings(n: int, d: int, seed: int) -> Iterator[set[tuple[int, int]] | None
     top = len(all_stubs) - 1
     bounds = np.arange(top + 1, 1, -1, dtype=np.uint64)
     keep = _MASK64 - (np.uint64(_MASK64) % bounds + 1) % bounds  # largest kept word
-    block = 1
+    block = max(1, _DRAW_CELLS // top)
     while True:
         seeds = seed + np.arange(block, dtype=np.uint64)
         words = _splitmix64(seeds, top)
@@ -156,7 +156,6 @@ def _pairings(n: int, d: int, seed: int) -> Iterator[set[tuple[int, int]] | None
             else:
                 yield edges
         seed = (seed + block) & _MASK64
-        block = min(2 * block, max(1, _DRAW_CELLS // top))
 
 
 def _first_sample(n: int, d: int, seed: int, connected: bool) -> tuple[Graph, int]:
@@ -188,9 +187,9 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     consecutively; a pair is checked once the shuffle has fixed both its
     stubs.  An attempt that makes a self-loop or a duplicate edge ends at
     that pair and is retried with ``seed + 1`` (wrapping at 2^64), up to
-    10,000 attempts.  The streams of a block of attempts are drawn as one
-    array, giving the graph that word-by-word draws give.  Connectivity is
-    NOT guaranteed; the caller checks.
+    10,000 attempts.  The streams of a block of attempts, about 4,096
+    words, are drawn as one array, giving the graph that word-by-word
+    draws give.  Connectivity is NOT guaranteed; the caller checks.
     """
     return _first_sample(n, d, seed, connected=False)[0]
 

@@ -19,11 +19,11 @@ Engines, none of which caches across calls:
   numpy pass over graphs that share n, with tables of 2^ceil(n/2)
   entries per graph.
 - all four VAT forms, for every n up to :data:`HARD_CAP`: one
-  enumeration, :func:`_component_tables`, a uint8 table of 2^n entries
-  per graph (1 MiB at n = 20), filled by flooding the component of each
-  mask's top vertex (:func:`_flood_fill`, which drops settled masks).
-  tau is a float-key argmin over it (:func:`_exact_block`); the other
-  forms share :func:`_min_ratio`.
+  enumeration, :func:`_component_tables`, fills a table of 2^n entries
+  per graph by flooding the component of each mask's top vertex
+  (:func:`_flood_fill`, which drops settled masks): uint8 sizes for tau
+  (:func:`_exact_block`, 1 MiB at n = 20), int32 masks of C_max for the
+  other forms (:func:`_min_ratio`, 1 MiB at n = 18, 64 MiB at n = 24).
 
 Temporaries of the numpy kernels span at most ``max(BLOCK_CELLS,
 2^ceil(n/2))`` cells at any batch width; the engines return Python ints.
@@ -60,8 +60,8 @@ from .graph import (
     volume,
 )
 
-#: Largest n of every exact metric: the VAT engine keeps tables of 2^n
-#: entries per graph (16 MiB each at n = 24).
+#: Largest n of every exact metric: the VAT engine keeps a table of 2^n
+#: entries per graph (at n = 24, 16 MiB of sizes or 64 MiB of masks).
 HARD_CAP = 24
 
 #: Graph x subset cells per kernel chunk, which bounds the temporaries of
@@ -237,25 +237,22 @@ def _flood_fill(adj: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarra
     return flood
 
 
-def _component_tables(
-    adj: np.ndarray, lowest: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per row and vertex mask ``x``, the size and lowest vertex of C_max in ``x``.
+def _component_tables(adj: np.ndarray, masks: bool) -> np.ndarray:
+    """Per row and vertex mask ``x``, C_max in ``x``: its size (uint8), or
+    with ``masks`` the component itself (a mask of the dtype of ``adj``).
 
     The one VAT enumeration.  C_max is the component with the most
-    vertices, ties to the smaller lowest vertex; ``cmax[x]`` is its size
-    and, when ``lowest``, ``cmin[x]`` its lowest vertex (uint8 tables).  A
-    mask ``x`` in ``[2^k, 2^(k+1))`` has top vertex ``k``; its components
-    are ``C``, that of ``k``, flooded over all masks of a chunk at once,
-    and those of ``x - C``, which lacks ``k`` and so lies in an earlier
-    layer.  Temporaries span ``BLOCK_CELLS`` cells of the dtype of ``adj``.
+    vertices, ties to the smaller lowest vertex.  A mask ``x`` in ``[2^k,
+    2^(k+1))`` has top vertex ``k``; its components are ``C``, that of
+    ``k``, flooded over all masks of a chunk at once, and those of ``x -
+    C``, which lacks ``k`` and so lies in an earlier layer.  Temporaries
+    span ``BLOCK_CELLS`` cells of the dtype of ``adj``.
     """
     rows, n = adj.shape
     chunk = max(1, BLOCK_CELLS // rows)
     flood = _flood_fill(adj)
     table_off = np.arange(rows, dtype=np.int32)[:, None] << n
-    cmax = np.zeros((rows, 1 << n), np.uint8)
-    cmin = np.zeros_like(cmax) if lowest else None
+    table = np.zeros((rows, 1 << n), adj.dtype if masks else np.uint8)
     for k in range(n):
         top = 1 << k
         adj_k = adj[:, k : k + 1]
@@ -264,14 +261,14 @@ def _component_tables(
             x = np.arange(j0, j1, dtype=adj.dtype) | top
             comp = flood((adj_k & x) | top, x)
             rest = x ^ comp if rows == 1 else (x ^ comp) + table_off  # one row: offsets 0
-            size, size_rest = np.bitwise_count(comp), cmax.ravel().take(rest)
-            cmax[:, top + j0 : top + j1] = np.maximum(size, size_rest)
-            if lowest:
-                first = np.bitwise_count((comp & -comp) - 1)
-                first_rest = cmin.ravel().take(rest)
-                wins = (size > size_rest) | ((size == size_rest) & (first < first_rest))
-                cmin[:, top + j0 : top + j1] = np.where(wins, first, first_rest)
-    return cmax, cmin
+            old = table.ravel().take(rest)
+            if masks:
+                size, size_old = np.bitwise_count(comp), np.bitwise_count(old)
+                wins = (size > size_old) | ((size == size_old) & ((comp & -comp) < (old & -old)))
+                table[:, top + j0 : top + j1] = np.where(wins, comp, old)
+            else:
+                table[:, top + j0 : top + j1] = np.maximum(np.bitwise_count(comp), old)
+    return table
 
 
 def _first_min(blocks: Iterable[tuple[int, int, np.ndarray]], rows: int) -> np.ndarray:
@@ -305,7 +302,7 @@ def _exact_block(adj: np.ndarray) -> tuple[list[int], list[int], list[int]]:
     rows, n = adj.shape
     size = 1 << n
     chunk = max(1, BLOCK_CELLS // rows)
-    cmax, _ = _component_tables(adj.astype(np.uint8) if n <= 8 else adj, lowest=False)
+    cmax = _component_tables(adj.astype(np.uint8) if n <= 8 else adj, masks=False)
 
     # Column s of this view is cmax of the survivors V - s.
     cmax_of_rest = cmax[:, ::-1]
@@ -461,8 +458,8 @@ def _min_ratio(
     ``N = alpha cost(S) + beta`` and ``D = 1 + value(V - S - C_max)``.
 
     A filter, then an exact check.  For the masks of a chunk at once,
-    C_max is flooded from its lowest vertex (:func:`_component_tables`)
-    and :func:`_sum_bounds` gives ``N_lo <= N / 2^a <= N_hi`` and ``D_lo
+    C_max is read from the table of :func:`_component_tables` and
+    :func:`_sum_bounds` gives ``N_lo <= N / 2^a <= N_hi`` and ``D_lo
     <= D / 2^b <= D_hi``, each below 2^30 + 25.  ``U`` (+inf at first) is
     ``N_hi / D_lo`` of one mask, so it bounds the scaled minimum from
     above; a chunk's mask with the least float key ``N_hi / D_lo`` replaces
@@ -483,16 +480,14 @@ def _min_ratio(
     nums, num_scale = _scaled([alpha * _exact(c) for c in cost] + [_exact(beta)])
     q = nums.pop()
     vals, val_scale = _scaled([_exact(v) for v in value])
-    adj = np.array([g.adj_masks], dtype=np.int32)
-    flood = _flood_fill(adj)
-    cmin = _component_tables(adj, lowest=True)[1].ravel()
+    cmask = _component_tables(np.array([g.adj_masks], np.int32), masks=True).ravel()
     num_bounds, den_bounds = _sum_bounds(nums, q), _sum_bounds(vals, val_scale)
     up_num, up_den = 1, 0  # U = up_num / up_den, +inf until a D_lo is positive
     kept = np.zeros((4, 0), np.int64)  # rows S, V - S - C_max, N_lo, D_hi
     for c0 in range(1, full, BLOCK_CELLS):
         s = np.arange(c0, min(full, c0 + BLOCK_CELLS), dtype=np.int32)
         rest = full ^ s
-        r = rest ^ flood((np.int32(1) << cmin.take(rest))[None], rest)[0]
+        r = rest ^ cmask.take(rest)
         n_lo, n_hi = num_bounds(s)
         d_lo, d_hi = den_bounds(r)
         key = np.divide(n_hi, d_lo, out=np.full(len(s), np.inf), where=d_lo > 0)

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -473,10 +474,37 @@ class TestFloodFill:
 
     def test_chunking_changes_no_table(self, monkeypatch):
         adj = np.array([vt.path(18).adj_masks], np.int32)
-        default = metrics._component_tables(adj, lowest=True)
+        default = [metrics._component_tables(adj, masks) for masks in (False, True)]
         monkeypatch.setattr(metrics, "BLOCK_CELLS", 16)
-        small = metrics._component_tables(adj, lowest=True)
+        small = [metrics._component_tables(adj, masks) for masks in (False, True)]
         assert all(np.array_equal(a, b) for a, b in zip(default, small))
+
+
+class TestComponentTables:
+    """Both tables against the scalar C_max, mask by mask: the masks table
+    holds ``largest_component`` of the survivors (0 for no survivor), the
+    size table its vertex count.  A path ties often, so the lower lowest
+    vertex decides many entries."""
+
+    @pytest.mark.parametrize(
+        "graphs, dtype",
+        [
+            ([vt.path(9)], np.int32),
+            ([vt.petersen()], np.int32),
+            ([g for _, g in islice(exhaustive_members(8, 3), 3)], np.uint8),
+        ],
+        ids=["path9", "petersen", "cubic8-batch"],
+    )
+    def test_tables_match_largest_component(self, graphs, dtype):
+        adj = np.array([g.adj_masks for g in graphs], dtype)
+        sizes = metrics._component_tables(adj, masks=False)
+        masks = metrics._component_tables(adj, masks=True)
+        assert sizes.dtype == np.uint8 and masks.dtype == dtype
+        for g, size_row, mask_row in zip(graphs, sizes.tolist(), masks.tolist()):
+            full = vt.full_mask(g.n)
+            want = [0] + [vt.largest_component(g, full ^ x) for x in range(1, full + 1)]
+            assert mask_row == want
+            assert size_row == [c.bit_count() for c in want]
 
 
 class TestConductanceBlocks:
