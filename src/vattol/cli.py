@@ -26,7 +26,7 @@ import json
 import os
 import sys
 from itertools import chain
-from typing import IO, Iterable, Iterator, NoReturn
+from typing import IO, Iterator, NoReturn
 
 from . import corpus as corpus_mod
 from .errors import VattolError
@@ -46,19 +46,7 @@ from .metrics import (
     weighted_vat_exact,
 )
 from .spectral import lambda2
-from .verify import (
-    CHECK_GROUPS,
-    VERIFY_CSV_COLUMNS,
-    SuiteSummary,
-    _Batch,
-    _csv_line,
-    _csv_text,
-    _json_text,
-    _side_csv,
-    _side_json,
-    _suite_batches,
-    normalize_checks,
-)
+from .verify import CHECK_GROUPS, _csv_line, _side_csv, _side_json, normalize_checks, write_reports
 
 METRICS_CSV_COLUMNS = (
     "graph_id",
@@ -72,21 +60,6 @@ METRICS_CSV_COLUMNS = (
     "real",
     "witness",
 )
-
-
-def _write_reports_csv(batches: Iterable[_Batch], out: IO[str]) -> None:
-    """Write the header, then each batch's CSV text as it arrives."""
-    out.write(_csv_line(VERIFY_CSV_COLUMNS))
-    out.writelines("".join(batch.out) for batch in batches)
-
-
-def _write_reports_json(batches: Iterable[_Batch], out: IO[str]) -> None:
-    """Write ``[``, each batch's records as it arrives, then ``\\n]\\n``;
-    the first record loses its leading comma."""
-    texts = ("".join(batch.out) for batch in batches)
-    out.write("[" + next(texts, ",")[1:])
-    out.writelines(texts)
-    out.write("\n]\n")
 
 
 def _load_input(text: str) -> tuple[str, Graph]:
@@ -253,15 +226,9 @@ def _verify_selection(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     graphs = _verify_selection(args)
-    summary = SuiteSummary()
-    json_out = args.format == "json"
-    render = _json_text if json_out else _csv_text
-    write = _write_reports_json if json_out else _write_reports_csv
-    batches = summary._count(
-        _suite_batches(graphs, normalize_checks(args.checks), args.jobs, render)
-    )
+    checks = normalize_checks(args.checks)  # a bad --checks opens no output
     with _open_out(args.output) as out:
-        write(batches, out)
+        summary = write_reports(graphs, checks, args.jobs, args.format, out)
     sys.stderr.write(summary.lines())
     return 1 if summary.failed else 0
 

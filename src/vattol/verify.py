@@ -28,8 +28,9 @@ skip reason from the error.  A bounded row table maps each (group, key)
 to its rows, which the row builder makes from (theorems, *key): theorem,
 verdict, CSV and JSON text and summary counts.
 :func:`evaluate_graph`, :func:`iter_suite` and :func:`run_suite` build
-reports from those rows; ``vattol verify`` joins their CSV or JSON text
-with each graph's prefix and witness text, and builds no report.
+reports from those rows; :func:`write_reports`, which writes ``vattol
+verify``'s CSV or JSON, joins their text with each graph's prefix and
+witness text, and builds no report.
 
 The groups and the inequalities they cover, for a connected d-regular
 graph with attack tolerance tau, conductance phi and spectral gap
@@ -62,8 +63,8 @@ graph with attack tolerance tau, conductance phi and spectral gap
 
 The suite takes graphs in batches of :data:`SUITE_BATCH`, each evaluated
 by ``_evaluate_batch``, in process or as one pool task: ``_prefill``
-fills the batch's caches per (n, d), by one :func:`exact_batch` pass
-and, if regular, one stacked ``eigh``, and the batch returns each
+fills the batch's caches per n, by one :func:`exact_batch` pass and
+one stacked ``eigh`` of the regular graphs, and the batch returns each
 graph's reports, or its CSV or JSON text, with its summary counts, so a
 worker of ``vattol verify`` ships text, not reports.  One
 :class:`SuiteSummary` sums the batches of a run.
@@ -91,7 +92,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BadParameter, NotRegular, TooLarge, VattolError
 from .graph import (
@@ -733,23 +734,23 @@ def _prefill(caches: Sequence[MetricCache], spectral: bool = True) -> None:
     """Set ``exact`` and, if ``spectral``, ``spectral`` of a batch's caches.
 
     Both take the connected graphs with ``2 <= n <= HARD_CAP`` (each
-    tested once), one call per (n, d): :func:`exact_batch` all of them,
-    the stacked ``eigh`` the regular ones if ``spectral``, as no check
+    tested once), one call per n: :func:`exact_batch` all of them, the
+    stacked ``eigh`` the regular ones if ``spectral``, as no check
     reads lambda2 of any other.  A cache left unset, or whose
     eigensolve failed its residual check, raises its graph's error on
     first use.
     """
-    groups: dict[tuple[int, int | None], list[MetricCache]] = {}
+    groups: dict[int, list[MetricCache]] = {}
     for cache in caches:
         g = cache.g
         if 2 <= g.n <= HARD_CAP and is_connected(g):
-            groups.setdefault((g.n, cache.d), []).append(cache)
-    for (_, d), group in groups.items():
-        graphs = [cache.g for cache in group]
-        for cache, exact in zip(group, exact_batch(graphs)):
+            groups.setdefault(g.n, []).append(cache)
+    for group in groups.values():
+        for cache, exact in zip(group, exact_batch([cache.g for cache in group])):
             cache.exact = exact
-        if spectral and d is not None:
-            for cache, result in zip(group, _lambda2_batch(graphs)):
+        regular = [cache for cache in group if cache.d is not None]
+        if spectral and regular:
+            for cache, result in zip(regular, _lambda2_batch([cache.g for cache in regular])):
                 if result is not None:
                     cache.spectral = result
 
@@ -814,6 +815,32 @@ def iter_suite(
     :data:`SUITE_BATCH` (256) graphs checked in ``jobs`` processes."""
     for batch in _suite_batches(graphs, checks, jobs, _reports):
         yield from chain.from_iterable(batch.out)
+
+
+def write_reports(
+    graphs: Iterable[tuple[str, Graph]],
+    checks: str | Sequence[str],
+    jobs: int,
+    fmt: str,
+    out: IO[str],
+) -> SuiteSummary:
+    """Write ``vattol verify``'s output for ``graphs`` to ``out``, each
+    batch's text as it arrives, and return the run's summary.  ``fmt``
+    ``"json"``: ``[``, the records, the first without its leading comma,
+    then ``\\n]\\n``; else the CSV header, then the rows."""
+    summary = SuiteSummary()
+    json_out = fmt == "json"
+    render = _json_text if json_out else _csv_text
+    batches = summary._count(_suite_batches(graphs, checks, jobs, render))
+    texts = ("".join(batch.out) for batch in batches)
+    if json_out:
+        out.write("[" + next(texts, ",")[1:])
+        out.writelines(texts)
+        out.write("\n]\n")
+    else:
+        out.write(_csv_line(VERIFY_CSV_COLUMNS))
+        out.writelines(texts)
+    return summary
 
 
 @dataclass

@@ -10,6 +10,7 @@ import tempfile
 import unicodedata
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -149,6 +150,17 @@ class TestMetrics:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_value_beyond_float_range_exit_2_no_file(self, tmp_path, capsys, fmt):
+        path, out = tmp_path / "g.edges", tmp_path / "out"
+        path.write_text("".join(f"w {u} {10**400}/1 1\n" for u in range(3)) + "0 1\n1 2\n")
+        code = cli.main(["metrics", str(path), "--weighted", "--format", fmt, "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: a value is beyond the float range of the decimal field\n"
+        )
+        assert not out.exists()
 
     def test_huge_weights_give_strict_json(self, tmp_path):
         path = tmp_path / "g.edges"
@@ -343,6 +355,16 @@ class TestVerify:
         proc = run_cli("verify", "--family", "cycle", "--n", "3..4", "--checks", "bogus")
         assert proc.returncode == 2
 
+    def test_no_check_selected_exit_2_no_file(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = cli.main(["verify", "--spec", "cycle:5", "--checks", ",", "-o", str(out)])
+        assert code == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("error: no check selected; known: all, cheeger, ")
+        assert stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_all_mixed_with_a_group_exit_2_one_line(self):
         proc = run_cli("verify", "--spec", "cycle:4", "--checks", "all,cheeger")
         assert proc.returncode == 2
@@ -470,14 +492,19 @@ class TestCsvWriter:
 
     @staticmethod
     def written(caches):
-        """The CLI's CSV and JSON text of ``caches``."""
+        """The CSV and JSON text that ``write_reports`` gives ``caches``,
+        each batch rendered from the given caches, not fresh ones."""
+        graphs = [(cache.graph_id, cache.g) for cache in caches]
         texts = []
-        for render, write in [
-            (verify._csv_text, cli._write_reports_csv),
-            (verify._json_text, cli._write_reports_json),
-        ]:
+        for fmt in ("csv", "json"):
+            given = iter(caches)
+
+            def evaluate(checks, render, items):
+                return verify._render([next(given) for _ in items], checks, render)
+
             buf = io.StringIO()
-            write([verify._render(caches, verify.CHECK_GROUPS, render)], buf)
+            with mock.patch.object(verify, "_evaluate_batch", evaluate):
+                verify.write_reports(graphs, "all", 1, fmt, buf)
             texts.append(buf.getvalue())
         return tuple(texts)
 
@@ -523,6 +550,15 @@ class TestCsvWriter:
         assert rows[52 + 13 + 4].endswith(",S=")  # an empty attack witness
         assert rows[-13] == "star,4,3,,cheeger_lower,,,,,,,,,,"
 
+    def test_no_graphs_write_only_the_framing(self):
+        header = ",".join(verify.VERIFY_CSV_COLUMNS) + "\n"
+        for fmt, expected in [("json", "[\n]\n"), ("csv", header)]:
+            buf = io.StringIO()
+            summary = verify.write_reports([], "all", 1, fmt, buf)
+            assert buf.getvalue() == expected
+            assert summary.graphs == summary.total == 0
+            assert summary.lines() == "graphs=0 reports=0 holds=0 strict=0 failed=0 skipped=0\n"
+
     def test_hole_is_a_private_use_character(self):
         # Before Python 3.11 the csv writer refuses a NUL field when no
         # escapechar is set, so the hole is a character that no csv or json
@@ -540,26 +576,18 @@ class TestCsvWriter:
     def test_cold_and_warm_table_give_the_same_bytes(self):
         graphs = list(vt.standard_corpus())
 
-        def text(render, write):
+        def text(fmt):
             buf = io.StringIO()
-            write(verify._suite_batches(graphs, "all", 1, render), buf)
+            verify.write_reports(graphs, "all", 1, fmt, buf)
             return buf.getvalue()
 
-        for render, write, digest in [
-            (
-                verify._csv_text,
-                cli._write_reports_csv,
-                "596767de40c5d7117240f52b7bebd86ef395d6cc821e89daf79985f94b8b229c",
-            ),
-            (
-                verify._json_text,
-                cli._write_reports_json,
-                "17fbbbd8717949675a34476e57594229ee0e7f168a67db0b99fe3f7ee586c980",
-            ),
+        for fmt, digest in [
+            ("csv", "596767de40c5d7117240f52b7bebd86ef395d6cc821e89daf79985f94b8b229c"),
+            ("json", "17fbbbd8717949675a34476e57594229ee0e7f168a67db0b99fe3f7ee586c980"),
         ]:
             for memo in (verify._entry, verify._witness_line, verify._witness_json):
                 memo.cache_clear()
-            texts = [text(render, write), text(render, write)]  # cold, then warm
+            texts = [text(fmt), text(fmt)]  # cold, then warm
             assert verify._entry.cache_info().hits > 0
             assert texts[0] == texts[1]
             assert hashlib.sha256(texts[0].encode()).hexdigest() == digest

@@ -8,6 +8,7 @@ import pytest
 import vattol as vt
 from vattol import (
     BadParameter,
+    BadVertexId,
     DisconnectedInput,
     EmptySet,
     FullSet,
@@ -56,6 +57,8 @@ class TestSetVat:
             vt.set_vat(two_triangles(), 1)
         with pytest.raises(TrivialGraph):
             vt.set_vat(vt.build_graph(1, []), 1)
+        with pytest.raises(BadVertexId, match=r"^mask 0x20 has bits outside \[0, 5\)$"):
+            vt.set_vat(vt.cycle(5), 1 << 5)
 
 
 class TestVatExact:
@@ -297,6 +300,8 @@ class TestSetConductance:
             vt.set_conductance(g, vt.mask_from_vertices([0, 1, 2, 3]))
         with pytest.raises(DisconnectedInput):
             vt.set_conductance(two_triangles(), 1)
+        with pytest.raises(BadVertexId, match=r"^mask -0x1 has bits outside \[0, 5\)$"):
+            vt.set_conductance(vt.cycle(5), -1)
 
 
 class TestConductanceExact:

@@ -12,6 +12,7 @@ from vattol import spectral as spectral_mod
 from vattol.corpus import exhaustive_members, exhaustive_regular, theorem_families
 from fraction_facts import mediant_between, series_lower_bound
 from naive_oracle import naive_fragment_sides
+from vattol.metrics import HARD_CAP
 from vattol.spectral import _RESIDUAL_TOL
 from vattol.verify import (
     MetricCache,
@@ -418,9 +419,53 @@ class TestPrefill:
         (spectral,) = spectral_mod._lambda2_batch([g])
         assert spectral is not None and vt.lambda2(g) == spectral
 
+    def test_one_exact_batch_per_n_across_degrees(self, monkeypatch):
+        calls = []
+        exact_batch, lambda2_batch = verify.exact_batch, verify._lambda2_batch
+
+        def counting(batch):
+            def call(graphs):
+                calls.append((batch, len(graphs)))
+                return batch(graphs)
+
+            return call
+
+        monkeypatch.setattr(verify, "exact_batch", counting(exact_batch))
+        monkeypatch.setattr(verify, "_lambda2_batch", counting(lambda2_batch))
+        items = [
+            ("d3", vt.connected_random_regular(8, 3, 1)[0]),
+            ("star", vt.star(7)),
+            ("d4", vt.connected_random_regular(8, 4, 2)[0]),
+            ("d3b", vt.connected_random_regular(8, 3, 3)[0]),
+        ]
+        caches = [MetricCache(g, graph_id) for graph_id, g in items]
+        verify._prefill(caches)
+        assert calls == [(exact_batch, 4), (lambda2_batch, 3)]
+        for cache in caches:
+            assert vars(cache)["exact"] == exact_batch([cache.g])[0], cache.graph_id
+            if cache.d is None:
+                assert "spectral" not in vars(cache)
+                continue
+            spectral, expected = vars(cache)["spectral"], vt.lambda2(cache.g)
+            assert spectral.lambda2.hex() == expected.lambda2.hex(), cache.graph_id
+            assert spectral.gap.hex() == expected.gap.hex(), cache.graph_id
+
+    def test_failed_eigensolve_skips_with_its_error(self, monkeypatch):
+        def failing(mats):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        g = vt.cycle(6)
+        assert spectral_mod._lambda2_batch([g, g]) == [None, None]
+        reports = run_suite([("c6", g)], "cheeger").reports
+        assert [r.theorem for r in reports] == ["cheeger_lower", "cheeger_upper"]
+        assert all(r.skipped and r.holds is None for r in reports)
+        reason = "NoConvergence: eigensolver failed: no convergence"
+        assert {r.skip_reason for r in reports} == {reason}
+
     def test_no_eigensolve_no_check_can_read(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigh", None)  # any call fails
-        cap = verify.HARD_CAP
+        cap = HARD_CAP
         star, big = vt.star(5), vt.cycle(cap + 1)
         star_cache, big_cache = MetricCache(star, "star"), MetricCache(big, "big")
         verify._prefill([star_cache, big_cache])
