@@ -176,26 +176,36 @@ def exact_batch(graphs: Sequence[Graph]) -> list[ExactMetrics]:
         raise BadParameter("exact_batch needs graphs that share one vertex count")
     for g in graphs:
         _require_enumerable(g)
-    per_call = max(1, (8 * BLOCK_CELLS) >> n)
-    out: list[ExactMetrics] = []
-    for i in range(0, len(graphs), per_call):
-        adj = np.array([g.adj_masks for g in graphs[i : i + per_call]], np.int32)
-        out += map(ExactMetrics._make, zip(*_exact_block(adj), *_conductance_batch(adj)))
-    return out
+    adj = np.array([g.adj_masks for g in graphs], np.int32)
+    return list(map(ExactMetrics._make, zip(*_exact_columns(adj))))
+
+
+def _exact_columns(adj: np.ndarray) -> list[list[int]]:
+    """The fields of :class:`ExactMetrics` as six columns, one entry per
+    row of ``adj`` (connected graphs sharing one n <= 24), by the calls
+    :func:`exact_batch` describes."""
+    per_call = max(1, (8 * BLOCK_CELLS) >> adj.shape[1])
+    columns: list[list[int]] = [[] for _ in ExactMetrics._fields]
+    for i in range(0, len(adj), per_call):
+        part = adj[i : i + per_call]
+        for column, values in zip(columns, (*_exact_block(part), *_conductance_batch(part))):
+            column += values
+    return columns
 
 
 def _flood_fill(adj: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """A flood fill over many masks at once for the graphs whose rows are ``adj``.
 
     ``flood(comp, within)`` grows each mask of ``comp`` (rows x masks, a
-    fresh array, grown in place) to its component inside ``within`` (one
-    mask per column).  A step looks up neighbour unions in two tables,
-    over the low eight vertices and over the rest, so no ``2^n x n``
-    table exists, and adds the vertices of ``within`` not yet in the
-    component.  A single-graph flood drops its settled masks whenever
-    fewer than half still grow, and writes them back; a batch flood steps
-    all masks until the last settles.  Temporaries span at most the cells
-    of ``comp``, which callers keep within :data:`BLOCK_CELLS`.
+    fresh array, grown in place) to its component inside ``within``, one
+    mask per column or, as a rows x 1 array, per row.  A step looks up
+    neighbour unions in two tables, over the low eight vertices and over
+    the rest, so no ``2^n x n`` table exists, and adds the vertices of
+    ``within`` not yet in the component.  A single-graph flood drops its
+    settled masks whenever fewer than half still grow, and writes them
+    back; a batch flood steps all masks until the last settles.
+    Temporaries span at most the cells of ``comp``, which callers keep
+    within :data:`BLOCK_CELLS`.
     """
     rows, n = adj.shape
     low = min(n, 8)
@@ -214,7 +224,8 @@ def _flood_fill(adj: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarra
         return unions[half].take(index if rows == 1 else index + offsets[half])
 
     def flood(comp: np.ndarray, within: np.ndarray) -> np.ndarray:
-        out = comp[0] if rows == 1 else comp  # a view: writes reach comp
+        # one row: a view, so writes reach comp
+        out, within = (comp[0], within.reshape(-1)) if rows == 1 else (comp, within)
         grown, front, avail = out, out, within & ~out
         at = None  # once compacted, the masks of out that grown holds
         while True:

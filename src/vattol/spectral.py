@@ -12,7 +12,7 @@ lambda2 and its eigenvector come from one of two solvers, picked by size:
 - up to :data:`_DENSE_MAX_N` vertices (every graph the verification
   suite prefills and every graph of the standard corpus), a dense
   ``numpy.linalg.eigh`` of the n x n matrix, O(n^3) time and O(n^2)
-  memory; the suite's stacked solve (:func:`_lambda2_batch`) gives the
+  memory; the suite's stacked solve (:func:`_gap_batch`) gives the
   same bits;
 - above it, matrix-free Lanczos (:func:`_lanczos`): N is applied edge by
   edge, the known top eigenvector ``D^{1/2} 1`` is deflated, and each
@@ -240,15 +240,16 @@ def lambda2(g: Graph) -> SpectralResult:
     return _lambda2_pair(g)[0]
 
 
-def _lambda2_batch(graphs: Sequence[Graph]) -> list[SpectralResult | None]:
-    """:func:`lambda2` of connected graphs that share one n >= 2, by one
-    stacked ``eigh``: bit for bit its result up to :data:`_DENSE_MAX_N`
-    vertices, or None where it raises."""
+def _gap_batch(graphs: Sequence[Graph]) -> list[float | None]:
+    """The gap of :func:`lambda2` of connected graphs that share one n >= 2,
+    by one stacked ``eigh``: bit for bit its gap up to :data:`_DENSE_MAX_N`
+    vertices, or None where :func:`_certified` refuses the pair or the
+    solve fails."""
     try:
         lams, _, residuals = _eigenpairs(_normalized_stack(graphs))
     except NoConvergence:
         return [None] * len(graphs)
-    return [_certified(lam, res, graphs[0].n) for lam, res in zip(lams, residuals)]
+    return [None if res > _RESIDUAL_TOL else 1.0 - lam for lam, res in zip(lams, residuals)]
 
 
 def spectral_gap(g: Graph) -> float:

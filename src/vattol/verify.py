@@ -9,29 +9,6 @@ recorded separately, because some of the bounds are achieved with
 equality on boundary graphs (the single edge K2 most prominently) and
 an equality must be auditable rather than a failure.
 
-:func:`evaluate_graph` runs check groups on one :class:`MetricCache`,
-e.g. ``evaluate_graph(MetricCache(g), "vat_upper")``; an unmet
-precondition gives skipped reports whose reason starts with the error
-type, e.g. ``NotRegular: ...``.  The cache carries the graph, its id and
-its degree, and computes tau and phi (one :func:`exact_batch` result,
-so n <= 24) and lambda2 at most once per graph.  One table,
-``_CHECKS``, names each check group in report order with its key
-function, its row builder, its theorems and whether it reads lambda2;
-:data:`CHECK_GROUPS`, :data:`GROUP_THEOREMS` and :data:`ALL_THEOREMS`
-derive from it.  Each theorem of the four groups on (d, tau, phi)
-carries its inequality there as code, (d, tau, phi [, gap]) -> (lhs,
-rhs), and whether it is conditional on phi < 1/d^2.
-A key function reduces a cache to a verdict key, the inputs that decide
-the group's reports, and the graph's witness masks; a group that raises
-on an unmet precondition is keyed ``None``, its reports taking their
-skip reason from the error.  A bounded row table maps each (group, key)
-to its rows, which the row builder makes from (theorems, *key): theorem,
-verdict, CSV and JSON text and summary counts.
-:func:`evaluate_graph`, :func:`iter_suite` and :func:`run_suite` build
-reports from those rows; :func:`write_reports`, which writes ``vattol
-verify``'s CSV or JSON, joins their text with each graph's prefix and
-witness text, and builds no report.
-
 The groups and the inequalities they cover, for a connected d-regular
 graph with attack tolerance tau, conductance phi and spectral gap
 ``gap = 1 - lambda2``:
@@ -45,40 +22,39 @@ graph with attack tolerance tau, conductance phi and spectral gap
   conditional lower bound tau^2 / (2 d^2) <= gap when phi < 1/d^2
 - ``connected_minimizer``: some conductance minimizer induces a
   connected subgraph.  The check floods phi's witness, the lowest-encoding
-  minimizer, which is always connected: cut and volume add over
-  components, so each component of a disconnected minimizer is itself a
-  minimizer, with a smaller encoding.  Its skip above n = 16
-  (``MINIMIZER_LIMIT``) stays only as report contract: lifting it would
-  change 15 rows of the theorem CSV and the summary the acceptance test pins
+  minimizer, which is always connected (each component of a disconnected
+  minimizer is a minimizer with a smaller encoding).  Its skip above
+  n = 16 (``MINIMIZER_LIMIT``) stays only as report contract
 - ``fragment_bounds``: with S a minimizing attack set and T the largest
   surviving component, d|S| bounds the total boundary of the surviving
-  components, since every edge leaving one ends in S, and |V-S-T| + 1 is
-  at most the survivor count.  The components share no edge and
-  partition V-S, so their boundaries sum to cut(S) and their sizes to
-  n - |S|.  As cut(S) <= vol(S) = d|S| for any S, the first bound cannot
-  fail, and its equalities in the summary are no finding
+  components, whose sum is cut(S) <= vol(S) = d|S|, so it cannot fail,
+  and |V-S-T| + 1 is at most the survivor count n - |S|
 - ``value_ranges``: 0 < tau <= 1 and 0 < phi <= 1, on any connected
   graph; the tau report also needs a nonempty surviving component at
   the witness, as removing every vertex is never optimal
 
-The suite takes graphs in batches of :data:`SUITE_BATCH`, each evaluated
-by ``_evaluate_batch``, in process or as one pool task: ``_prefill``
-fills the batch's caches per n, by one :func:`exact_batch` pass and
-one stacked ``eigh`` of the regular graphs, and the batch returns each
-graph's reports, or its CSV or JSON text, with its summary counts, so a
-worker of ``vattol verify`` ships text, not reports.  One
-:class:`SuiteSummary` sums the batches of a run.
+Every run checks graphs a batch at a time, :data:`SUITE_BATCH` graphs
+in process or as one pool task; :func:`evaluate_graph` is a batch of
+one.  ``_prefill`` makes a batch a record of columns, filled per n by
+one :func:`exact_batch` pass, one stacked ``eigh`` and bulk floods, with
+each graph's unmet preconditions.  ``_CHECKS`` gives each group in report
+order the columns that key its rows, e.g. (d, tau, phi) in integers,
+its row builder, its preconditions and its theorems.  Each graph is
+keyed once for all groups, with the groups whose preconditions it fails
+(each skipped with the first one's reason, ``"<error type>:
+<message>"``); each distinct key maps once per batch to its entries in
+a bounded row table: rows, summary counts and ``%``-templates of their
+text.  A batch's CSV or JSON text is one ``%`` of its graphs' templates
+with their prefix and witness columns, so a pool worker ships text.
 
-The conditional hypothesis is strict on purpose.  On the boundary
-phi == 1/d^2 the sharp bound tau <= d phi can genuinely fail: there is
-an 18-vertex cubic graph with phi exactly 1/9 and tau = 3/8 > 1/3, found
-by exhaustive search and confirmed against an independent naive
-enumeration.  Strictly inside the region the theorem corpus tests little:
-at seed 42, ``vat_upper_conditional`` and ``spectral_vat_lower_conditional``
-are each checked on 7 graphs, all cycles (d = 2, n = 10..16), and skipped
-on the other 45,944; no graph with d >= 3 meets the hypothesis there.  The
-strict form is what gets checked; boundary graphs are reported as skipped
-for the conditional checks and remain covered by the unconditional bound.
+The conditional hypothesis is strict on purpose: on the boundary
+phi == 1/d^2 the sharp bound tau <= d phi can genuinely fail, as on an
+18-vertex cubic graph with phi = 1/9 and tau = 3/8 > 1/3 (found by
+exhaustive search, confirmed by a naive enumeration).  Boundary graphs
+are skipped by the conditional checks and stay covered by the
+unconditional bound.  Strictly inside the region the theorem corpus
+tests little: at seed 42 the two conditional theorems are checked on 7
+graphs, all cycles (d = 2, n = 10..16), and skipped on the other 45,944.
 """
 
 from __future__ import annotations
@@ -92,21 +68,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BadParameter, NotRegular, TooLarge, VattolError
-from .graph import (
-    Graph,
-    _component,
-    cut_size,
-    full_mask,
-    is_connected,
-    largest_component,
-    regularity,
-    vertices_from_mask,
-)
-from .metrics import HARD_CAP, ExactMetrics, exact_batch
-from .spectral import SpectralResult, _lambda2_batch, lambda2
+import numpy as np
+
+from .errors import BadParameter, VattolError
+from .graph import Graph, regularity, vertices_from_mask
+from .metrics import ExactMetrics, _exact_columns, _flood_fill, _require_enumerable, exact_batch
+from .spectral import SpectralResult, _gap_batch, lambda2
 
 #: Absolute tolerance of every comparison with a spectral side.
 SPECTRAL_TOL = 1e-9
@@ -162,10 +133,6 @@ def _verdict(lhs: Fraction | float, rhs: Fraction | float) -> tuple:
     return lhs, rhs, holds, strict, r - l
 
 
-# ---------------------------------------------------------------------------
-# CSV text of report fields.
-
-
 def _float(value: Fraction) -> float:
     """``float(value)``; a value beyond the float range is a clean error."""
     try:
@@ -193,29 +160,13 @@ def _bool_str(b: bool | None) -> str:
 def _witness_str(witnesses: dict[str, list[int]] | None) -> str:
     if not witnesses:
         return ""
-    return ";".join(
-        f"{name}=" + " ".join(str(v) for v in ids)
-        for name, ids in witnesses.items()
-    )
+    return ";".join(f"{name}=" + " ".join(map(str, ids)) for name, ids in witnesses.items())
 
 
 #: The columns of ``vattol verify``'s CSV, one row per report.
 VERIFY_CSV_COLUMNS = (
-    "graph_id",
-    "n",
-    "m",
-    "d",
-    "theorem",
-    "lhs_num",
-    "lhs_den",
-    "lhs_real",
-    "rhs_num",
-    "rhs_den",
-    "rhs_real",
-    "holds",
-    "strict_holds",
-    "slack",
-    "witness",
+    "graph_id", "n", "m", "d", "theorem", "lhs_num", "lhs_den", "lhs_real",
+    "rhs_num", "rhs_den", "rhs_real", "holds", "strict_holds", "slack", "witness",
 )
 
 
@@ -236,21 +187,10 @@ def report_to_csv_row(r: TheoremReport) -> list[str]:
     ]
 
 
-class _LineWriter:
-    """A file whose ``write`` returns the text it is given, so that the
-    ``writerow`` of a ``csv.writer`` over it returns the row's text."""
-
-    def write(self, text: str) -> str:
-        return text
-
-
-#: The ``csv`` module's text of one row, line end included; every CSV
-#: line of the CLI is written with it.
-_csv_line = csv.writer(_LineWriter(), lineterminator="\n").writerow
-
-
-# ---------------------------------------------------------------------------
-# JSON text of report fields.
+#: The ``csv`` module's text of one row, line end included, from a writer
+#: over a file whose ``write`` returns its text; every CSV line of the CLI
+#: is written with it.
+_csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
 
 def _real(x: float) -> float:
@@ -262,11 +202,7 @@ def _side_json(value: Fraction | float | None):
     if value is None:
         return None
     if isinstance(value, Fraction):
-        return {
-            "num": value.numerator,
-            "den": value.denominator,
-            "real": _real(_float(value)),
-        }
+        return {"num": value.numerator, "den": value.denominator, "real": _real(_float(value))}
     return {"real": _real(value)}
 
 
@@ -321,7 +257,7 @@ def _witness_json(masks: tuple[int, ...]) -> str:
 
 
 class _Row(NamedTuple):
-    """A report less its graph; ``witness`` indexes its group's witnesses."""
+    """A report less its graph; ``witness``: whether it shows its theorem's witness."""
 
     theorem: str
     lhs: Fraction | float | None = None
@@ -330,7 +266,7 @@ class _Row(NamedTuple):
     strict_holds: bool | None = None
     slack: float | None = None
     skip_reason: str = ""
-    witness: int | None = 0
+    witness: bool = True
 
 
 def _report(row: _Row, graph: tuple, witnesses, reason: str = "") -> TheoremReport:
@@ -341,37 +277,55 @@ def _report(row: _Row, graph: tuple, witnesses, reason: str = "") -> TheoremRepo
 
 
 class _Theorem(NamedTuple):
-    """A theorem of a check group.  ``sides``: its inequality lhs <= rhs,
-    (d, tau, phi[, gap]) -> (lhs, rhs), the gap given if its group reads
-    lambda2; None where the group's row builder states it.
-    ``conditional``: its row is skipped unless phi < 1/d^2."""
+    """A theorem of a check group.  ``witness``: what its row shows, the
+    set S of ``"tau"`` or ``"phi"``, or ``"st"``, tau's S and the largest
+    survivor T.  ``sides``: its inequality lhs <= rhs, (d, tau, phi[,
+    gap]) -> (lhs, rhs), the gap given if its group reads lambda2; None
+    where the group's row builder states it.  ``conditional``: its row is
+    skipped unless phi < 1/d^2."""
 
     name: str
+    witness: str
     sides: Callable[..., tuple[Fraction | float, Fraction | float]] | None = None
     conditional: bool = False
+
+
+def _escaped(text: str) -> str:
+    return text.replace("%", "%%")
+
+
+def _csv_template(row: _Row) -> str:
+    """The ``%``-template of ``row``'s CSV line: the graph's prefix, the
+    row's fields, then its witness line, or nothing and the line end."""
+    text = _csv_line(report_to_csv_row(_report(row, _GRAPH_HOLES, None))).split(_HOLE)[4]
+    return "%s" + _escaped(text[:-1]) + ("%s" if row.witness else "%.0s\n")
+
+
+def _json_template(row: _Row) -> str:
+    """The ``%``-template of ``row``'s JSON record: the graph's prefix, the
+    row's fields and its witness, or ``null``; a row whose skip reason is
+    a hole takes its group's reason in the witness's place."""
+    head, *tail = _json(report_to_json(_report(row, _GRAPH_HOLES, _HOLE))).split(_HOLE_JSON)[4:]
+    if len(tail) == 2:
+        return "%s" + _escaped(head) + "null" + "%s".join(map(_escaped, tail))
+    return "%s" + _escaped(head) + ("%s" if row.witness else "null%.0s") + _escaped(tail[0])
 
 
 @dataclass(frozen=True, eq=False)  # hashed by identity, so cheap to count
 class _Entry:
     """The rows of one (group, key).  ``tally``: what they add to a
     :class:`SuiteSummary` (reports, holds, strict, failed, skipped, and
-    the theorems of their equalities), with ``claims`` the strict claims
-    among those.  ``lines``: per row, its CSV text between the graph's
-    prefix and a witness line, and that line's index (-1: none)."""
+    the theorems of their equalities), ``claims`` the strict claims among
+    those; ``csv`` and ``json``: the templates of their text."""
 
     rows: tuple[_Row, ...]
     tally: tuple[int, int, int, int, int, tuple[str, ...]]
     claims: tuple[str, ...]
-    lines: tuple[tuple[str, int], ...]
+    csv: str
 
     @cached_property  # built by the first JSON render, so CSV runs hold none
-    def records(self) -> list[tuple[str, int, list[str]]]:
-        """Per row, its JSON text between the graph's prefix and its
-        witness, the witness's index as in ``lines``, and the text after
-        the witness, split at the skip reason if that is a hole."""
-        reports = (_report(r, _GRAPH_HOLES, _HOLE) for r in self.rows)
-        texts = [_json(report_to_json(r)).split(_HOLE_JSON) for r in reports]
-        return [(t[4], i, t[5:]) for t, (_, i) in zip(texts, self.lines)]
+    def json(self) -> str:
+        return "".join(map(_json_template, self.rows))
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
@@ -379,31 +333,30 @@ def _entry(group: str, key: tuple | None) -> _Entry:
     """The entry of ``group`` at ``key``.  Key ``None``: an unmet
     precondition, whose rows are skipped whatever the error; their skip
     reason is a hole that the error fills."""
-    _, build, theorems, _ = _CHECKS[group]
+    check = _CHECKS[group]
     if key is None:
-        rows = tuple(_Row(t.name, skip_reason=_HOLE, witness=None) for t in theorems)
+        rows = tuple(_Row(t.name, skip_reason=_HOLE, witness=False) for t in check.theorems)
     else:
-        rows = build(theorems, *key)
+        rows = check.rows(check.theorems, *key)
     checked = [r for r in rows if not r.skip_reason]
     equalities = tuple(r.theorem for r in rows if r.holds is True and r.strict_holds is False)
     holds = sum(1 for r in checked if r.holds)
     strict = sum(1 for r in checked if r.strict_holds)
     tally = (len(rows), holds, strict, len(checked) - holds, len(rows) - len(checked), equalities)
-    texts = (_csv_line(report_to_csv_row(_report(r, _GRAPH_HOLES, None))) for r in rows)
-    ends = (-1 if r.witness is None else r.witness for r in rows)
-    lines = tuple((t.split(_HOLE)[4][:-1], i) for t, i in zip(texts, ends))
-    return _Entry(rows, tally, tuple(t for t in equalities if t in STRICT_CLAIMS), lines)
+    claims = tuple(t for t in equalities if t in STRICT_CLAIMS)
+    return _Entry(rows, tally, claims, "".join(map(_csv_template, rows)))
+
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _template(entries: tuple[_Entry, ...], json_out: bool) -> str:
+    """The template of a graph's JSON records or CSV lines at these entries."""
+    return "".join(entry.json if json_out else entry.csv for entry in entries)
 
 
 class MetricCache:
-    """Per-graph quantities shared across checks, each computed once.
-
-    ``exact`` is the graph's :func:`exact_batch` record (tau, phi and
-    their witnesses, in integers) and ``spectral`` its lambda2: each set
-    in place by the suite's batch prefill, or else computed on first use,
-    which raises what :func:`vat_exact` or :func:`lambda2` would.
-    ``values`` is (d, tau_num, tau_den, phi_num, phi_den).
-    """
+    """One graph's results for :func:`evaluate_graph`: ``exact``, its :func:`exact_batch`
+    record, and ``spectral``, its lambda2, each set beforehand or else computed on
+    first use, raising what those functions raise."""
 
     def __init__(self, g: Graph, graph_id: str = "graph") -> None:
         self.g = g
@@ -418,169 +371,183 @@ class MetricCache:
     def spectral(self) -> SpectralResult:
         return lambda2(self.g)
 
-    @cached_property
-    def values(self) -> tuple[int | None, int, int, int, int]:
-        exact = self.exact
-        return (self.d, exact.tau_num, exact.tau_den, exact.phi_num, exact.phi_den)
-
-    def require_regular(self) -> int:
-        if self.d is None:
-            raise NotRegular(f"{self.graph_id}: the check needs a regular graph")
-        return self.d
-
-
-_HYPOTHESIS_NOT_MET = "hypothesis not met: conductance not strictly below 1/d^2"
-
-
-def _triple_key(witness: str, spectral: bool, ctx: MetricCache):
-    """(d, tau, phi), with the gap if ``spectral``; the witness named ``witness``.
-    A zero gap is keyed by its repr, as -0.0 == 0.0 but they print apart."""
-    ctx.require_regular()
-    key = ctx.values
-    if spectral:
-        gap = ctx.spectral.gap
-        key = (*key, gap or repr(float(gap)))
-    return key, ((getattr(ctx.exact, witness),),)
-
-
-def _triple_rows(theorems, d, tau_num, tau_den, phi_num, phi_den, *gap) -> tuple[_Row, ...]:
-    """The verdict of each theorem on its sides at (d, tau, phi), with
-    the gap if the key has one; a conditional one is skipped unless
-    phi < 1/d^2."""
-    tau, phi = Fraction(tau_num, tau_den), Fraction(phi_num, phi_den)
-    values = (d, tau, phi, *map(float, gap))
-    hypothesis = phi_num * d * d < phi_den  # phi < 1/d^2
-    return tuple(
-        _Row(t.name, *_verdict(*t.sides(*values)))
-        if hypothesis or not t.conditional
-        else _Row(t.name, skip_reason=_HYPOTHESIS_NOT_MET, witness=None)
-        for t in theorems
-    )
-
 
 #: Largest n of the ``connected_minimizer`` check, whose skip reason above
 #: it is part of the report.
 MINIMIZER_LIMIT = 16
 
 
-def _connected_minimizer_key(ctx: MetricCache):
-    ctx.require_regular()
-    g = ctx.g
-    if g.n > MINIMIZER_LIMIT:
-        raise TooLarge(
-            f"{ctx.graph_id}: all-minimizers enumeration capped at n={MINIMIZER_LIMIT}"
-        )
-    s = ctx.exact.phi_witness
-    holds = _component(g.adj_masks, s & -s, s) == s
-    return (holds,), ((s,),) if holds else ()
+_NO_REMAINDER = "removed every vertex; no component remains"
+
+
+def _reason(exc: VattolError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+class _Record:
+    """A batch as columns, one value per graph: id, n, m, degree d (None:
+    not regular); ``exact``, the six :class:`ExactMetrics` fields as
+    rows; the gap; at tau's witness S, the largest survivor T (0 if none)
+    and cut(S); whether phi's witness is connected.  A graph without a
+    value has 0.  ``unmet``: per precondition, the skip reason of each
+    graph (by index) that fails it."""
+
+    def __init__(self, items: Sequence[tuple[str, Graph]], degrees: list[int | None]) -> None:
+        self.ids = [graph_id for graph_id, _ in items]
+        self.graphs = [g for _, g in items]
+        self.n, self.m, self.d = [g.n for g in self.graphs], [g.m for g in self.graphs], degrees
+        self.exact = np.zeros((6, len(items)), np.int64)
+        self.gap = np.zeros(len(items))
+        self.survivor, self.cut = np.zeros_like(self.exact[:2])
+        self.connected = np.zeros(len(items), bool)
+        needs = ("regular", "minimizer", "exact", "remainder", "spectral")
+        self.unmet: dict[str, dict[int, str]] = {need: {} for need in needs}
+        limit = f"all-minimizers enumeration capped at n={MINIMIZER_LIMIT}"
+        for i, (name, n, d) in enumerate(zip(self.ids, self.n, degrees)):
+            if d is None:
+                self.unmet["regular"][i] = f"NotRegular: {name}: the check needs a regular graph"
+            if n > MINIMIZER_LIMIT:
+                self.unmet["minimizer"][i] = f"TooLarge: {name}: {limit}"
+
+    def fill(self, rows: list[int], columns: Sequence[Sequence[int]] | None = None) -> None:
+        """Set the exact record of ``rows``, graphs that share one n <= 24,
+        to ``columns`` (:func:`_exact_columns` if None), then what bulk
+        floods give from it."""
+        adj = np.array([self.graphs[i].adj_masks for i in rows], np.int32)
+        exact = np.array(_exact_columns(adj) if columns is None else columns, np.int64)
+        self.exact[:, rows] = exact
+        n = adj.shape[1]
+        s, phi_witness = exact[[2, 5]].astype(np.int32)
+        flood = _flood_fill(adj)
+        # T: of the components flooded from each survivor, the first largest
+        rest = (((1 << n) - 1) & ~s)[:, None]
+        pieces = flood((1 << np.arange(n, dtype=np.int32)) & rest, rest)
+        self.survivor[rows] = pieces[np.arange(len(rows)), np.bitwise_count(pieces).argmax(axis=1)]
+        inside = (s[:, None] >> np.arange(n)) & 1
+        self.cut[rows] = (inside * np.bitwise_count(adj & ~s[:, None])).sum(axis=1)
+        for i in np.asarray(rows)[rest[:, 0] == 0].tolist():
+            self.unmet["remainder"][i] = f"EmptyRemainder: {_NO_REMAINDER}"
+        seed = (phi_witness & -phi_witness)[:, None]
+        self.connected[rows] = flood(seed, phi_witness[:, None])[:, 0] == phi_witness
+
+    def key_columns(self) -> list[list]:
+        """The :data:`_KEY_COLUMNS`, one value per graph: d, tau and phi reduced,
+        the gap's float64 bits (-0.0 and 0.0 print apart), whether phi's witness
+        is connected, the fragment bounds' sides, whether no vertex survives."""
+        tau_num, tau_den, _, phi_num, phi_den, _ = self.exact.tolist()
+        s = np.bitwise_count(self.exact[2])
+        survivors = np.array(self.n) - s
+        outside = survivors - np.bitwise_count(self.survivor) + 1
+        ds = np.array([d or 0 for d in self.d]) * s
+        rest = self.gap.view(np.int64), self.connected, self.cut, ds, outside, survivors
+        return [self.d, tau_num, tau_den, phi_num, phi_den, *(a.tolist() for a in rest),
+                (self.survivor == 0).tolist()]
+
+    def witnesses(self) -> dict[str, Iterator[tuple[int, ...]]]:
+        """Per witness a row can show (see :class:`_Theorem`), per graph its masks."""
+        tau, phi = self.exact[[2, 5]].tolist()
+        return {"tau": zip(tau), "phi": zip(phi), "st": zip(tau, self.survivor.tolist())}
+
+
+_HYPOTHESIS_NOT_MET = "hypothesis not met: conductance not strictly below 1/d^2"
+
+
+def _triple_rows(theorems, d, tau_num, tau_den, phi_num, phi_den, *gap_bits) -> tuple[_Row, ...]:
+    """The verdict of each theorem on its sides at (d, tau, phi), with
+    the gap if the key has its bits; a conditional one is skipped unless
+    phi < 1/d^2."""
+    tau, phi = Fraction(tau_num, tau_den), Fraction(phi_num, phi_den)
+    values = (d, tau, phi, *np.array(gap_bits, np.int64).view(np.float64).tolist())
+    hypothesis = phi_num * d * d < phi_den  # phi < 1/d^2
+    return tuple(
+        _Row(t.name, *_verdict(*t.sides(*values)))
+        if hypothesis or not t.conditional
+        else _Row(t.name, skip_reason=_HYPOTHESIS_NOT_MET, witness=False)
+        for t in theorems
+    )
 
 
 def _connected_minimizer_rows(theorems, holds: bool) -> tuple[_Row, ...]:
-    return (_Row(theorems[0].name, holds=holds, witness=0 if holds else None),)
+    return (_Row(theorems[0].name, holds=holds, witness=holds),)
 
 
-def _fragment_bounds_key(ctx: MetricCache):
-    d = ctx.require_regular()
-    g = ctx.g
-    s_mask = ctx.exact.tau_witness
-    t_mask = largest_component(g, s_mask)
-    s_size = s_mask.bit_count()
-    outside = g.n - s_size - t_mask.bit_count()
-    key = (cut_size(g, s_mask), d * s_size), (outside + 1, g.n - s_size)
-    return key, ((s_mask, t_mask),)
-
-
-def _fragment_bounds_rows(theorems, *pairs: tuple[int, int]) -> tuple[_Row, ...]:
+def _fragment_bounds_rows(theorems, cut, ds, outside, survivors) -> tuple[_Row, ...]:
     """Per theorem, the verdict of its pair of integer sides."""
+    pairs = (cut, ds), (outside, survivors)
     return tuple(_Row(t.name, *_verdict(*map(Fraction, p))) for t, p in zip(theorems, pairs))
 
 
-def _value_ranges_key(ctx: MetricCache):
-    exact = ctx.exact
-    no_survivor = full_mask(ctx.g.n) & ~exact.tau_witness == 0
-    return (*ctx.values, no_survivor), ((exact.tau_witness,), (exact.phi_witness,))
-
-
-def _value_ranges_rows(
-    theorems, d, tau_num, tau_den, phi_num, phi_den, no_survivor: bool
-) -> tuple[_Row, ...]:
+def _value_ranges_rows(theorems, tau_num, tau_den, phi_num, phi_den, no_survivor) -> tuple:
     """0 < x <= 1 for tau, which also needs a survivor, and for phi."""
     tau, phi = Fraction(tau_num, tau_den), Fraction(phi_num, phi_den)
     tau_row = _Row(theorems[0].name, *_verdict(tau, Fraction(1)))
-    phi_row = _Row(theorems[1].name, *_verdict(phi, Fraction(1)), witness=1)
+    phi_row = _Row(theorems[1].name, *_verdict(phi, Fraction(1)))
     return (
         tau_row._replace(holds=not no_survivor and 0 < tau <= 1),
         phi_row._replace(holds=0 < phi <= 1),
     )
 
 
-#: Per check group, in report order: its key function, its row builder,
-#: its theorems in report order, and whether it reads lambda2.
+class _Check(NamedTuple):
+    """A check group: ``key``, the record's key columns that decide its rows,
+    which ``rows(theorems, *key)`` builds; ``needs``, its preconditions in
+    order; its theorems in report order."""
+
+    key: tuple[str, ...]
+    rows: Callable[..., tuple[_Row, ...]]
+    needs: tuple[str, ...]
+    theorems: tuple[_Theorem, ...]
+
+
+#: The record's key columns, as :meth:`_Record.key_columns` gives them.
+_KEY_COLUMNS = (
+    "d", "tau_num", "tau_den", "phi_num", "phi_den", "gap",
+    "connected", "cut", "ds", "outside", "survivors", "no_survivor",
+)
+_TRIPLE = _KEY_COLUMNS[:5]
+_ON_TRIPLE = ("regular", "exact")
+_ON_GAP = ("regular", "exact", "spectral")
+
+#: Per check group, in report order.
 _CHECKS = {
-    "cheeger": (
-        partial(_triple_key, "phi_witness", True),
-        _triple_rows,
-        (
-            _Theorem("cheeger_lower", lambda d, tau, phi, gap: (phi * phi / 2, gap)),
-            _Theorem("cheeger_upper", lambda d, tau, phi, gap: (gap, 2 * phi)),
+    "cheeger": _Check((*_TRIPLE, "gap"), _triple_rows, _ON_GAP, (
+        _Theorem("cheeger_lower", "phi", lambda d, tau, phi, gap: (phi * phi / 2, gap)),
+        _Theorem("cheeger_upper", "phi", lambda d, tau, phi, gap: (gap, 2 * phi)),
+    )),
+    "vat_upper": _Check(_TRIPLE, _triple_rows, _ON_TRIPLE, (
+        _Theorem("vat_upper_conditional", "tau", lambda d, tau, phi: (tau, d * phi), True),
+        _Theorem("vat_upper_unconditional", "tau", lambda d, tau, phi: (tau, d * d * phi)),
+    )),
+    "vat_lower": _Check(_TRIPLE, _triple_rows, _ON_TRIPLE, (
+        _Theorem("vat_lower", "tau", lambda d, tau, phi: (phi, d * tau)),
+    )),
+    "spectral_vat": _Check((*_TRIPLE, "gap"), _triple_rows, _ON_GAP, (
+        _Theorem("spectral_vat_lower", "tau", lambda d, tau, phi, gap: (tau**2 / (2 * d**4), gap)),
+        _Theorem("spectral_vat_upper", "tau", lambda d, tau, phi, gap: (gap, 2 * d * tau)),
+        _Theorem(
+            "spectral_vat_lower_conditional", "tau",
+            lambda d, tau, phi, gap: (tau**2 / (2 * d**2), gap), True,
         ),
-        True,
+    )),
+    "connected_minimizer": _Check(
+        ("connected",), _connected_minimizer_rows, ("regular", "minimizer", "exact"),
+        (_Theorem("connected_minimizer", "phi"),),
     ),
-    "vat_upper": (
-        partial(_triple_key, "tau_witness", False),
-        _triple_rows,
-        (
-            _Theorem(
-                "vat_upper_conditional", lambda d, tau, phi: (tau, d * phi), conditional=True
-            ),
-            _Theorem("vat_upper_unconditional", lambda d, tau, phi: (tau, d * d * phi)),
-        ),
-        False,
+    "fragment_bounds": _Check(
+        ("cut", "ds", "outside", "survivors"), _fragment_bounds_rows,
+        ("regular", "exact", "remainder"),
+        (_Theorem("fragment_cut_bound", "st"), _Theorem("fragment_size_bound", "st")),
     ),
-    "vat_lower": (
-        partial(_triple_key, "tau_witness", False),
-        _triple_rows,
-        (_Theorem("vat_lower", lambda d, tau, phi: (phi, d * tau)),),
-        False,
-    ),
-    "spectral_vat": (
-        partial(_triple_key, "tau_witness", True),
-        _triple_rows,
-        (
-            _Theorem("spectral_vat_lower", lambda d, tau, phi, gap: (tau * tau / (2 * d**4), gap)),
-            _Theorem("spectral_vat_upper", lambda d, tau, phi, gap: (gap, 2 * d * tau)),
-            _Theorem(
-                "spectral_vat_lower_conditional",
-                lambda d, tau, phi, gap: (tau * tau / (2 * d**2), gap),
-                conditional=True,
-            ),
-        ),
-        True,
-    ),
-    "connected_minimizer": (
-        _connected_minimizer_key,
-        _connected_minimizer_rows,
-        (_Theorem("connected_minimizer"),),
-        False,
-    ),
-    "fragment_bounds": (
-        _fragment_bounds_key,
-        _fragment_bounds_rows,
-        (_Theorem("fragment_cut_bound"), _Theorem("fragment_size_bound")),
-        False,
-    ),
-    "value_ranges": (
-        _value_ranges_key,
-        _value_ranges_rows,
-        (_Theorem("vat_range"), _Theorem("conductance_range")),
-        False,
+    "value_ranges": _Check(
+        ("tau_num", "tau_den", "phi_num", "phi_den", "no_survivor"), _value_ranges_rows, ("exact",),
+        (_Theorem("vat_range", "tau"), _Theorem("conductance_range", "phi")),
     ),
 }
 
 
 CHECK_GROUPS = tuple(_CHECKS)
 GROUP_THEOREMS = {
-    group: tuple(t.name for t in theorems) for group, (_, _, theorems, _) in _CHECKS.items()
+    group: tuple(t.name for t in check.theorems) for group, check in _CHECKS.items()
 }
 ALL_THEOREMS = tuple(t for theorems in GROUP_THEOREMS.values() for t in theorems)
 
@@ -588,70 +555,80 @@ ALL_THEOREMS = tuple(t for theorems in GROUP_THEOREMS.values() for t in theorems
 #: their equality cases by graph id.
 STRICT_CLAIMS = ("vat_lower", "vat_upper_unconditional")
 
-_Verdicts = list[tuple[_Entry, tuple, str]]
+
+@lru_cache(maxsize=_TABLE_SIZE)
+def _graph_entries(checks: tuple[str, ...], key: tuple) -> tuple[_Entry, ...]:
+    """Per group of ``checks``, the entry of a graph keyed ``key``: its
+    values of :data:`_KEY_COLUMNS`, then, as bits in ``checks`` order, the
+    groups whose preconditions it fails."""
+    *values, skipped = key
+    at = dict(zip(_KEY_COLUMNS, values))
+    return tuple(
+        _entry(group, None if skipped >> bit & 1 else tuple(at[c] for c in _CHECKS[group].key))
+        for bit, group in enumerate(checks)
+    )
 
 
-def _verdicts(cache: MetricCache, checks: Sequence[str]) -> _Verdicts:
-    """Per selected group: its table entry for ``cache``, its witnesses, and
-    an unmet precondition's skip reason, ``"<error type>: <message>"``."""
-    out = []
-    for group in checks:
-        try:
-            key, witnesses = _CHECKS[group][0](cache)
-            reason = ""
-        except VattolError as exc:
-            key, witnesses, reason = None, (), f"{type(exc).__name__}: {exc}"
-        out.append((_entry(group, key), witnesses, reason))
-    return out
+class _Outcome(NamedTuple):
+    """The checks on a batch: the groups, each distinct graph key's entries,
+    per graph its key's index, and per group the graphs' skip reasons."""
+
+    checks: tuple[str, ...]
+    table: list[tuple[_Entry, ...]]
+    codes: list[int]
+    reasons: list[dict[int, str]]
 
 
-def _reports(cache: MetricCache, verdicts: _Verdicts) -> list[TheoremReport]:
-    graph = (cache.graph_id, cache.g.n, cache.g.m, cache.d)
-    out = []
-    for entry, witnesses, reason in verdicts:
-        for row in entry.rows:
-            w = row.witness
-            witness = None if w is None else _witness_dict(witnesses[w])
-            out.append(_report(row, graph, witness, reason))
-    return out
-
-
-def _csv_text(cache: MetricCache, verdicts: _Verdicts) -> str:
-    """The graph's CSV rows: its prefix, each row's text, its witness line."""
-    g = cache.g
-    prefix = _csv_line((cache.graph_id, g.n, g.m, cache.d))[:-1]
-    out = []
-    for entry, witnesses, _ in verdicts:
-        ends = [*map(_witness_line, witnesses), "\n"]
-        out += [prefix + text + ends[i] for text, i in entry.lines]
-    return "".join(out)
-
-
-#: The JSON text of a record before each of its four graph fields.
 _GRAPH_KEYS = _json(report_to_json(_report(_Row(""), _GRAPH_HOLES, None))).split(_HOLE_JSON)[:4]
+#: The ``%``-template of a JSON record's prefix, its comma and new line first.
+_JSON_PREFIX = ",\n " + "".join(_escaped(key) + "%s" for key in _GRAPH_KEYS)
 
 
-def _json_text(cache: MetricCache, verdicts: _Verdicts) -> str:
-    """The graph's JSON records, each led by a comma and a new line: its
-    prefix, then each row's head, its witness text and its tail, whose
-    pieces join at an unmet precondition's reason."""
-    g = cache.g
-    fields = map(_json, (cache.graph_id, g.n, g.m, cache.d))
-    prefix = ",\n " + "".join(map(str.__add__, _GRAPH_KEYS, fields))
+def _text(json_out: bool, rec: _Record, outcome: _Outcome) -> str:
+    """The batch's CSV lines, or its JSON records each led by a comma and a
+    new line: one ``%`` of each graph's template at its entries, taking
+    per row the graph's prefix and its witness text or, in a JSON row
+    skipped for an unmet precondition, its skip reason."""
+    if json_out:
+        d = ["null" if d is None else d for d in rec.d]
+        fields = zip(map(encode_basestring_ascii, rec.ids), rec.n, rec.m, d)
+        prefix, witness_text = list(map(_JSON_PREFIX.__mod__, fields)), _witness_json
+    else:
+        lines = map(_csv_line, zip(rec.ids, rec.n, rec.m, rec.d))
+        prefix, witness_text = [line[:-1] for line in lines], _witness_line
+    texts = {kind: list(map(witness_text, masks)) for kind, masks in rec.witnesses().items()}
+    columns = []
+    for group, reasons in zip(outcome.checks, outcome.reasons):
+        shown = texts
+        if json_out and reasons:
+            shown = {kind: column.copy() for kind, column in texts.items()}
+            for column in shown.values():
+                for i, reason in reasons.items():
+                    column[i] = _json(reason)
+        columns += chain.from_iterable((prefix, shown[t.witness]) for t in _CHECKS[group].theorems)
+    templates = [_template(entries, json_out) for entries in outcome.table]
+    text = "".join(map(templates.__getitem__, outcome.codes))
+    return text % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _reports(rec: _Record, outcome: _Outcome) -> list[TheoremReport]:
+    """The batch's reports, each with its own witness dict."""
+    masks = {kind: list(column) for kind, column in rec.witnesses().items()}
     out = []
-    for entry, witnesses, reason in verdicts:
-        ends = [*map(_witness_json, witnesses), "null"]
-        fill = _json(reason)
-        out += [prefix + head + ends[i] + fill.join(tail) for head, i, tail in entry.records]
-    return "".join(out)
+    for i, (graph, code) in enumerate(zip(zip(rec.ids, rec.n, rec.m, rec.d), outcome.codes)):
+        for group, entry, reasons in zip(outcome.checks, outcome.table[code], outcome.reasons):
+            for row, t in zip(entry.rows, _CHECKS[group].theorems):
+                witness = _witness_dict(masks[t.witness][i]) if row.witness else None
+                out.append(_report(row, graph, witness, reasons.get(i, "")))
+    return out
 
 
 class _Batch(NamedTuple):
-    """One batch of a run: each graph's output from the run's renderer (so
-    ``len(out)`` is its graph count), the (graph, group) count per tally,
-    and each strict claim's equality ids."""
+    """One batch of a run: its graph count, its renderer's output, the
+    (graph, group) count per tally, and each strict claim's equality ids."""
 
-    out: list
+    graphs: int
+    out: str | list[TheoremReport]
     tallies: dict[tuple, int]
     cases: dict[str, list[str]]
 
@@ -670,7 +647,7 @@ class SuiteSummary:
         """Yield each batch unchanged, after adding it."""
         equalities = self.equality_counts
         for batch in batches:
-            self.graphs += len(batch.out)
+            self.graphs += batch.graphs
             for (total, holds, strict, failed, skipped, theorems), k in batch.tallies.items():
                 self.total += k * total
                 self.holds += k * holds
@@ -721,66 +698,85 @@ def normalize_checks(checks: str | Sequence[str]) -> tuple[str, ...]:
     return tuple(checks)
 
 
-def evaluate_graph(
-    cache: MetricCache, checks: str | Sequence[str] = "all"
-) -> list[TheoremReport]:
-    """Run the selected check groups on one graph's cache.  A group whose
-    precondition is unmet gives skipped reports, with the reason
-    ``"<error type>: <message>"``, instead of raising."""
-    return _reports(cache, _verdicts(cache, normalize_checks(checks)))
+def evaluate_graph(cache: MetricCache, checks: str | Sequence[str] = "all") -> list[TheoremReport]:
+    """Run the selected check groups on one graph's cache, a batch of one.
+    A group whose precondition is unmet gives skipped reports, with the
+    reason ``"<error type>: <message>"``, instead of raising."""
+    item = (cache.graph_id, cache.g)
+    return _evaluate_batch(normalize_checks(checks), _reports, [item], [cache]).out
 
 
-def _prefill(caches: Sequence[MetricCache], spectral: bool = True) -> None:
-    """Set ``exact`` and, if ``spectral``, ``spectral`` of a batch's caches.
-
-    Both take the connected graphs with ``2 <= n <= HARD_CAP`` (each
-    tested once), one call per n: :func:`exact_batch` all of them, the
-    stacked ``eigh`` the regular ones if ``spectral``, as no check
-    reads lambda2 of any other.  A cache left unset, or whose
-    eigensolve failed its residual check, raises its graph's error on
-    first use.
-    """
-    groups: dict[int, list[MetricCache]] = {}
-    for cache in caches:
-        g = cache.g
-        if 2 <= g.n <= HARD_CAP and is_connected(g):
-            groups.setdefault(g.n, []).append(cache)
-    for group in groups.values():
-        for cache, exact in zip(group, exact_batch([cache.g for cache in group])):
-            cache.exact = exact
-        regular = [cache for cache in group if cache.d is not None]
+def _prefill(
+    items: Sequence[tuple[str, Graph]], spectral: bool = True, caches: Sequence | None = None
+) -> _Record:
+    """The record of a batch of (id, graph) pairs, filled per n.  A graph's
+    exact record comes from its :class:`MetricCache` in ``caches``, if
+    given, else from one :func:`_exact_columns` call per n over the graphs
+    :func:`exact_batch` takes; any other gets the error it raises.  If
+    ``spectral``, each regular graph with an exact record gets its gap from
+    its cache or one stacked ``eigh`` per n (no check reads lambda2 of any
+    other), where a refused eigenpair gets :func:`lambda2`'s own result."""
+    degrees = [c.d for c in caches] if caches else [regularity(g) for _, g in items]
+    rec = _Record(items, degrees)
+    by_n: dict[int, list[tuple[int, ExactMetrics | None]]] = {}
+    for i, g in enumerate(rec.graphs):
+        try:
+            exact = caches[i].exact if caches else _require_enumerable(g)
+        except VattolError as exc:
+            rec.unmet["exact"][i] = _reason(exc)
+        else:
+            by_n.setdefault(g.n, []).append((i, exact))
+    for pairs in by_n.values():
+        rows = [i for i, _ in pairs]
+        rec.fill(rows, list(zip(*(exact for _, exact in pairs))) if caches else None)
+        regular = [i for i in rows if rec.d[i] is not None]
         if spectral and regular:
-            for cache, result in zip(regular, _lambda2_batch([cache.g for cache in regular])):
-                if result is not None:
-                    cache.spectral = result
-
-
-def _render(caches: Sequence[MetricCache], checks: Sequence[str], render: Callable) -> _Batch:
-    """The batch of ``caches``, each graph's output from ``render``."""
-    entries: list[_Entry] = []
-    cases: dict[str, list[str]] = {theorem: [] for theorem in STRICT_CLAIMS}
-    out = []
-    for cache in caches:
-        verdicts = _verdicts(cache, checks)
-        for entry, _, _ in verdicts:
-            entries.append(entry)
-            for theorem in entry.claims:
-                cases[theorem].append(cache.graph_id)
-        out.append(render(cache, verdicts))
-    tallies: Counter[tuple] = Counter()
-    for entry, k in Counter(entries).items():
-        tallies[entry.tally] += k
-    return _Batch(out, tallies, cases)
+            graphs = [rec.graphs[i] for i in regular]
+            gaps = [None] * len(regular) if caches else _gap_batch(graphs)
+            rec.gap[regular] = [0.0 if gap is None else gap for gap in gaps]
+            for i, g, gap in zip(regular, graphs, gaps):
+                if gap is None:
+                    try:
+                        rec.gap[i] = (caches[i].spectral if caches else lambda2(g)).gap
+                    except VattolError as exc:
+                        rec.unmet["spectral"][i] = _reason(exc)
+    return rec
 
 
 def _evaluate_batch(
-    checks: tuple[str, ...], render: Callable, items: Sequence[tuple[str, Graph]]
+    checks: tuple[str, ...], render: Callable, items: Sequence, caches: Sequence | None = None
 ) -> _Batch:
-    """One batch, after one :func:`_prefill`: what a pool worker returns,
-    so the parent only writes and sums."""
-    caches = [MetricCache(g, graph_id) for graph_id, g in items]
-    _prefill(caches, any(_CHECKS[c][3] for c in checks))
-    return _render(caches, checks, render)
+    """One batch, its output from ``render`` after one :func:`_prefill`: what a
+    pool worker returns, so the parent only writes and sums.  Each graph
+    is keyed once for every group (see :func:`_graph_entries`); each
+    distinct key maps to its entries once per batch, and tallies and
+    equality cases come from per-key counts."""
+    rec = _prefill(items, any("spectral" in _CHECKS[c].needs for c in checks), caches)
+    reasons: list[dict[int, str]] = [{} for _ in checks]
+    skipped = [0] * len(rec.ids)
+    for bit, group in enumerate(checks):
+        for need in reversed(_CHECKS[group].needs):  # the first unmet one wins
+            reasons[bit].update(rec.unmet[need])
+        for i in reasons[bit]:
+            skipped[i] |= 1 << bit
+    keys = list(zip(*rec.key_columns(), skipped))
+    at = {key: code for code, key in enumerate(dict.fromkeys(keys))}
+    codes = list(map(at.__getitem__, keys))
+    table = [_graph_entries(checks, key) for key in at]
+    tallies: Counter[tuple] = Counter()
+    claimed = set()
+    for code, k in Counter(codes).items():
+        for entry in table[code]:
+            tallies[entry.tally] += k
+            if entry.claims:
+                claimed.add(code)
+    cases: dict[str, list[str]] = {theorem: [] for theorem in STRICT_CLAIMS}
+    for graph_id, code in zip(rec.ids, codes):
+        if code in claimed:
+            for theorem in chain.from_iterable(entry.claims for entry in table[code]):
+                cases[theorem].append(graph_id)
+    outcome = _Outcome(checks, table, codes, reasons)
+    return _Batch(len(rec.ids), render(rec, outcome), tallies, cases)
 
 
 def clamp_jobs(jobs: int) -> int:
@@ -792,8 +788,8 @@ def clamp_jobs(jobs: int) -> int:
 def _suite_batches(
     graphs: Iterable[tuple[str, Graph]], checks: str | Sequence[str], jobs: int, render: Callable
 ) -> Iterator[_Batch]:
-    """The batches of a run, each graph rendered by ``render``, in input
-    order at any ``jobs`` (a process pool if more than 1, at most the usable
+    """The batches of a run, each rendered by ``render``, in input order
+    at any ``jobs`` (a process pool if more than 1, at most the usable
     CPUs), so the output is byte-for-byte independent of the worker count."""
     evaluate = partial(_evaluate_batch, normalize_checks(checks), render)
     it = iter(graphs)
@@ -807,21 +803,16 @@ def _suite_batches(
 
 
 def iter_suite(
-    graphs: Iterable[tuple[str, Graph]],
-    checks: str | Sequence[str] = "all",
-    jobs: int = 1,
+    graphs: Iterable[tuple[str, Graph]], checks: str | Sequence[str] = "all", jobs: int = 1
 ) -> Iterator[TheoremReport]:
     """Stream reports for every graph, in input order, from batches of
     :data:`SUITE_BATCH` (256) graphs checked in ``jobs`` processes."""
     for batch in _suite_batches(graphs, checks, jobs, _reports):
-        yield from chain.from_iterable(batch.out)
+        yield from batch.out
 
 
 def write_reports(
-    graphs: Iterable[tuple[str, Graph]],
-    checks: str | Sequence[str],
-    jobs: int,
-    fmt: str,
+    graphs: Iterable[tuple[str, Graph]], checks: str | Sequence[str], jobs: int, fmt: str,
     out: IO[str],
 ) -> SuiteSummary:
     """Write ``vattol verify``'s output for ``graphs`` to ``out``, each
@@ -830,9 +821,8 @@ def write_reports(
     then ``\\n]\\n``; else the CSV header, then the rows."""
     summary = SuiteSummary()
     json_out = fmt == "json"
-    render = _json_text if json_out else _csv_text
-    batches = summary._count(_suite_batches(graphs, checks, jobs, render))
-    texts = ("".join(batch.out) for batch in batches)
+    batches = summary._count(_suite_batches(graphs, checks, jobs, partial(_text, json_out)))
+    texts = (batch.out for batch in batches)
     if json_out:
         out.write("[" + next(texts, ",")[1:])
         out.writelines(texts)
@@ -865,11 +855,9 @@ class SuiteResult:
 
 
 def run_suite(
-    graphs: Iterable[tuple[str, Graph]],
-    checks: str | Sequence[str] = "all",
-    jobs: int = 1,
+    graphs: Iterable[tuple[str, Graph]], checks: str | Sequence[str] = "all", jobs: int = 1
 ) -> SuiteResult:
     """Run the checks over a corpus and collect every report."""
     summary = SuiteSummary()
     batches = summary._count(_suite_batches(graphs, checks, jobs, _reports))
-    return SuiteResult([r for batch in batches for out in batch.out for r in out], summary)
+    return SuiteResult([r for batch in batches for r in batch.out], summary)

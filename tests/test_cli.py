@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import resource
 import subprocess
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import vattol as vt
 from vattol import cli, verify
+from vattol import spectral as spectral_mod
 
 F = Fraction
 
@@ -491,22 +493,26 @@ class TestCsvWriter:
         return cache
 
     @staticmethod
-    def written(caches):
-        """The CSV and JSON text that ``write_reports`` gives ``caches``,
-        each batch rendered from the given caches, not fresh ones."""
+    def written(caches, jobs=1):
+        """The CSV and JSON text that ``write_reports`` gives ``caches`` at
+        ``jobs``, each batch's record read from the given caches, not fresh
+        ones (by position, or by id if ``jobs`` > 1), then the summary."""
         graphs = [(cache.graph_id, cache.g) for cache in caches]
-        texts = []
+        by_id = {cache.graph_id: cache for cache in caches}
+        prefill = verify._prefill
+        out = []
         for fmt in ("csv", "json"):
             given = iter(caches)
 
-            def evaluate(checks, render, items):
-                return verify._render([next(given) for _ in items], checks, render)
+            def from_caches(items, spectral, _=None):
+                chosen = [next(given) if jobs == 1 else by_id[i] for i, _ in items]
+                return prefill(items, spectral, chosen)
 
             buf = io.StringIO()
-            with mock.patch.object(verify, "_evaluate_batch", evaluate):
-                verify.write_reports(graphs, "all", 1, fmt, buf)
-            texts.append(buf.getvalue())
-        return tuple(texts)
+            with mock.patch.object(verify, "_prefill", from_caches):
+                summary = verify.write_reports(graphs, "all", jobs, fmt, buf)
+            out.append(buf.getvalue())
+        return (*out, summary.lines())
 
     @staticmethod
     def expected(caches):
@@ -535,7 +541,7 @@ class TestCsvWriter:
             self.cache("pfad·ü", vt.path(4)),  # non-ASCII, in the skip reason too
             self.cache("star", vt.star(3)),
         ]
-        text, js = self.written(caches)
+        text, js, _ = self.written(caches)
         assert (text, js) == self.expected(caches)
         assert '"graph_id": "pfad\\u00b7\\u00fc"' in js
         assert '"skip_reason": "NotRegular: pfad\\u00b7\\u00fc: the check' in js
@@ -549,6 +555,63 @@ class TestCsvWriter:
         assert rows[52 + 13 + 8].endswith(",false,,,")  # no connected minimizer, no witness
         assert rows[52 + 13 + 4].endswith(",S=")  # an empty attack witness
         assert rows[-13] == "star,4,3,,cheeger_lower,,,,,,,,,,"
+
+    def test_skip_reasons_in_one_mixed_batch(self, monkeypatch):
+        # Every fallback in one run: precedence is regularity, then the
+        # exact record (with the minimizer cap first), then lambda2.
+        k2, c6, g18 = vt.complete(2), vt.cycle(6), vt.connected_random_regular(18, 3, 0)[0]
+        triangles = vt.build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        caches = [
+            self.cache("nan", k2, gap=float("nan")),
+            self.cache("zero", k2, gap=0.0),
+            self.cache("minus-zero", k2, gap=-0.0),
+            verify.MetricCache(vt.star(4), "star:4"),
+            verify.MetricCache(triangles, "two triangles"),
+            self.cache("n=18", g18, gap=vt.lambda2(g18).gap),
+            verify.MetricCache(vt.star(30), "star:30"),
+            verify.MetricCache(vt.cycle(25), "cycle:25"),
+            verify.MetricCache(vt.petersen(), "refused"),  # its eigensolve runs below
+            self.cache("every vertex", c6, gap=0.5, tau_witness=vt.full_mask(6)),
+            self.cache('c,"q\nü', vt.cycle(7), gap=0.25),
+        ]
+        monkeypatch.setattr(spectral_mod, "_RESIDUAL_TOL", -1.0)  # refuses every eigenpair
+        monkeypatch.setattr(verify, "SUITE_BATCH", 4)
+        text, js, summary = self.written(caches)
+        assert (text, js) == self.expected(caches)
+        assert '"c,\\"q\\n\\u00fc", "n": 7' in js and '"c,""q\nü",7,7,2,' in text
+        reasons = {
+            (r.graph_id, r.theorem): r.skip_reason
+            for cache in caches
+            for r in vt.evaluate_graph(cache)
+        }
+        irregular = "the check needs a regular graph"
+        disconnected = (
+            "DisconnectedInput: graph is disconnected; restrict_to_largest_component() first"
+        )
+        expected = {
+            ("star:4", "cheeger_lower"): f"NotRegular: star:4: {irregular}",
+            ("star:4", "conductance_range"): "",
+            ("two triangles", "cheeger_lower"): disconnected,
+            ("two triangles", "connected_minimizer"): disconnected,
+            ("n=18", "cheeger_upper"): "",
+            ("n=18", "connected_minimizer"):
+                "TooLarge: n=18: all-minimizers enumeration capped at n=16",
+            ("star:30", "connected_minimizer"): f"NotRegular: star:30: {irregular}",
+            ("star:30", "vat_range"): "TooLarge: n=31 exceeds the hard cap 24",
+            ("cycle:25", "connected_minimizer"):
+                "TooLarge: cycle:25: all-minimizers enumeration capped at n=16",
+            ("cycle:25", "cheeger_lower"): "TooLarge: n=25 exceeds the hard cap 24",
+            ("refused", "vat_lower"): "",
+            ("every vertex", "fragment_size_bound"):
+                "EmptyRemainder: removed every vertex; no component remains",
+            ("every vertex", "vat_range"): "",
+        }
+        assert {key: reasons[key] for key in expected} == expected
+        assert reasons["refused", "spectral_vat_upper"].startswith(
+            "NoConvergence: eigenpair residual"
+        )
+        if multiprocessing.get_start_method() == "fork":  # how pool workers see the caches
+            assert self.written(caches, jobs=2) == (text, js, summary)
 
     def test_no_graphs_write_only_the_framing(self):
         header = ",".join(verify.VERIFY_CSV_COLUMNS) + "\n"
@@ -571,7 +634,7 @@ class TestCsvWriter:
         # 200 distinct attack witnesses through the witness-text memo.
         g = vt.cycle(10)
         caches = [self.cache(f"g{i}", g, tau_witness=i) for i in range(1, 201)]
-        assert self.written(caches) == self.expected(caches)
+        assert self.written(caches)[:2] == self.expected(caches)
 
     def test_cold_and_warm_table_give_the_same_bytes(self):
         graphs = list(vt.standard_corpus())
@@ -585,7 +648,8 @@ class TestCsvWriter:
             ("csv", "596767de40c5d7117240f52b7bebd86ef395d6cc821e89daf79985f94b8b229c"),
             ("json", "17fbbbd8717949675a34476e57594229ee0e7f168a67db0b99fe3f7ee586c980"),
         ]:
-            for memo in (verify._entry, verify._witness_line, verify._witness_json):
+            memos = verify._entry, verify._graph_entries, verify._template
+            for memo in (*memos, verify._witness_line, verify._witness_json):
                 memo.cache_clear()
             texts = [text(fmt), text(fmt)]  # cold, then warm
             assert verify._entry.cache_info().hits > 0
@@ -599,7 +663,7 @@ class TestCsvWriter:
         info = verify._entry.cache_info()
         assert info.maxsize == size and info.currsize == size
         caches = [self.cache(f"c{n}", vt.cycle(n)) for n in range(3, 9)]
-        assert self.written(caches) == self.expected(caches)  # evicted, then rebuilt
+        assert self.written(caches)[:2] == self.expected(caches)  # evicted, then rebuilt
 
     def test_unmet_preconditions_share_one_entry_per_group(self):
         verify._entry.cache_clear()
@@ -608,7 +672,7 @@ class TestCsvWriter:
         assert verify._entry.cache_info().currsize == len(verify.CHECK_GROUPS)
         assert reports[1][0].skip_reason == "NotRegular: star:31: the check needs a regular graph"
         assert reports[1][-1].skip_reason == "TooLarge: n=32 exceeds the hard cap 24"
-        assert self.written(caches) == self.expected(caches)
+        assert self.written(caches)[:2] == self.expected(caches)
 
     def test_files_path_with_comma_and_quote(self, tmp_path):
         path = tmp_path / 'a,"b.edges'

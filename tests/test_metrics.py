@@ -390,13 +390,11 @@ class TestExactBatch:
             results[cells] = [_kernel_tuple(e, g) for g, e in zip(graphs, vt.exact_batch(graphs))]
         assert results[1 << 4] == results[1 << 16]
         monkeypatch.undo()
-        caches = [vt.MetricCache(g, f"g{i}") for i, g in enumerate(graphs)]
-        verify._prefill(caches, spectral=False)
-        for cache, expected in zip(caches, results[1 << 4]):
-            g = cache.g
-            fresh = vt.MetricCache(g, cache.graph_id)
-            assert _kernel_tuple(cache.exact, g) == _kernel_tuple(fresh.exact, g) == expected
-            assert cache.values == fresh.values
+        rec = verify._prefill([(f"g{i}", g) for i, g in enumerate(graphs)], spectral=False)
+        for i, (g, expected) in enumerate(zip(graphs, results[1 << 4])):
+            batch, fresh = vt.ExactMetrics(*rec.exact[:, i].tolist()), vt.MetricCache(g).exact
+            assert _kernel_tuple(batch, g) == _kernel_tuple(fresh, g) == expected
+            assert batch == fresh and rec.d[i] == vt.regularity(g)
 
     def test_batch_width_costs_no_more_memory_than_one_n18_graph(self):
         """The tracemalloc peak of a suite batch of cubic n = 8 graphs in

@@ -1,5 +1,6 @@
 import os
 import random
+from itertools import islice
 from fractions import Fraction
 
 import numpy as np
@@ -229,35 +230,42 @@ class TestFragmentBounds:
         assert_all_skipped(reports, "NotRegular: ")
 
     @staticmethod
-    def assert_key_is_per_piece_sum(cache):
-        """The key at tau's witness and at hand-set witnesses (empty, each
-        vertex, V less each vertex, seeded random masks) is the per-piece
-        sum of the naive oracle: boundaries sum to cut(S), sizes to n - |S|."""
-        n = cache.g.n
-        full = vt.full_mask(n)
-        rng = random.Random(n * 1000 + cache.g.m)
-        masks = [cache.exact.tau_witness, 0, *(1 << v for v in range(n))]
-        masks += [full ^ (1 << v) for v in range(n)]
-        masks += [rng.randrange(full) for _ in range(8)]
-        record = cache.exact
-        for mask in masks:
-            cache.exact = record._replace(tau_witness=mask)
-            key, (witness,) = verify._fragment_bounds_key(cache)
-            assert (key, witness) == naive_fragment_sides(cache.g, mask), (cache.graph_id, mask)
+    def assert_key_is_per_piece_sum(items):
+        """The batch key at tau's witness and at hand-set witnesses (empty,
+        each vertex, V less each vertex, seeded random masks) of every
+        graph, all in one batch, is the per-piece sum of the naive oracle:
+        boundaries sum to cut(S), sizes to n - |S|; the witness is (S, T)."""
+        caches, expected = [], []
+        for graph_id, g in items:
+            full = vt.full_mask(g.n)
+            rng = random.Random(g.n * 1000 + g.m)
+            record = vt.exact_batch([g])[0]
+            masks = [record.tau_witness, 0, *(1 << v for v in range(g.n))]
+            masks += [full ^ (1 << v) for v in range(g.n)]
+            masks += [rng.randrange(full) for _ in range(8)]
+            for mask in masks:
+                cache = MetricCache(g, f"{graph_id} S={mask}")
+                cache.exact = record._replace(tau_witness=mask)
+                caches.append(cache)
+                expected.append(naive_fragment_sides(g, mask))
+        rec = verify._prefill([(c.graph_id, c.g) for c in caches], False, caches)
+        columns = dict(zip(verify._KEY_COLUMNS, rec.key_columns()))
+        keys = list(zip(*(columns[c] for c in verify._CHECKS["fragment_bounds"].key)))
+        witnesses = rec.witnesses()["st"]
+        for cache, key, witness, (sides, pair) in zip(caches, keys, witnesses, expected):
+            assert (key, witness) == ((*sides[0], *sides[1]), pair), cache.graph_id
+        assert len(keys) == len(caches)
 
     def test_key_matches_per_piece_oracle_on_corpora(self):
-        items = [*exhaustive_regular(6), *theorem_families()]
-        caches = [MetricCache(g, graph_id) for graph_id, g in items]
-        verify._prefill(caches, spectral=False)
-        for cache in caches:
-            self.assert_key_is_per_piece_sum(cache)
+        self.assert_key_is_per_piece_sum([*exhaustive_regular(6), *theorem_families()])
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_key_matches_per_piece_oracle_on_random_regular(self, d):
-        for n in range(d + 1, 21):
-            if n * d % 2 == 0:
-                g, _ = vt.connected_random_regular(n, d, 100 * d + n)
-                self.assert_key_is_per_piece_sum(MetricCache(g, f"random:{n},{d}"))
+        self.assert_key_is_per_piece_sum(
+            (f"random:{n},{d}", vt.connected_random_regular(n, d, 100 * d + n)[0])
+            for n in range(d + 1, 21)
+            if n * d % 2 == 0
+        )
 
     def test_witness_of_every_vertex_skips_both_rows(self):
         cache = MetricCache(vt.cycle(6))
@@ -397,31 +405,27 @@ class TestPrefill:
             by_n.setdefault(g.n, []).append((graph_id, g))
         batch = {}
         for group in by_n.values():
-            spectra = spectral_mod._lambda2_batch([g for _, g in group])
-            batch.update(zip((graph_id for graph_id, _ in group), spectra))
+            gaps = spectral_mod._gap_batch([g for _, g in group])
+            batch.update(zip((graph_id for graph_id, _ in group), gaps))
         for graph_id, g in items:  # 228 regular and 15 irregular graphs
-            expected, spectral = vt.lambda2(g), batch[graph_id]
-            assert spectral is not None, graph_id
-            assert spectral.lambda2.hex() == expected.lambda2.hex(), graph_id
-            assert spectral.gap.hex() == expected.gap.hex(), graph_id
-            assert spectral.n == g.n
-            assert 0 <= spectral.residual <= _RESIDUAL_TOL
-        caches = [MetricCache(g, graph_id) for graph_id, g in items]
-        verify._prefill(caches)
-        for cache in caches:
-            assert "exact" in vars(cache), cache.graph_id
-            if cache.d is None:
-                assert "spectral" not in vars(cache), cache.graph_id
+            gap = batch[graph_id]
+            assert gap is not None, graph_id
+            assert gap.hex() == vt.lambda2(g).gap.hex(), graph_id
+        rec = verify._prefill(items)
+        assert not rec.unmet["exact"] and not rec.unmet["spectral"]
+        for i, (graph_id, _) in enumerate(items):
+            if rec.d[i] is None:  # no check reads lambda2 of an irregular graph
+                assert rec.gap[i] == 0, graph_id
             else:
-                assert vars(cache)["spectral"] == batch[cache.graph_id], cache.graph_id
+                assert rec.gap[i].hex() == batch[graph_id].hex(), graph_id
         # the largest n the dense solver takes, next to the Lanczos cutoff
         g = vt.connected_random_regular(spectral_mod._DENSE_MAX_N, 3, 1)[0]
-        (spectral,) = spectral_mod._lambda2_batch([g])
-        assert spectral is not None and vt.lambda2(g) == spectral
+        (gap,) = spectral_mod._gap_batch([g])
+        assert gap is not None and gap.hex() == vt.lambda2(g).gap.hex()
 
     def test_one_exact_batch_per_n_across_degrees(self, monkeypatch):
         calls = []
-        exact_batch, lambda2_batch = verify.exact_batch, verify._lambda2_batch
+        exact_columns, gap_batch = verify._exact_columns, verify._gap_batch
 
         def counting(batch):
             def call(graphs):
@@ -430,25 +434,22 @@ class TestPrefill:
 
             return call
 
-        monkeypatch.setattr(verify, "exact_batch", counting(exact_batch))
-        monkeypatch.setattr(verify, "_lambda2_batch", counting(lambda2_batch))
+        monkeypatch.setattr(verify, "_exact_columns", counting(exact_columns))
+        monkeypatch.setattr(verify, "_gap_batch", counting(gap_batch))
         items = [
             ("d3", vt.connected_random_regular(8, 3, 1)[0]),
             ("star", vt.star(7)),
             ("d4", vt.connected_random_regular(8, 4, 2)[0]),
             ("d3b", vt.connected_random_regular(8, 3, 3)[0]),
         ]
-        caches = [MetricCache(g, graph_id) for graph_id, g in items]
-        verify._prefill(caches)
-        assert calls == [(exact_batch, 4), (lambda2_batch, 3)]
-        for cache in caches:
-            assert vars(cache)["exact"] == exact_batch([cache.g])[0], cache.graph_id
-            if cache.d is None:
-                assert "spectral" not in vars(cache)
+        rec = verify._prefill(items)
+        assert calls == [(exact_columns, 4), (gap_batch, 3)]
+        for i, (graph_id, g) in enumerate(items):
+            assert tuple(rec.exact[:, i].tolist()) == vt.exact_batch([g])[0], graph_id
+            if rec.d[i] is None:
+                assert rec.gap[i] == 0
                 continue
-            spectral, expected = vars(cache)["spectral"], vt.lambda2(cache.g)
-            assert spectral.lambda2.hex() == expected.lambda2.hex(), cache.graph_id
-            assert spectral.gap.hex() == expected.gap.hex(), cache.graph_id
+            assert rec.gap[i].hex() == vt.lambda2(g).gap.hex(), graph_id
 
     def test_failed_eigensolve_skips_with_its_error(self, monkeypatch):
         def failing(mats):
@@ -456,7 +457,7 @@ class TestPrefill:
 
         monkeypatch.setattr(np.linalg, "eigh", failing)
         g = vt.cycle(6)
-        assert spectral_mod._lambda2_batch([g, g]) == [None, None]
+        assert spectral_mod._gap_batch([g, g]) == [None, None]
         reports = run_suite([("c6", g)], "cheeger").reports
         assert [r.theorem for r in reports] == ["cheeger_lower", "cheeger_upper"]
         assert all(r.skipped and r.holds is None for r in reports)
@@ -467,14 +468,16 @@ class TestPrefill:
         monkeypatch.setattr(np.linalg, "eigh", None)  # any call fails
         cap = HARD_CAP
         star, big = vt.star(5), vt.cycle(cap + 1)
-        star_cache, big_cache = MetricCache(star, "star"), MetricCache(big, "big")
-        verify._prefill([star_cache, big_cache])
-        assert "exact" in vars(star_cache) and "spectral" not in vars(star_cache)
-        assert "exact" not in vars(big_cache) and "spectral" not in vars(big_cache)
-        reports = evaluate_graph(big_cache, "cheeger,spectral_vat")
-        assert all(r.skipped for r in reports)
+        rec = verify._prefill([("star", star), ("big", big)])
+        assert rec.exact[:, 0].any() and not rec.exact[:, 1].any()
         reason = f"TooLarge: n={cap + 1} exceeds the hard cap {cap}"
-        assert {r.skip_reason for r in reports} == {reason}
+        assert rec.unmet["exact"] == {1: reason} and not rec.unmet["spectral"]
+        for reports in (
+            evaluate_graph(MetricCache(big, "big"), "cheeger,spectral_vat"),
+            run_suite([("big", big)], "cheeger,spectral_vat").reports,
+        ):
+            assert all(r.skipped for r in reports)
+            assert {r.skip_reason for r in reports} == {reason}
 
     def test_graphs_it_cannot_take_keep_their_errors(self):
         reasons = {
@@ -495,13 +498,15 @@ class TestPrefill:
             ("isolated", vt.build_graph(3, [(0, 1)])),
             ("disconnected", vt.build_graph(6, triangle + [(3, 4), (4, 5), (3, 5)])),
         ]
-        caches = [MetricCache(g, graph_id) for graph_id, g in items]
-        verify._prefill(caches)
-        for cache in caches:
-            assert "exact" not in vars(cache) and "spectral" not in vars(cache)
-            reports = evaluate_graph(cache)
+        rec = verify._prefill(items)
+        assert not rec.exact.any() and not rec.gap.any()
+        assert sorted(rec.unmet["exact"]) == [0, 1, 2]
+        batch = iter(run_suite(items).reports)
+        for graph_id, g in items:
+            reports = evaluate_graph(MetricCache(g, graph_id))
             assert [r.theorem for r in reports] == list(verify.ALL_THEOREMS)
-            expected = reasons[cache.graph_id]
+            assert reports == list(islice(batch, len(reports)))
+            expected = reasons[graph_id]
             for group, theorems in verify.GROUP_THEOREMS.items():
                 for r in reports:
                     if r.theorem in theorems:
@@ -511,24 +516,27 @@ class TestPrefill:
     def test_failed_residual_check_gives_none_then_the_error(self, monkeypatch):
         g = vt.petersen()
         monkeypatch.setattr(spectral_mod, "_RESIDUAL_TOL", -1.0)
-        cache = MetricCache(g, "p")
-        verify._prefill([cache])
-        assert "exact" in vars(cache) and "spectral" not in vars(cache)
-        reports = by_theorem(evaluate_graph(cache, "cheeger,vat_lower"))
-        assert reports["cheeger_lower"].skipped
-        assert reports["cheeger_lower"].skip_reason.startswith(
-            "NoConvergence: eigenpair residual"
-        )
-        assert reports["vat_lower"].holds
+        assert spectral_mod._gap_batch([g]) == [None]
+        rec = verify._prefill([("p", g)])
+        assert rec.exact[:, 0].any() and rec.gap[0] == 0
+        assert rec.unmet["spectral"][0].startswith("NoConvergence: eigenpair residual")
+        for reports in (
+            evaluate_graph(MetricCache(g, "p"), "cheeger,vat_lower"),
+            run_suite([("p", g)], "cheeger,vat_lower").reports,
+        ):
+            reports = by_theorem(reports)
+            assert reports["cheeger_lower"].skipped
+            assert reports["cheeger_lower"].skip_reason.startswith(
+                "NoConvergence: eigenpair residual"
+            )
+            assert reports["vat_lower"].holds
 
     def test_given_results_change_no_report(self):
         items = [(f"c{n}", vt.cycle(n)) for n in (5, 6, 6, 7)] + [("k4", vt.complete(4))]
-        caches = [MetricCache(g, graph_id) for graph_id, g in items]
-        verify._prefill(caches)
-        for cache in caches:
-            assert {"exact", "spectral"} <= vars(cache).keys()
-            alone = MetricCache(cache.g, cache.graph_id)
-            assert evaluate_graph(cache, "all") == evaluate_graph(alone)
+        rec = verify._prefill(items)
+        assert rec.exact.all() and rec.gap.all() and not rec.unmet["spectral"]
+        alone = [r for graph_id, g in items for r in evaluate_graph(MetricCache(g, graph_id))]
+        assert run_suite(items).reports == alone
 
     def test_one_connectivity_traversal_per_graph(self, monkeypatch):
         calls = []
@@ -540,7 +548,7 @@ class TestPrefill:
 
         monkeypatch.setattr(graph_mod, "_walk", counting)
         items = [(f"c{n}", vt.cycle(n)) for n in (5, 6, 6, 7)]
-        verify._prefill([MetricCache(g, graph_id) for graph_id, g in items])
+        verify._prefill(items)
         assert len(calls) == len(items)
         vt.exact_batch([items[1][1], items[2][1]])
         vt.lambda2(items[0][1])
@@ -560,7 +568,7 @@ class TestPrefill:
         assert len(calls) == len(items)
 
     def test_checks_without_lambda2_skip_the_eigensolve(self, monkeypatch):
-        monkeypatch.setattr(verify, "_lambda2_batch", None)  # any call fails
+        monkeypatch.setattr(verify, "_gap_batch", None)  # any call fails
         reports = list(vt.iter_suite([("c6", vt.cycle(6))], checks="vat_lower"))
         assert [r.theorem for r in reports] == ["vat_lower"]
 
