@@ -258,7 +258,7 @@ def largest_component(g: Graph, removed: VertexMask = 0) -> VertexMask:
 
 def is_connected(g: Graph) -> bool:
     """True iff a traversal from vertex 0 reaches all vertices (true for n=1).
-    The traversal runs once per graph; ``g`` caches the flag."""
+    The traversal runs once per graph; ``g`` stores the flag."""
     return g._connected
 
 

@@ -13,7 +13,7 @@ bit mask (bit i = vertex i).  Every engine here enforces that tie-break
 explicitly, so results do not depend on enumeration order or on how the
 subset space is partitioned across workers.
 
-Engines, none of which caches across calls:
+Engines, none of which keeps a result across calls:
 
 - phi and its witness, for every n: :func:`_conductance_batch`, one
   numpy pass over graphs that share n, with tables of 2^ceil(n/2)

@@ -34,15 +34,15 @@ graph with attack tolerance tau, conductance phi and spectral gap
   the witness, as removing every vertex is never optimal
 
 Every run checks graphs a batch at a time, :data:`SUITE_BATCH` graphs
-in process or as one pool task; :func:`evaluate_graph` is a batch of
-one.  ``_prefill`` makes a batch a record of columns, filled per n by
-one :func:`exact_batch` pass, one stacked ``eigh`` and bulk floods, with
-each graph's unmet preconditions.  ``_CHECKS`` gives each group in report
-order the columns that key its rows, e.g. (d, tau, phi) in integers,
-its row builder, its preconditions and its theorems.  Each graph is
-keyed once for all groups, with the groups whose preconditions it fails
-(each skipped with the first one's reason, ``"<error type>:
-<message>"``); each distinct key maps once per batch to its entries in
+in process or as one pool task.  ``_prefill`` makes a batch a record of
+columns, filled per n by one ``_exact_columns`` pass, one stacked
+``eigh`` and bulk floods, with each graph's unmet preconditions.
+``_CHECKS`` gives each group in report order the columns that key its
+rows, e.g. (d, tau, phi) in integers, its row builder, its
+preconditions and its theorems.  Each graph is keyed once for all
+groups, with the groups whose preconditions it fails (each skipped
+with the first one's reason, ``"<error type>: <message>"``, built from
+the error's class); each distinct key maps once per batch to its entries in
 a bounded row table: rows, summary counts and ``%``-templates of their
 text.  A batch's CSV or JSON text is one ``%`` of its graphs' templates
 with their prefix and witness columns, so a pool worker ships text.
@@ -74,10 +74,10 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadParameter, VattolError
+from .errors import BadParameter, EmptyRemainder, NotRegular, TooLarge, VattolError
 from .graph import Graph, regularity, vertices_from_mask
-from .metrics import ExactMetrics, _exact_columns, _flood_fill, _require_enumerable, exact_batch
-from .spectral import SpectralResult, _gap_batch, lambda2
+from .metrics import _exact_columns, _flood_fill, _require_enumerable
+from .spectral import _gap_batch, lambda2
 
 #: Absolute tolerance of every comparison with a spectral side.
 SPECTRAL_TOL = 1e-9
@@ -353,31 +353,9 @@ def _template(entries: tuple[_Entry, ...], json_out: bool) -> str:
     return "".join(entry.json if json_out else entry.csv for entry in entries)
 
 
-class MetricCache:
-    """One graph's results for :func:`evaluate_graph`: ``exact``, its :func:`exact_batch`
-    record, and ``spectral``, its lambda2, each set beforehand or else computed on
-    first use, raising what those functions raise."""
-
-    def __init__(self, g: Graph, graph_id: str = "graph") -> None:
-        self.g = g
-        self.graph_id = graph_id
-        self.d = regularity(g)
-
-    @cached_property
-    def exact(self) -> ExactMetrics:
-        return exact_batch([self.g])[0]
-
-    @cached_property
-    def spectral(self) -> SpectralResult:
-        return lambda2(self.g)
-
-
 #: Largest n of the ``connected_minimizer`` check, whose skip reason above
 #: it is part of the report.
 MINIMIZER_LIMIT = 16
-
-
-_NO_REMAINDER = "removed every vertex; no component remains"
 
 
 def _reason(exc: VattolError) -> str:
@@ -386,9 +364,9 @@ def _reason(exc: VattolError) -> str:
 
 class _Record:
     """A batch as columns, one value per graph: id, n, m, degree d (None:
-    not regular); ``exact``, the six :class:`ExactMetrics` fields as
-    rows; the gap; at tau's witness S, the largest survivor T (0 if none)
-    and cut(S); whether phi's witness is connected.  A graph without a
+    not regular); ``exact``, the six ``ExactMetrics`` fields as rows;
+    the gap; at tau's witness S, the largest survivor T (0 if none) and
+    cut(S); whether phi's witness is connected.  A graph without a
     value has 0.  ``unmet``: per precondition, the skip reason of each
     graph (by index) that fails it."""
 
@@ -405,9 +383,10 @@ class _Record:
         limit = f"all-minimizers enumeration capped at n={MINIMIZER_LIMIT}"
         for i, (name, n, d) in enumerate(zip(self.ids, self.n, degrees)):
             if d is None:
-                self.unmet["regular"][i] = f"NotRegular: {name}: the check needs a regular graph"
+                irregular = NotRegular(f"{name}: the check needs a regular graph")
+                self.unmet["regular"][i] = _reason(irregular)
             if n > MINIMIZER_LIMIT:
-                self.unmet["minimizer"][i] = f"TooLarge: {name}: {limit}"
+                self.unmet["minimizer"][i] = _reason(TooLarge(f"{name}: {limit}"))
 
     def fill(self, rows: list[int], columns: Sequence[Sequence[int]] | None = None) -> None:
         """Set the exact record of ``rows``, graphs that share one n <= 24,
@@ -426,7 +405,8 @@ class _Record:
         inside = (s[:, None] >> np.arange(n)) & 1
         self.cut[rows] = (inside * np.bitwise_count(adj & ~s[:, None])).sum(axis=1)
         for i in np.asarray(rows)[rest[:, 0] == 0].tolist():
-            self.unmet["remainder"][i] = f"EmptyRemainder: {_NO_REMAINDER}"
+            empty = EmptyRemainder("removed every vertex; no component remains")
+            self.unmet["remainder"][i] = _reason(empty)
         seed = (phi_witness & -phi_witness)[:, None]
         self.connected[rows] = flood(seed, phi_witness[:, None])[:, 0] == phi_witness
 
@@ -698,60 +678,45 @@ def normalize_checks(checks: str | Sequence[str]) -> tuple[str, ...]:
     return tuple(checks)
 
 
-def evaluate_graph(cache: MetricCache, checks: str | Sequence[str] = "all") -> list[TheoremReport]:
-    """Run the selected check groups on one graph's cache, a batch of one.
-    A group whose precondition is unmet gives skipped reports, with the
-    reason ``"<error type>: <message>"``, instead of raising."""
-    item = (cache.graph_id, cache.g)
-    return _evaluate_batch(normalize_checks(checks), _reports, [item], [cache]).out
-
-
-def _prefill(
-    items: Sequence[tuple[str, Graph]], spectral: bool = True, caches: Sequence | None = None
-) -> _Record:
-    """The record of a batch of (id, graph) pairs, filled per n.  A graph's
-    exact record comes from its :class:`MetricCache` in ``caches``, if
-    given, else from one :func:`_exact_columns` call per n over the graphs
-    :func:`exact_batch` takes; any other gets the error it raises.  If
-    ``spectral``, each regular graph with an exact record gets its gap from
-    its cache or one stacked ``eigh`` per n (no check reads lambda2 of any
-    other), where a refused eigenpair gets :func:`lambda2`'s own result."""
-    degrees = [c.d for c in caches] if caches else [regularity(g) for _, g in items]
-    rec = _Record(items, degrees)
-    by_n: dict[int, list[tuple[int, ExactMetrics | None]]] = {}
+def _prefill(items: Sequence[tuple[str, Graph]], spectral: bool = True) -> _Record:
+    """The record of a batch of (id, graph) pairs, filled per n by one
+    :func:`_exact_columns` call over the graphs that take an exact record;
+    any other gets the error that :func:`_require_enumerable` raises.  If
+    ``spectral``, each regular graph with an exact record gets its gap
+    from one stacked ``eigh`` per n (no check reads lambda2 of any other),
+    where a refused eigenpair gets :func:`lambda2`'s own result."""
+    rec = _Record(items, [regularity(g) for _, g in items])
+    by_n: dict[int, list[int]] = {}
     for i, g in enumerate(rec.graphs):
         try:
-            exact = caches[i].exact if caches else _require_enumerable(g)
+            _require_enumerable(g)
         except VattolError as exc:
             rec.unmet["exact"][i] = _reason(exc)
         else:
-            by_n.setdefault(g.n, []).append((i, exact))
-    for pairs in by_n.values():
-        rows = [i for i, _ in pairs]
-        rec.fill(rows, list(zip(*(exact for _, exact in pairs))) if caches else None)
+            by_n.setdefault(g.n, []).append(i)
+    for rows in by_n.values():
+        rec.fill(rows)
         regular = [i for i in rows if rec.d[i] is not None]
         if spectral and regular:
             graphs = [rec.graphs[i] for i in regular]
-            gaps = [None] * len(regular) if caches else _gap_batch(graphs)
+            gaps = _gap_batch(graphs)
             rec.gap[regular] = [0.0 if gap is None else gap for gap in gaps]
             for i, g, gap in zip(regular, graphs, gaps):
                 if gap is None:
                     try:
-                        rec.gap[i] = (caches[i].spectral if caches else lambda2(g)).gap
+                        rec.gap[i] = lambda2(g).gap
                     except VattolError as exc:
                         rec.unmet["spectral"][i] = _reason(exc)
     return rec
 
 
-def _evaluate_batch(
-    checks: tuple[str, ...], render: Callable, items: Sequence, caches: Sequence | None = None
-) -> _Batch:
+def _evaluate_batch(checks: tuple[str, ...], render: Callable, items: Sequence) -> _Batch:
     """One batch, its output from ``render`` after one :func:`_prefill`: what a
     pool worker returns, so the parent only writes and sums.  Each graph
     is keyed once for every group (see :func:`_graph_entries`); each
     distinct key maps to its entries once per batch, and tallies and
     equality cases come from per-key counts."""
-    rec = _prefill(items, any("spectral" in _CHECKS[c].needs for c in checks), caches)
+    rec = _prefill(items, any("spectral" in _CHECKS[c].needs for c in checks))
     reasons: list[dict[int, str]] = [{} for _ in checks]
     skipped = [0] * len(rec.ids)
     for bit, group in enumerate(checks):

@@ -11,12 +11,12 @@ import tempfile
 import unicodedata
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import vattol as vt
+from given_results import Given, given_results
 from vattol import cli, verify
 from vattol import spectral as spectral_mod
 
@@ -484,40 +484,31 @@ class TestCsvWriter:
 
     @staticmethod
     def cache(graph_id, g, gap=None, **fields):
-        """A cache whose results are set by hand, as the prefill would;
-        ``fields`` replace those of the graph's exact record."""
-        cache = verify.MetricCache(g, graph_id)
-        cache.exact = vt.exact_batch([g])[0]._replace(**fields)
-        if gap is not None:
-            cache.spectral = vt.SpectralResult(1 - gap, gap, 0.0, g.n)
-        return cache
+        """A graph whose results are set by hand; ``fields`` replace those
+        of its exact record."""
+        return Given(graph_id, g, gap, fields)
 
     @staticmethod
-    def written(caches, jobs=1):
-        """The CSV and JSON text that ``write_reports`` gives ``caches`` at
-        ``jobs``, each batch's record read from the given caches, not fresh
-        ones (by position, or by id if ``jobs`` > 1), then the summary."""
-        graphs = [(cache.graph_id, cache.g) for cache in caches]
-        by_id = {cache.graph_id: cache for cache in caches}
-        prefill = verify._prefill
+    def written(entries, jobs=1):
+        """The CSV and JSON text that ``write_reports`` gives the ``entries``
+        graphs at ``jobs``, with their hand-set results, then the summary."""
         out = []
         for fmt in ("csv", "json"):
-            given = iter(caches)
-
-            def from_caches(items, spectral, _=None):
-                chosen = [next(given) if jobs == 1 else by_id[i] for i, _ in items]
-                return prefill(items, spectral, chosen)
-
             buf = io.StringIO()
-            with mock.patch.object(verify, "_prefill", from_caches):
-                summary = verify.write_reports(graphs, "all", jobs, fmt, buf)
+            with given_results(entries, jobs):
+                summary = verify.write_reports([e.item for e in entries], "all", jobs, fmt, buf)
             out.append(buf.getvalue())
         return (*out, summary.lines())
 
     @staticmethod
-    def expected(caches):
-        """The CSV and JSON text of ``caches``' reports, one report at a time."""
-        reports = [r for cache in caches for r in vt.evaluate_graph(cache)]
+    def reports(entry):
+        """The reports of one of the ``entries``, a suite batch of one."""
+        with given_results([entry]):
+            return vt.run_suite([entry.item]).reports
+
+    def expected(self, entries):
+        """The CSV and JSON text of the ``entries``' reports, one report at a time."""
+        reports = [r for entry in entries for r in self.reports(entry)]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(verify.VERIFY_CSV_COLUMNS)
@@ -531,7 +522,7 @@ class TestCsvWriter:
     def test_equal_values_that_print_apart(self):
         k2, c6 = vt.complete(2), vt.cycle(6)
         half = {"phi_num": 1, "phi_den": 2}
-        caches = [
+        entries = [
             self.cache("a", k2, gap=1.0, **half),  # gap 1.0 against 2 phi = Fraction(1)
             self.cache("a", k2, gap=0.0, **half),
             self.cache("a", k2, gap=-0.0, **half),  # same (d, tau, phi), prints apart
@@ -541,8 +532,8 @@ class TestCsvWriter:
             self.cache("pfad·ü", vt.path(4)),  # non-ASCII, in the skip reason too
             self.cache("star", vt.star(3)),
         ]
-        text, js, _ = self.written(caches)
-        assert (text, js) == self.expected(caches)
+        text, js, _ = self.written(entries)
+        assert (text, js) == self.expected(entries)
         assert '"graph_id": "pfad\\u00b7\\u00fc"' in js
         assert '"skip_reason": "NotRegular: pfad\\u00b7\\u00fc: the check' in js
         rows = text.splitlines()[1:]
@@ -561,28 +552,26 @@ class TestCsvWriter:
         # exact record (with the minimizer cap first), then lambda2.
         k2, c6, g18 = vt.complete(2), vt.cycle(6), vt.connected_random_regular(18, 3, 0)[0]
         triangles = vt.build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        caches = [
+        entries = [
             self.cache("nan", k2, gap=float("nan")),
             self.cache("zero", k2, gap=0.0),
             self.cache("minus-zero", k2, gap=-0.0),
-            verify.MetricCache(vt.star(4), "star:4"),
-            verify.MetricCache(triangles, "two triangles"),
+            self.cache("star:4", vt.star(4)),
+            self.cache("two triangles", triangles),
             self.cache("n=18", g18, gap=vt.lambda2(g18).gap),
-            verify.MetricCache(vt.star(30), "star:30"),
-            verify.MetricCache(vt.cycle(25), "cycle:25"),
-            verify.MetricCache(vt.petersen(), "refused"),  # its eigensolve runs below
+            self.cache("star:30", vt.star(30)),
+            self.cache("cycle:25", vt.cycle(25)),
+            self.cache("refused", vt.petersen()),  # its eigensolve runs below
             self.cache("every vertex", c6, gap=0.5, tau_witness=vt.full_mask(6)),
             self.cache('c,"q\nü', vt.cycle(7), gap=0.25),
         ]
         monkeypatch.setattr(spectral_mod, "_RESIDUAL_TOL", -1.0)  # refuses every eigenpair
         monkeypatch.setattr(verify, "SUITE_BATCH", 4)
-        text, js, summary = self.written(caches)
-        assert (text, js) == self.expected(caches)
+        text, js, summary = self.written(entries)
+        assert (text, js) == self.expected(entries)
         assert '"c,\\"q\\n\\u00fc", "n": 7' in js and '"c,""q\nü",7,7,2,' in text
         reasons = {
-            (r.graph_id, r.theorem): r.skip_reason
-            for cache in caches
-            for r in vt.evaluate_graph(cache)
+            (r.graph_id, r.theorem): r.skip_reason for entry in entries for r in self.reports(entry)
         }
         irregular = "the check needs a regular graph"
         disconnected = (
@@ -610,8 +599,8 @@ class TestCsvWriter:
         assert reasons["refused", "spectral_vat_upper"].startswith(
             "NoConvergence: eigenpair residual"
         )
-        if multiprocessing.get_start_method() == "fork":  # how pool workers see the caches
-            assert self.written(caches, jobs=2) == (text, js, summary)
+        if multiprocessing.get_start_method() == "fork":  # how pool workers see the patch
+            assert self.written(entries, jobs=2) == (text, js, summary)
 
     def test_no_graphs_write_only_the_framing(self):
         header = ",".join(verify.VERIFY_CSV_COLUMNS) + "\n"
@@ -633,8 +622,8 @@ class TestCsvWriter:
     def test_fresh_witness_dicts_are_not_confused(self):
         # 200 distinct attack witnesses through the witness-text memo.
         g = vt.cycle(10)
-        caches = [self.cache(f"g{i}", g, tau_witness=i) for i in range(1, 201)]
-        assert self.written(caches)[:2] == self.expected(caches)
+        entries = [self.cache(f"g{i}", g, tau_witness=i) for i in range(1, 201)]
+        assert self.written(entries)[:2] == self.expected(entries)
 
     def test_cold_and_warm_table_give_the_same_bytes(self):
         graphs = list(vt.standard_corpus())
@@ -662,17 +651,17 @@ class TestCsvWriter:
             verify._entry("vat_lower", (3, 1, i + 2, 1, 3))  # distinct tau
         info = verify._entry.cache_info()
         assert info.maxsize == size and info.currsize == size
-        caches = [self.cache(f"c{n}", vt.cycle(n)) for n in range(3, 9)]
-        assert self.written(caches)[:2] == self.expected(caches)  # evicted, then rebuilt
+        entries = [self.cache(f"c{n}", vt.cycle(n)) for n in range(3, 9)]
+        assert self.written(entries)[:2] == self.expected(entries)  # evicted, then rebuilt
 
     def test_unmet_preconditions_share_one_entry_per_group(self):
         verify._entry.cache_clear()
-        caches = [verify.MetricCache(vt.star(k), f"star:{k}") for k in (30, 31)]
-        reports = [vt.evaluate_graph(cache) for cache in caches]
+        entries = [self.cache(f"star:{k}", vt.star(k)) for k in (30, 31)]
+        reports = [self.reports(entry) for entry in entries]
         assert verify._entry.cache_info().currsize == len(verify.CHECK_GROUPS)
         assert reports[1][0].skip_reason == "NotRegular: star:31: the check needs a regular graph"
         assert reports[1][-1].skip_reason == "TooLarge: n=32 exceeds the hard cap 24"
-        assert self.written(caches)[:2] == self.expected(caches)
+        assert self.written(entries)[:2] == self.expected(entries)
 
     def test_files_path_with_comma_and_quote(self, tmp_path):
         path = tmp_path / 'a,"b.edges'

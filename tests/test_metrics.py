@@ -392,7 +392,7 @@ class TestExactBatch:
         monkeypatch.undo()
         rec = verify._prefill([(f"g{i}", g) for i, g in enumerate(graphs)], spectral=False)
         for i, (g, expected) in enumerate(zip(graphs, results[1 << 4])):
-            batch, fresh = vt.ExactMetrics(*rec.exact[:, i].tolist()), vt.MetricCache(g).exact
+            batch, fresh = vt.ExactMetrics(*rec.exact[:, i].tolist()), vt.exact_batch([g])[0]
             assert _kernel_tuple(batch, g) == _kernel_tuple(fresh, g) == expected
             assert batch == fresh and rec.d[i] == vt.regularity(g)
 
@@ -583,7 +583,6 @@ class TestHardCap:
             lambda g: vt.alpha_beta_vat_exact(g, 1, 0),
             lambda g: vt.alpha_beta_weighted_vat_exact(g, 1, 0),
             lambda g: vt.exact_batch([g]),
-            lambda g: vt.MetricCache(g).exact,
         ],
         ids=[
             "vat_exact",
@@ -593,7 +592,6 @@ class TestHardCap:
             "alpha_beta_vat_exact",
             "alpha_beta_weighted_vat_exact",
             "exact_batch",
-            "MetricCache.exact",
         ],
     )
     def test_n25_raises_one_message(self, call):

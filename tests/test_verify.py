@@ -12,18 +12,18 @@ from vattol import graph as graph_mod
 from vattol import spectral as spectral_mod
 from vattol.corpus import exhaustive_members, exhaustive_regular, theorem_families
 from fraction_facts import mediant_between, series_lower_bound
+from given_results import Given, given_results
 from naive_oracle import naive_fragment_sides
 from vattol.metrics import HARD_CAP
 from vattol.spectral import _RESIDUAL_TOL
-from vattol.verify import (
-    MetricCache,
-    clamp_jobs,
-    evaluate_graph,
-    normalize_checks,
-    run_suite,
-)
+from vattol.verify import clamp_jobs, normalize_checks, run_suite
 
 F = Fraction
+
+
+def suite_reports(g, checks="all", graph_id="graph"):
+    """The reports of ``checks`` on one graph, a suite batch of one."""
+    return run_suite([(graph_id, g)], checks).reports
 
 
 def by_theorem(reports):
@@ -40,21 +40,7 @@ def assert_all_skipped(reports, reason_prefix):
 _TWO_TRIANGLES = vt.build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
 
-class TestMetricCache:
-    def test_one_exact_batch_call_serves_tau_and_phi(self, monkeypatch):
-        calls = []
-
-        def counting(graphs):
-            calls.append(len(graphs))
-            return vt.exact_batch(graphs)
-
-        monkeypatch.setattr(verify, "exact_batch", counting)
-        g = vt.petersen()
-        cache = MetricCache(g)
-        assert cache.exact.tau == vt.vat_exact(g)
-        assert cache.exact.phi == vt.conductance_exact(g)
-        assert calls == [1]
-
+class TestExactErrors:
     def test_errors_match_vat_exact_in_order(self):
         ring = [(v, (v + 1) % 13) for v in range(13)]
         two_rings = vt.build_graph(26, ring + [(u + 13, v + 13) for u, v in ring])
@@ -66,39 +52,38 @@ class TestMetricCache:
         for g, error in cases:
             with pytest.raises(error):
                 vt.vat_exact(g)
-            for name in ("tau", "phi"):
-                with pytest.raises(error):
-                    getattr(MetricCache(g).exact, name)
+            with pytest.raises(error):
+                vt.exact_batch([g])
 
 
 class TestCheeger:
     def test_k2(self):
-        lower, upper = evaluate_graph(MetricCache(vt.complete(2)), "cheeger")
+        lower, upper = suite_reports(vt.complete(2), "cheeger")
         assert lower.lhs == F(1, 2) and lower.rhs == pytest.approx(2.0)
         assert lower.holds and lower.strict_holds
         assert upper.lhs == pytest.approx(2.0) and upper.rhs == F(2)
         assert upper.holds and not upper.strict_holds  # equality
 
     def test_c6(self):
-        lower, upper = evaluate_graph(MetricCache(vt.cycle(6)), "cheeger")
+        lower, upper = suite_reports(vt.cycle(6), "cheeger")
         assert lower.lhs == F(1, 18)
         assert lower.rhs == pytest.approx(0.5)
         assert upper.rhs == F(2, 3)
         assert lower.holds and upper.holds and upper.strict_holds
 
     def test_k4_upper_equality(self):
-        _, upper = evaluate_graph(MetricCache(vt.complete(4)), "cheeger")
+        _, upper = suite_reports(vt.complete(4), "cheeger")
         assert upper.lhs == pytest.approx(4 / 3)
         assert upper.rhs == F(4, 3)
         assert upper.holds and not upper.strict_holds
 
     def test_star_not_regular(self):
-        assert_all_skipped(evaluate_graph(MetricCache(vt.star(5)), "cheeger"), "NotRegular: ")
+        assert_all_skipped(suite_reports(vt.star(5), "cheeger"), "NotRegular: ")
 
 
 class TestVatUpper:
     def test_c6_conditional_skipped(self):
-        reports = by_theorem(evaluate_graph(MetricCache(vt.cycle(6)), "vat_upper"))
+        reports = by_theorem(suite_reports(vt.cycle(6), "vat_upper"))
         cond = reports["vat_upper_conditional"]
         assert cond.skipped and "hypothesis" in cond.skip_reason
         uncond = reports["vat_upper_unconditional"]
@@ -106,7 +91,7 @@ class TestVatUpper:
         assert uncond.holds and uncond.strict_holds
 
     def test_k2_boundary_skips_conditional(self):
-        reports = by_theorem(evaluate_graph(MetricCache(vt.complete(2)), "vat_upper"))
+        reports = by_theorem(suite_reports(vt.complete(2), "vat_upper"))
         assert reports["vat_upper_conditional"].skipped
         uncond = reports["vat_upper_unconditional"]
         assert uncond.lhs == F(1) and uncond.rhs == F(1)
@@ -114,7 +99,7 @@ class TestVatUpper:
 
     def test_c12_conditional_equality(self):
         # phi(C12) = 1/6 < 1/4, tau(C12) = 1/3 = d*phi: holds, non-strict
-        reports = by_theorem(evaluate_graph(MetricCache(vt.cycle(12)), "vat_upper"))
+        reports = by_theorem(suite_reports(vt.cycle(12), "vat_upper"))
         cond = reports["vat_upper_conditional"]
         assert not cond.skipped
         assert cond.lhs == F(1, 3) and cond.rhs == F(1, 3)
@@ -124,34 +109,33 @@ class TestVatUpper:
         # phi == 1/d^2 exactly and tau > d*phi: the strict hypothesis
         # excludes it, the unconditional bound still holds
         g, _ = vt.connected_random_regular(18, 3, 118827)
-        cache = MetricCache(g, graph_id="boundary")
-        assert cache.exact.phi.value == F(1, 9)
-        assert cache.exact.tau.value == F(3, 8)
-        reports = by_theorem(evaluate_graph(cache, "vat_upper"))
+        reports = by_theorem(suite_reports(g, "vat_upper", "boundary"))
         assert reports["vat_upper_conditional"].skipped
-        assert reports["vat_upper_unconditional"].holds
+        uncond = reports["vat_upper_unconditional"]
+        assert uncond.lhs == F(3, 8) and uncond.rhs == 9 * F(1, 9)  # tau, and d^2 phi
+        assert uncond.holds
 
 
 class TestVatLower:
     def test_c6_strict(self):
-        (r,) = evaluate_graph(MetricCache(vt.cycle(6)), "vat_lower")
+        (r,) = suite_reports(vt.cycle(6), "vat_lower")
         assert r.lhs == F(1, 3) and r.rhs == F(4, 3)
         assert r.holds and r.strict_holds
 
     def test_k4_strict(self):
-        (r,) = evaluate_graph(MetricCache(vt.complete(4)), "vat_lower")
+        (r,) = suite_reports(vt.complete(4), "vat_lower")
         assert r.lhs == F(2, 3) and r.rhs == F(3)
         assert r.holds and r.strict_holds
 
     def test_k2_equality(self):
-        (r,) = evaluate_graph(MetricCache(vt.complete(2)), "vat_lower")
+        (r,) = suite_reports(vt.complete(2), "vat_lower")
         assert r.lhs == F(1) and r.rhs == F(1)
         assert r.holds and not r.strict_holds and r.equality
 
 
 class TestSpectralVat:
     def test_c6_values(self):
-        reports = by_theorem(evaluate_graph(MetricCache(vt.cycle(6)), "spectral_vat"))
+        reports = by_theorem(suite_reports(vt.cycle(6), "spectral_vat"))
         lower = reports["spectral_vat_lower"]
         assert lower.lhs == F(1, 72)
         assert lower.rhs == pytest.approx(0.5)
@@ -161,7 +145,7 @@ class TestSpectralVat:
         assert reports["spectral_vat_lower_conditional"].skipped
 
     def test_k4_values(self):
-        reports = by_theorem(evaluate_graph(MetricCache(vt.complete(4)), "spectral_vat"))
+        reports = by_theorem(suite_reports(vt.complete(4), "spectral_vat"))
         assert reports["spectral_vat_lower"].lhs == F(1, 162)
         assert reports["spectral_vat_lower"].rhs == pytest.approx(4 / 3)
         assert reports["spectral_vat_upper"].rhs == F(6)
@@ -170,12 +154,12 @@ class TestSpectralVat:
         )
 
     def test_hypercube3(self):
-        reports = by_theorem(evaluate_graph(MetricCache(vt.hypercube(3)), "spectral_vat"))
+        reports = by_theorem(suite_reports(vt.hypercube(3), "spectral_vat"))
         for r in reports.values():
             assert r.skipped or r.holds
 
     def test_c12_conditional_emitted(self):
-        reports = by_theorem(evaluate_graph(MetricCache(vt.cycle(12)), "spectral_vat"))
+        reports = by_theorem(suite_reports(vt.cycle(12), "spectral_vat"))
         cond = reports["spectral_vat_lower_conditional"]
         assert not cond.skipped
         assert cond.lhs == F(1, 72)  # (1/3)^2 / (2*4)
@@ -184,49 +168,48 @@ class TestSpectralVat:
 
 class TestConnectedMinimizer:
     def test_c6(self):
-        (r,) = evaluate_graph(MetricCache(vt.cycle(6)), "connected_minimizer")
+        (r,) = suite_reports(vt.cycle(6), "connected_minimizer")
         assert r.holds
         assert r.witnesses["S"] == [0, 1, 2]  # an arc: connected path
 
     def test_k4(self):
-        (r,) = evaluate_graph(MetricCache(vt.complete(4)), "connected_minimizer")
+        (r,) = suite_reports(vt.complete(4), "connected_minimizer")
         assert r.holds and r.witnesses["S"] == [0, 1]
 
     def test_reads_minimizers_from_cache(self):
-        g = vt.cycle(6)
-        cache = MetricCache(g)
-        cache.exact = vt.exact_batch([g])[0]._replace(phi_witness=0b111000)
-        (r,) = evaluate_graph(cache, "connected_minimizer")
+        given = Given("graph", vt.cycle(6), fields={"phi_witness": 0b111000})
+        with given_results([given]):
+            (r,) = suite_reports(given.g, "connected_minimizer")
         assert r.witnesses["S"] == [3, 4, 5]
 
     def test_hypercube3_face(self):
-        (r,) = evaluate_graph(MetricCache(vt.hypercube(3)), "connected_minimizer")
+        (r,) = suite_reports(vt.hypercube(3), "connected_minimizer")
         assert r.holds
         s = vt.mask_from_vertices(r.witnesses["S"])
         assert vt.set_conductance(vt.hypercube(3), s) == F(1, 3)
 
     def test_too_large(self):
         g, _ = vt.connected_random_regular(18, 3, 0)
-        reports = evaluate_graph(MetricCache(g), "connected_minimizer")
+        reports = suite_reports(g, "connected_minimizer")
         assert_all_skipped(reports, "TooLarge: ")
 
 
 class TestFragmentBounds:
     def test_c6(self):
-        cut_r, size_r = evaluate_graph(MetricCache(vt.cycle(6)), "fragment_bounds")
+        cut_r, size_r = suite_reports(vt.cycle(6), "fragment_bounds")
         assert cut_r.lhs == F(4) and cut_r.rhs == F(4)
         assert cut_r.holds and not cut_r.strict_holds
         assert size_r.lhs == F(3) and size_r.rhs == F(4)
         assert size_r.holds and size_r.strict_holds
 
     def test_k4(self):
-        cut_r, size_r = evaluate_graph(MetricCache(vt.complete(4)), "fragment_bounds")
+        cut_r, size_r = suite_reports(vt.complete(4), "fragment_bounds")
         assert cut_r.lhs == F(3) and cut_r.rhs == F(3)
         assert size_r.lhs == F(1) and size_r.rhs == F(3)
         assert cut_r.holds and size_r.holds
 
     def test_star_not_regular(self):
-        reports = evaluate_graph(MetricCache(vt.star(4)), "fragment_bounds")
+        reports = suite_reports(vt.star(4), "fragment_bounds")
         assert_all_skipped(reports, "NotRegular: ")
 
     @staticmethod
@@ -235,7 +218,7 @@ class TestFragmentBounds:
         each vertex, V less each vertex, seeded random masks) of every
         graph, all in one batch, is the per-piece sum of the naive oracle:
         boundaries sum to cut(S), sizes to n - |S|; the witness is (S, T)."""
-        caches, expected = [], []
+        given, expected = [], []
         for graph_id, g in items:
             full = vt.full_mask(g.n)
             rng = random.Random(g.n * 1000 + g.m)
@@ -244,17 +227,16 @@ class TestFragmentBounds:
             masks += [full ^ (1 << v) for v in range(g.n)]
             masks += [rng.randrange(full) for _ in range(8)]
             for mask in masks:
-                cache = MetricCache(g, f"{graph_id} S={mask}")
-                cache.exact = record._replace(tau_witness=mask)
-                caches.append(cache)
+                given.append(Given(f"{graph_id} S={mask}", g, fields={"tau_witness": mask}))
                 expected.append(naive_fragment_sides(g, mask))
-        rec = verify._prefill([(c.graph_id, c.g) for c in caches], False, caches)
+        with given_results(given):
+            rec = verify._prefill([entry.item for entry in given], False)
         columns = dict(zip(verify._KEY_COLUMNS, rec.key_columns()))
         keys = list(zip(*(columns[c] for c in verify._CHECKS["fragment_bounds"].key)))
         witnesses = rec.witnesses()["st"]
-        for cache, key, witness, (sides, pair) in zip(caches, keys, witnesses, expected):
-            assert (key, witness) == ((*sides[0], *sides[1]), pair), cache.graph_id
-        assert len(keys) == len(caches)
+        for entry, key, witness, (sides, pair) in zip(given, keys, witnesses, expected):
+            assert (key, witness) == ((*sides[0], *sides[1]), pair), entry.graph_id
+        assert len(keys) == len(given)
 
     def test_key_matches_per_piece_oracle_on_corpora(self):
         self.assert_key_is_per_piece_sum([*exhaustive_regular(6), *theorem_families()])
@@ -268,28 +250,29 @@ class TestFragmentBounds:
         )
 
     def test_witness_of_every_vertex_skips_both_rows(self):
-        cache = MetricCache(vt.cycle(6))
-        cache.exact = cache.exact._replace(tau_witness=vt.full_mask(6))
-        reports = evaluate_graph(cache, "fragment_bounds")
+        given = Given("graph", vt.cycle(6), fields={"tau_witness": vt.full_mask(6)})
+        with given_results([given]):
+            reports = suite_reports(given.g, "fragment_bounds")
         assert_all_skipped(reports, "EmptyRemainder: removed every vertex; no component remains")
-        tau_r, _ = evaluate_graph(cache, "value_ranges")
+        with given_results([given]):
+            tau_r, _ = suite_reports(given.g, "value_ranges")
         assert not tau_r.skipped and tau_r.holds is False
         assert tau_r.witnesses == {"S": list(range(6))}
 
 
 class TestValueRanges:
     def test_star(self):
-        tau_r, phi_r = evaluate_graph(MetricCache(vt.star(5)), "value_ranges")
+        tau_r, phi_r = suite_reports(vt.star(5), "value_ranges")
         assert tau_r.lhs == F(1, 5) and tau_r.holds and tau_r.strict_holds
         assert phi_r.lhs == F(1) and phi_r.holds and not phi_r.strict_holds
 
     def test_k2_boundary(self):
-        tau_r, phi_r = evaluate_graph(MetricCache(vt.complete(2)), "value_ranges")
+        tau_r, phi_r = suite_reports(vt.complete(2), "value_ranges")
         assert tau_r.holds and not tau_r.strict_holds
         assert phi_r.holds and not phi_r.strict_holds
 
     def test_c6(self):
-        tau_r, phi_r = evaluate_graph(MetricCache(vt.cycle(6)), "value_ranges")
+        tau_r, phi_r = suite_reports(vt.cycle(6), "value_ranges")
         assert tau_r.holds and phi_r.holds
 
 
@@ -306,13 +289,13 @@ class TestEvaluateAndSuite:
         ]
         theorems = verify.GROUP_THEOREMS[group]
         for g in graphs:
-            every = evaluate_graph(MetricCache(g), "all")
-            alone = evaluate_graph(MetricCache(g), group)
+            every = suite_reports(g, "all")
+            alone = suite_reports(g, group)
             assert alone == [r for r in every if r.theorem in theorems]
             assert [r.theorem for r in alone] == list(theorems)
 
     def test_star_skips_regular_only_checks(self):
-        reports = evaluate_graph(MetricCache(vt.star(5), "star:5"))
+        reports = suite_reports(vt.star(5), graph_id="star:5")
         by = {}
         for r in reports:
             by.setdefault(r.theorem, r)
@@ -352,7 +335,7 @@ class TestEvaluateAndSuite:
         cycles = [(f"cycle:{n}", vt.cycle(n)) for n in range(3, 12)]
         items = small[:45] + mixed + small[45:] + cycles
         assert len(items) > 5 * verify.SUITE_BATCH
-        alone = [r for i, g in items for r in evaluate_graph(MetricCache(g, i))]
+        alone = [r for i, g in items for r in suite_reports(g, graph_id=i)]
         reasons = {r.skip_reason.split(":")[0] for r in alone if r.skipped}
         assert {"NotRegular", "DisconnectedInput", "TooLarge"} <= reasons
         for jobs in (1, 2):
@@ -391,7 +374,7 @@ class TestEvaluateAndSuite:
             with pytest.raises(BadParameter, match="'all' selects every check group"):
                 normalize_checks(checks)
         with pytest.raises(BadParameter, match="list it alone"):
-            evaluate_graph(MetricCache(vt.cycle(4)), ["all", "cheeger"])
+            suite_reports(vt.cycle(4), ["all", "cheeger"])
         assert normalize_checks("all,all") == vt.CHECK_GROUPS
 
 
@@ -472,12 +455,9 @@ class TestPrefill:
         assert rec.exact[:, 0].any() and not rec.exact[:, 1].any()
         reason = f"TooLarge: n={cap + 1} exceeds the hard cap {cap}"
         assert rec.unmet["exact"] == {1: reason} and not rec.unmet["spectral"]
-        for reports in (
-            evaluate_graph(MetricCache(big, "big"), "cheeger,spectral_vat"),
-            run_suite([("big", big)], "cheeger,spectral_vat").reports,
-        ):
-            assert all(r.skipped for r in reports)
-            assert {r.skip_reason for r in reports} == {reason}
+        reports = suite_reports(big, "cheeger,spectral_vat", graph_id="big")
+        assert all(r.skipped for r in reports)
+        assert {r.skip_reason for r in reports} == {reason}
 
     def test_graphs_it_cannot_take_keep_their_errors(self):
         reasons = {
@@ -503,7 +483,7 @@ class TestPrefill:
         assert sorted(rec.unmet["exact"]) == [0, 1, 2]
         batch = iter(run_suite(items).reports)
         for graph_id, g in items:
-            reports = evaluate_graph(MetricCache(g, graph_id))
+            reports = suite_reports(g, graph_id=graph_id)
             assert [r.theorem for r in reports] == list(verify.ALL_THEOREMS)
             assert reports == list(islice(batch, len(reports)))
             expected = reasons[graph_id]
@@ -520,22 +500,16 @@ class TestPrefill:
         rec = verify._prefill([("p", g)])
         assert rec.exact[:, 0].any() and rec.gap[0] == 0
         assert rec.unmet["spectral"][0].startswith("NoConvergence: eigenpair residual")
-        for reports in (
-            evaluate_graph(MetricCache(g, "p"), "cheeger,vat_lower"),
-            run_suite([("p", g)], "cheeger,vat_lower").reports,
-        ):
-            reports = by_theorem(reports)
-            assert reports["cheeger_lower"].skipped
-            assert reports["cheeger_lower"].skip_reason.startswith(
-                "NoConvergence: eigenpair residual"
-            )
-            assert reports["vat_lower"].holds
+        reports = by_theorem(suite_reports(g, "cheeger,vat_lower", graph_id="p"))
+        assert reports["cheeger_lower"].skipped
+        assert reports["cheeger_lower"].skip_reason.startswith("NoConvergence: eigenpair residual")
+        assert reports["vat_lower"].holds
 
     def test_given_results_change_no_report(self):
         items = [(f"c{n}", vt.cycle(n)) for n in (5, 6, 6, 7)] + [("k4", vt.complete(4))]
         rec = verify._prefill(items)
         assert rec.exact.all() and rec.gap.all() and not rec.unmet["spectral"]
-        alone = [r for graph_id, g in items for r in evaluate_graph(MetricCache(g, graph_id))]
+        alone = [r for graph_id, g in items for r in suite_reports(g, graph_id=graph_id)]
         assert run_suite(items).reports == alone
 
     def test_one_connectivity_traversal_per_graph(self, monkeypatch):
