@@ -253,7 +253,8 @@ def enumerate_small_regular(n: int, d: int) -> Iterator[Graph]:
     rows = rows[np.lexsort([rows[:, u] >> (u + 1) for u in range(n - 1)])]
     nbrs = [tuple(vertices_from_mask(m)) for m in range(1 << n)]
     masks = map(np.ndarray.tolist, rows)
-    return (_trusted_graph(n, tuple(map(nbrs.__getitem__, m)), tuple(m)) for m in masks)
+    deg, m = (d,) * n, n * d // 2  # shared by every member
+    return (_trusted_graph(n, tuple(map(nbrs.__getitem__, r)), tuple(r), deg, m) for r in masks)
 
 
 #: Per family: its constructor, called with a spec's parameters (and seed),

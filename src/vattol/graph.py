@@ -186,11 +186,16 @@ def build_graph(
     )
 
 
-def _trusted_graph(n: int, adj: tuple[tuple[int, ...], ...], adj_masks: tuple[int, ...]) -> Graph:
-    """A connected unweighted graph from sorted neighbour tuples and masks
-    that the caller built simple and symmetric; nothing is re-validated."""
+def _trusted_graph(
+    n: int, adj: tuple[tuple[int, ...], ...], masks: tuple[int, ...], deg: tuple[int, ...], m: int
+) -> Graph:
+    """A connected unweighted graph from sorted neighbour tuples, their
+    masks, the degrees and the edge count, which the caller built simple
+    and symmetric; nothing is re-validated."""
     g = object.__new__(Graph)
-    g.__dict__.update(n=n, adj=adj, costs=None, values=None, adj_masks=adj_masks, _connected=True)
+    g.__dict__.update(
+        n=n, adj=adj, costs=None, values=None, adj_masks=masks, _connected=True, deg=deg, m=m
+    )
     return g
 
 
@@ -212,18 +217,17 @@ def _walk(adj: Sequence[Sequence[int]], root: int, seen: bytearray) -> list[int]
     return piece
 
 
-def _component(adj_masks: Sequence[int], seed: VertexMask, within: VertexMask) -> VertexMask:
-    """The component of the one-bit mask ``seed`` in the subgraph induced on ``within``."""
-    comp = frontier = seed
-    while frontier:
-        nbrs = 0
-        while frontier:
-            b = frontier & -frontier
-            frontier ^= b
-            nbrs |= adj_masks[b.bit_length() - 1]
-        frontier = nbrs & within & ~comp
-        comp |= frontier
-    return comp
+def _pieces(g: Graph, removed: VertexMask) -> list[list[int]]:
+    """The vertex lists of the components of ``V - removed``, most vertices
+    first, ties to the piece with the lowest vertex: each piece is walked
+    from its lowest vertex, and the sort is stable."""
+    _check_mask(g, removed)
+    seen = bytearray(g.n)
+    for v in vertices_from_mask(removed):
+        seen[v] = 1
+    pieces = [_walk(g.adj, v, seen) for v in range(g.n) if not seen[v]]
+    pieces.sort(key=len, reverse=True)
+    return pieces
 
 
 def components(g: Graph, removed: VertexMask = 0) -> list[VertexMask]:
@@ -234,15 +238,7 @@ def components(g: Graph, removed: VertexMask = 0) -> list[VertexMask]:
     every vertex is removed.  This ordering is part of the contract so
     that witness sets are reproducible across runs and platforms.
     """
-    _check_mask(g, removed)
-    remaining = full_mask(g.n) & ~removed
-    comps = []
-    while remaining:
-        comp = _component(g.adj_masks, remaining & -remaining, remaining)
-        comps.append(comp)
-        remaining ^= comp
-    comps.sort(key=lambda c: (-c.bit_count(), c & -c))
-    return comps
+    return list(map(mask_from_vertices, _pieces(g, removed)))
 
 
 def largest_component(g: Graph, removed: VertexMask = 0) -> VertexMask:
@@ -250,10 +246,10 @@ def largest_component(g: Graph, removed: VertexMask = 0) -> VertexMask:
 
     Ties break toward the component containing the smallest vertex id.
     """
-    comps = components(g, removed)
-    if not comps:
+    pieces = _pieces(g, removed)
+    if not pieces:
         raise EmptyRemainder("removed every vertex; no component remains")
-    return comps[0]
+    return mask_from_vertices(pieces[0])
 
 
 def is_connected(g: Graph) -> bool:
@@ -308,9 +304,7 @@ def restrict_to_largest_component(g: Graph) -> Graph:
     """
     if is_connected(g):
         return g
-    seen = bytearray(g.n)
-    pieces = [_walk(g.adj, v, seen) for v in range(g.n) if not seen[v]]
-    keep = sorted(max(pieces, key=len))  # the first largest piece: ties go to the lowest id
+    keep = sorted(_pieces(g, 0)[0])
     index = {v: i for i, v in enumerate(keep)}
     edges = [(index[u], index[v]) for u in keep for v in g.adj[u] if u < v]
     costs = values = None

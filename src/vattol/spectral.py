@@ -9,11 +9,11 @@ similarity transform makes matrix-variant independent.
 
 lambda2 and its eigenvector come from one of two solvers, picked by size:
 
-- up to :data:`_DENSE_MAX_N` vertices (every graph the verification
-  suite prefills and every graph of the standard corpus), a dense
-  ``numpy.linalg.eigh`` of the n x n matrix, O(n^3) time and O(n^2)
-  memory; the suite's stacked solve (:func:`_gap_batch`) gives the
-  same bits;
+- up to :data:`_DENSE_MAX_N` vertices (every graph of the standard
+  corpus), a dense ``numpy.linalg.eigh`` of the n x n matrix, O(n^3)
+  time and O(n^2) memory; the suite's stacked solve (:func:`_gap_batch`),
+  which builds its matrices from the neighbour masks of graphs with
+  n <= 24, gives the same bits;
 - above it, matrix-free Lanczos (:func:`_lanczos`): N is applied edge by
   edge, the known top eigenvector ``D^{1/2} 1`` is deflated, and each
   new Krylov vector is orthogonalized twice against the whole basis,
@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -107,30 +106,23 @@ def _require_spectral_graph(g: Graph) -> None:
     require_connected(g)
 
 
-def _nonzeros(graphs: Sequence[Graph]) -> tuple[np.ndarray, ...]:
-    """The nonzeros of the normalized adjacency matrices of graphs that
-    share n, none with an isolated vertex: graph, row, column and value."""
-    n = graphs[0].n
-    deg = np.array([g.deg for g in graphs])
-    which, rows = np.divmod(np.repeat(np.arange(deg.size), deg.ravel()), n)
-    adj = chain.from_iterable(g.adj for g in graphs)
-    cols = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=len(rows))
+def _nonzeros(g: Graph) -> tuple[np.ndarray, ...]:
+    """The nonzeros of the normalized adjacency matrix of ``g``, which has
+    no isolated vertex: row, column and value."""
+    deg = np.array(g.deg)
+    rows = np.repeat(np.arange(g.n), deg)
+    cols = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp, count=len(rows))
     inv_sqrt = 1.0 / np.sqrt(deg)
-    return which, rows, cols, inv_sqrt[which, rows] * inv_sqrt[which, cols]
-
-
-def _normalized_stack(graphs: Sequence[Graph]) -> np.ndarray:
-    """The matrices of :func:`_nonzeros` as one ``(k, n, n)`` stack."""
-    which, rows, cols, values = _nonzeros(graphs)
-    mats = np.zeros((len(graphs), graphs[0].n, graphs[0].n))
-    mats[which, rows, cols] = values
-    return mats
+    return rows, cols, inv_sqrt[rows] * inv_sqrt[cols]
 
 
 def normalized_adjacency(g: Graph) -> np.ndarray:
     """Dense symmetric normalized adjacency matrix of ``g``."""
     _require_spectral_graph(g)
-    return _normalized_stack([g])[0]
+    rows, cols, values = _nonzeros(g)
+    mat = np.zeros((g.n, g.n))
+    mat[rows, cols] = values
+    return mat
 
 
 def _certified(lam: float, residual: float, n: int) -> SpectralResult | None:
@@ -173,7 +165,7 @@ def _lanczos(g: Graph) -> tuple[float, np.ndarray, float] | None:
     the result is the same on every platform.
     """
     n = g.n
-    _, rows, cols, weights = _nonzeros([g])
+    rows, cols, weights = _nonzeros(g)
 
     def apply(x: np.ndarray) -> np.ndarray:
         return np.bincount(rows, weights=weights * x[cols], minlength=n)
@@ -222,7 +214,7 @@ def _lambda2_pair(g: Graph) -> tuple[SpectralResult, np.ndarray]:
         if 8 * g.n**2 > _MEMORY_BUDGET:
             mib = _MEMORY_BUDGET >> 20
             raise NoConvergence(f"n={g.n}: Lanczos gave up and a dense solve exceeds {mib} MiB")
-        (lam,), vecs, (residual,) = _eigenpairs(_normalized_stack([g]))
+        (lam,), vecs, (residual,) = _eigenpairs(normalized_adjacency(g)[None])
         pair = lam, vecs[0], residual
     lam, vec, residual = pair
     result = _certified(lam, residual, g.n)
@@ -240,15 +232,21 @@ def lambda2(g: Graph) -> SpectralResult:
     return _lambda2_pair(g)[0]
 
 
-def _gap_batch(graphs: Sequence[Graph]) -> list[float | None]:
-    """The gap of :func:`lambda2` of connected graphs that share one n >= 2,
-    by one stacked ``eigh``: bit for bit its gap up to :data:`_DENSE_MAX_N`
-    vertices, or None where :func:`_certified` refuses the pair or the
-    solve fails."""
+def _gap_batch(adj: np.ndarray) -> list[float | None]:
+    """The gap of :func:`lambda2` of connected graphs that share one
+    2 <= n <= 24, given as int32 neighbour masks, one row per graph, by one
+    stacked ``eigh``: bit for bit, as entry (u, v) is :func:`_nonzeros`'s
+    ``inv_sqrt[u] * inv_sqrt[v]`` where bit v of row u is set; or None where
+    :func:`_certified` refuses the pair or the solve fails."""
+    inv_sqrt = 1.0 / np.sqrt(np.bitwise_count(adj).astype(np.int64))
+    edge = (adj[:, :, None] >> np.arange(adj.shape[1], dtype=np.int32) & 1).astype(bool)
+    # a masked product into zeros: float (k, n, n) temporaries cost 2% peak RSS
+    mats = np.zeros(edge.shape)
+    np.multiply(inv_sqrt[:, :, None], inv_sqrt[:, None, :], out=mats, where=edge)
     try:
-        lams, _, residuals = _eigenpairs(_normalized_stack(graphs))
+        lams, _, residuals = _eigenpairs(mats)
     except NoConvergence:
-        return [None] * len(graphs)
+        return [None] * len(adj)
     return [None if res > _RESIDUAL_TOL else 1.0 - lam for lam, res in zip(lams, residuals)]
 
 

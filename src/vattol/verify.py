@@ -36,7 +36,8 @@ graph with attack tolerance tau, conductance phi and spectral gap
 Every run checks graphs a batch at a time, :data:`SUITE_BATCH` graphs
 in process or as one pool task.  ``_prefill`` makes a batch a record of
 columns, filled per n by one ``_exact_columns`` pass, one stacked
-``eigh`` and bulk floods, with each graph's unmet preconditions.
+``eigh`` over matrices built from the neighbour masks that pass read,
+and bulk floods, with each graph's unmet preconditions.
 ``_CHECKS`` gives each group in report order the columns that key its
 rows, e.g. (d, tau, phi) in integers, its row builder, its
 preconditions and its theorems.  Each graph is keyed once for all
@@ -347,12 +348,6 @@ def _entry(group: str, key: tuple | None) -> _Entry:
     return _Entry(rows, tally, claims, "".join(map(_csv_template, rows)))
 
 
-@lru_cache(maxsize=_TABLE_SIZE)
-def _template(entries: tuple[_Entry, ...], json_out: bool) -> str:
-    """The template of a graph's JSON records or CSV lines at these entries."""
-    return "".join(entry.json if json_out else entry.csv for entry in entries)
-
-
 #: Largest n of the ``connected_minimizer`` check, whose skip reason above
 #: it is part of the report.
 MINIMIZER_LIMIT = 16
@@ -388,10 +383,10 @@ class _Record:
             if n > MINIMIZER_LIMIT:
                 self.unmet["minimizer"][i] = _reason(TooLarge(f"{name}: {limit}"))
 
-    def fill(self, rows: list[int], columns: Sequence[Sequence[int]] | None = None) -> None:
+    def fill(self, rows: list[int], columns: Sequence[Sequence[int]] | None = None) -> np.ndarray:
         """Set the exact record of ``rows``, graphs that share one n <= 24,
         to ``columns`` (:func:`_exact_columns` if None), then what bulk
-        floods give from it."""
+        floods give from it; return the graphs' int32 neighbour masks."""
         adj = np.array([self.graphs[i].adj_masks for i in rows], np.int32)
         exact = np.array(_exact_columns(adj) if columns is None else columns, np.int64)
         self.exact[:, rows] = exact
@@ -409,6 +404,7 @@ class _Record:
             self.unmet["remainder"][i] = _reason(empty)
         seed = (phi_witness & -phi_witness)[:, None]
         self.connected[rows] = flood(seed, phi_witness[:, None])[:, 0] == phi_witness
+        return adj
 
     def key_columns(self) -> list[list]:
         """The :data:`_KEY_COLUMNS`, one value per graph: d, tau and phi reduced,
@@ -586,7 +582,7 @@ def _text(json_out: bool, rec: _Record, outcome: _Outcome) -> str:
                 for i, reason in reasons.items():
                     column[i] = _json(reason)
         columns += chain.from_iterable((prefix, shown[t.witness]) for t in _CHECKS[group].theorems)
-    templates = [_template(entries, json_out) for entries in outcome.table]
+    templates = ["".join(e.json if json_out else e.csv for e in t) for t in outcome.table]
     text = "".join(map(templates.__getitem__, outcome.codes))
     return text % tuple(chain.from_iterable(zip(*columns)))
 
@@ -683,8 +679,9 @@ def _prefill(items: Sequence[tuple[str, Graph]], spectral: bool = True) -> _Reco
     :func:`_exact_columns` call over the graphs that take an exact record;
     any other gets the error that :func:`_require_enumerable` raises.  If
     ``spectral``, each regular graph with an exact record gets its gap
-    from one stacked ``eigh`` per n (no check reads lambda2 of any other),
-    where a refused eigenpair gets :func:`lambda2`'s own result."""
+    from one stacked ``eigh`` per n over the neighbour masks that the exact
+    pass read (no check reads lambda2 of any other), where a refused
+    eigenpair gets :func:`lambda2`'s own result."""
     rec = _Record(items, [regularity(g) for _, g in items])
     by_n: dict[int, list[int]] = {}
     for i, g in enumerate(rec.graphs):
@@ -695,18 +692,14 @@ def _prefill(items: Sequence[tuple[str, Graph]], spectral: bool = True) -> _Reco
         else:
             by_n.setdefault(g.n, []).append(i)
     for rows in by_n.values():
-        rec.fill(rows)
-        regular = [i for i in rows if rec.d[i] is not None]
-        if spectral and regular:
-            graphs = [rec.graphs[i] for i in regular]
-            gaps = _gap_batch(graphs)
-            rec.gap[regular] = [0.0 if gap is None else gap for gap in gaps]
-            for i, g, gap in zip(regular, graphs, gaps):
-                if gap is None:
-                    try:
-                        rec.gap[i] = lambda2(g).gap
-                    except VattolError as exc:
-                        rec.unmet["spectral"][i] = _reason(exc)
+        adj = rec.fill(rows)
+        regular = np.array([rec.d[i] is not None for i in rows])
+        if spectral and regular.any():
+            for i, gap in zip(np.array(rows)[regular].tolist(), _gap_batch(adj[regular])):
+                try:
+                    rec.gap[i] = lambda2(rec.graphs[i]).gap if gap is None else gap
+                except VattolError as exc:
+                    rec.unmet["spectral"][i] = _reason(exc)
     return rec
 
 

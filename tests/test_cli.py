@@ -637,8 +637,8 @@ class TestCsvWriter:
             ("csv", "596767de40c5d7117240f52b7bebd86ef395d6cc821e89daf79985f94b8b229c"),
             ("json", "17fbbbd8717949675a34476e57594229ee0e7f168a67db0b99fe3f7ee586c980"),
         ]:
-            memos = verify._entry, verify._graph_entries, verify._template
-            for memo in (*memos, verify._witness_line, verify._witness_json):
+            memos = verify._entry, verify._graph_entries, verify._witness_line, verify._witness_json
+            for memo in memos:
                 memo.cache_clear()
             texts = [text(fmt), text(fmt)]  # cold, then warm
             assert verify._entry.cache_info().hits > 0

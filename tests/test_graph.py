@@ -209,6 +209,21 @@ class TestRestrict:
         assert "adj_masks" not in vars(g)
         assert peak < 8 << 20
         assert r.n == n and r.m == n and r.costs == g.costs[:n] and r.values == g.values[:n]
+        first = vt.full_mask(n)
+        assert vt.components(g) == [first, first << n]
+        assert vt.largest_component(g, 1) == first << n  # the other piece lost vertex 0
+        cycle = vt.cycle(2 * n)
+        assert vt.set_vat(cycle, 1 | 1 << n) == Fraction(2, n)
+        assert "adj_masks" not in vars(g) and "adj_masks" not in vars(cycle)
+
+    def test_tie_goes_to_the_piece_with_the_lowest_vertex(self):
+        # pieces {0, 1}, {2, 3, 4} and {5, 6, 7}: the largest two tie
+        edges = [(0, 1), (2, 3), (3, 4), (5, 6), (6, 7)]
+        g = vt.build_graph(8, edges, costs=[Fraction(v + 1) for v in range(8)])
+        keep = vt.vertices_from_mask(vt.largest_component(g))
+        assert keep == [2, 3, 4]
+        r = vt.restrict_to_largest_component(g)
+        assert r.n == 3 and r.m == 2 and r.costs == tuple(Fraction(v + 1) for v in keep)
 
 
 class TestMasks:

@@ -388,7 +388,7 @@ class TestPrefill:
             by_n.setdefault(g.n, []).append((graph_id, g))
         batch = {}
         for group in by_n.values():
-            gaps = spectral_mod._gap_batch([g for _, g in group])
+            gaps = spectral_mod._gap_batch(np.array([g.adj_masks for _, g in group], np.int32))
             batch.update(zip((graph_id for graph_id, _ in group), gaps))
         for graph_id, g in items:  # 228 regular and 15 irregular graphs
             gap = batch[graph_id]
@@ -401,9 +401,9 @@ class TestPrefill:
                 assert rec.gap[i] == 0, graph_id
             else:
                 assert rec.gap[i].hex() == batch[graph_id].hex(), graph_id
-        # the largest n the dense solver takes, next to the Lanczos cutoff
-        g = vt.connected_random_regular(spectral_mod._DENSE_MAX_N, 3, 1)[0]
-        (gap,) = spectral_mod._gap_batch([g])
+        # the largest n the prefill stacks, HARD_CAP
+        g = vt.connected_random_regular(HARD_CAP, 3, 1)[0]
+        (gap,) = spectral_mod._gap_batch(np.array([g.adj_masks], np.int32))
         assert gap is not None and gap.hex() == vt.lambda2(g).gap.hex()
 
     def test_one_exact_batch_per_n_across_degrees(self, monkeypatch):
@@ -440,7 +440,7 @@ class TestPrefill:
 
         monkeypatch.setattr(np.linalg, "eigh", failing)
         g = vt.cycle(6)
-        assert spectral_mod._gap_batch([g, g]) == [None, None]
+        assert spectral_mod._gap_batch(np.array([g.adj_masks] * 2, np.int32)) == [None, None]
         reports = run_suite([("c6", g)], "cheeger").reports
         assert [r.theorem for r in reports] == ["cheeger_lower", "cheeger_upper"]
         assert all(r.skipped and r.holds is None for r in reports)
@@ -496,7 +496,7 @@ class TestPrefill:
     def test_failed_residual_check_gives_none_then_the_error(self, monkeypatch):
         g = vt.petersen()
         monkeypatch.setattr(spectral_mod, "_RESIDUAL_TOL", -1.0)
-        assert spectral_mod._gap_batch([g]) == [None]
+        assert spectral_mod._gap_batch(np.array([g.adj_masks], np.int32)) == [None]
         rec = verify._prefill([("p", g)])
         assert rec.exact[:, 0].any() and rec.gap[0] == 0
         assert rec.unmet["spectral"][0].startswith("NoConvergence: eigenpair residual")
