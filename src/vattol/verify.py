@@ -38,9 +38,10 @@ in process or as one pool task.  ``_prefill`` makes a batch a record of
 columns, filled per n by one ``_exact_columns`` pass, one stacked
 ``eigh`` over matrices built from the neighbour masks that pass read,
 and bulk floods, with each graph's unmet preconditions.
-``_CHECKS`` gives each group in report order the columns that key its
-rows, e.g. (d, tau, phi) in integers, its row builder, its
-preconditions and its theorems.  Each graph is keyed once for all
+``_CHECKS`` states each group in report order: the record's facts that
+key its rows, by name (e.g. d, tau and phi in integers), its
+preconditions, and its theorems, each an inequality of named facts that
+one row builder, ``_row``, judges.  Each graph is keyed once for all
 groups, with the groups whose preconditions it fails (each skipped
 with the first one's reason, ``"<error type>: <message>"``, built from
 the error's class); each distinct key maps once per batch to its entries in
@@ -62,7 +63,6 @@ from __future__ import annotations
 
 import csv
 import json
-import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -123,15 +123,14 @@ class TheoremReport:
 
 
 def _verdict(lhs: Fraction | float, rhs: Fraction | float) -> tuple:
-    """The ``lhs`` to ``slack`` fields of ``lhs <= rhs``, exact on Fractions;
-    a float side is the spectral gap, so the comparison then allows
-    :data:`SPECTRAL_TOL`."""
-    l, r = float(lhs), float(rhs)
+    """The ``lhs`` to ``slack`` fields of ``lhs <= rhs``, exact on Fractions
+    and ints, which it reports as Fractions; a float side is the spectral
+    gap, so the comparison then allows :data:`SPECTRAL_TOL`."""
     if isinstance(lhs, float) or isinstance(rhs, float):
-        holds, strict = l <= r + SPECTRAL_TOL, l < r - SPECTRAL_TOL
-    else:
-        holds, strict = lhs <= rhs, lhs < rhs
-    return lhs, rhs, holds, strict, r - l
+        l, r = float(lhs), float(rhs)
+        return lhs, rhs, l <= r + SPECTRAL_TOL, l < r - SPECTRAL_TOL, r - l
+    lhs, rhs = Fraction(lhs), Fraction(rhs)
+    return lhs, rhs, lhs <= rhs, lhs < rhs, float(rhs) - float(lhs)
 
 
 def _float(value: Fraction) -> float:
@@ -280,15 +279,42 @@ def _report(row: _Row, graph: tuple, witnesses, reason: str = "") -> TheoremRepo
 class _Theorem(NamedTuple):
     """A theorem of a check group.  ``witness``: what its row shows, the
     set S of ``"tau"`` or ``"phi"``, or ``"st"``, tau's S and the largest
-    survivor T.  ``sides``: its inequality lhs <= rhs, (d, tau, phi[,
-    gap]) -> (lhs, rhs), the gap given if its group reads lambda2; None
-    where the group's row builder states it.  ``conditional``: its row is
-    skipped unless phi < 1/d^2."""
+    survivor T.  ``sides``: its inequality lhs <= rhs, as (lhs, rhs) of
+    the :class:`_Facts` of its group's key; None if ``holds`` alone is its
+    verdict.  ``conditional``: its row is skipped unless phi < 1/d^2.
+    ``holds``: a further condition on the facts, ANDed into the verdict."""
 
     name: str
     witness: str
     sides: Callable[..., tuple[Fraction | float, Fraction | float]] | None = None
     conditional: bool = False
+    holds: Callable[..., bool] = lambda v: True
+
+
+class _Facts(dict):
+    """A group's key by name, read as attributes: tau and phi as the
+    Fractions of their reduced parts, the gap as the float of its bits."""
+
+    __getattr__ = dict.__getitem__
+    tau = property(lambda v: Fraction(v.tau_num, v.tau_den))
+    phi = property(lambda v: Fraction(v.phi_num, v.phi_den))
+    gap = property(lambda v: np.int64(v["gap"]).view(np.float64).item())
+
+
+_HYPOTHESIS_NOT_MET = "hypothesis not met: conductance not strictly below 1/d^2"
+
+
+def _row(t: _Theorem, v: _Facts) -> _Row:
+    """The row of ``t`` at the facts ``v``: skipped if it is conditional and
+    not phi < 1/d^2; else the verdict of its sides with ``holds`` ANDed in,
+    or with no sides, ``holds``, whose witness shows only if it holds."""
+    if t.conditional and not v.phi * v.d**2 < 1:
+        return _Row(t.name, skip_reason=_HYPOTHESIS_NOT_MET, witness=False)
+    if t.sides is None:
+        holds = t.holds(v)
+        return _Row(t.name, holds=holds, witness=holds)
+    lhs, rhs, holds, strict, slack = _verdict(*t.sides(v))
+    return _Row(t.name, lhs, rhs, holds and t.holds(v), strict, slack)
 
 
 def _escaped(text: str) -> str:
@@ -338,7 +364,8 @@ def _entry(group: str, key: tuple | None) -> _Entry:
     if key is None:
         rows = tuple(_Row(t.name, skip_reason=_HOLE, witness=False) for t in check.theorems)
     else:
-        rows = check.rows(check.theorems, *key)
+        facts = _Facts(zip(check.key, key))
+        rows = tuple(_row(t, facts) for t in check.theorems)
     checked = [r for r in rows if not r.skip_reason]
     equalities = tuple(r.theorem for r in rows if r.holds is True and r.strict_holds is False)
     holds = sum(1 for r in checked if r.holds)
@@ -406,18 +433,18 @@ class _Record:
         self.connected[rows] = flood(seed, phi_witness[:, None])[:, 0] == phi_witness
         return adj
 
-    def key_columns(self) -> list[list]:
-        """The :data:`_KEY_COLUMNS`, one value per graph: d, tau and phi reduced,
-        the gap's float64 bits (-0.0 and 0.0 print apart), whether phi's witness
-        is connected, the fragment bounds' sides, whether no vertex survives."""
+    def key_columns(self) -> dict[str, list]:
+        """Per fact that a group's key can name, one value per graph: d, tau and
+        phi reduced, the gap's float64 bits (-0.0 and 0.0 print apart), whether
+        phi's witness is connected, and at tau's witness S, cut(S), n, s = |S|
+        and t = |T| (0: no vertex survives)."""
         tau_num, tau_den, _, phi_num, phi_den, _ = self.exact.tolist()
-        s = np.bitwise_count(self.exact[2])
-        survivors = np.array(self.n) - s
-        outside = survivors - np.bitwise_count(self.survivor) + 1
-        ds = np.array([d or 0 for d in self.d]) * s
-        rest = self.gap.view(np.int64), self.connected, self.cut, ds, outside, survivors
-        return [self.d, tau_num, tau_den, phi_num, phi_den, *(a.tolist() for a in rest),
-                (self.survivor == 0).tolist()]
+        s, t = np.bitwise_count(self.exact[2]).tolist(), np.bitwise_count(self.survivor).tolist()
+        return dict(
+            d=self.d, tau_num=tau_num, tau_den=tau_den, phi_num=phi_num, phi_den=phi_den,
+            gap=self.gap.view(np.int64).tolist(), connected=self.connected.tolist(),
+            cut=self.cut.tolist(), n=self.n, s=s, t=t,
+        )
 
     def witnesses(self) -> dict[str, Iterator[tuple[int, ...]]]:
         """Per witness a row can show (see :class:`_Theorem`), per graph its masks."""
@@ -425,99 +452,53 @@ class _Record:
         return {"tau": zip(tau), "phi": zip(phi), "st": zip(tau, self.survivor.tolist())}
 
 
-_HYPOTHESIS_NOT_MET = "hypothesis not met: conductance not strictly below 1/d^2"
-
-
-def _triple_rows(theorems, d, tau_num, tau_den, phi_num, phi_den, *gap_bits) -> tuple[_Row, ...]:
-    """The verdict of each theorem on its sides at (d, tau, phi), with
-    the gap if the key has its bits; a conditional one is skipped unless
-    phi < 1/d^2."""
-    tau, phi = Fraction(tau_num, tau_den), Fraction(phi_num, phi_den)
-    values = (d, tau, phi, *np.array(gap_bits, np.int64).view(np.float64).tolist())
-    hypothesis = phi_num * d * d < phi_den  # phi < 1/d^2
-    return tuple(
-        _Row(t.name, *_verdict(*t.sides(*values)))
-        if hypothesis or not t.conditional
-        else _Row(t.name, skip_reason=_HYPOTHESIS_NOT_MET, witness=False)
-        for t in theorems
-    )
-
-
-def _connected_minimizer_rows(theorems, holds: bool) -> tuple[_Row, ...]:
-    return (_Row(theorems[0].name, holds=holds, witness=holds),)
-
-
-def _fragment_bounds_rows(theorems, cut, ds, outside, survivors) -> tuple[_Row, ...]:
-    """Per theorem, the verdict of its pair of integer sides."""
-    pairs = (cut, ds), (outside, survivors)
-    return tuple(_Row(t.name, *_verdict(*map(Fraction, p))) for t, p in zip(theorems, pairs))
-
-
-def _value_ranges_rows(theorems, tau_num, tau_den, phi_num, phi_den, no_survivor) -> tuple:
-    """0 < x <= 1 for tau, which also needs a survivor, and for phi."""
-    tau, phi = Fraction(tau_num, tau_den), Fraction(phi_num, phi_den)
-    tau_row = _Row(theorems[0].name, *_verdict(tau, Fraction(1)))
-    phi_row = _Row(theorems[1].name, *_verdict(phi, Fraction(1)))
-    return (
-        tau_row._replace(holds=not no_survivor and 0 < tau <= 1),
-        phi_row._replace(holds=0 < phi <= 1),
-    )
-
-
 class _Check(NamedTuple):
-    """A check group: ``key``, the record's key columns that decide its rows,
-    which ``rows(theorems, *key)`` builds; ``needs``, its preconditions in
-    order; its theorems in report order."""
+    """A check group: ``key``, the names of the :meth:`_Record.key_columns`
+    that decide its rows, which :func:`_row` builds from its theorems at
+    their values; ``needs``, its preconditions in order; its theorems in
+    report order."""
 
     key: tuple[str, ...]
-    rows: Callable[..., tuple[_Row, ...]]
     needs: tuple[str, ...]
     theorems: tuple[_Theorem, ...]
 
 
-#: The record's key columns, as :meth:`_Record.key_columns` gives them.
-_KEY_COLUMNS = (
-    "d", "tau_num", "tau_den", "phi_num", "phi_den", "gap",
-    "connected", "cut", "ds", "outside", "survivors", "no_survivor",
-)
-_TRIPLE = _KEY_COLUMNS[:5]
+_TRIPLE = ("d", "tau_num", "tau_den", "phi_num", "phi_den")
 _ON_TRIPLE = ("regular", "exact")
 _ON_GAP = ("regular", "exact", "spectral")
 
 #: Per check group, in report order.
 _CHECKS = {
-    "cheeger": _Check((*_TRIPLE, "gap"), _triple_rows, _ON_GAP, (
-        _Theorem("cheeger_lower", "phi", lambda d, tau, phi, gap: (phi * phi / 2, gap)),
-        _Theorem("cheeger_upper", "phi", lambda d, tau, phi, gap: (gap, 2 * phi)),
+    "cheeger": _Check((*_TRIPLE, "gap"), _ON_GAP, (
+        _Theorem("cheeger_lower", "phi", lambda v: (v.phi * v.phi / 2, v.gap)),
+        _Theorem("cheeger_upper", "phi", lambda v: (v.gap, 2 * v.phi)),
     )),
-    "vat_upper": _Check(_TRIPLE, _triple_rows, _ON_TRIPLE, (
-        _Theorem("vat_upper_conditional", "tau", lambda d, tau, phi: (tau, d * phi), True),
-        _Theorem("vat_upper_unconditional", "tau", lambda d, tau, phi: (tau, d * d * phi)),
+    "vat_upper": _Check(_TRIPLE, _ON_TRIPLE, (
+        _Theorem("vat_upper_conditional", "tau", lambda v: (v.tau, v.d * v.phi), True),
+        _Theorem("vat_upper_unconditional", "tau", lambda v: (v.tau, v.d * v.d * v.phi)),
     )),
-    "vat_lower": _Check(_TRIPLE, _triple_rows, _ON_TRIPLE, (
-        _Theorem("vat_lower", "tau", lambda d, tau, phi: (phi, d * tau)),
+    "vat_lower": _Check(_TRIPLE, _ON_TRIPLE, (
+        _Theorem("vat_lower", "tau", lambda v: (v.phi, v.d * v.tau)),
     )),
-    "spectral_vat": _Check((*_TRIPLE, "gap"), _triple_rows, _ON_GAP, (
-        _Theorem("spectral_vat_lower", "tau", lambda d, tau, phi, gap: (tau**2 / (2 * d**4), gap)),
-        _Theorem("spectral_vat_upper", "tau", lambda d, tau, phi, gap: (gap, 2 * d * tau)),
+    "spectral_vat": _Check((*_TRIPLE, "gap"), _ON_GAP, (
+        _Theorem("spectral_vat_lower", "tau", lambda v: (v.tau**2 / (2 * v.d**4), v.gap)),
+        _Theorem("spectral_vat_upper", "tau", lambda v: (v.gap, 2 * v.d * v.tau)),
         _Theorem(
             "spectral_vat_lower_conditional", "tau",
-            lambda d, tau, phi, gap: (tau**2 / (2 * d**2), gap), True,
+            lambda v: (v.tau**2 / (2 * v.d**2), v.gap), True,
         ),
     )),
-    "connected_minimizer": _Check(
-        ("connected",), _connected_minimizer_rows, ("regular", "minimizer", "exact"),
-        (_Theorem("connected_minimizer", "phi"),),
-    ),
-    "fragment_bounds": _Check(
-        ("cut", "ds", "outside", "survivors"), _fragment_bounds_rows,
-        ("regular", "exact", "remainder"),
-        (_Theorem("fragment_cut_bound", "st"), _Theorem("fragment_size_bound", "st")),
-    ),
-    "value_ranges": _Check(
-        ("tau_num", "tau_den", "phi_num", "phi_den", "no_survivor"), _value_ranges_rows, ("exact",),
-        (_Theorem("vat_range", "tau"), _Theorem("conductance_range", "phi")),
-    ),
+    "connected_minimizer": _Check(("connected",), ("regular", "minimizer", "exact"), (
+        _Theorem("connected_minimizer", "phi", holds=lambda v: v.connected),
+    )),
+    "fragment_bounds": _Check(("d", "cut", "n", "s", "t"), ("regular", "exact", "remainder"), (
+        _Theorem("fragment_cut_bound", "st", lambda v: (v.cut, v.d * v.s)),
+        _Theorem("fragment_size_bound", "st", lambda v: (v.n - v.s - v.t + 1, v.n - v.s)),
+    )),
+    "value_ranges": _Check(("tau_num", "tau_den", "phi_num", "phi_den", "t"), ("exact",), (
+        _Theorem("vat_range", "tau", lambda v: (v.tau, 1), holds=lambda v: 0 < v.tau and v.t > 0),
+        _Theorem("conductance_range", "phi", lambda v: (v.phi, 1), holds=lambda v: 0 < v.phi),
+    )),
 }
 
 
@@ -533,12 +514,14 @@ STRICT_CLAIMS = ("vat_lower", "vat_upper_unconditional")
 
 
 @lru_cache(maxsize=_TABLE_SIZE)
-def _graph_entries(checks: tuple[str, ...], key: tuple) -> tuple[_Entry, ...]:
+def _graph_entries(
+    checks: tuple[str, ...], names: tuple[str, ...], key: tuple
+) -> tuple[_Entry, ...]:
     """Per group of ``checks``, the entry of a graph keyed ``key``: its
-    values of :data:`_KEY_COLUMNS`, then, as bits in ``checks`` order, the
-    groups whose preconditions it fails."""
+    values of the key columns ``names``, then, as bits in ``checks``
+    order, the groups whose preconditions it fails."""
     *values, skipped = key
-    at = dict(zip(_KEY_COLUMNS, values))
+    at = dict(zip(names, values))
     return tuple(
         _entry(group, None if skipped >> bit & 1 else tuple(at[c] for c in _CHECKS[group].key))
         for bit, group in enumerate(checks)
@@ -717,10 +700,11 @@ def _evaluate_batch(checks: tuple[str, ...], render: Callable, items: Sequence) 
             reasons[bit].update(rec.unmet[need])
         for i in reasons[bit]:
             skipped[i] |= 1 << bit
-    keys = list(zip(*rec.key_columns(), skipped))
+    columns = rec.key_columns()
+    keys = list(zip(*columns.values(), skipped))
     at = {key: code for code, key in enumerate(dict.fromkeys(keys))}
     codes = list(map(at.__getitem__, keys))
-    table = [_graph_entries(checks, key) for key in at]
+    table = [_graph_entries(checks, tuple(columns), key) for key in at]
     tallies: Counter[tuple] = Counter()
     claimed = set()
     for code, k in Counter(codes).items():
@@ -756,6 +740,8 @@ def _suite_batches(
     if jobs == 1:
         yield from map(evaluate, batches)
         return
+    import multiprocessing  # here, as only a pool needs it
+
     with multiprocessing.Pool(jobs) as pool:
         yield from pool.imap(evaluate, batches)
 

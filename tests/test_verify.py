@@ -214,10 +214,11 @@ class TestFragmentBounds:
 
     @staticmethod
     def assert_key_is_per_piece_sum(items):
-        """The batch key at tau's witness and at hand-set witnesses (empty,
-        each vertex, V less each vertex, seeded random masks) of every
-        graph, all in one batch, is the per-piece sum of the naive oracle:
-        boundaries sum to cut(S), sizes to n - |S|; the witness is (S, T)."""
+        """The rows built from the batch key at tau's witness and at hand-set
+        witnesses (empty, each vertex, V less each vertex, seeded random
+        masks) of every graph, all in one batch, have the per-piece sums of
+        the naive oracle as sides: boundaries sum to cut(S), sizes to
+        n - |S|; the witness is (S, T)."""
         given, expected = [], []
         for graph_id, g in items:
             full = vt.full_mask(g.n)
@@ -231,11 +232,12 @@ class TestFragmentBounds:
                 expected.append(naive_fragment_sides(g, mask))
         with given_results(given):
             rec = verify._prefill([entry.item for entry in given], False)
-        columns = dict(zip(verify._KEY_COLUMNS, rec.key_columns()))
+        columns = rec.key_columns()
         keys = list(zip(*(columns[c] for c in verify._CHECKS["fragment_bounds"].key)))
         witnesses = rec.witnesses()["st"]
         for entry, key, witness, (sides, pair) in zip(given, keys, witnesses, expected):
-            assert (key, witness) == ((*sides[0], *sides[1]), pair), entry.graph_id
+            rows = verify._entry("fragment_bounds", key).rows
+            assert ([(r.lhs, r.rhs) for r in rows], witness) == (list(sides), pair), entry.graph_id
         assert len(keys) == len(given)
 
     def test_key_matches_per_piece_oracle_on_corpora(self):
@@ -380,6 +382,12 @@ class TestEvaluateAndSuite:
 
 class TestPrefill:
     """The batch prefill gives each graph what its own calls would."""
+
+    def test_check_table_and_record_name_the_same_columns(self):
+        # each name a group's key reads is a record column, and each column is read
+        columns = verify._prefill([("c6", vt.cycle(6))]).key_columns()
+        read = {name for check in verify._CHECKS.values() for name in check.key}
+        assert read == columns.keys()
 
     def test_spectral_matches_lambda2_bit_for_bit(self):
         items = list(vt.standard_corpus())
