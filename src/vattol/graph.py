@@ -261,13 +261,7 @@ def is_connected(g: Graph) -> bool:
 def volume(g: Graph, s: VertexMask) -> int:
     """Sum of degrees of the vertices in ``s``; ``volume(V) == 2m``."""
     _check_mask(g, s)
-    deg = g.deg
-    total = 0
-    while s:
-        bit = s & -s
-        s ^= bit
-        total += deg[bit.bit_length() - 1]
-    return total
+    return sum(map(g.deg.__getitem__, vertices_from_mask(s)))
 
 
 def cut_size(g: Graph, s: VertexMask) -> int:
@@ -278,13 +272,7 @@ def cut_size(g: Graph, s: VertexMask) -> int:
     _check_mask(g, s)
     adj_masks = g.adj_masks
     outside = full_mask(g.n) & ~s
-    total = 0
-    t = s
-    while t:
-        bit = t & -t
-        t ^= bit
-        total += (adj_masks[bit.bit_length() - 1] & outside).bit_count()
-    return total
+    return sum((adj_masks[v] & outside).bit_count() for v in vertices_from_mask(s))
 
 
 def regularity(g: Graph) -> int | None:

@@ -50,7 +50,6 @@ from .graph import (
     Graph,
     VertexMask,
     _check_mask,
-    components,
     cut_size,
     full_mask,
     largest_component,
@@ -605,15 +604,3 @@ def conductance_minimizers(g: Graph) -> list[VertexMask]:
         if low == best:
             found += (np.flatnonzero(key[0] == best) + c0).tolist()
     return found
-
-
-def vat_witness_components(
-    g: Graph, result: MetricResult
-) -> tuple[VertexMask, list[VertexMask]]:
-    """Decompose the survivors of a VAT witness.
-
-    Returns ``(T, others)`` where ``T`` is the largest surviving
-    component and ``others`` are the remaining components, largest first.
-    """
-    comps = components(g, result.witness)
-    return comps[0], comps[1:]

@@ -30,10 +30,10 @@ of the dense time at n = 384 and under half of it from n = 640.  Where
 it falls back, a call costs about 1.2 times the dense solve; that is
 most long cycles and paths, and 2 in 100 random cubic graphs at n = 2000.
 
-Both solvers return the raw pair and its max-norm residual
-``|N v - lambda v|``, computed with N's one set of values (:func:`_nonzeros`);
-:func:`_certified` refuses the pair when that residual is above
-:data:`_RESIDUAL_TOL`, and a refused pair raises :class:`NoConvergence`.
+Every solve, stacked or not, gives the raw pair and its max-norm residual
+``|N v - lambda v|``, computed with N's one set of values; :func:`_certified`
+alone turns it into the gap, or into the :class:`NoConvergence` that refuses
+it when that residual is above :data:`_RESIDUAL_TOL`.
 """
 
 from __future__ import annotations
@@ -125,12 +125,12 @@ def normalized_adjacency(g: Graph) -> np.ndarray:
     return mat
 
 
-def _certified(lam: float, residual: float, n: int) -> SpectralResult | None:
-    """The result of an eigenpair of an n-vertex graph, or None when its
-    max-norm residual is above :data:`_RESIDUAL_TOL`."""
+def _certified(lam: float, residual: float) -> float | NoConvergence:
+    """The gap of an eigenpair, or the :class:`NoConvergence` that refuses
+    it when its max-norm residual is above :data:`_RESIDUAL_TOL`."""
     if residual > _RESIDUAL_TOL:
-        return None
-    return SpectralResult(lambda2=lam, gap=1.0 - lam, residual=residual, n=n)
+        return NoConvergence(f"eigenpair residual {residual:.3e} above tolerance")
+    return 1.0 - lam
 
 
 def _eigenpairs(mats: np.ndarray) -> tuple[list[float], np.ndarray, list[float]]:
@@ -217,10 +217,10 @@ def _lambda2_pair(g: Graph) -> tuple[SpectralResult, np.ndarray]:
         (lam,), vecs, (residual,) = _eigenpairs(normalized_adjacency(g)[None])
         pair = lam, vecs[0], residual
     lam, vec, residual = pair
-    result = _certified(lam, residual, g.n)
-    if result is None:
-        raise NoConvergence(f"eigenpair residual {residual:.3e} above tolerance")
-    return result, vec
+    gap = _certified(lam, residual)
+    if isinstance(gap, NoConvergence):
+        raise gap
+    return SpectralResult(lam, gap, residual, g.n), vec
 
 
 def lambda2(g: Graph) -> SpectralResult:
@@ -232,12 +232,12 @@ def lambda2(g: Graph) -> SpectralResult:
     return _lambda2_pair(g)[0]
 
 
-def _gap_batch(adj: np.ndarray) -> list[float | None]:
-    """The gap of :func:`lambda2` of connected graphs that share one
-    2 <= n <= 24, given as int32 neighbour masks, one row per graph, by one
-    stacked ``eigh``: bit for bit, as entry (u, v) is :func:`_nonzeros`'s
-    ``inv_sqrt[u] * inv_sqrt[v]`` where bit v of row u is set; or None where
-    :func:`_certified` refuses the pair or the solve fails."""
+def _gap_batch(adj: np.ndarray) -> list[float | NoConvergence]:
+    """What :func:`lambda2` gives connected graphs that share one 2 <= n <= 24,
+    given as int32 neighbour masks, one row per graph, from one stacked
+    ``eigh``: the gap, bit for bit, as entry (u, v) is :func:`_nonzeros`'s
+    ``inv_sqrt[u] * inv_sqrt[v]`` where bit v of row u is set, or the
+    :class:`NoConvergence` it raises; after a failed solve, one graph at a time."""
     inv_sqrt = 1.0 / np.sqrt(np.bitwise_count(adj).astype(np.int64))
     edge = (adj[:, :, None] >> np.arange(adj.shape[1], dtype=np.int32) & 1).astype(bool)
     # a masked product into zeros: float (k, n, n) temporaries cost 2% peak RSS
@@ -245,9 +245,11 @@ def _gap_batch(adj: np.ndarray) -> list[float | None]:
     np.multiply(inv_sqrt[:, :, None], inv_sqrt[:, None, :], out=mats, where=edge)
     try:
         lams, _, residuals = _eigenpairs(mats)
-    except NoConvergence:
-        return [None] * len(adj)
-    return [None if res > _RESIDUAL_TOL else 1.0 - lam for lam, res in zip(lams, residuals)]
+    except NoConvergence as exc:
+        if len(adj) == 1:
+            return [exc]
+        return [gap for row in adj for gap in _gap_batch(row[None])]
+    return list(map(_certified, lams, residuals))
 
 
 def spectral_gap(g: Graph) -> float:

@@ -78,7 +78,7 @@ import numpy as np
 from .errors import BadParameter, EmptyRemainder, NotRegular, TooLarge, VattolError
 from .graph import Graph, regularity, vertices_from_mask
 from .metrics import _exact_columns, _flood_fill, _require_enumerable
-from .spectral import _gap_batch, lambda2
+from .spectral import _gap_batch
 
 #: Absolute tolerance of every comparison with a spectral side.
 SPECTRAL_TOL = 1e-9
@@ -338,16 +338,15 @@ def _json_template(row: _Row) -> str:
     return "%s" + _escaped(head) + ("%s" if row.witness else "null%.0s") + _escaped(tail[0])
 
 
-@dataclass(frozen=True, eq=False)  # hashed by identity, so cheap to count
+@dataclass(frozen=True)
 class _Entry:
     """The rows of one (group, key).  ``tally``: what they add to a
     :class:`SuiteSummary` (reports, holds, strict, failed, skipped, and
-    the theorems of their equalities), ``claims`` the strict claims among
-    those; ``csv`` and ``json``: the templates of their text."""
+    the theorems of their equalities); ``csv`` and ``json``: the
+    templates of their text."""
 
     rows: tuple[_Row, ...]
     tally: tuple[int, int, int, int, int, tuple[str, ...]]
-    claims: tuple[str, ...]
     csv: str
 
     @cached_property  # built by the first JSON render, so CSV runs hold none
@@ -371,8 +370,7 @@ def _entry(group: str, key: tuple | None) -> _Entry:
     holds = sum(1 for r in checked if r.holds)
     strict = sum(1 for r in checked if r.strict_holds)
     tally = (len(rows), holds, strict, len(checked) - holds, len(rows) - len(checked), equalities)
-    claims = tuple(t for t in equalities if t in STRICT_CLAIMS)
-    return _Entry(rows, tally, claims, "".join(map(_csv_template, rows)))
+    return _Entry(rows, tally, "".join(map(_csv_template, rows)))
 
 
 #: Largest n of the ``connected_minimizer`` check, whose skip reason above
@@ -389,8 +387,8 @@ class _Record:
     not regular); ``exact``, the six ``ExactMetrics`` fields as rows;
     the gap; at tau's witness S, the largest survivor T (0 if none) and
     cut(S); whether phi's witness is connected.  A graph without a
-    value has 0.  ``unmet``: per precondition, the skip reason of each
-    graph (by index) that fails it."""
+    value has 0.  ``unmet``: per precondition that a :data:`_CHECKS` group
+    needs, the skip reason of each graph (by index) that fails it."""
 
     def __init__(self, items: Sequence[tuple[str, Graph]], degrees: list[int | None]) -> None:
         self.ids = [graph_id for graph_id, _ in items]
@@ -400,15 +398,8 @@ class _Record:
         self.gap = np.zeros(len(items))
         self.survivor, self.cut = np.zeros_like(self.exact[:2])
         self.connected = np.zeros(len(items), bool)
-        needs = ("regular", "minimizer", "exact", "remainder", "spectral")
+        needs = chain.from_iterable(check.needs for check in _CHECKS.values())
         self.unmet: dict[str, dict[int, str]] = {need: {} for need in needs}
-        limit = f"all-minimizers enumeration capped at n={MINIMIZER_LIMIT}"
-        for i, (name, n, d) in enumerate(zip(self.ids, self.n, degrees)):
-            if d is None:
-                irregular = NotRegular(f"{name}: the check needs a regular graph")
-                self.unmet["regular"][i] = _reason(irregular)
-            if n > MINIMIZER_LIMIT:
-                self.unmet["minimizer"][i] = _reason(TooLarge(f"{name}: {limit}"))
 
     def fill(self, rows: list[int], columns: Sequence[Sequence[int]] | None = None) -> np.ndarray:
         """Set the exact record of ``rows``, graphs that share one n <= 24,
@@ -658,16 +649,23 @@ def normalize_checks(checks: str | Sequence[str]) -> tuple[str, ...]:
 
 
 def _prefill(items: Sequence[tuple[str, Graph]], spectral: bool = True) -> _Record:
-    """The record of a batch of (id, graph) pairs, filled per n by one
-    :func:`_exact_columns` call over the graphs that take an exact record;
-    any other gets the error that :func:`_require_enumerable` raises.  If
-    ``spectral``, each regular graph with an exact record gets its gap
-    from one stacked ``eigh`` per n over the neighbour masks that the exact
-    pass read (no check reads lambda2 of any other), where a refused
-    eigenpair gets :func:`lambda2`'s own result."""
+    """The record of a batch of (id, graph) pairs with each graph's unmet
+    preconditions, filled per n by one :func:`_exact_columns` call over the
+    graphs that take an exact record; any other gets the error that
+    :func:`_require_enumerable` raises.  If ``spectral``, each regular graph
+    with an exact record gets what :func:`_gap_batch` gives it from one
+    stacked ``eigh`` per n over the neighbour masks that the exact pass read
+    (no check reads lambda2 of any other): its gap, or the error that
+    refuses its eigenpair."""
     rec = _Record(items, [regularity(g) for _, g in items])
+    limit = f"all-minimizers enumeration capped at n={MINIMIZER_LIMIT}"
     by_n: dict[int, list[int]] = {}
-    for i, g in enumerate(rec.graphs):
+    for i, (name, g, d) in enumerate(zip(rec.ids, rec.graphs, rec.d)):
+        if d is None:
+            irregular = NotRegular(f"{name}: the check needs a regular graph")
+            rec.unmet["regular"][i] = _reason(irregular)
+        if g.n > MINIMIZER_LIMIT:
+            rec.unmet["minimizer"][i] = _reason(TooLarge(f"{name}: {limit}"))
         try:
             _require_enumerable(g)
         except VattolError as exc:
@@ -679,10 +677,10 @@ def _prefill(items: Sequence[tuple[str, Graph]], spectral: bool = True) -> _Reco
         regular = np.array([rec.d[i] is not None for i in rows])
         if spectral and regular.any():
             for i, gap in zip(np.array(rows)[regular].tolist(), _gap_batch(adj[regular])):
-                try:
-                    rec.gap[i] = lambda2(rec.graphs[i]).gap if gap is None else gap
-                except VattolError as exc:
-                    rec.unmet["spectral"][i] = _reason(exc)
+                if isinstance(gap, VattolError):
+                    rec.unmet["spectral"][i] = _reason(gap)
+                else:
+                    rec.gap[i] = gap
     return rec
 
 
@@ -706,17 +704,15 @@ def _evaluate_batch(checks: tuple[str, ...], render: Callable, items: Sequence) 
     codes = list(map(at.__getitem__, keys))
     table = [_graph_entries(checks, tuple(columns), key) for key in at]
     tallies: Counter[tuple] = Counter()
-    claimed = set()
     for code, k in Counter(codes).items():
         for entry in table[code]:
             tallies[entry.tally] += k
-            if entry.claims:
-                claimed.add(code)
     cases: dict[str, list[str]] = {theorem: [] for theorem in STRICT_CLAIMS}
+    # per key, the strict claims among the equalities of its entries' tallies
+    claims = [[t for entry in entries for t in entry.tally[5] if t in cases] for entries in table]
     for graph_id, code in zip(rec.ids, codes):
-        if code in claimed:
-            for theorem in chain.from_iterable(entry.claims for entry in table[code]):
-                cases[theorem].append(graph_id)
+        for theorem in claims[code]:
+            cases[theorem].append(graph_id)
     outcome = _Outcome(checks, table, codes, reasons)
     return _Batch(len(rec.ids), render(rec, outcome), tallies, cases)
 

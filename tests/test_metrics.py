@@ -604,19 +604,19 @@ class TestWitnessComponents:
     def test_c6(self):
         g = vt.cycle(6)
         r = vt.vat_exact(g)
-        t, others = vt.vat_witness_components(g, r)
+        t, *others = vt.components(g, r.witness)
         assert t.bit_count() == 2
         assert [c.bit_count() for c in others] == [2]
 
     def test_star(self):
         g = vt.star(5)
-        t, others = vt.vat_witness_components(g, vt.vat_exact(g))
+        t, *others = vt.components(g, vt.vat_exact(g).witness)
         assert t.bit_count() == 1
         assert len(others) == 4
 
     def test_k4(self):
         g = vt.complete(4)
-        t, others = vt.vat_witness_components(g, vt.vat_exact(g))
+        t, *others = vt.components(g, vt.vat_exact(g).witness)
         assert t.bit_count() == 3 and others == []
 
 

@@ -262,7 +262,7 @@ class TestLanczos:
         g = vt.path(CUTOFF + 1)
         assert spectral_mod._lanczos(g) is None
         (lam,), _, (residual,) = spectral_mod._eigenpairs(vt.normalized_adjacency(g)[None])
-        assert vt.lambda2(g) == spectral_mod._certified(lam, residual, g.n)
+        assert vt.lambda2(g).gap == spectral_mod._certified(lam, residual)
 
     @pytest.mark.parametrize(
         "n,value,size,digest",

@@ -1,3 +1,4 @@
+import io
 import os
 import random
 from itertools import islice
@@ -353,6 +354,29 @@ class TestEvaluateAndSuite:
         monkeypatch.delattr(os, "sched_getaffinity")
         assert clamp_jobs(10**9) == 8
 
+    def test_one_job_pulls_one_batch_ahead(self, monkeypatch):
+        monkeypatch.setattr(verify, "SUITE_BATCH", 4)
+        pulled, seen = [0], []
+
+        def graphs():
+            for n in range(3, 15):
+                pulled[0] += 1
+                yield f"cycle:{n}", vt.cycle(n)
+
+        class Recording(io.StringIO):
+            def write(self, text):
+                seen.append(pulled[0])
+                return super().write(text)
+
+        # CSV: the header, then each batch; JSON: each batch, then the closing "]"
+        for fmt, expected in (("csv", [0, 4, 8, 12]), ("json", [4, 8, 12, 12])):
+            pulled[0], seen[:] = 0, []
+            verify.write_reports(graphs(), "all", 1, fmt, Recording())
+            assert seen == expected, fmt
+        pulled[0] = 0
+        next(vt.iter_suite(graphs()))
+        assert pulled[0] == 4
+
     def test_report_order_is_input_order(self):
         graphs = [("complete:3", vt.complete(3)), ("cycle:4", vt.cycle(4))]
         result = run_suite(graphs, checks="vat_lower")
@@ -448,12 +472,33 @@ class TestPrefill:
 
         monkeypatch.setattr(np.linalg, "eigh", failing)
         g = vt.cycle(6)
-        assert spectral_mod._gap_batch(np.array([g.adj_masks] * 2, np.int32)) == [None, None]
+        gaps = spectral_mod._gap_batch(np.array([g.adj_masks] * 2, np.int32))
+        assert [type(gap) for gap in gaps] == [vt.NoConvergence] * 2
+        assert [str(gap) for gap in gaps] == ["eigensolver failed: no convergence"] * 2
         reports = run_suite([("c6", g)], "cheeger").reports
         assert [r.theorem for r in reports] == ["cheeger_lower", "cheeger_upper"]
         assert all(r.skipped and r.holds is None for r in reports)
         reason = "NoConvergence: eigensolver failed: no convergence"
         assert {r.skip_reason for r in reports} == {reason}
+
+    def test_failed_stack_is_solved_one_graph_at_a_time(self, monkeypatch):
+        eigh, shapes = np.linalg.eigh, []
+
+        def failing_near_one_half(mats):
+            # only the cycle has entries near 1/2; (1/sqrt(2))**2 is just under it
+            shapes.append(mats.shape)
+            if (mats > 0.4).any():
+                raise np.linalg.LinAlgError("no convergence")
+            return eigh(mats)
+
+        cubic = [vt.connected_random_regular(8, 3, seed)[0] for seed in (1, 3)]
+        expected = [vt.lambda2(g).gap.hex() for g in cubic]
+        items = [("cycle:8", vt.cycle(8)), ("cubic:1", cubic[0]), ("cubic:3", cubic[1])]
+        monkeypatch.setattr(np.linalg, "eigh", failing_near_one_half)
+        rec = verify._prefill(items)
+        assert shapes == [(3, 8, 8)] + [(1, 8, 8)] * 3
+        assert rec.unmet["spectral"] == {0: "NoConvergence: eigensolver failed: no convergence"}
+        assert [gap.hex() for gap in rec.gap[1:].tolist()] == expected
 
     def test_no_eigensolve_no_check_can_read(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigh", None)  # any call fails
@@ -501,10 +546,11 @@ class TestPrefill:
                         assert r.skipped and r.holds is None
                         assert r.skip_reason == expected.get(group, expected[None])
 
-    def test_failed_residual_check_gives_none_then_the_error(self, monkeypatch):
+    def test_failed_residual_check_gives_the_error(self, monkeypatch):
         g = vt.petersen()
         monkeypatch.setattr(spectral_mod, "_RESIDUAL_TOL", -1.0)
-        assert spectral_mod._gap_batch(np.array([g.adj_masks], np.int32)) == [None]
+        (gap,) = spectral_mod._gap_batch(np.array([g.adj_masks], np.int32))
+        assert isinstance(gap, vt.NoConvergence) and str(gap).startswith("eigenpair residual")
         rec = verify._prefill([("p", g)])
         assert rec.exact[:, 0].any() and rec.gap[0] == 0
         assert rec.unmet["spectral"][0].startswith("NoConvergence: eigenpair residual")
