@@ -43,6 +43,8 @@ def mask_from_vertices(vertices: Iterable[int]) -> VertexMask:
 
 def vertices_from_mask(mask: VertexMask) -> list[int]:
     """Unpack a bit mask into a sorted list of vertex ids."""
+    if mask < 0:
+        raise BadVertexId(f"mask {mask:#x} is negative")
     out = []
     while mask:
         bit = mask & -mask

@@ -103,6 +103,13 @@ def _require_enumerable(g: Graph) -> None:
         raise TooLarge(f"n={g.n} exceeds the hard cap {HARD_CAP}")
 
 
+def _masks(g: Graph) -> np.ndarray:
+    """``g``'s neighbour masks as the one int32 row every engine reads,
+    once ``g`` passes :func:`_require_enumerable`."""
+    _require_enumerable(g)
+    return np.array([g.adj_masks], np.int32)
+
+
 def set_vat(g: Graph, s: VertexMask) -> Fraction:
     """Attack-tolerance ratio of one attack set ``s``.
 
@@ -173,9 +180,7 @@ def exact_batch(graphs: Sequence[Graph]) -> list[ExactMetrics]:
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise BadParameter("exact_batch needs graphs that share one vertex count")
-    for g in graphs:
-        _require_enumerable(g)
-    adj = np.array([g.adj_masks for g in graphs], np.int32)
+    adj = np.concatenate([_masks(g) for g in graphs])
     return list(map(ExactMetrics._make, zip(*_exact_columns(adj))))
 
 
@@ -452,7 +457,7 @@ def _sum_bounds(
 
 
 def _min_ratio(
-    g: Graph, alpha: float | Fraction, beta: float | Fraction, weighted: bool = False
+    g: Graph, adj: np.ndarray, alpha: float | Fraction, beta: float | Fraction, weighted: bool
 ) -> tuple[Fraction, int]:
     """Minimize (alpha*cost(S) + beta) / (1 + W - value(S | C_max)) over proper S.
 
@@ -480,7 +485,7 @@ def _min_ratio(
     masks are re-checked in exact integers in ascending order, and the
     first of the least wins, the lowest-encoding witness.  Without a shift
     only the minimizers are kept; weights with a huge spread only widen
-    the kept set.
+    the kept set.  ``adj`` is the row of :func:`_masks`.
     """
     n = g.n
     full = full_mask(n)
@@ -490,7 +495,7 @@ def _min_ratio(
     nums, num_scale = _scaled([alpha * _exact(c) for c in cost] + [_exact(beta)])
     q = nums.pop()
     vals, val_scale = _scaled([_exact(v) for v in value])
-    cmask = _component_tables(np.array([g.adj_masks], np.int32), masks=True).ravel()
+    cmask = _component_tables(adj, masks=True).ravel()
     num_bounds, den_bounds = _sum_bounds(nums, q), _sum_bounds(vals, val_scale)
     up_num, up_den = 1, 0  # U = up_num / up_den, +inf until a D_lo is positive
     kept = np.zeros((4, 0), np.int64)  # rows S, V - S - C_max, N_lo, D_hi
@@ -524,16 +529,22 @@ def vat_exact(g: Graph) -> MetricResult:
     most 1, and removing everything is excluded because it can never beat
     a singleton.
     """
-    _require_enumerable(g)
-    num, den, witness = (a[0] for a in _exact_block(np.array([g.adj_masks], np.int32)))
+    num, den, witness = (a[0] for a in _exact_block(_masks(g)))
     return MetricResult(Fraction(num, den), witness, "vat")
 
 
-def _check_alpha_beta(alpha: float, beta: float) -> None:
+def _weighted_value(
+    g: Graph, metric: str, weighted: bool, parameters: tuple | None = None
+) -> WeightedValue:
+    """The body of the three weighted forms: (alpha, beta), when the form
+    takes them, are checked before ``g``; without them they are (1, 0)."""
+    alpha, beta = parameters or (1, 0)
     if not 0 < alpha < math.inf:
         raise BadParameter(f"alpha must be positive and finite, got {alpha}")
     if not 0 <= beta < math.inf:
         raise BadParameter(f"beta must be nonnegative and finite, got {beta}")
+    value, witness = _min_ratio(g, _masks(g), alpha, beta, weighted)
+    return WeightedValue(value=value, witness=witness, metric=metric, parameters=parameters)
 
 
 def alpha_beta_vat_exact(g: Graph, alpha: float, beta: float) -> WeightedValue:
@@ -543,13 +554,7 @@ def alpha_beta_vat_exact(g: Graph, alpha: float, beta: float) -> WeightedValue:
     decimal it prints); vertex weights are ignored.  ``(1, 0)`` reproduces
     :func:`vat_exact` exactly.
     """
-    _check_alpha_beta(alpha, beta)
-    _require_enumerable(g)
-    value, witness = _min_ratio(g, alpha, beta)
-    return WeightedValue(
-        value=value, witness=witness, metric="alpha_beta_vat",
-        parameters=(alpha, beta),
-    )
+    return _weighted_value(g, "alpha_beta_vat", False, (alpha, beta))
 
 
 def weighted_vat_exact(g: Graph) -> WeightedValue:
@@ -560,9 +565,7 @@ def weighted_vat_exact(g: Graph) -> WeightedValue:
     component), exactly.  With all weights equal to one this coincides
     with :func:`vat_exact`.
     """
-    _require_enumerable(g)
-    value, witness = _min_ratio(g, 1, 0, weighted=True)
-    return WeightedValue(value=value, witness=witness, metric="weighted_vat")
+    return _weighted_value(g, "weighted_vat", True)
 
 
 def alpha_beta_weighted_vat_exact(g: Graph, alpha: float, beta: float) -> WeightedValue:
@@ -571,13 +574,7 @@ def alpha_beta_weighted_vat_exact(g: Graph, alpha: float, beta: float) -> Weight
     Reduces exactly to each special case when parameters or weights are
     trivial.
     """
-    _check_alpha_beta(alpha, beta)
-    _require_enumerable(g)
-    value, witness = _min_ratio(g, alpha, beta, weighted=True)
-    return WeightedValue(
-        value=value, witness=witness, metric="alpha_beta_weighted_vat",
-        parameters=(alpha, beta),
-    )
+    return _weighted_value(g, "alpha_beta_weighted_vat", True, (alpha, beta))
 
 
 def conductance_exact(g: Graph) -> MetricResult:
@@ -586,8 +583,7 @@ def conductance_exact(g: Graph) -> MetricResult:
     The witness is the minimizing set with the lowest bit-mask encoding.
     The value always lies in (0, 1].
     """
-    _require_enumerable(g)
-    num, den, witness = (a[0] for a in _conductance_batch(np.array([g.adj_masks], np.int32)))
+    num, den, witness = (a[0] for a in _conductance_batch(_masks(g)))
     return MetricResult(Fraction(num, den), witness, "conductance")
 
 
@@ -595,9 +591,8 @@ def conductance_minimizers(g: Graph) -> list[VertexMask]:
     """Every admissible set achieving the exact conductance, sorted by encoding:
     one pass keeps the masks whose key equals the least so far, restarting
     when a block's least key is lower (block 0 holds the finite key of {0})."""
-    _require_enumerable(g)
     best, found = np.inf, []
-    for _, c0, key in _conductance_keys(np.array([g.adj_masks], np.int32)):
+    for _, c0, key in _conductance_keys(_masks(g)):
         low = key.min()
         if low < best:
             best, found = low, []

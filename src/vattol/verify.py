@@ -193,17 +193,12 @@ def report_to_csv_row(r: TheoremReport) -> list[str]:
 _csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
 
-def _real(x: float) -> float:
-    """Decimal convenience value: 12 significant digits."""
-    return float(f"{x:.12g}")
-
-
 def _side_json(value: Fraction | float | None):
     if value is None:
         return None
     if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator, "real": _real(_float(value))}
-    return {"real": _real(value)}
+        return {"num": value.numerator, "den": value.denominator, **_side_json(_float(value))}
+    return {"real": float(_real_str(value))}
 
 
 def report_to_json(r: TheoremReport) -> dict:
@@ -217,7 +212,7 @@ def report_to_json(r: TheoremReport) -> dict:
         "rhs": _side_json(r.rhs),
         "holds": r.holds,
         "strict_holds": r.strict_holds,
-        "slack": None if r.slack is None else _real(r.slack),
+        "slack": None if r.slack is None else float(_real_str(r.slack)),
         "witness": r.witnesses,
         "skipped": r.skipped,
         "skip_reason": r.skip_reason,
@@ -758,7 +753,10 @@ def write_reports(
     """Write ``vattol verify``'s output for ``graphs`` to ``out``, each
     batch's text as it arrives, and return the run's summary.  ``fmt``
     ``"json"``: ``[``, the records, the first without its leading comma,
-    then ``\\n]\\n``; else the CSV header, then the rows."""
+    then ``\\n]\\n``; ``"csv"``: the CSV header, then the rows.  Any other
+    ``fmt`` raises :class:`BadParameter` before anything is written."""
+    if fmt not in ("csv", "json"):
+        raise BadParameter(f"unknown format {fmt!r}; use 'csv' or 'json'")
     summary = SuiteSummary()
     json_out = fmt == "json"
     batches = summary._count(_suite_batches(graphs, checks, jobs, partial(_text, json_out)))

@@ -234,6 +234,14 @@ class TestMasks:
     def test_full(self):
         assert vt.full_mask(3) == 0b111
 
+    def test_negative_mask_is_rejected(self):
+        # -1 has infinitely many set bits in two's complement, so a bit
+        # walk over it would never end.
+        with pytest.raises(BadVertexId, match="negative"):
+            vt.vertices_from_mask(-1)
+        with pytest.raises(BadVertexId):
+            vt.MetricResult(Fraction(1), -4, "vat").witness_vertices
+
 
 class TestEdgeListFormat:
     def roundtrip(self, g):

@@ -132,13 +132,14 @@ class TestAlphaBetaVat:
         assert (r.value, r.witness) == naive_weighted_vat(g, alpha=2.5, beta=0.5)
 
     def test_bad_parameters(self):
-        g = vt.cycle(4)
-        with pytest.raises(BadParameter):
-            vt.alpha_beta_vat_exact(g, 0, 0)
-        with pytest.raises(BadParameter):
-            vt.alpha_beta_vat_exact(g, -1, 0)
-        with pytest.raises(BadParameter):
-            vt.alpha_beta_vat_exact(g, 1, -0.5)
+        # (alpha, beta) are checked before the graph: too large and
+        # disconnected graphs still raise BadParameter.
+        disconnected = vt.build_graph(4, [(0, 1), (2, 3)])
+        for g in (vt.cycle(4), vt.cycle(25), disconnected):
+            for fn in (vt.alpha_beta_vat_exact, vt.alpha_beta_weighted_vat_exact):
+                for alpha, beta in ((0, 0), (-1, 0), (1, -0.5)):
+                    with pytest.raises(BadParameter):
+                        fn(g, alpha, beta)
 
     @pytest.mark.parametrize(
         "alpha, beta",

@@ -377,6 +377,13 @@ class TestEvaluateAndSuite:
         next(vt.iter_suite(graphs()))
         assert pulled[0] == 4
 
+    def test_unknown_format_writes_nothing(self):
+        out = io.StringIO()
+        for fmt in ("JSON", "xml", ""):
+            with pytest.raises(BadParameter, match="unknown format"):
+                verify.write_reports([("cycle:4", vt.cycle(4))], "all", 1, fmt, out)
+        assert out.getvalue() == ""
+
     def test_report_order_is_input_order(self):
         graphs = [("complete:3", vt.complete(3)), ("cycle:4", vt.cycle(4))]
         result = run_suite(graphs, checks="vat_lower")
