@@ -37,7 +37,10 @@ def mask_from_vertices(vertices: Iterable[int]) -> VertexMask:
     """Pack an iterable of vertex ids into a bit mask."""
     mask = 0
     for v in vertices:
-        mask |= 1 << v
+        try:
+            mask |= 1 << v
+        except ValueError:  # a negative shift count
+            raise BadVertexId(f"vertex id {v} is negative") from None
     return mask
 
 

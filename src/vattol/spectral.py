@@ -16,7 +16,9 @@ lambda2 and its eigenvector come from one of two solvers, picked by size:
   n <= 24, gives the same bits;
 - above it, matrix-free Lanczos (:func:`_lanczos`): N is applied edge by
   edge, the known top eigenvector ``D^{1/2} 1`` is deflated, and each
-  new Krylov vector is orthogonalized twice against the whole basis,
+  new Krylov vector has its three-term recurrence terms subtracted, O(n),
+  and is then orthogonalized once against the whole basis, two k x n
+  products (Parlett, *The Symmetric Eigenvalue Problem*, 1998).  The basis is
   allocated once for every row the loop can reach.  Time is
   O(k^2 n + k m) and memory O(k n) for a Krylov dimension k, about 200
   to 300 on random cubic graphs with n = 2000.  Clustered spectra
@@ -25,10 +27,12 @@ lambda2 and its eigenvector come from one of two solvers, picked by size:
   matrix is over :data:`_MEMORY_BUDGET` (n > 5,792), which also caps the basis.
 
 The cutoff is the measured crossover.  On random d-regular graphs
-(d = 3, 4, 5; a 2-vCPU Xeon VM), Lanczos with its fallbacks takes 0.8-1.05
-of the dense time at n = 384 and under half of it from n = 640.  Where
-it falls back, a call costs about 1.2 times the dense solve; that is
-most long cycles and paths, and 2 in 100 random cubic graphs at n = 2000.
+(d = 3, 4, 5, six graphs each; a 2-vCPU Xeon VM), Lanczos with its
+fallbacks takes a median 1.1-1.2 of the dense time at n = 256, where
+most graphs fall back, 0.5-1.1 at n = 320, 0.5-0.75 at n = 384 and
+0.25-0.4 at n = 640; d = 3 is the slow end.  Where it falls back, a call
+costs about 1.2 times the dense solve; that is most long cycles and
+paths, and 1 or 2 in 100 random cubic graphs at n = 2000.
 
 Every solve, stacked or not, gives the raw pair and its max-norm residual
 ``|N v - lambda v|``, computed with N's one set of values; :func:`_certified`
@@ -154,14 +158,17 @@ def _lanczos(g: Graph) -> tuple[float, np.ndarray, float] | None:
     should run.
 
     Row 0 of the basis is the top eigenvector ``D^{1/2} 1``, so
-    orthogonalizing each new vector against the whole basis, twice, also
-    deflates it.  Every :data:`_CHECK_EVERY` steps the top Ritz pair of the
-    tridiagonal T is taken once its residual estimate ``|beta_k y_k|`` is
-    at most :data:`_RITZ_TOL`, and returned with its residual recomputed
-    with N.  It gives up once k passes :data:`_KRYLOV_SHARE` of n or the
-    rows that fit :data:`_MEMORY_BUDGET`, or sooner when the Kaniel-Paige
-    rate on the current Ritz values says the estimate cannot get under the
-    tolerance by then.  The start vector is a fixed splitmix64 stream, so
+    orthogonalizing each new vector against the whole basis also deflates
+    it.  A step subtracts the recurrence's ``alpha`` and ``beta`` terms
+    first, O(n), so one Gram-Schmidt pass, two k x n products, restores
+    orthogonality; the random start vector takes two.  Every
+    :data:`_CHECK_EVERY` steps the top Ritz pair of the tridiagonal T is
+    taken once its residual estimate ``|beta_k y_k|`` is at most
+    :data:`_RITZ_TOL`, and returned with its residual recomputed with N.
+    It gives up once k passes :data:`_KRYLOV_SHARE` of n or the rows that
+    fit :data:`_MEMORY_BUDGET`, or sooner when the Kaniel-Paige rate on the
+    current Ritz values says the estimate cannot get under the tolerance
+    by then.  The start vector is a fixed splitmix64 stream, so
     the result is the same on every platform.
     """
     n = g.n
@@ -182,7 +189,11 @@ def _lanczos(g: Graph) -> tuple[float, np.ndarray, float] | None:
     beta: list[float] = []
     while True:
         k = len(alpha)
-        for _ in range(2):
+        if k:  # the three-term recurrence; then one pass, or two on the start vector
+            x -= alpha[-1] * basis[k]
+            if beta:
+                x -= beta[-1] * basis[k - 1]
+        for _ in range(1 if k else 2):
             x -= (basis[: k + 1] @ x) @ basis[: k + 1]
         b = float(np.linalg.norm(x))
         if k and (k % _CHECK_EVERY == 0 or b <= _RITZ_TOL):

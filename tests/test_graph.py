@@ -242,6 +242,12 @@ class TestMasks:
         with pytest.raises(BadVertexId):
             vt.MetricResult(Fraction(1), -4, "vat").witness_vertices
 
+    def test_negative_vertex_id_is_rejected(self):
+        # 1 << -1 raises a bare ValueError; packing names the bad id
+        with pytest.raises(BadVertexId, match="^vertex id -1 is negative$"):
+            vt.mask_from_vertices([0, 2, -1])
+        assert vt.mask_from_vertices([0, 2]) == 0b101
+
 
 class TestEdgeListFormat:
     def roundtrip(self, g):

@@ -233,9 +233,10 @@ class TestLanczos:
             vt.complete(CUTOFF + 1),  # lambda2 of multiplicity n - 1
             vt.cycle(CUTOFF + 2),  # lambda2 of multiplicity 2
             vt.path(CUTOFF + 1),
+            vt.circulant(600, [1, 7, 40]),  # lambda2 of multiplicity 2, served by Lanczos
             _gnp_largest_component(600, 3 / 600, 5),
         ],
-        ids=["star", "complete", "cycle", "path", "gnp"],
+        ids=["star", "complete", "cycle", "path", "circulant", "gnp"],
     )
     def test_families_and_irregular(self, g):
         self._check(g)
