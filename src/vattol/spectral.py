@@ -15,22 +15,26 @@ lambda2 and its eigenvector come from one of two solvers, picked by size:
   which builds its matrices from the neighbour masks of graphs with
   n <= 24, gives the same bits;
 - above it, matrix-free Lanczos (:func:`_lanczos`): N is applied edge by
-  edge, the known top eigenvector ``D^{1/2} 1`` is deflated, and each
-  new Krylov vector has its three-term recurrence terms subtracted, O(n),
-  and is then orthogonalized once against the whole basis, two k x n
-  products (Parlett, *The Symmetric Eigenvalue Problem*, 1998).  The basis is
-  allocated once for every row the loop can reach.  Time is
-  O(k^2 n + k m) and memory O(k n) for a Krylov dimension k, about 200
-  to 300 on random cubic graphs with n = 2000.  Clustered spectra
+  edge, and each new Krylov vector has its three-term recurrence terms
+  and the known top eigenvector ``D^{1/2} 1`` subtracted, so a step costs
+  O(n + m).  Partial reorthogonalization keeps the basis semi-orthogonal
+  (Simon, *Math. Comp.* 42, 1984; Parlett, *The Symmetric Eigenvalue
+  Problem*, 1998): an O(k) recurrence estimates the loss of orthogonality,
+  and only on the few steps where it passes sqrt(eps) is the vector
+  orthogonalized against the whole basis, two k x n products.  The basis
+  is allocated once for every row the loop can reach.  Time is
+  O(k (n + m)) plus a handful of O(k n) passes, and memory O(k n), for a
+  Krylov dimension k, about 200 to 300 on random cubic graphs with
+  n = 2000.  Clustered spectra
   (cycles, paths) would need k near n; there Lanczos gives up early and
   the dense solve runs instead, or raises :class:`NoConvergence` if its
   matrix is over :data:`_MEMORY_BUDGET` (n > 5,792), which also caps the basis.
 
 The cutoff is the measured crossover.  On random d-regular graphs
 (d = 3, 4, 5, six graphs each; a 2-vCPU Xeon VM), Lanczos with its
-fallbacks takes a median 1.1-1.2 of the dense time at n = 256, where
-most graphs fall back, 0.5-1.1 at n = 320, 0.5-0.75 at n = 384 and
-0.25-0.4 at n = 640; d = 3 is the slow end.  Where it falls back, a call
+fallbacks takes a median 0.8-1.4 of the dense time at n = 256, 0.7-1.2
+at n = 320, 0.5-1.1 at n = 384 and 0.2-0.45 at n = 640; the high end is
+where every graph gives up and falls back, d = 3 up to n = 384.  Where it falls back, a call
 costs about 1.2 times the dense solve; that is most long cycles and
 paths, and 1 or 2 in 100 random cubic graphs at n = 2000.
 
@@ -68,6 +72,9 @@ _RITZ_TOL = 1e-12
 _KRYLOV_SHARE = 0.6
 #: Lanczos steps between Ritz checks.
 _CHECK_EVERY = 20
+#: A Lanczos step reorthogonalizes against the whole basis once its
+#: estimated loss of orthogonality passes sqrt(eps) (semi-orthogonality).
+_SEMI_ORTHO = math.sqrt(np.finfo(float).eps)
 #: Bytes of float64 one solve may hold: the n x n matrix of the dense
 #: solve, or the Lanczos basis (``eigh``'s own workspace not counted).
 _MEMORY_BUDGET = 256 << 20
@@ -152,24 +159,46 @@ def _eigenpairs(mats: np.ndarray) -> tuple[list[float], np.ndarray, list[float]]
     return lams.tolist(), vecs, residuals
 
 
+def _project_out(x: np.ndarray, rows: np.ndarray) -> None:
+    """One classical Gram-Schmidt pass: subtract from ``x``, in place, its
+    projection on the orthonormal ``rows``, two len(rows) x n products."""
+    x -= (rows @ x) @ rows
+
+
 def _lanczos(g: Graph) -> tuple[float, np.ndarray, float] | None:
     """The second eigenpair of ``g``'s normalized adjacency and its
     max-norm residual, or None when Lanczos gives up and the dense solve
     should run.
 
-    Row 0 of the basis is the top eigenvector ``D^{1/2} 1``, so
-    orthogonalizing each new vector against the whole basis also deflates
-    it.  A step subtracts the recurrence's ``alpha`` and ``beta`` terms
-    first, O(n), so one Gram-Schmidt pass, two k x n products, restores
-    orthogonality; the random start vector takes two.  Every
-    :data:`_CHECK_EVERY` steps the top Ritz pair of the tridiagonal T is
-    taken once its residual estimate ``|beta_k y_k|`` is at most
+    Row 0 of the basis is the top eigenvector ``D^{1/2} 1``.  A step
+    applies N, O(m), then subtracts the recurrence's ``alpha`` and ``beta``
+    terms and row 0's component, O(n); the random start vector has row 0
+    subtracted twice.  The basis is kept semi-orthogonal by partial
+    reorthogonalization (Simon, *Math. Comp.* 42, 1984, 115-142).  Simon's
+    recurrence estimates ``omega'_i ~ q_{k+1} . q_i`` from T alone, O(k),
+    where ``omega`` and ``omega''`` are the estimates for ``q_k`` and
+    ``q_{k-1}`` (``omega_k = 1``)::
+
+        beta_{k+1} omega'_i = beta_{i+1} omega_{i+1} + (alpha_i - alpha_k) omega_i
+                              + beta_i omega_{i-1} - beta_k omega''_i + theta_i
+
+    Its rounding term is modelled as Simon does, by eps times the norms
+    the step combines, ``theta_i = eps sqrt(n) (beta_{i+1} + beta_{k+1}) / 2``
+    signed to grow the estimate, and a new vector starts ``eps sqrt(n)``
+    from ``q_k``.  Once an estimate passes :data:`_SEMI_ORTHO`, that step
+    and the next, whose vector inherits the loss through the recurrence,
+    make one classical Gram-Schmidt pass over the whole basis
+    (:func:`_project_out`, O(k n)), and the estimates restart at
+    ``eps sqrt(n)``.
+
+    Every :data:`_CHECK_EVERY` steps the top Ritz pair of the tridiagonal
+    T is taken once its residual estimate ``|beta_k y_k|`` is at most
     :data:`_RITZ_TOL`, and returned with its residual recomputed with N.
     It gives up once k passes :data:`_KRYLOV_SHARE` of n or the rows that
     fit :data:`_MEMORY_BUDGET`, or sooner when the Kaniel-Paige rate on the
     current Ritz values says the estimate cannot get under the tolerance
-    by then.  The start vector is a fixed splitmix64 stream, so
-    the result is the same on every platform.
+    by then.  The start vector is a fixed splitmix64 stream, so the result
+    is the same on every platform.
     """
     n = g.n
     rows, cols, weights = _nonzeros(g)
@@ -185,19 +214,22 @@ def _lanczos(g: Graph) -> tuple[float, np.ndarray, float] | None:
     basis = np.empty((limit + _CHECK_EVERY, n))
     sqrt_deg = np.sqrt(np.array(g.deg, dtype=float))
     basis[0] = sqrt_deg / np.linalg.norm(sqrt_deg)
-    alpha: list[float] = []
-    beta: list[float] = []
+    # T's diagonal and the norms that made each row, by basis row
+    # (beta is 0 for rows 0 and 1), and Simon's rows for q_k and q_{k-1}
+    alpha, beta, omega, older = (np.zeros(len(basis)) for _ in range(4))
+    noise = np.finfo(float).eps * math.sqrt(n)
+    due = False  # the step after a whole-basis pass makes one too
+    k = 0
     while True:
-        k = len(alpha)
-        if k:  # the three-term recurrence; then one pass, or two on the start vector
-            x -= alpha[-1] * basis[k]
-            if beta:
-                x -= beta[-1] * basis[k - 1]
-        for _ in range(1 if k else 2):
-            x -= (basis[: k + 1] @ x) @ basis[: k + 1]
+        if k:  # the three-term recurrence (beta[1] is 0)
+            x -= alpha[k] * basis[k]
+            x -= beta[k] * basis[k - 1]
+        for _ in range(1 if k else 2):  # deflate row 0; twice on the start vector
+            x -= (basis[0] @ x) * basis[0]
         b = float(np.linalg.norm(x))
         if k and (k % _CHECK_EVERY == 0 or b <= _RITZ_TOL):
-            tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            off = beta[2 : k + 1]
+            tri = np.diag(alpha[1 : k + 1]) + np.diag(off, 1) + np.diag(off, -1)
             theta, y = np.linalg.eigh(tri)
             estimate = abs(b * y[-1, -1])
             if estimate <= _RITZ_TOL:
@@ -210,11 +242,25 @@ def _lanczos(g: Graph) -> tuple[float, np.ndarray, float] | None:
             gap, spread = theta[-1] - theta[-2], theta[-2] - theta[0]
             if k >= limit or shrink**2 * spread > 4 * (limit - k) ** 2 * gap:
                 return None
-        if k:
-            beta.append(b)
+        if k:  # Simon's recurrence: older becomes the estimates for q_{k+1}
+            new = beta[2 : k + 1] * omega[2 : k + 1]
+            new += (alpha[1:k] - alpha[k]) * omega[1:k]
+            new += beta[1:k] * omega[: k - 1]
+            new -= beta[k] * older[1:k]
+            new += np.copysign(noise / 2 * (beta[2 : k + 1] + b), new)
+            np.divide(new, b, out=older[1:k])
+            older[k], older[k + 1] = noise, 1.0
+            omega, older = older, omega
+            if due or np.abs(omega[1 : k + 1]).max() > _SEMI_ORTHO:
+                _project_out(x, basis[: k + 1])
+                b = float(np.linalg.norm(x))
+                omega[1 : k + 1] = noise
+                due = not due
+            beta[k + 1] = b
         basis[k + 1] = x / b
         x = apply(basis[k + 1])
-        alpha.append(float(basis[k + 1] @ x))
+        k += 1
+        alpha[k] = basis[k] @ x
 
 
 def _lambda2_pair(g: Graph) -> tuple[SpectralResult, np.ndarray]:

@@ -258,6 +258,51 @@ class TestLanczos:
         with pytest.raises(vt.NoConvergence, match=f"^n={g.n}: Lanczos gave up and a dense"):
             vt.lambda2(g)
 
+    @staticmethod
+    def _counted_solve(g, monkeypatch):
+        """``g``'s eigenvector from one Lanczos solve, its Krylov dimension
+        k (the order of the last Ritz check's T) and the row counts of its
+        whole-basis passes."""
+        project, eigh = spectral_mod._project_out, np.linalg.eigh
+        checks, passes = [], []
+
+        def counted_eigh(mat):
+            checks.append(mat.shape[-1])  # a dense fallback's stack reads n
+            return eigh(mat)
+
+        def counted_project(x, rows):
+            passes.append(len(rows))
+            project(x, rows)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(spectral_mod, "_project_out", counted_project)
+        _, vec = spectral_mod._lambda2_pair(g)
+        assert checks[-1] < g.n  # no dense fallback
+        return vec, checks[-1], passes
+
+    def test_partial_reorthogonalization(self, monkeypatch):
+        # the whole-basis pass runs only on the steps where Simon's
+        # estimate passes sqrt(eps), and the result stays dense-accurate
+        g = vt.connected_random_regular(1000, 3, 11)[0]
+        vec, steps, passes = self._counted_solve(g, monkeypatch)
+        assert passes and 10 * len(passes) <= steps
+        expected = np.linalg.eigvalsh(vt.normalized_adjacency(g))[-2]
+        assert abs(vt.lambda2(g).lambda2 - expected) <= 1e-12
+        value, hits = naive_sweep(g, vec.tolist(), spectral_mod._SIGN_EPS)
+        sweep = vt.sweep_conductance(g)
+        assert (sweep.value, sweep.witness) == (value, hits[0])
+
+    def test_full_reorthogonalization_agrees(self, monkeypatch):
+        # a threshold of 0 makes the pass run on every step, over every row
+        g = vt.connected_random_regular(1000, 3, 11)[0]
+        partial = vt.sweep_conductance(g)
+        monkeypatch.setattr(spectral_mod, "_SEMI_ORTHO", 0.0)
+        _, steps, passes = self._counted_solve(g, monkeypatch)
+        assert passes == list(range(2, steps + 1))
+        full = vt.sweep_conductance(g)
+        assert (full.value, full.witness) == (partial.value, partial.witness)
+        assert abs(full.spectral.lambda2 - partial.spectral.lambda2) <= 1e-14
+
     def test_clustered_spectrum_falls_back_to_dense(self):
         # a path needs a Krylov dimension near n, so Lanczos gives up
         g = vt.path(CUTOFF + 1)
